@@ -1,11 +1,11 @@
 """Verifying the reductions against independent oracles.
 
 Nothing here trusts the closed forms: the series oracle sums the defining
-expansion term by term (compensated, with a rigorous tail bound) and the two
-quadrature oracles integrate the defining integral representations with
-completely different machinery (QUADPACK, and a tanh-sinh rule on the
-exponentially mapped semi-infinite integral).  The closed form has to meet
-all of them.
+expansion term by term (exactly rounded by ``math.fsum``, with a rigorous
+tail bound) and the two quadrature oracles integrate the defining integral
+representations with completely different machinery (QUADPACK, and a
+tanh-sinh rule on the exponentially mapped semi-infinite integral).  The
+closed form has to meet all of them.
 """
 
 from fractions import Fraction

@@ -2,9 +2,9 @@
 
 Two families of oracle, deliberately far from the reduction formulas:
 
-* direct series summation of sum z^k/(k+nu)^s (compensated, with a
-  three-consecutive-small-terms stopping rule and a rigorous geometric
-  tail bound), plus the shifted split for negative parameters;
+* direct series summation of sum z^k/(k+nu)^s (exactly rounded by
+  ``math.fsum``, with a three-consecutive-small-terms stopping rule and a
+  rigorous geometric tail bound), plus the shifted split for negative nu;
 * adaptive quadrature of the defining integrals -- QUADPACK on [0,1] for
   the beta integrand (with a power substitution that removes the t = 0
   singularity), and a tanh-sinh rule on the exponentially mapped
@@ -26,7 +26,7 @@ from .errors import (
     OutsideDomain,
     QuadratureNonConvergence,
 )
-from .principal import CompensatedSum, rational_power
+from .principal import finite_complex, fsum_complex, rational_power
 from .rationals import decompose_neg
 
 
@@ -71,26 +71,27 @@ _DEFAULT_POLICY = SeriesPolicy()
 
 
 def _sum_inverse_linear(z: complex, a: float, s: float, policy: SeriesPolicy):
-    """Compensated sum of z^k/(k+a)^s with the 3-small-terms stopping rule.
+    """Exactly rounded sum of z^k/(k+a)^s with the 3-small-terms stopping rule.
 
-    Returns (sum, |last term|, number of terms).  Raises
-    :class:`MaxTermsExceeded` when the budget runs out first.
+    The rule reads a plain running sum.  Returns (sum, |last term|, terms);
+    raises :class:`MaxTermsExceeded` when the budget runs out first.
     """
-    acc = CompensatedSum()
+    terms = []
+    running = 0j
     zk = complex(1.0)
     small = 0
-    last = 0.0
     for k in range(policy.max_terms):
         if s == 1.0:
             term = zk / (k + a)
         else:
             term = zk / complex(k + a) ** s
-        acc.add(term)
+        terms.append(term)
+        running += term
         last = abs(term)
-        if last <= policy.rel_tol * abs(acc.value):
+        if last <= policy.rel_tol * abs(running):
             small += 1
             if small >= 3:
-                return acc.value, last, k + 1
+                return fsum_complex(terms), last, k + 1
         else:
             small = 0
         zk *= z
@@ -107,7 +108,7 @@ def lerch_series(
     The reported error estimate is the geometric tail bound
     |last term| / (1 - |z|), which is rigorous for s > 0.
     """
-    z = complex(z)
+    z = finite_complex(z)
     if abs(z) >= 1.0:
         raise OutsideDomain(f"series needs |z| < 1, got |z| = {abs(z)}")
     nu = float(nu)
@@ -130,7 +131,7 @@ def beta_series(
     nu = Fraction(nu)
     if nu.denominator == 1 and nu <= 0:
         raise DivergentParameter(f"divergent at the non-positive integer {nu}")
-    z = complex(z)
+    z = finite_complex(z)
     if z == 0:
         if nu > 0:
             return EvalResult(0j, OracleMethod.SERIES, 0.0, 1)
@@ -146,12 +147,12 @@ def beta_series(
     r = Fraction(dec.p, dec.q)
     prefactor = rational_power(z, r)
     total, last, terms = _sum_inverse_linear(z, float(r), 1.0, policy)
-    corr = CompensatedSum()
+    corr = []
     zk = prefactor
     for k in range(1, dec.n + 1):
         zk /= z
-        corr.add(zk / (float(r) - k))
-    value = prefactor * total + corr.value
+        corr.append(zk / (float(r) - k))
+    value = prefactor * total + fsum_complex(corr)
     err = abs(prefactor) * last / (1.0 - abs(z))
     return EvalResult(value, OracleMethod.SHIFTED_SERIES, err, terms + dec.n)
 

@@ -1,4 +1,4 @@
-"""Principal-branch complex helpers and compensated summation.
+"""Principal-branch complex helpers and exactly rounded complex summation.
 
 Every multivalued operation in the package funnels through these functions so
 the whole library shares one branch convention: Im(log) lies in (-pi, pi],
@@ -13,8 +13,17 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
+from typing import List, Sequence
 
-from .errors import ZeroArgument
+from .errors import OutsideDomain, ZeroArgument
+
+
+def finite_complex(z: complex) -> complex:
+    """complex(z); an infinite or NaN part raises :class:`OutsideDomain`."""
+    z = complex(z)
+    if not cmath.isfinite(z):
+        raise OutsideDomain(f"z must be finite, got {z}")
+    return z
 
 
 def principal_log(w: complex) -> complex:
@@ -80,35 +89,31 @@ def rational_power(z: complex, expo: Fraction) -> complex:
     return out
 
 
-class CompensatedSum:
-    """Neumaier-compensated running sum for complex terms.
+def fsum_complex(terms: Sequence[complex]) -> complex:
+    """Exactly rounded sum of complex terms: ``math.fsum`` on each lane.
 
-    Keeps separate error terms for the real and imaginary lanes; ``value``
-    folds the compensation back in.
+    A lane that overflows, or adds inf to -inf, raises :class:`OutsideDomain`.
+    """
+    try:
+        return complex(math.fsum([t.real for t in terms]), math.fsum([t.imag for t in terms]))
+    except (OverflowError, ValueError) as exc:
+        raise OutsideDomain(f"sum outside the double range: {exc}") from exc
+
+
+class CompensatedSum:
+    """Running complex sum, exactly rounded per lane by :func:`fsum_complex`.
+
+    Keeps every term added; ``value`` sums them afresh.
     """
 
-    __slots__ = ("_sr", "_si", "_cr", "_ci")
+    __slots__ = ("_terms",)
 
     def __init__(self) -> None:
-        self._sr = 0.0
-        self._si = 0.0
-        self._cr = 0.0
-        self._ci = 0.0
+        self._terms: List[complex] = []
 
     def add(self, term: complex) -> None:
-        term = complex(term)
-        self._sr, self._cr = _neumaier_step(self._sr, term.real, self._cr)
-        self._si, self._ci = _neumaier_step(self._si, term.imag, self._ci)
+        self._terms.append(complex(term))
 
     @property
     def value(self) -> complex:
-        return complex(self._sr + self._cr, self._si + self._ci)
-
-
-def _neumaier_step(s: float, x: float, c: float):
-    t = s + x
-    if abs(s) >= abs(x):
-        c += (s - t) + x
-    else:
-        c += (x - t) + s
-    return t, c
+        return fsum_complex(self._terms)

@@ -19,6 +19,7 @@ branch, which is what makes Im(B) = -pi come out on the real ray z > 1.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,8 +27,9 @@ from typing import List, Tuple
 
 from .errors import BranchPoint, DivergentParameter, OutsideDomain, PoleInSum, ZeroArgument
 from .principal import (
-    CompensatedSum,
     atanh,
+    finite_complex,
+    fsum_complex,
     principal_log,
     principal_root,
     principal_sqrt,
@@ -67,36 +69,33 @@ class ReductionTrace:
         return [-phase * logterm for _, phase, logterm in self.terms]
 
     def total(self) -> complex:
-        acc = CompensatedSum()
-        for c in self.contributions():
-            acc.add(c)
-        acc.add(self.tail_sum)
-        return acc.value
+        return fsum_complex(self.contributions() + [self.tail_sum])
 
 
-def _unit_root(num: int, den: int) -> complex:
-    # e^(2*pi*i*num/den) from the exact reduced angle, not by repeated
+def _root_table(q: int) -> Tuple[complex, ...]:
+    # e^(2*pi*i*j/q) from the exact angle of each j, not by repeated
     # multiplication: keeps the phase tight for large k*p products.
-    ang = _TWO_PI * (num % den) / den
-    return complex(math.cos(ang), math.sin(ang))
+    return tuple(complex(math.cos(_TWO_PI * j / q), math.sin(_TWO_PI * j / q)) for j in range(q))
+
+
+# q up to this keeps its table in the cache (64 tables, 10 MB at most); larger q builds its own.
+ROOT_CACHE_MAX_Q = 4096
+_unit_roots = functools.lru_cache(maxsize=64)(_root_table)
 
 
 def _roots_log_sum(p: int, q: int, z: complex):
     """The q-term principal-log sum shared by both signed-parameter forms."""
+    roots = _unit_roots(q) if q <= ROOT_CACHE_MAX_Q else _root_table(q)
     zq = principal_root(z, q)
-    acc = CompensatedSum()
     terms = []
     for k in range(q):
-        w = 1 - zq * _unit_root(k, q)
+        w = 1 - zq * roots[k]
         if abs(w) < BRANCH_GUARD:
             raise BranchPoint(
                 f"log argument {w} within {BRANCH_GUARD} of the branch point (k={k}, q={q})"
             )
-        phase = _unit_root(-p * k, q)
-        logterm = principal_log(w)
-        terms.append((k, phase, logterm))
-        acc.add(-phase * logterm)
-    return acc, terms
+        terms.append((k, roots[-p * k % q], principal_log(w)))
+    return terms
 
 
 def reduce_beta_pos(nu: PosDecomposition, z: complex) -> Tuple[complex, ReductionTrace]:
@@ -105,9 +104,9 @@ def reduce_beta_pos(nu: PosDecomposition, z: complex) -> Tuple[complex, Reductio
     Dispatches on the decomposition: exact integers take the pure-log form,
     half-integers the atanh form, everything else the roots-of-unity sum.
     Raises :class:`BranchPoint` at z = 1 or whenever a log argument falls
-    inside the guard band.
+    inside the guard band, :class:`OutsideDomain` for an infinite or NaN z.
     """
-    z = complex(z)
+    z = finite_complex(z)
     if z == 1:
         raise BranchPoint("z = 1 is the logarithmic branch point")
     if z == 0:
@@ -120,22 +119,22 @@ def reduce_beta_pos(nu: PosDecomposition, z: complex) -> Tuple[complex, Reductio
     if nu.r_is_one:
         return _integer_log_form(nu.n, z)
     if nu.q == 2:
-        return _half_atanh_pos(nu.n, z)
+        return _half_atanh(nu.n, z, neg=False)
     return _roots_form_pos(nu, z)
 
 
 def reduce_beta_neg(nu: NegDecomposition, z: complex) -> Tuple[complex, ReductionTrace]:
     """B(nu, 0, z) for negative non-integer rational nu.
 
-    Needs z != 0 (negative powers of z appear) and z != 1.
+    Needs finite z, z != 0 (negative powers of z appear) and z != 1.
     """
-    z = complex(z)
+    z = finite_complex(z)
     if z == 0:
         raise ZeroArgument("negative powers of z require z != 0")
     if z == 1:
         raise BranchPoint("z = 1 is the logarithmic branch point")
     if nu.q == 2:
-        return _half_atanh_neg(nu.n, z)
+        return _half_atanh(nu.n, z, neg=True)
     return _roots_form_neg(nu, z)
 
 
@@ -145,44 +144,30 @@ def _integer_log_form(n: int, z: complex):
     if abs(w) < BRANCH_GUARD:
         raise BranchPoint(f"1 - z = {w} within {BRANCH_GUARD} of the branch point")
     logterm = principal_log(w)
-    tail = CompensatedSum()
+    tail = []
     zk = complex(1.0)
     for k in range(1, n + 1):
         zk *= z
-        tail.add(-zk / k)
-    value = -logterm + tail.value
-    trace = ReductionTrace(Method.INTEGER_LOG, [(0, complex(1.0), logterm)], tail.value)
-    return value, trace
+        tail.append(-zk / k)
+    tail_sum = fsum_complex(tail)
+    trace = ReductionTrace(Method.INTEGER_LOG, [(0, complex(1.0), logterm)], tail_sum)
+    return -logterm + tail_sum, trace
 
 
-def _half_atanh_pos(n: int, z: complex):
+def _half_atanh(n: int, z: complex, neg: bool):
     # B(n+1/2, 0, z) = 2*(atanh(sqrt(z)) - sum_{k=0}^{n-1} z^(k+1/2)/(2k+1))
+    # B(-n+1/2, 0, z) = 2*(atanh(sqrt(z)) - sum_{k=0}^{n-1} z^(-k-1/2)/(2k+1))
     sq = principal_sqrt(z)
     _guard_half(sq)
     at = atanh(sq)
-    tail = CompensatedSum()
-    zk = sq
+    tail = []
+    zk = sq / z if neg else sq
     for k in range(n):
-        tail.add(-2.0 * zk / (2 * k + 1))
-        zk *= z
-    value = 2.0 * at + tail.value
-    trace = ReductionTrace(Method.HALF_ATANH, [(0, complex(-2.0), at)], tail.value)
-    return value, trace
-
-
-def _half_atanh_neg(n: int, z: complex):
-    # B(-n+1/2, 0, z) = 2*(atanh(sqrt(z)) - sum_{k=1}^{n} z^(-k+1/2)/(2k-1))
-    sq = principal_sqrt(z)
-    _guard_half(sq)
-    at = atanh(sq)
-    tail = CompensatedSum()
-    zk = sq
-    for k in range(1, n + 1):
-        zk /= z
-        tail.add(-2.0 * zk / (2 * k - 1))
-    value = 2.0 * at + tail.value
-    trace = ReductionTrace(Method.HALF_ATANH, [(0, complex(-2.0), at)], tail.value)
-    return value, trace
+        tail.append(-2.0 * zk / (2 * k + 1))
+        zk = zk / z if neg else zk * z
+    tail_sum = fsum_complex(tail)
+    trace = ReductionTrace(Method.HALF_ATANH, [(0, complex(-2.0), at)], tail_sum)
+    return 2.0 * at + tail_sum, trace
 
 
 def _guard_half(sq: complex) -> None:
@@ -191,27 +176,27 @@ def _guard_half(sq: complex) -> None:
 
 
 def _roots_form_pos(nu: PosDecomposition, z: complex):
-    acc, terms = _roots_log_sum(nu.p, nu.q, z)
+    terms = _roots_log_sum(nu.p, nu.q, z)
     r = nu.p / nu.q
-    tail = CompensatedSum()
+    tail = []
     zk = rational_power(z, Fraction(nu.p, nu.q))
     for k in range(nu.n):
-        tail.add(-zk / (k + r))
+        tail.append(-zk / (k + r))
         zk *= z
-    value = acc.value + tail.value
-    return value, ReductionTrace(Method.ROOTS_OF_UNITY_POS, terms, tail.value)
+    trace = ReductionTrace(Method.ROOTS_OF_UNITY_POS, terms, fsum_complex(tail))
+    return fsum_complex(trace.contributions()) + trace.tail_sum, trace
 
 
 def _roots_form_neg(nu: NegDecomposition, z: complex):
-    acc, terms = _roots_log_sum(nu.p, nu.q, z)
+    terms = _roots_log_sum(nu.p, nu.q, z)
     r = nu.p / nu.q
-    tail = CompensatedSum()
+    tail = []
     zk = rational_power(z, Fraction(nu.p, nu.q))
     for k in range(1, nu.n + 1):
         zk /= z
-        tail.add(zk / (r - k))
-    value = acc.value + tail.value
-    return value, ReductionTrace(Method.ROOTS_OF_UNITY_NEG, terms, tail.value)
+        tail.append(zk / (r - k))
+    trace = ReductionTrace(Method.ROOTS_OF_UNITY_NEG, terms, fsum_complex(tail))
+    return fsum_complex(trace.contributions()) + trace.tail_sum, trace
 
 
 # Binomial sums above this length would be numerically and practically useless.
@@ -229,20 +214,20 @@ def beta_mu_posint(nu: Fraction, m: int, z: complex) -> complex:
         raise OutsideDomain(f"m must be in [0, {MAX_BINOMIAL_M}], got {m}")
     if nu.denominator == 1 and -m <= nu <= 0:
         raise PoleInSum(f"k + nu vanishes at k = {-int(nu)} for nu = {nu}")
-    z = complex(z)
+    z = finite_complex(z)
     if z == 0:
         if nu > 0:
             return 0j
         raise ZeroArgument(f"z = 0 needs nu > 0, got nu = {nu}")
     nuf = float(nu)
-    acc = CompensatedSum()
+    terms = []
     binom = 1.0
     zk = complex(1.0)  # (-z)^k
     for k in range(m + 1):
-        acc.add(binom * zk / (k + nuf))
+        terms.append(binom * zk / (k + nuf))
         zk *= -z
         binom = binom * (m - k) / (k + 1)
-    return rational_power(z, nu) * acc.value
+    return rational_power(z, nu) * fsum_complex(terms)
 
 
 def lerch_reduce(nu: PosDecomposition, z: complex) -> complex:
@@ -259,7 +244,7 @@ def incomplete_beta(nu: Fraction, mu: int, z: complex) -> complex:
 
     mu = 0 routes to the closed-form reductions (positive or negative nu);
     mu >= 1 to the finite binomial sum.  Non-positive integer nu with mu = 0
-    raises :class:`DivergentParameter`.
+    raises :class:`DivergentParameter`; non-finite z :class:`OutsideDomain`.
     """
     nu = Fraction(nu)
     if not isinstance(mu, int) or mu < 0:

@@ -60,6 +60,15 @@ class TestEval:
         assert code == 2
         assert err.startswith("BranchPoint")
 
+    @pytest.mark.parametrize(
+        "kind,z", [("beta", "inf"), ("beta", "nan"), ("beta", "0.5,-inf"), ("lerch", "nan")]
+    )
+    def test_non_finite_z_exit_two(self, capsys, kind, z):
+        code, out, err = run_cli(capsys, "eval", kind, "--nu", "1/3", "--z", z)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("OutsideDomain")
+
 
 class TestFigure:
     def test_row_count_and_reference_column(self, capsys):

@@ -126,6 +126,39 @@ class TestBetaSeries:
         with pytest.raises(OutsideDomain):
             beta_series(Fraction(-1, 2), 0.0)
 
+    # (nu, z, term count, value) recorded from the Neumaier-summed oracle
+    # before summation moved to math.fsum; the z of the second point is
+    # 0.5 * e^(i*pi/3).
+    PINNED = [
+        (Fraction(1, 3), 0.9, 284, complex(4.787781920318888, 0.0)),
+        (
+            Fraction(-25, 7),
+            complex(0.25000000000000006, 0.4330127018922193),
+            54,
+            complex(4.323431356195272, 3.510356609034208),
+        ),
+        (Fraction(37, 3), 0.05, 16, complex(7.646348893707282e-18, 0.0)),
+    ]
+
+    @pytest.mark.parametrize("nu,z,terms,value", PINNED)
+    def test_pinned_terms_and_values(self, nu, z, terms, value):
+        out = beta_series(nu, z)
+        assert out.terms_or_nodes == terms
+        assert abs(out.value.real - value.real) <= math.ulp(value.real)
+        assert abs(out.value.imag - value.imag) <= math.ulp(value.imag)
+
+    @pytest.mark.parametrize(
+        "z", [math.inf, -math.inf, math.nan, complex(0.5, math.inf), complex(math.nan, 0.0)]
+    )
+    def test_non_finite_z_rejected(self, z):
+        # NaN used to defeat |z| >= 1 and spin through the whole term budget
+        with pytest.raises(OutsideDomain):
+            beta_series(Fraction(1, 3), z)
+        with pytest.raises(OutsideDomain):
+            beta_series(Fraction(-5, 3), z)
+        with pytest.raises(OutsideDomain):
+            lerch_series(z, 1.0, 0.5)
+
 
 class TestBetaQuadrature:
     def test_unit_integrand(self):

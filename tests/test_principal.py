@@ -6,6 +6,8 @@ import math
 import pytest
 
 from betareduce import CompensatedSum, ZeroArgument, atanh, principal_log, principal_sqrt, rational_power
+from betareduce import OutsideDomain
+from betareduce.principal import fsum_complex
 from fractions import Fraction
 
 
@@ -89,6 +91,15 @@ class TestCompensatedSum:
         exact = math.fsum(terms)
         assert abs(acc.value.real - exact) <= 1e-12 * abs(exact)
         assert abs(acc.value.real - exact) < abs(naive - exact)
+
+    @pytest.mark.parametrize(
+        "terms",
+        [[1e308, 1e308], [complex(0.0, -1e308), complex(0.0, -1e308)], [math.inf, -math.inf]],
+    )
+    def test_overflowing_lane_is_a_named_error(self, terms):
+        # math.fsum raises OverflowError / ValueError here; callers get OutsideDomain
+        with pytest.raises(OutsideDomain):
+            fsum_complex(terms)
 
     def test_complex_lanes_independent(self):
         acc = CompensatedSum()

@@ -27,7 +27,12 @@ from betareduce import (
     reduce_beta_neg,
     reduce_beta_pos,
 )
-from betareduce.reduction import _roots_form_neg, _roots_form_pos
+from betareduce.reduction import (
+    ROOT_CACHE_MAX_Q,
+    _roots_form_neg,
+    _roots_form_pos,
+    _unit_roots,
+)
 
 TIGHT = SeriesPolicy(rel_tol=1e-17)
 
@@ -235,6 +240,11 @@ class TestBetaMuPosint:
         with pytest.raises(ZeroArgument):
             beta_mu_posint(Fraction(-1, 2), 2, 0.0)
 
+    def test_overflowing_sum_is_a_named_error(self):
+        # (-3)^k C(700, k) overflows to +-inf; the sum used to come back nan+nanj
+        with pytest.raises(OutsideDomain):
+            beta_mu_posint(Fraction(1, 3), 700, 3.0)
+
     def test_m_bounds(self):
         with pytest.raises(OutsideDomain):
             beta_mu_posint(Fraction(1, 2), -1, 0.5)
@@ -291,3 +301,69 @@ class TestDispatcher:
     def test_mu_validation(self):
         with pytest.raises(OutsideDomain):
             incomplete_beta(Fraction(1, 2), -1, 0.5)
+
+    @pytest.mark.parametrize(
+        "z", [math.inf, -math.inf, math.nan, complex(0.5, -math.inf), complex(math.nan, 0.0)]
+    )
+    @pytest.mark.parametrize(
+        "nu,mu",
+        [
+            (Fraction(1, 3), 0),
+            (Fraction(4), 0),
+            (Fraction(-5, 2), 0),
+            (Fraction(-7, 3), 0),
+            (Fraction(1, 3), 2),
+        ],
+    )
+    def test_non_finite_z_rejected(self, nu, mu, z):
+        with pytest.raises(OutsideDomain):
+            incomplete_beta(nu, mu, z)
+
+    @pytest.mark.parametrize("z", [math.inf, math.nan])
+    def test_non_finite_z_rejected_by_kernels(self, z):
+        with pytest.raises(OutsideDomain):
+            reduce_beta_pos(decompose_pos(Fraction(1, 3)), z)
+        with pytest.raises(OutsideDomain):
+            reduce_beta_neg(decompose_neg(Fraction(-1, 3)), z)
+        with pytest.raises(OutsideDomain):
+            beta_mu_posint(Fraction(1, 3), 1, z)
+
+
+def _per_call_unit_root(num: int, den: int) -> complex:
+    # the per-call formula the cached tables replaced
+    ang = 2.0 * math.pi * (num % den) / den
+    return complex(math.cos(ang), math.sin(ang))
+
+
+class TestUnitRootTable:
+    @pytest.mark.parametrize("q", list(range(2, 25)) + [97, 1000])
+    def test_entries_bitwise_equal_to_per_call_formula(self, q):
+        table = _unit_roots(q)
+        assert len(table) == q
+        for j in range(q):
+            expected = _per_call_unit_root(j, q)
+            assert table[j].real.hex() == expected.real.hex()
+            assert table[j].imag.hex() == expected.imag.hex()
+
+    @pytest.mark.parametrize("nu", [Fraction(5, 7), Fraction(-11, 12), Fraction(23, 97)])
+    def test_trace_phases_match_per_call_formula(self, nu):
+        dec = decompose_pos(nu) if nu > 0 else decompose_neg(nu)
+        reduce = reduce_beta_pos if nu > 0 else reduce_beta_neg
+        _, trace = reduce(dec, 0.3 + 0.2j)
+        assert [t[0] for t in trace.terms] == list(range(dec.q))
+        for k, phase, _ in trace.terms:
+            assert phase == _per_call_unit_root(-dec.p * k, dec.q)
+
+    def test_cache_is_bounded(self):
+        maxsize = _unit_roots.cache_info().maxsize
+        assert maxsize is not None and maxsize > 0
+
+    def test_large_q_not_cached(self):
+        q = ROOT_CACHE_MAX_Q + 3
+        nu = Fraction(1, q)
+        assert nu.denominator == q
+        before = _unit_roots.cache_info().currsize
+        value = incomplete_beta(nu, 0, 0.3)
+        assert _unit_roots.cache_info().currsize == before
+        ref = beta_series(nu, 0.3, TIGHT).value
+        assert abs(value - ref) <= 1e-9 * max(1.0, abs(ref))
