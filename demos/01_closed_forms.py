@@ -3,8 +3,9 @@
 The incomplete beta function with second parameter 0 is an infinite series,
 but for rational nu it collapses to finitely many elementary terms: logs over
 roots of unity plus a finite power sum.  This script walks the special cases
-(integer, half-integer) and the general rational case, checking each against
-an elementary constant or the direct series.
+(integer, half-integer) and the general rational case, split as a signed
+integer shift m plus a fraction r in (0, 1], checking each against an
+elementary constant or the direct series.
 """
 
 import math
@@ -12,10 +13,11 @@ from fractions import Fraction
 
 from betareduce import (
     beta_series,
+    decompose,
     decompose_pos,
     incomplete_beta,
     lerch_reduce,
-    reduce_beta_pos,
+    reduce_beta,
 )
 
 print("Integer parameter: B(1, 0, z) = -log(1 - z)")
@@ -37,12 +39,12 @@ print(f"  log 3 - 4         = {math.log(3) - 4!r}")
 
 print()
 print("General rational parameter, checked against the series:")
-for nu, z in [(Fraction(5, 4), 0.3), (Fraction(123, 10), 0.5), (Fraction(7, 12), 0.85)]:
-    dec = decompose_pos(nu)
-    reduction, trace = reduce_beta_pos(dec, z)
+for nu, z in [(Fraction(5, 4), 0.3), (Fraction(123, 10), 0.5), (Fraction(-17, 12), 0.85)]:
+    dec = decompose(nu)
+    reduction, trace = reduce_beta(dec, z)
     oracle = beta_series(nu, z)
     print(
-        f"  nu = {str(nu):>6}, z = {z}:  reduction = {reduction.real:.15f}"
+        f"  nu = {str(nu):>6} = {dec.m:>2} + {str(dec.r):>4}, z = {z}:  reduction = {reduction.real:.15f}"
         f"  series = {oracle.value.real:.15f}"
         f"  ({len(trace.terms)} log terms, {oracle.terms_or_nodes} series terms)"
     )

@@ -32,16 +32,8 @@ from .oracles import (
     lerch_series,
     phi_quadrature,
 )
-from .principal import CompensatedSum, atanh, principal_log, principal_sqrt, rational_power
-from .rationals import (
-    NegDecomposition,
-    PosDecomposition,
-    RationalNu,
-    decompose_neg,
-    decompose_pos,
-    parse_rational,
-    render_rational,
-)
+from .principal import atanh, principal_log, principal_sqrt, rational_power
+from .rationals import Decomposition, decompose, decompose_pos, parse_rational, render_rational
 from .reduction import (
     Method,
     ReductionTrace,
@@ -49,8 +41,7 @@ from .reduction import (
     connection_check,
     incomplete_beta,
     lerch_reduce,
-    reduce_beta_neg,
-    reduce_beta_pos,
+    reduce_beta,
 )
 from .verify import (
     Status,
@@ -70,20 +61,17 @@ __all__ = [
     "BenchRecord",
     "BetaReduceError",
     "BranchPoint",
-    "CompensatedSum",
+    "Decomposition",
     "DivergentParameter",
     "EvalResult",
     "MaxTermsExceeded",
     "Method",
-    "NegDecomposition",
     "OracleMethod",
     "OutsideDomain",
     "PRESETS",
     "ParseError",
     "PoleInSum",
-    "PosDecomposition",
     "QuadratureNonConvergence",
-    "RationalNu",
     "ReductionTrace",
     "ResidualImaginary",
     "SeriesPolicy",
@@ -95,7 +83,7 @@ __all__ = [
     "beta_quadrature",
     "beta_series",
     "connection_check",
-    "decompose_neg",
+    "decompose",
     "decompose_pos",
     "default_nu_grid",
     "default_z_grid",
@@ -110,8 +98,7 @@ __all__ = [
     "principal_log",
     "principal_sqrt",
     "rational_power",
-    "reduce_beta_neg",
-    "reduce_beta_pos",
+    "reduce_beta",
     "render_rational",
     "run_bench",
     "run_verification",

@@ -20,7 +20,7 @@ from .bench import PRESETS, run_bench, write_bench_csv
 from .errors import BetaReduceError
 from .integrals import int_power_over_linear, int_tanh_power
 from .rationals import decompose_pos, parse_rational
-from .reduction import incomplete_beta, lerch_reduce, reduce_beta_pos
+from .reduction import incomplete_beta, lerch_reduce, reduce_beta
 from .verify import default_nu_grid, default_z_grid, run_verification, write_verify_csv
 
 
@@ -152,8 +152,8 @@ def _cmd_verify(args, parser) -> int:
 
 
 def _cmd_figure(args, parser) -> int:
-    if not (1.0 < args.z_start < args.z_end):
-        parser.error("need 1 < --z-start < --z-end")
+    if not (1.0 < args.z_start < args.z_end < math.inf):
+        parser.error("need finite 1 < --z-start < --z-end")
     if args.points < 2:
         parser.error("--points must be >= 2")
     dec = decompose_pos(args.nu)
@@ -163,7 +163,7 @@ def _cmd_figure(args, parser) -> int:
         writer.writerow(["z", "im_reduction", "im_series_analytic"])
         for j in range(args.points):
             z = args.z_start + j * step
-            value, _ = reduce_beta_pos(dec, complex(z))
+            value, _ = reduce_beta(dec, complex(z))
             writer.writerow([repr(z), repr(value.imag), repr(-math.pi)])
     return 0
 

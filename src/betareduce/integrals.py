@@ -16,10 +16,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import OutsideDomain, ResidualImaginary, BranchPoint, ZeroArgument
-from .principal import rational_power
+from .errors import OutsideDomain, ResidualImaginary, BranchPoint
 from .rationals import decompose_pos
-from .reduction import reduce_beta_pos
+from .reduction import lerch_reduce, reduce_beta
 
 # tanh(z)^2 this close to 1 would feed a meaningless log(1 - ~ulp).
 TANH_SQ_CEILING = 1.0 - 1e-15
@@ -31,17 +30,11 @@ IMAG_RESIDUAL_REL = 1e-13
 def int_power_over_linear(nu: Fraction, z: complex) -> complex:
     """integral_0^1 t^(nu-1)/(1 - z*t) dt in elementary terms, nu > 0 rational.
 
-    Evaluated as z^(-nu) * B(nu, 0, z); branch and zero errors propagate
-    (z = 0 raises :class:`ZeroArgument` from the negative power).
+    This is Phi(z, 1, nu) = z^(-nu) * B(nu, 0, z), i.e. :func:`lerch_reduce`;
+    nu <= 0 raises :class:`OutsideDomain`, and branch and zero errors
+    propagate (z = 0 raises :class:`ZeroArgument` from the negative power).
     """
-    nu = Fraction(nu)
-    if nu <= 0:
-        raise OutsideDomain(f"the integral needs nu > 0, got {nu}")
-    z = complex(z)
-    if z == 0:
-        raise ZeroArgument("the closed form needs z != 0")
-    value, _ = reduce_beta_pos(decompose_pos(nu), z)
-    return rational_power(z, -nu) * value
+    return lerch_reduce(decompose_pos(nu), z)
 
 
 def int_tanh_power(lam: Fraction, z: float) -> float:
@@ -55,7 +48,7 @@ def int_tanh_power(lam: Fraction, z: float) -> float:
     w = math.tanh(z) ** 2
     if w >= TANH_SQ_CEILING:
         raise BranchPoint(f"tanh(z)^2 = {w} saturates the branch guard near 1")
-    value, _ = reduce_beta_pos(decompose_pos(lam), complex(w))
+    value, _ = reduce_beta(decompose_pos(lam), complex(w))
     half = 0.5 * value
     # rounding dust scales with the roots-of-unity terms, not the (possibly
     # tiny) result, so the residual bound is relative to max(1, |value|);

@@ -27,7 +27,7 @@ from .errors import (
     QuadratureNonConvergence,
 )
 from .principal import finite_complex, fsum_complex, rational_power
-from .rationals import decompose_neg
+from .rationals import decompose
 
 
 class OracleMethod(enum.Enum):
@@ -143,18 +143,18 @@ def beta_series(
         total, last, terms = _sum_inverse_linear(z, float(nu), 1.0, policy)
         err = abs(prefactor) * last / (1.0 - abs(z))
         return EvalResult(prefactor * total, OracleMethod.SERIES, err, terms)
-    dec = decompose_neg(nu)
-    r = Fraction(dec.p, dec.q)
+    dec = decompose(nu)
+    r = dec.r
     prefactor = rational_power(z, r)
     total, last, terms = _sum_inverse_linear(z, float(r), 1.0, policy)
     corr = []
     zk = prefactor
-    for k in range(1, dec.n + 1):
+    for k in range(1, -dec.m + 1):
         zk /= z
         corr.append(zk / (float(r) - k))
     value = prefactor * total + fsum_complex(corr)
     err = abs(prefactor) * last / (1.0 - abs(z))
-    return EvalResult(value, OracleMethod.SHIFTED_SERIES, err, terms + dec.n)
+    return EvalResult(value, OracleMethod.SHIFTED_SERIES, err, terms - dec.m)
 
 
 def beta_quadrature(

@@ -13,7 +13,7 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
-from typing import List, Sequence
+from typing import Sequence
 
 from .errors import OutsideDomain, ZeroArgument
 
@@ -70,7 +70,8 @@ def rational_power(z: complex, expo: Fraction) -> complex:
     The integer part goes through exact complex integer powers and the
     fractional remainder through the principal root/log, so real positive z
     yields an exactly real result and half-integer exponents stay as accurate
-    as a square root.
+    as a square root.  An integer power outside the double range raises
+    :class:`OutsideDomain`.
     """
     expo = Fraction(expo)
     z = complex(z)
@@ -79,7 +80,10 @@ def rational_power(z: complex, expo: Fraction) -> complex:
             return 0j
         raise ZeroArgument("0 cannot be raised to a non-positive power")
     n, rem = divmod(expo.numerator, expo.denominator)
-    out = z**n if n else complex(1.0)
+    try:
+        out = z**n if n else complex(1.0)
+    except OverflowError as exc:
+        raise OutsideDomain(f"z**{n} outside the double range") from exc
     if rem:
         den = expo.denominator
         if den == 2:
@@ -92,28 +96,13 @@ def rational_power(z: complex, expo: Fraction) -> complex:
 def fsum_complex(terms: Sequence[complex]) -> complex:
     """Exactly rounded sum of complex terms: ``math.fsum`` on each lane.
 
-    A lane that overflows, or adds inf to -inf, raises :class:`OutsideDomain`.
+    A non-finite result raises :class:`OutsideDomain`: a lane that overflows,
+    adds inf to -inf, or holds an infinite or NaN term.
     """
     try:
-        return complex(math.fsum([t.real for t in terms]), math.fsum([t.imag for t in terms]))
+        total = complex(math.fsum([t.real for t in terms]), math.fsum([t.imag for t in terms]))
     except (OverflowError, ValueError) as exc:
         raise OutsideDomain(f"sum outside the double range: {exc}") from exc
-
-
-class CompensatedSum:
-    """Running complex sum, exactly rounded per lane by :func:`fsum_complex`.
-
-    Keeps every term added; ``value`` sums them afresh.
-    """
-
-    __slots__ = ("_terms",)
-
-    def __init__(self) -> None:
-        self._terms: List[complex] = []
-
-    def add(self, term: complex) -> None:
-        self._terms.append(complex(term))
-
-    @property
-    def value(self) -> complex:
-        return fsum_complex(self._terms)
+    if not cmath.isfinite(total):
+        raise OutsideDomain(f"sum is not finite: {total}")
+    return total

@@ -1,9 +1,10 @@
-"""Exact rational parameters and their integer/fraction decompositions.
+"""Exact rational parameters and their signed integer/fraction decomposition.
 
-The evaluation routines need the parameter split as ``n + p/q`` (positive
-case, with an explicit flag for exact integers) or ``-n + p/q`` (negative
-case, 0 < p/q < 1).  Fractions are always held in lowest terms; decimal input
-is converted exactly, never through a binary float.
+The evaluation routines need the parameter split as ``m + p/q``: a signed
+integer shift m = ceil(nu) - 1 and a fractional part 0 < p/q <= 1, so that
+positive and negative parameters and the integers share one form.  Fractions
+are always held in lowest terms; decimal input is converted exactly, never
+through a binary float.
 """
 
 from __future__ import annotations
@@ -13,9 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DivergentParameter, OutsideDomain, ParseError
-
-# Exact parameter type used throughout the package.
-RationalNu = Fraction
 
 _GRAMMAR = re.compile(r"-?\d+(?:/\d+|\.\d+)?\Z")
 
@@ -46,63 +44,36 @@ def render_rational(x: Fraction) -> str:
 
 
 @dataclass(frozen=True)
-class PosDecomposition:
-    """A positive rational split as n + p/q with 0 <= p < q in lowest terms.
+class Decomposition:
+    """A rational nu split as m + r: m = ceil(nu) - 1 a signed integer, r in (0, 1].
 
-    ``r_is_one`` marks exact integers: the value is then n + 1 and the p/q
-    fields are unused (kept at 0/1), routing evaluation to the pure-log form.
+    ``r`` is a lowest-terms fraction p/q; positive integers have r = 1, so
+    every nu outside the non-positive integers has exactly one split.
     """
 
-    n: int
-    p: int
-    q: int
-    r_is_one: bool = False
+    m: int
+    r: Fraction
 
     def reconstruct(self) -> Fraction:
-        if self.r_is_one:
-            return Fraction(self.n + 1)
-        return self.n + Fraction(self.p, self.q)
+        return self.m + self.r
 
 
-@dataclass(frozen=True)
-class NegDecomposition:
-    """A negative non-integer rational split as -n + p/q with 0 < p < q."""
+def decompose(nu: Fraction) -> Decomposition:
+    """Split nu as m + r with the signed shift m = ceil(nu) - 1 and 0 < r <= 1.
 
-    n: int
-    p: int
-    q: int
-
-    def reconstruct(self) -> Fraction:
-        return -self.n + Fraction(self.p, self.q)
-
-
-def decompose_pos(nu: Fraction) -> PosDecomposition:
-    """Split nu > 0 as floor(nu) plus a reduced proper fraction.
-
-    Exact positive integers come back flagged with n = nu - 1 so the caller
-    applies the integer-parameter formula; the general form excludes them.
-    """
-    nu = Fraction(nu)
-    if nu <= 0:
-        raise OutsideDomain(f"positive decomposition needs nu > 0, got {nu}")
-    if nu.denominator == 1:
-        return PosDecomposition(n=int(nu) - 1, p=0, q=1, r_is_one=True)
-    n = nu.numerator // nu.denominator
-    r = nu - n
-    return PosDecomposition(n=n, p=r.numerator, q=r.denominator)
-
-
-def decompose_neg(nu: Fraction) -> NegDecomposition:
-    """Split non-integer nu < 0 as -n + p/q with 0 < p/q < 1 reduced.
-
-    Integers <= 0 raise :class:`DivergentParameter` (the underlying series
-    diverges there); nu > 0 raises :class:`OutsideDomain`.
+    Integers <= 0 raise :class:`DivergentParameter` (B(nu, 0, z) diverges
+    there).
     """
     nu = Fraction(nu)
     if nu.denominator == 1 and nu <= 0:
         raise DivergentParameter(f"divergent at the non-positive integer {nu}")
-    if nu >= 0:
-        raise OutsideDomain(f"negative decomposition needs nu < 0, got {nu}")
-    n = -(nu.numerator // nu.denominator)
-    r = nu + n
-    return NegDecomposition(n=n, p=r.numerator, q=r.denominator)
+    m = -(-nu.numerator // nu.denominator) - 1
+    return Decomposition(m=m, r=nu - m)
+
+
+def decompose_pos(nu: Fraction) -> Decomposition:
+    """:func:`decompose` for nu > 0; anything else raises :class:`OutsideDomain`."""
+    nu = Fraction(nu)
+    if nu <= 0:
+        raise OutsideDomain(f"positive decomposition needs nu > 0, got {nu}")
+    return decompose(nu)

@@ -1,19 +1,19 @@
 """Elementary closed forms for the mu = 0 incomplete beta and relatives.
 
-For rational parameters, B(nu, 0, z) collapses to a q-term sum of principal
-logarithms over the q-th roots of unity plus a finite power correction:
+For rational nu = m + p/q (signed integer m = ceil(nu) - 1, 0 < p/q <= 1),
+B(nu, 0, z) collapses to a q-term sum of principal logarithms over the q-th
+roots of unity plus a finite power correction:
 
-    positive nu = n + p/q, 0 < p < q:
-        B = -sum_{k=0}^{q-1} e^(-2*pi*i*p*k/q) log(1 - z^(1/q) e^(2*pi*i*k/q))
-            - sum_{k=0}^{n-1} z^(k+p/q) / (k + p/q)
+    B = -sum_{k=0}^{q-1} e^(-2*pi*i*p*k/q) log(1 - z^(1/q) e^(2*pi*i*k/q))
+        - sgn(m) * sum_{k in [min(0,m), max(0,m))} z^(k+p/q) / (k + p/q)
 
-    negative nu = -n + p/q:  same log sum, with the finite correction
-        + sum_{k=1}^{n} z^(p/q-k) / (p/q - k)  added instead.
-
-Integer nu uses the plain -log(1-z) form (the general sum does not cover it)
-and half-integer nu dispatches to an atanh fast path that the q = 2 general
-form must reproduce.  Every log goes through the package-wide principal
-branch, which is what makes Im(B) = -pi come out on the real ray z > 1.
+The log sum is B(p/q, 0, z); the correction undoes the integer shift by the
+contiguous relation B(a+1, 0, z) = B(a, 0, z) - z^a/a (DLMF 8.17).  Integer
+nu is the q = 1 case, where the log sum is the single term -log(1 - z).
+Half-integer nu takes an atanh fast path, measured faster, that the q = 2
+general form must reproduce.  Every log goes through the package-wide
+principal branch, which is what makes Im(B) = -pi come out on the real ray
+z > 1.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Tuple
 
-from .errors import BranchPoint, DivergentParameter, OutsideDomain, PoleInSum, ZeroArgument
+from .errors import BranchPoint, OutsideDomain, PoleInSum, ZeroArgument
 from .principal import (
     atanh,
     finite_complex,
@@ -35,7 +35,7 @@ from .principal import (
     principal_sqrt,
     rational_power,
 )
-from .rationals import NegDecomposition, PosDecomposition, decompose_neg, decompose_pos
+from .rationals import Decomposition, decompose
 
 # Refuse logarithms whose argument is closer than this to the branch point.
 BRANCH_GUARD = 1e-14
@@ -84,7 +84,7 @@ _unit_roots = functools.lru_cache(maxsize=64)(_root_table)
 
 
 def _roots_log_sum(p: int, q: int, z: complex):
-    """The q-term principal-log sum shared by both signed-parameter forms."""
+    """The q-term principal-log sum: B(p/q, 0, z) is minus its phased total."""
     roots = _unit_roots(q) if q <= ROOT_CACHE_MAX_Q else _root_table(q)
     zq = principal_root(z, q)
     terms = []
@@ -98,71 +98,45 @@ def _roots_log_sum(p: int, q: int, z: complex):
     return terms
 
 
-def reduce_beta_pos(nu: PosDecomposition, z: complex) -> Tuple[complex, ReductionTrace]:
-    """B(nu, 0, z) for positive rational nu, with its diagnostic trace.
+def _method(dec: Decomposition) -> Method:
+    # labels only: every q >= 3 (and q = 1) evaluation runs _roots_form
+    if dec.r.denominator == 1:
+        return Method.INTEGER_LOG
+    return Method.ROOTS_OF_UNITY_POS if dec.m >= 0 else Method.ROOTS_OF_UNITY_NEG
 
-    Dispatches on the decomposition: exact integers take the pure-log form,
-    half-integers the atanh form, everything else the roots-of-unity sum.
-    Raises :class:`BranchPoint` at z = 1 or whenever a log argument falls
-    inside the guard band, :class:`OutsideDomain` for an infinite or NaN z.
+
+def reduce_beta(dec: Decomposition, z: complex) -> Tuple[complex, ReductionTrace]:
+    """B(m + r, 0, z) for a decomposed rational parameter, with its diagnostic trace.
+
+    Half-integers take the atanh form, everything else the roots-of-unity
+    sum.  Raises :class:`BranchPoint` at z = 1 or whenever a log argument
+    falls inside the guard band, :class:`ZeroArgument` at z = 0 for m < 0
+    (negative powers of z appear), :class:`OutsideDomain` for an infinite
+    or NaN z.
     """
     z = finite_complex(z)
-    if z == 1:
-        raise BranchPoint("z = 1 is the logarithmic branch point")
     if z == 0:
-        method = (
-            Method.INTEGER_LOG
-            if nu.r_is_one
-            else (Method.HALF_ATANH if nu.q == 2 else Method.ROOTS_OF_UNITY_POS)
-        )
+        if dec.m < 0:
+            raise ZeroArgument("negative powers of z require z != 0")
+        method = Method.HALF_ATANH if dec.r.denominator == 2 else _method(dec)
         return 0j, ReductionTrace(method, [], 0j)
-    if nu.r_is_one:
-        return _integer_log_form(nu.n, z)
-    if nu.q == 2:
-        return _half_atanh(nu.n, z, neg=False)
-    return _roots_form_pos(nu, z)
-
-
-def reduce_beta_neg(nu: NegDecomposition, z: complex) -> Tuple[complex, ReductionTrace]:
-    """B(nu, 0, z) for negative non-integer rational nu.
-
-    Needs finite z, z != 0 (negative powers of z appear) and z != 1.
-    """
-    z = finite_complex(z)
-    if z == 0:
-        raise ZeroArgument("negative powers of z require z != 0")
     if z == 1:
         raise BranchPoint("z = 1 is the logarithmic branch point")
-    if nu.q == 2:
-        return _half_atanh(nu.n, z, neg=True)
-    return _roots_form_neg(nu, z)
+    if dec.r.denominator == 2:
+        return _half_atanh(dec.m, z)
+    return _roots_form(dec, z)
 
 
-def _integer_log_form(n: int, z: complex):
-    # B(n+1, 0, z) = -log(1-z) - sum_{k=1}^{n} z^k/k
-    w = 1 - z
-    if abs(w) < BRANCH_GUARD:
-        raise BranchPoint(f"1 - z = {w} within {BRANCH_GUARD} of the branch point")
-    logterm = principal_log(w)
-    tail = []
-    zk = complex(1.0)
-    for k in range(1, n + 1):
-        zk *= z
-        tail.append(-zk / k)
-    tail_sum = fsum_complex(tail)
-    trace = ReductionTrace(Method.INTEGER_LOG, [(0, complex(1.0), logterm)], tail_sum)
-    return -logterm + tail_sum, trace
-
-
-def _half_atanh(n: int, z: complex, neg: bool):
+def _half_atanh(m: int, z: complex):
     # B(n+1/2, 0, z) = 2*(atanh(sqrt(z)) - sum_{k=0}^{n-1} z^(k+1/2)/(2k+1))
     # B(-n+1/2, 0, z) = 2*(atanh(sqrt(z)) - sum_{k=0}^{n-1} z^(-k-1/2)/(2k+1))
+    neg = m < 0
     sq = principal_sqrt(z)
     _guard_half(sq)
     at = atanh(sq)
     tail = []
     zk = sq / z if neg else sq
-    for k in range(n):
+    for k in range(abs(m)):
         tail.append(-2.0 * zk / (2 * k + 1))
         zk = zk / z if neg else zk * z
     tail_sum = fsum_complex(tail)
@@ -175,27 +149,21 @@ def _guard_half(sq: complex) -> None:
         raise BranchPoint("sqrt(z) within the guard band of an atanh singularity")
 
 
-def _roots_form_pos(nu: PosDecomposition, z: complex):
-    terms = _roots_log_sum(nu.p, nu.q, z)
-    r = nu.p / nu.q
+def _roots_form(dec: Decomposition, z: complex):
+    p, q = dec.r.numerator, dec.r.denominator
+    terms = _roots_log_sum(p, q, z)
+    r = p / q
+    # the tail walks outward from k = 0 (m > 0) or k = -1 (m < 0), one
+    # multiplication or division by z per term
     tail = []
-    zk = rational_power(z, Fraction(nu.p, nu.q))
-    for k in range(nu.n):
+    zk = rational_power(z, dec.r)
+    for k in range(dec.m):
         tail.append(-zk / (k + r))
         zk *= z
-    trace = ReductionTrace(Method.ROOTS_OF_UNITY_POS, terms, fsum_complex(tail))
-    return fsum_complex(trace.contributions()) + trace.tail_sum, trace
-
-
-def _roots_form_neg(nu: NegDecomposition, z: complex):
-    terms = _roots_log_sum(nu.p, nu.q, z)
-    r = nu.p / nu.q
-    tail = []
-    zk = rational_power(z, Fraction(nu.p, nu.q))
-    for k in range(1, nu.n + 1):
+    for k in range(-1, dec.m - 1, -1):
         zk /= z
-        tail.append(zk / (r - k))
-    trace = ReductionTrace(Method.ROOTS_OF_UNITY_NEG, terms, fsum_complex(tail))
+        tail.append(zk / (k + r))
+    trace = ReductionTrace(_method(dec), terms, fsum_complex(tail))
     return fsum_complex(trace.contributions()) + trace.tail_sum, trace
 
 
@@ -230,19 +198,19 @@ def beta_mu_posint(nu: Fraction, m: int, z: complex) -> complex:
     return rational_power(z, nu) * fsum_complex(terms)
 
 
-def lerch_reduce(nu: PosDecomposition, z: complex) -> complex:
-    """Phi(z, 1, nu) for positive rational nu, as z^(-nu) * B(nu, 0, z)."""
+def lerch_reduce(dec: Decomposition, z: complex) -> complex:
+    """Phi(z, 1, nu) for decomposed rational nu, as z^(-nu) * B(nu, 0, z)."""
     z = complex(z)
     if z == 0:
         raise ZeroArgument("the bridge to B(nu,0,z) needs z != 0")
-    value, _ = reduce_beta_pos(nu, z)
-    return rational_power(z, -nu.reconstruct()) * value
+    value, _ = reduce_beta(dec, z)
+    return rational_power(z, -dec.reconstruct()) * value
 
 
 def incomplete_beta(nu: Fraction, mu: int, z: complex) -> complex:
     """B(nu, mu, z) for rational nu and integer mu >= 0.
 
-    mu = 0 routes to the closed-form reductions (positive or negative nu);
+    mu = 0 routes to the closed-form reduction;
     mu >= 1 to the finite binomial sum.  Non-positive integer nu with mu = 0
     raises :class:`DivergentParameter`; non-finite z :class:`OutsideDomain`.
     """
@@ -250,11 +218,7 @@ def incomplete_beta(nu: Fraction, mu: int, z: complex) -> complex:
     if not isinstance(mu, int) or mu < 0:
         raise OutsideDomain(f"mu must be a non-negative integer, got {mu!r}")
     if mu == 0:
-        if nu.denominator == 1 and nu <= 0:
-            raise DivergentParameter(f"B({nu}, 0, z) diverges")
-        if nu > 0:
-            return reduce_beta_pos(decompose_pos(nu), z)[0]
-        return reduce_beta_neg(decompose_neg(nu), z)[0]
+        return reduce_beta(decompose(nu), z)[0]
     return beta_mu_posint(nu, mu - 1, z)
 
 

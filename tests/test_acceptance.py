@@ -13,14 +13,13 @@ from fractions import Fraction
 from betareduce import (
     beta_series,
     connection_check,
-    decompose_neg,
+    decompose,
     decompose_pos,
     fraction_grid,
     incomplete_beta,
     int_tanh_power,
     lerch_reduce,
-    reduce_beta_neg,
-    reduce_beta_pos,
+    reduce_beta,
     run_bench,
     BenchMethod,
 )
@@ -47,7 +46,7 @@ def test_criterion_1_positive_grid_against_series():
             nu = n + frac
             dec = decompose_pos(nu)
             for z in REAL_Z + RING_Z:
-                reduction, _ = reduce_beta_pos(dec, z)
+                reduction, _ = reduce_beta(dec, z)
                 oracle = beta_series(nu, z)
                 worst = max(worst, rel_err(reduction, oracle.value))
                 points += 1
@@ -65,9 +64,9 @@ def test_criterion_2_negative_grid_against_shifted_series():
     for frac in fraction_grid(q_max=12):
         for n in range(1, 7):
             nu = -n + frac
-            dec = decompose_neg(nu)
+            dec = decompose(nu)
             for z in REAL_Z:
-                reduction, _ = reduce_beta_neg(dec, z)
+                reduction, _ = reduce_beta(dec, z)
                 oracle = beta_series(nu, z)
                 worst = max(worst, rel_err(reduction, oracle.value))
                 points += 1
@@ -84,7 +83,7 @@ def test_criterion_3_branch_cut_figure():
     worst = 0.0
     for j in range(50):
         z = 1.1 + j * (10.0 - 1.1) / 49
-        value, _ = reduce_beta_pos(dec, complex(z))
+        value, _ = reduce_beta(dec, complex(z))
         worst = max(worst, abs(value.imag + math.pi))
     report(
         "3 Im B(12.3, 0, z>1) = -pi",

@@ -69,6 +69,24 @@ class TestEval:
         assert out == ""
         assert err.startswith("OutsideDomain")
 
+    # the power tail overflows; these used to print nan-nani and exit 0
+    @pytest.mark.parametrize(
+        "nu,z", [("2000/3", "3"), ("2000", "3"), ("2001/2", "3"), ("-2000/3", "1e-3"), ("-1999/2", "1e-3")]
+    )
+    def test_overflowing_tail_exit_two(self, capsys, nu, z):
+        code, out, err = run_cli(capsys, "eval", "beta", f"--nu={nu}", "--z", z)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("OutsideDomain")
+
+    # z**(-nu) overflows; these used to exit 1 with an OverflowError traceback
+    @pytest.mark.parametrize("argv", [["eval", "lerch"], ["integral", "powlin"]])
+    def test_overflowing_power_exit_two(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv, "--nu", "2000/3", "--z", "1e-3")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("OutsideDomain")
+
 
 class TestFigure:
     def test_row_count_and_reference_column(self, capsys):
@@ -98,6 +116,13 @@ class TestFigure:
         with pytest.raises(SystemExit) as exc:
             main(["figure", "--nu", "1/2", "--z-start", "0.5", "--z-end", "2"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("start,end", [("1.5", "inf"), ("1.5", "nan"), ("inf", "inf")])
+    def test_non_finite_range_refused_before_output(self, capsys, start, end):
+        with pytest.raises(SystemExit) as exc:
+            main(["figure", "--nu", "1/3", "--z-start", start, "--z-end", end])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
     def test_too_few_points(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -13,12 +13,13 @@ from betareduce import (
     SeriesPolicy,
     beta_quadrature,
     beta_series,
+    decompose,
     decompose_pos,
     lerch_reduce,
     lerch_series,
     phi_quadrature,
     rational_power,
-    reduce_beta_pos,
+    reduce_beta,
 )
 
 TIGHT = SeriesPolicy(rel_tol=1e-17)
@@ -87,7 +88,7 @@ class TestBetaSeries:
 
     def test_figure_parameter_agrees_with_reduction(self):
         out = beta_series(Fraction(123, 10), 0.5, TIGHT)
-        red, _ = reduce_beta_pos(decompose_pos(Fraction(123, 10)), 0.5)
+        red, _ = reduce_beta(decompose(Fraction(123, 10)), 0.5)
         assert abs(out.value - red) <= 1e-12 * max(1.0, abs(out.value))
 
     def test_negative_uses_shifted_split(self):
@@ -159,6 +160,11 @@ class TestBetaSeries:
         with pytest.raises(OutsideDomain):
             lerch_series(z, 1.0, 0.5)
 
+    def test_overflowing_correction_is_a_named_error(self):
+        # z^(r-k) overflows over the 667-term finite correction; this used to return nan+nanj
+        with pytest.raises(OutsideDomain):
+            beta_series(Fraction(-2000, 3), 1e-3)
+
 
 class TestBetaQuadrature:
     def test_unit_integrand(self):
@@ -171,12 +177,12 @@ class TestBetaQuadrature:
 
     def test_near_one_with_large_parameter(self):
         out = beta_quadrature(12.3, 0.0, 0.99)
-        red, _ = reduce_beta_pos(decompose_pos(Fraction(123, 10)), 0.99)
+        red, _ = reduce_beta(decompose(Fraction(123, 10)), 0.99)
         assert abs(out.value - red) <= 1e-9
 
     def test_error_estimate_honest(self):
         out = beta_quadrature(0.75, 0.0, 0.6)
-        red, _ = reduce_beta_pos(decompose_pos(Fraction(3, 4)), 0.6)
+        red, _ = reduce_beta(decompose(Fraction(3, 4)), 0.6)
         assert abs(out.value - red) <= out.error_estimate + 1e-13 * abs(red)
 
     @pytest.mark.parametrize("nu,mu,z", [(0.0, 1.0, 0.5), (-1.0, 1.0, 0.5), (1.0, 0.0, 0.0), (1.0, 0.0, 1.0), (1.0, 0.0, -0.3)])

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from betareduce import CompensatedSum, ZeroArgument, atanh, principal_log, principal_sqrt, rational_power
+from betareduce import ZeroArgument, atanh, principal_log, principal_sqrt, rational_power
 from betareduce import OutsideDomain
 from betareduce.principal import fsum_complex
 from fractions import Fraction
@@ -58,6 +58,13 @@ class TestRationalPower:
         with pytest.raises(ZeroArgument):
             rational_power(0.0, Fraction(-1, 2))
 
+    def test_overflowing_integer_power_is_a_named_error(self):
+        # complex ** int raises OverflowError here; callers get OutsideDomain
+        with pytest.raises(OutsideDomain):
+            rational_power(1e-3, Fraction(-2000, 3))
+        with pytest.raises(OutsideDomain):
+            rational_power(3.0 + 1j, Fraction(2000, 3))
+
     def test_real_positive_stays_real(self):
         for expo in (Fraction(3, 7), Fraction(-11, 4), Fraction(123, 10)):
             assert rational_power(0.3, expo).imag == 0.0
@@ -72,25 +79,21 @@ class TestRationalPower:
         assert principal_sqrt(complex(-4.0, -0.0)) == 2j
 
 
-class TestCompensatedSum:
+class TestFsumComplex:
     def test_recovers_swamped_terms(self):
         # the classic case plain Kahan gets wrong and naive summation loses
         terms = [1.0, 1e100, 1.0, -1e100]
-        acc = CompensatedSum()
-        for t in terms:
-            acc.add(t)
-        assert acc.value.real == 2.0
+        assert fsum_complex([complex(t) for t in terms]).real == 2.0
 
     def test_tracks_fsum_on_cancelling_series(self):
         terms = [1e16, 1.0, -1e16, 1e-8] * 100
-        acc = CompensatedSum()
         naive = 0.0
         for t in terms:
-            acc.add(t)
             naive += t
+        value = fsum_complex([complex(t) for t in terms])
         exact = math.fsum(terms)
-        assert abs(acc.value.real - exact) <= 1e-12 * abs(exact)
-        assert abs(acc.value.real - exact) < abs(naive - exact)
+        assert abs(value.real - exact) <= 1e-12 * abs(exact)
+        assert abs(value.real - exact) < abs(naive - exact)
 
     @pytest.mark.parametrize(
         "terms",
@@ -101,10 +104,22 @@ class TestCompensatedSum:
         with pytest.raises(OutsideDomain):
             fsum_complex(terms)
 
+    @pytest.mark.parametrize(
+        "terms",
+        [
+            [complex(math.nan, 0.0), 1.0],
+            [complex(1.0, math.nan)],
+            [math.inf, 1.0],
+            [complex(0.0, -math.inf)],
+            [complex(math.inf, math.inf) * 3],
+        ],
+    )
+    def test_non_finite_result_is_a_named_error(self, terms):
+        # math.fsum passes NaN and same-signed infinities straight through
+        with pytest.raises(OutsideDomain):
+            fsum_complex([complex(t) for t in terms])
+
     def test_complex_lanes_independent(self):
-        acc = CompensatedSum()
-        for k in range(1000):
-            acc.add(complex(0.1, -0.1))
-        v = acc.value
+        v = fsum_complex([complex(0.1, -0.1)] * 1000)
         assert v.real == pytest.approx(100.0, abs=1e-13)
         assert v.imag == pytest.approx(-100.0, abs=1e-13)

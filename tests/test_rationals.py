@@ -10,7 +10,7 @@ from betareduce import (
     DivergentParameter,
     OutsideDomain,
     ParseError,
-    decompose_neg,
+    decompose,
     decompose_pos,
     parse_rational,
     render_rational,
@@ -54,15 +54,16 @@ class TestParse:
 class TestDecomposePos:
     def test_decimal_with_two_digit_integer_part(self):
         d = decompose_pos(Fraction(123, 10))
-        assert (d.n, d.p, d.q, d.r_is_one) == (12, 3, 10, False)
+        assert (d.m, d.r) == (12, Fraction(3, 10))
 
     def test_five_fourths(self):
         d = decompose_pos(Fraction(5, 4))
-        assert (d.n, d.p, d.q, d.r_is_one) == (1, 1, 4, False)
+        assert (d.m, d.r) == (1, Fraction(1, 4))
 
     def test_integer_gets_boundary_flag(self):
+        # r = 1, the closed end of (0, 1], marks an integer
         d = decompose_pos(Fraction(3))
-        assert d.r_is_one and d.n == 2
+        assert d.r == 1 and d.m == 2
         assert d.reconstruct() == 3
 
     @pytest.mark.parametrize("nu", [Fraction(0), Fraction(-1, 2), Fraction(-4)])
@@ -75,37 +76,42 @@ class TestDecomposePos:
         nu = Fraction(num, den)
         d = decompose_pos(nu)
         assert d.reconstruct() == nu
-        if not d.r_is_one:
-            assert 0 < d.p < d.q
-            assert math.gcd(d.p, d.q) == 1
+        assert d == decompose(nu)
+        assert d.m >= 0
+        assert 0 < d.r <= 1
+        assert (d.r == 1) == (nu.denominator == 1)
 
 
 class TestDecomposeNeg:
     def test_minus_half(self):
-        d = decompose_neg(Fraction(-1, 2))
-        assert (d.n, d.p, d.q) == (1, 1, 2)
+        d = decompose(Fraction(-1, 2))
+        assert (d.m, d.r) == (-1, Fraction(1, 2))
 
     def test_minus_seven_fourths(self):
-        d = decompose_neg(Fraction(-7, 4))
-        assert (d.n, d.p, d.q) == (2, 1, 4)
+        d = decompose(Fraction(-7, 4))
+        assert (d.m, d.r) == (-2, Fraction(1, 4))
 
     @pytest.mark.parametrize("nu", [Fraction(-3), Fraction(0), Fraction(-1)])
     def test_non_positive_integers_diverge(self, nu):
         with pytest.raises(DivergentParameter):
-            decompose_neg(nu)
+            decompose(nu)
 
-    def test_rejects_positive(self):
-        with pytest.raises(OutsideDomain):
-            decompose_neg(Fraction(1, 2))
+    @pytest.mark.parametrize(
+        "nu,m", [(Fraction(1, 2), 0), (Fraction(1), 0), (Fraction(-1, 7), -1), (Fraction(7, 2), 3)]
+    )
+    def test_shift_sign_follows_nu(self, nu, m):
+        # m = ceil(nu) - 1 is negative exactly for nu < 0
+        assert decompose(nu).m == m
 
     @given(num=st.integers(-10**4, -1), den=st.integers(2, 10**3))
     def test_reconstruct_exact(self, num, den):
         nu = Fraction(num, den)
         if nu.denominator == 1:
             with pytest.raises(DivergentParameter):
-                decompose_neg(nu)
+                decompose(nu)
             return
-        d = decompose_neg(nu)
+        d = decompose(nu)
         assert d.reconstruct() == nu
-        assert 0 < d.p < d.q
-        assert math.gcd(d.p, d.q) == 1
+        assert d.m < 0
+        assert 0 < d.r < 1
+        assert math.gcd(d.r.numerator, d.r.denominator) == 1

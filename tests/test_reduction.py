@@ -9,30 +9,24 @@ import pytest
 from betareduce import (
     BranchPoint,
     DivergentParameter,
+    Decomposition,
     Method,
     OutsideDomain,
     PoleInSum,
-    PosDecomposition,
     SeriesPolicy,
     ZeroArgument,
     beta_mu_posint,
     beta_quadrature,
     beta_series,
     connection_check,
-    decompose_neg,
+    decompose,
     decompose_pos,
     incomplete_beta,
     lerch_reduce,
     lerch_series,
-    reduce_beta_neg,
-    reduce_beta_pos,
+    reduce_beta,
 )
-from betareduce.reduction import (
-    ROOT_CACHE_MAX_Q,
-    _roots_form_neg,
-    _roots_form_pos,
-    _unit_roots,
-)
+from betareduce.reduction import ROOT_CACHE_MAX_Q, _roots_form, _unit_roots
 
 TIGHT = SeriesPolicy(rel_tol=1e-17)
 
@@ -50,58 +44,58 @@ def ulps(x: float, ref: float) -> float:
 
 class TestPositiveGolden:
     def test_integer_one_is_log2(self):
-        value, trace = reduce_beta_pos(decompose_pos(Fraction(1)), 0.5)
+        value, trace = reduce_beta(decompose(Fraction(1)), 0.5)
         assert trace.method is Method.INTEGER_LOG
         assert ulps(value.real, math.log(2)) <= 2
         assert value.imag == 0.0
 
     def test_half_is_log3(self):
-        value, trace = reduce_beta_pos(decompose_pos(Fraction(1, 2)), 0.25)
+        value, trace = reduce_beta(decompose(Fraction(1, 2)), 0.25)
         assert trace.method is Method.HALF_ATANH
         assert ulps(value.real, math.log(3)) <= 2
 
     def test_five_fourths_matches_series_oracle(self):
-        value, trace = reduce_beta_pos(decompose_pos(Fraction(5, 4)), 0.3)
+        value, trace = reduce_beta(decompose(Fraction(5, 4)), 0.3)
         assert trace.method is Method.ROOTS_OF_UNITY_POS
         assert abs(value - BETA_SERIES_5_4_AT_0_3) <= 1e-13 * BETA_SERIES_5_4_AT_0_3
         live = beta_series(Fraction(5, 4), 0.3, TIGHT).value
         assert abs(value - live) <= 1e-13 * abs(live)
 
     def test_branch_cut_imaginary_part(self):
-        value, _ = reduce_beta_pos(decompose_pos(Fraction(123, 10)), 2.0)
+        value, _ = reduce_beta(decompose(Fraction(123, 10)), 2.0)
         assert abs(value.imag + math.pi) <= 1e-12
 
     def test_zero_argument_gives_zero(self):
-        value, trace = reduce_beta_pos(decompose_pos(Fraction(7, 3)), 0.0)
+        value, trace = reduce_beta(decompose(Fraction(7, 3)), 0.0)
         assert value == 0
         assert trace.total() == 0
 
     def test_branch_point_rejected(self):
         with pytest.raises(BranchPoint):
-            reduce_beta_pos(decompose_pos(Fraction(1, 2)), 1.0)
+            reduce_beta(decompose(Fraction(1, 2)), 1.0)
         with pytest.raises(BranchPoint):
-            reduce_beta_pos(decompose_pos(Fraction(3)), 1.0 - 1e-16)
+            reduce_beta(decompose(Fraction(3)), 1.0 - 1e-16)
         # q-th root within the guard band even though z itself is not
         with pytest.raises(BranchPoint):
-            reduce_beta_pos(decompose_pos(Fraction(1, 4)), 1.0 - 4e-15)
+            reduce_beta(decompose(Fraction(1, 4)), 1.0 - 4e-15)
 
 
 class TestNegativeGolden:
     def test_minus_half_closed_form(self):
-        value, trace = reduce_beta_neg(decompose_neg(Fraction(-1, 2)), 0.25)
+        value, trace = reduce_beta(decompose(Fraction(-1, 2)), 0.25)
         assert trace.method is Method.HALF_ATANH
         ref = math.log(3) - 4.0
         assert ulps(value.real, ref) <= 2
         assert value.imag == 0.0
 
     def test_minus_three_quarters_matches_series_oracle(self):
-        value, _ = reduce_beta_neg(decompose_neg(Fraction(-3, 4)), 0.5)
+        value, _ = reduce_beta(decompose(Fraction(-3, 4)), 0.5)
         assert abs(value - BETA_SERIES_M3_4_AT_0_5) <= 1e-12 * BETA_SERIES_M3_4_AT_0_5
         live = beta_series(Fraction(-3, 4), 0.5, TIGHT).value
         assert abs(value - live) <= 1e-12 * abs(live)
 
     def test_tiny_z_dominated_by_leading_power(self):
-        value, _ = reduce_beta_neg(decompose_neg(Fraction(-1, 2)), 1e-300)
+        value, _ = reduce_beta(decompose(Fraction(-1, 2)), 1e-300)
         assert math.isfinite(value.real)
         assert value.imag == 0.0
         # leading term is -2 * z**(-1/2) = -2e150; magnitude check only
@@ -109,11 +103,11 @@ class TestNegativeGolden:
 
     def test_zero_rejected(self):
         with pytest.raises(ZeroArgument):
-            reduce_beta_neg(decompose_neg(Fraction(-1, 2)), 0.0)
+            reduce_beta(decompose(Fraction(-1, 2)), 0.0)
 
     def test_branch_point_rejected(self):
         with pytest.raises(BranchPoint):
-            reduce_beta_neg(decompose_neg(Fraction(-5, 3)), 1.0)
+            reduce_beta(decompose(Fraction(-5, 3)), 1.0)
 
 
 class TestFastPathConsistency:
@@ -121,8 +115,9 @@ class TestFastPathConsistency:
     @pytest.mark.parametrize("n", [0, 1, 3, 5])
     @pytest.mark.parametrize("z", [0.1, 0.85, 0.4 + 0.3j, -0.6, 2.5, 7.0])
     def test_positive_half_integers(self, n, z):
-        fast, _ = reduce_beta_pos(decompose_pos(n + Fraction(1, 2)), z)
-        general, trace = _roots_form_pos(PosDecomposition(n=n, p=1, q=2), complex(z))
+        fast, fast_trace = reduce_beta(decompose(n + Fraction(1, 2)), z)
+        general, trace = _roots_form(Decomposition(m=n, r=Fraction(1, 2)), complex(z))
+        assert fast_trace.method is Method.HALF_ATANH
         assert trace.method is Method.ROOTS_OF_UNITY_POS
         assert abs(fast - general) <= 1e-13 * max(1.0, abs(general))
 
@@ -130,9 +125,12 @@ class TestFastPathConsistency:
     @pytest.mark.parametrize("z", [0.1, 0.85, 0.4 + 0.3j, 2.5])
     def test_negative_half_integers(self, n, z):
         nu = Fraction(-n) + Fraction(1, 2)
-        dec = decompose_neg(nu)
-        fast, _ = reduce_beta_neg(dec, z)
-        general, _ = _roots_form_neg(dec, complex(z))
+        dec = decompose(nu)
+        assert (dec.m, dec.r) == (-n, Fraction(1, 2))
+        fast, fast_trace = reduce_beta(dec, z)
+        general, trace = _roots_form(dec, complex(z))
+        assert fast_trace.method is Method.HALF_ATANH
+        assert trace.method is Method.ROOTS_OF_UNITY_NEG
         assert abs(fast - general) <= 1e-13 * max(1.0, abs(general))
 
 
@@ -142,20 +140,20 @@ class TestSymmetryAndInvariants:
     )
     @pytest.mark.parametrize("z", [0.3 + 0.4j, -0.2 + 0.7j, 0.05 - 0.85j])
     def test_conjugate_symmetry(self, nu, z):
-        value, _ = reduce_beta_pos(decompose_pos(nu), z)
-        conj_value, _ = reduce_beta_pos(decompose_pos(nu), z.conjugate())
+        value, _ = reduce_beta(decompose(nu), z)
+        conj_value, _ = reduce_beta(decompose(nu), z.conjugate())
         assert abs(conj_value - value.conjugate()) <= 1e-13 * max(1.0, abs(value))
 
     @pytest.mark.parametrize("nu", [Fraction(1, 2), Fraction(5, 4), Fraction(123, 10), Fraction(7, 12)])
     @pytest.mark.parametrize("z", [1.1, 2.0, 5.0, 10.0])
     def test_imaginary_part_is_minus_pi_past_one(self, nu, z):
-        value, _ = reduce_beta_pos(decompose_pos(nu), z)
+        value, _ = reduce_beta(decompose(nu), z)
         assert abs(value.imag + math.pi) <= 1e-12
 
     @pytest.mark.parametrize("nu", [Fraction(-1, 2), Fraction(-7, 4), Fraction(-13, 12)])
     @pytest.mark.parametrize("z", [1.5, 4.0])
     def test_negative_parameter_branch_cut(self, nu, z):
-        value, _ = reduce_beta_neg(decompose_neg(nu), z)
+        value, _ = reduce_beta(decompose(nu), z)
         assert abs(value.imag + math.pi) <= 1e-12
 
     @pytest.mark.parametrize(
@@ -171,9 +169,9 @@ class TestSymmetryAndInvariants:
     )
     def test_trace_reproduces_value(self, nu, z):
         if nu > 0:
-            value, trace = reduce_beta_pos(decompose_pos(nu), z)
+            value, trace = reduce_beta(decompose(nu), z)
         else:
-            value, trace = reduce_beta_neg(decompose_neg(nu), z)
+            value, trace = reduce_beta(decompose(nu), z)
         scale = max(
             [abs(c) for c in trace.contributions()] + [abs(trace.tail_sum), abs(value)]
         )
@@ -193,7 +191,7 @@ class TestOracleEquivalenceTightGrid:
                 for n in range(0, 4):
                     nu = n + Fraction(p, q)
                     for z in self.Z:
-                        red, _ = reduce_beta_pos(decompose_pos(nu), z)
+                        red, _ = reduce_beta(decompose(nu), z)
                         ser = beta_series(nu, z).value
                         worst = max(worst, abs(red - ser) / max(1.0, abs(ser)))
         assert worst <= 1e-11
@@ -207,7 +205,7 @@ class TestOracleEquivalenceTightGrid:
                 for n in range(1, 4):
                     nu = -n + Fraction(p, q)
                     for z in self.Z:
-                        red, _ = reduce_beta_neg(decompose_neg(nu), z)
+                        red, _ = reduce_beta(decompose(nu), z)
                         ser = beta_series(nu, z).value
                         worst = max(worst, abs(red - ser) / max(1.0, abs(ser)))
         assert worst <= 1e-10
@@ -285,11 +283,22 @@ class TestConnectionFormula:
     def test_negative_parameter(self):
         assert connection_check(Fraction(-5, 3), 0, 0.4) <= 1e-13
 
+    # nu -> nu + 1 crosses the m = -1 -> 0 boundary of the signed shift, or
+    # stays on the q = 1 (integer) kernel
+    @pytest.mark.parametrize(
+        "nu",
+        [Fraction(-1, 2), Fraction(-2, 3), Fraction(-1, 7), Fraction(1), Fraction(2), Fraction(5)],
+    )
+    @pytest.mark.parametrize("z", [0.3, -0.7, 2.5, 0.3 + 0.6j, -1.2 - 0.9j])
+    def test_shift_boundary_and_integers(self, nu, z):
+        assert connection_check(nu, 0, z) <= 1e-13
+
 
 class TestDispatcher:
     def test_routes_negative(self):
         via_dispatch = incomplete_beta(Fraction(-3, 4), 0, 0.5)
-        direct, _ = reduce_beta_neg(decompose_neg(Fraction(-3, 4)), 0.5)
+        direct, trace = reduce_beta(decompose(Fraction(-3, 4)), 0.5)
+        assert trace.method is Method.ROOTS_OF_UNITY_NEG
         assert via_dispatch == direct
 
     def test_divergent_integer(self):
@@ -322,9 +331,9 @@ class TestDispatcher:
     @pytest.mark.parametrize("z", [math.inf, math.nan])
     def test_non_finite_z_rejected_by_kernels(self, z):
         with pytest.raises(OutsideDomain):
-            reduce_beta_pos(decompose_pos(Fraction(1, 3)), z)
+            reduce_beta(decompose(Fraction(1, 3)), z)
         with pytest.raises(OutsideDomain):
-            reduce_beta_neg(decompose_neg(Fraction(-1, 3)), z)
+            reduce_beta(decompose(Fraction(-1, 3)), z)
         with pytest.raises(OutsideDomain):
             beta_mu_posint(Fraction(1, 3), 1, z)
 
@@ -347,12 +356,12 @@ class TestUnitRootTable:
 
     @pytest.mark.parametrize("nu", [Fraction(5, 7), Fraction(-11, 12), Fraction(23, 97)])
     def test_trace_phases_match_per_call_formula(self, nu):
-        dec = decompose_pos(nu) if nu > 0 else decompose_neg(nu)
-        reduce = reduce_beta_pos if nu > 0 else reduce_beta_neg
-        _, trace = reduce(dec, 0.3 + 0.2j)
-        assert [t[0] for t in trace.terms] == list(range(dec.q))
+        dec = decompose(nu)
+        _, trace = reduce_beta(dec, 0.3 + 0.2j)
+        p, q = dec.r.numerator, dec.r.denominator
+        assert [t[0] for t in trace.terms] == list(range(q))
         for k, phase, _ in trace.terms:
-            assert phase == _per_call_unit_root(-dec.p * k, dec.q)
+            assert phase == _per_call_unit_root(-p * k, q)
 
     def test_cache_is_bounded(self):
         maxsize = _unit_roots.cache_info().maxsize
