@@ -54,6 +54,11 @@ class Decomposition:
     m: int
     r: Fraction
 
+    @property
+    def n(self) -> int:
+        """Number of power-tail terms, |m|."""
+        return abs(self.m)
+
     def reconstruct(self) -> Fraction:
         return self.m + self.r
 
@@ -61,12 +66,14 @@ class Decomposition:
 def decompose(nu: Fraction) -> Decomposition:
     """Split nu as m + r with the signed shift m = ceil(nu) - 1 and 0 < r <= 1.
 
-    Integers <= 0 raise :class:`DivergentParameter` (B(nu, 0, z) diverges
-    there).
+    Integers <= 0 raise :class:`DivergentParameter`.  The split runs through
+    :func:`decompose_pos` or :func:`decompose_neg`, timed by name in traced runs.
     """
     nu = Fraction(nu)
-    if nu.denominator == 1 and nu <= 0:
-        raise DivergentParameter(f"divergent at the non-positive integer {nu}")
+    return decompose_pos(nu) if nu > 0 else decompose_neg(nu)
+
+
+def _split(nu: Fraction) -> Decomposition:
     m = -(-nu.numerator // nu.denominator) - 1
     return Decomposition(m=m, r=nu - m)
 
@@ -75,5 +82,15 @@ def decompose_pos(nu: Fraction) -> Decomposition:
     """:func:`decompose` for nu > 0; anything else raises :class:`OutsideDomain`."""
     nu = Fraction(nu)
     if nu <= 0:
-        raise OutsideDomain(f"positive decomposition needs nu > 0, got {nu}")
-    return decompose(nu)
+        raise OutsideDomain(f"needs nu > 0, got {nu}")
+    return _split(nu)
+
+
+def decompose_neg(nu: Fraction) -> Decomposition:
+    """:func:`decompose` for nu < 0; nu > 0 raises :class:`OutsideDomain`."""
+    nu = Fraction(nu)
+    if nu.denominator == 1 and nu <= 0:
+        raise DivergentParameter(f"divergent at the non-positive integer {nu}")
+    if nu > 0:
+        raise OutsideDomain(f"needs nu < 0, got {nu}")
+    return _split(nu)

@@ -113,7 +113,24 @@ def reduce_beta(dec: Decomposition, z: complex) -> Tuple[complex, ReductionTrace
     falls inside the guard band, :class:`ZeroArgument` at z = 0 for m < 0
     (negative powers of z appear), :class:`OutsideDomain` for an infinite
     or NaN z.
+
+    Runs through :func:`reduce_beta_pos` (m >= 0) or :func:`reduce_beta_neg`
+    (m < 0): one kernel under two names, timed and counted by name in traced runs.
     """
+    return (reduce_beta_pos if dec.m >= 0 else reduce_beta_neg)(dec, z)
+
+
+def reduce_beta_pos(dec: Decomposition, z: complex) -> Tuple[complex, ReductionTrace]:
+    """:func:`reduce_beta` for m >= 0, i.e. nu > 0."""
+    return _reduce(dec, z)
+
+
+def reduce_beta_neg(dec: Decomposition, z: complex) -> Tuple[complex, ReductionTrace]:
+    """:func:`reduce_beta` for m < 0, i.e. nu < 0."""
+    return _reduce(dec, z)
+
+
+def _reduce(dec: Decomposition, z: complex) -> Tuple[complex, ReductionTrace]:
     z = finite_complex(z)
     if z == 0:
         if dec.m < 0:
@@ -123,20 +140,20 @@ def reduce_beta(dec: Decomposition, z: complex) -> Tuple[complex, ReductionTrace
     if z == 1:
         raise BranchPoint("z = 1 is the logarithmic branch point")
     if dec.r.denominator == 2:
-        return _half_atanh(dec.m, z)
+        return _half_atanh(dec, z)
     return _roots_form(dec, z)
 
 
-def _half_atanh(m: int, z: complex):
+def _half_atanh(dec: Decomposition, z: complex):
     # B(n+1/2, 0, z) = 2*(atanh(sqrt(z)) - sum_{k=0}^{n-1} z^(k+1/2)/(2k+1))
     # B(-n+1/2, 0, z) = 2*(atanh(sqrt(z)) - sum_{k=0}^{n-1} z^(-k-1/2)/(2k+1))
-    neg = m < 0
+    neg = dec.m < 0
     sq = principal_sqrt(z)
     _guard_half(sq)
     at = atanh(sq)
     tail = []
     zk = sq / z if neg else sq
-    for k in range(abs(m)):
+    for k in range(dec.n):
         tail.append(-2.0 * zk / (2 * k + 1))
         zk = zk / z if neg else zk * z
     tail_sum = fsum_complex(tail)

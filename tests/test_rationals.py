@@ -15,6 +15,7 @@ from betareduce import (
     parse_rational,
     render_rational,
 )
+from betareduce.rationals import decompose_neg
 
 
 class TestParse:
@@ -78,6 +79,7 @@ class TestDecomposePos:
         assert d.reconstruct() == nu
         assert d == decompose(nu)
         assert d.m >= 0
+        assert d.n == d.m
         assert 0 < d.r <= 1
         assert (d.r == 1) == (nu.denominator == 1)
 
@@ -96,6 +98,15 @@ class TestDecomposeNeg:
         with pytest.raises(DivergentParameter):
             decompose(nu)
 
+    def test_rejects_positive(self):
+        with pytest.raises(OutsideDomain):
+            decompose_neg(Fraction(1, 2))
+
+    @pytest.mark.parametrize("nu", [Fraction(-3), Fraction(0), Fraction(-1)])
+    def test_guard_diverges_at_non_positive_integers(self, nu):
+        with pytest.raises(DivergentParameter):
+            decompose_neg(nu)
+
     @pytest.mark.parametrize(
         "nu,m", [(Fraction(1, 2), 0), (Fraction(1), 0), (Fraction(-1, 7), -1), (Fraction(7, 2), 3)]
     )
@@ -111,7 +122,9 @@ class TestDecomposeNeg:
                 decompose(nu)
             return
         d = decompose(nu)
+        assert d == decompose_neg(nu)
         assert d.reconstruct() == nu
         assert d.m < 0
+        assert d.n == -d.m
         assert 0 < d.r < 1
         assert math.gcd(d.r.numerator, d.r.denominator) == 1

@@ -26,6 +26,7 @@ from betareduce import (
     lerch_series,
     reduce_beta,
 )
+from betareduce import rationals, reduction
 from betareduce.reduction import ROOT_CACHE_MAX_Q, _roots_form, _unit_roots
 
 TIGHT = SeriesPolicy(rel_tol=1e-17)
@@ -168,10 +169,7 @@ class TestSymmetryAndInvariants:
         ],
     )
     def test_trace_reproduces_value(self, nu, z):
-        if nu > 0:
-            value, trace = reduce_beta(decompose(nu), z)
-        else:
-            value, trace = reduce_beta(decompose(nu), z)
+        value, trace = reduce_beta(decompose(nu), z)
         scale = max(
             [abs(c) for c in trace.contributions()] + [abs(trace.tail_sum), abs(value)]
         )
@@ -300,6 +298,37 @@ class TestDispatcher:
         direct, trace = reduce_beta(decompose(Fraction(-3, 4)), 0.5)
         assert trace.method is Method.ROOTS_OF_UNITY_NEG
         assert via_dispatch == direct
+
+    @pytest.mark.parametrize(
+        "nu,names",
+        [
+            (Fraction(1, 3), ["decompose_pos", "reduce_beta_pos"]),
+            (Fraction(4), ["decompose_pos", "reduce_beta_pos"]),
+            (Fraction(-5, 2), ["decompose_neg", "reduce_beta_neg"]),
+            (Fraction(-7, 3), ["decompose_neg", "reduce_beta_neg"]),
+        ],
+    )
+    def test_routes_through_one_name_per_sign(self, monkeypatch, nu, names):
+        # the traced benchmark run rebinds these module names to time and
+        # count every decomposition and reduction
+        calls = []
+
+        def recording(module, name):
+            original = getattr(module, name)
+
+            def recorder(*args):
+                calls.append(name)
+                return original(*args)
+
+            monkeypatch.setattr(module, name, recorder)
+
+        for name in ("decompose_pos", "decompose_neg"):
+            recording(rationals, name)
+        for name in ("reduce_beta_pos", "reduce_beta_neg"):
+            recording(reduction, name)
+        value = incomplete_beta(nu, 0, 0.3)
+        assert calls == names
+        assert value == reduction._reduce(decompose(nu), 0.3)[0]
 
     def test_divergent_integer(self):
         with pytest.raises(DivergentParameter):
