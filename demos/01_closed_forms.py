@@ -41,12 +41,12 @@ print()
 print("General rational parameter, checked against the series:")
 for nu, z in [(Fraction(5, 4), 0.3), (Fraction(123, 10), 0.5), (Fraction(-17, 12), 0.85)]:
     dec = decompose(nu)
-    reduction, trace = reduce_beta(dec, z)
+    reduction = reduce_beta(dec, z)
     oracle = beta_series(nu, z)
     print(
-        f"  nu = {str(nu):>6} = {dec.m:>2} + {str(dec.r):>4}, z = {z}:  reduction = {reduction.real:.15f}"
+        f"  nu = {str(nu):>6} = {dec.m:>2} + {str(dec.r):>4}, z = {z}:  reduction = {reduction.value.real:.15f}"
         f"  series = {oracle.value.real:.15f}"
-        f"  ({len(trace.terms)} log terms, {oracle.terms_or_nodes} series terms)"
+        f"  ({reduction.terms_or_nodes} log and power terms, {oracle.terms_or_nodes} series terms)"
     )
 
 print()

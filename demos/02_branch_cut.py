@@ -20,7 +20,7 @@ print(f"{'z':>8}  {'Im B':>22}  {'Im B + pi':>12}")
 worst = 0.0
 for j in range(50):
     z = 1.1 + j * (10.0 - 1.1) / 49
-    value, _ = reduce_beta(dec, complex(z))
+    value = reduce_beta(dec, complex(z)).value
     deviation = value.imag + math.pi
     worst = max(worst, abs(deviation))
     if j % 7 == 0:
@@ -32,5 +32,5 @@ print(f"-pi = {-math.pi!r}")
 print()
 print("The same constant appears for every rational parameter, any q:")
 for nu in [Fraction(1, 2), Fraction(2, 3), Fraction(7, 12), Fraction(-13, 12) + 4]:
-    value, _ = reduce_beta(decompose_pos(nu), complex(3.7))
+    value = reduce_beta(decompose_pos(nu), complex(3.7)).value
     print(f"  nu = {str(nu):>6}:  Im B = {value.imag:.17f}")

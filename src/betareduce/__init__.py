@@ -24,19 +24,15 @@ from .errors import (
 )
 from .integrals import int_power_over_linear, int_tanh_power
 from .oracles import (
-    EvalResult,
-    OracleMethod,
     SeriesPolicy,
     beta_quadrature,
     beta_series,
     lerch_series,
     phi_quadrature,
 )
-from .principal import atanh, principal_log, principal_sqrt, rational_power
+from .principal import Evaluation, Method, atanh, principal_log, principal_sqrt, rational_power
 from .rationals import Decomposition, decompose, decompose_pos, parse_rational, render_rational
 from .reduction import (
-    Method,
-    ReductionTrace,
     beta_mu_posint,
     connection_check,
     incomplete_beta,
@@ -63,16 +59,14 @@ __all__ = [
     "BranchPoint",
     "Decomposition",
     "DivergentParameter",
-    "EvalResult",
+    "Evaluation",
     "MaxTermsExceeded",
     "Method",
-    "OracleMethod",
     "OutsideDomain",
     "PRESETS",
     "ParseError",
     "PoleInSum",
     "QuadratureNonConvergence",
-    "ReductionTrace",
     "ResidualImaginary",
     "SeriesPolicy",
     "Status",

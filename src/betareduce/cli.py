@@ -163,7 +163,7 @@ def _cmd_figure(args, parser) -> int:
         writer.writerow(["z", "im_reduction", "im_series_analytic"])
         for j in range(args.points):
             z = args.z_start + j * step
-            value, _ = reduce_beta(dec, complex(z))
+            value = reduce_beta(dec, complex(z)).value
             writer.writerow([repr(z), repr(value.imag), repr(-math.pi)])
     return 0
 

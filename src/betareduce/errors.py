@@ -30,7 +30,7 @@ class OutsideDomain(BetaReduceError):
 
 
 class MaxTermsExceeded(BetaReduceError):
-    """Series did not meet the stopping rule within the term budget."""
+    """A series or finite sum would need more terms than its budget allows."""
 
 
 class QuadratureNonConvergence(BetaReduceError):

@@ -48,7 +48,7 @@ def int_tanh_power(lam: Fraction, z: float) -> float:
     w = math.tanh(z) ** 2
     if w >= TANH_SQ_CEILING:
         raise BranchPoint(f"tanh(z)^2 = {w} saturates the branch guard near 1")
-    value, _ = reduce_beta(decompose_pos(lam), complex(w))
+    value = reduce_beta(decompose_pos(lam), complex(w)).value
     half = 0.5 * value
     # rounding dust scales with the roots-of-unity terms, not the (possibly
     # tiny) result, so the residual bound is relative to max(1, |value|);

@@ -9,11 +9,12 @@ Two families of oracle, deliberately far from the reduction formulas:
   the beta integrand (with a power substitution that removes the t = 0
   singularity), and a tanh-sinh rule on the exponentially mapped
   semi-infinite integral for the Lerch form.
+
+Every oracle returns an :class:`Evaluation` with an a-posteriori error bound.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,15 +27,8 @@ from .errors import (
     OutsideDomain,
     QuadratureNonConvergence,
 )
-from .principal import finite_complex, fsum_complex, rational_power
+from .principal import Evaluation, Method, finite_complex, fsum_complex, rational_power
 from .rationals import decompose
-
-
-class OracleMethod(enum.Enum):
-    SERIES = "Series"
-    SHIFTED_SERIES = "ShiftedSeries"
-    QUADRATURE_BETA = "QuadratureBeta"
-    QUADRATURE_PHI = "QuadraturePhi"
 
 
 @dataclass(frozen=True)
@@ -49,22 +43,6 @@ class SeriesPolicy:
             raise ValueError(f"rel_tol must be in (0, 1), got {self.rel_tol}")
         if self.max_terms < 1:
             raise ValueError(f"max_terms must be >= 1, got {self.max_terms}")
-
-
-@dataclass(frozen=True)
-class EvalResult:
-    """An oracle value with its method tag and a-posteriori error bound."""
-
-    value: complex
-    method: OracleMethod
-    error_estimate: float
-    terms_or_nodes: int
-
-    def __post_init__(self) -> None:
-        if not (self.error_estimate >= 0.0 and math.isfinite(self.error_estimate)):
-            raise ValueError(f"error_estimate must be finite and >= 0, got {self.error_estimate}")
-        if self.terms_or_nodes < 1:
-            raise ValueError(f"terms_or_nodes must be >= 1, got {self.terms_or_nodes}")
 
 
 _DEFAULT_POLICY = SeriesPolicy()
@@ -102,26 +80,28 @@ def _sum_inverse_linear(z: complex, a: float, s: float, policy: SeriesPolicy):
 
 def lerch_series(
     z: complex, s: float, nu: float, policy: SeriesPolicy = _DEFAULT_POLICY
-) -> EvalResult:
+) -> Evaluation:
     """Phi(z, s, nu) by direct summation; |z| < 1, nu not in {0, -1, ...}.
 
     The reported error estimate is the geometric tail bound
     |last term| / (1 - |z|), which is rigorous for s > 0.
     """
     z = finite_complex(z)
+    s, nu = float(s), float(nu)
+    if not (math.isfinite(s) and math.isfinite(nu)):
+        raise OutsideDomain(f"s and nu must be finite, got s = {s}, nu = {nu}")
     if abs(z) >= 1.0:
         raise OutsideDomain(f"series needs |z| < 1, got |z| = {abs(z)}")
-    nu = float(nu)
     if nu <= 0 and nu == math.floor(nu):
         raise DivergentParameter(f"nu = {nu} is a non-positive integer")
-    total, last, terms = _sum_inverse_linear(z, nu, float(s), policy)
+    total, last, terms = _sum_inverse_linear(z, nu, s, policy)
     err = last / (1.0 - abs(z))
-    return EvalResult(total, OracleMethod.SERIES, err, terms)
+    return Evaluation(total, Method.SERIES, err, terms)
 
 
 def beta_series(
     nu: Fraction, z: complex, policy: SeriesPolicy = _DEFAULT_POLICY
-) -> EvalResult:
+) -> Evaluation:
     """B(nu, 0, z) summed term by term; the independent check on the reductions.
 
     Positive nu sums z^nu * sum z^k/(k+nu) directly.  Negative non-integer
@@ -134,7 +114,7 @@ def beta_series(
     z = finite_complex(z)
     if z == 0:
         if nu > 0:
-            return EvalResult(0j, OracleMethod.SERIES, 0.0, 1)
+            return Evaluation(0j, Method.SERIES, 0.0, 1)
         raise OutsideDomain("negative parameters need 0 < |z| < 1")
     if abs(z) >= 1.0:
         raise OutsideDomain(f"series needs |z| < 1, got |z| = {abs(z)}")
@@ -142,8 +122,10 @@ def beta_series(
         prefactor = rational_power(z, nu)
         total, last, terms = _sum_inverse_linear(z, float(nu), 1.0, policy)
         err = abs(prefactor) * last / (1.0 - abs(z))
-        return EvalResult(prefactor * total, OracleMethod.SERIES, err, terms)
+        return Evaluation(prefactor * total, Method.SERIES, err, terms)
     dec = decompose(nu)
+    if -dec.m > policy.max_terms:
+        raise MaxTermsExceeded(f"{-dec.m} correction terms exceed the budget of {policy.max_terms}")
     r = dec.r
     prefactor = rational_power(z, r)
     total, last, terms = _sum_inverse_linear(z, float(r), 1.0, policy)
@@ -154,12 +136,12 @@ def beta_series(
         corr.append(zk / (float(r) - k))
     value = prefactor * total + fsum_complex(corr)
     err = abs(prefactor) * last / (1.0 - abs(z))
-    return EvalResult(value, OracleMethod.SHIFTED_SERIES, err, terms - dec.m)
+    return Evaluation(value, Method.SHIFTED_SERIES, err, terms - dec.m)
 
 
 def beta_quadrature(
     nu: float, mu: float, z: float, epsabs: float = 1e-12, epsrel: float = 1e-12
-) -> EvalResult:
+) -> Evaluation:
     """B(nu, mu, z) = z^nu * integral_0^1 t^(nu-1) (1-z*t)^(mu-1) dt by QUADPACK.
 
     Real parameters only: nu > 0, z in (0, 1).  For nu < 1 the endpoint
@@ -190,14 +172,14 @@ def beta_quadrature(
         raise QuadratureNonConvergence(str(result[3]))
     integral, abserr, info = result
     scale = z**nu
-    return EvalResult(
-        complex(scale * integral), OracleMethod.QUADRATURE_BETA, scale * abserr, info["neval"]
+    return Evaluation(
+        complex(scale * integral), Method.QUADRATURE_BETA, scale * abserr, info["neval"]
     )
 
 
 def phi_quadrature(
     z: float, s: float, nu: float, rel_tol: float = 1e-13, max_level: int = 10
-) -> EvalResult:
+) -> Evaluation:
     """Phi(z, s, nu) from its semi-infinite integral representation.
 
     The substitution u = e^(-t) maps Gamma(s)*Phi onto
@@ -229,8 +211,8 @@ def phi_quadrature(
 
     integral, err, nodes = _tanh_sinh_logistic(mapped, rel_tol, max_level)
     gamma_s = math.gamma(s)
-    return EvalResult(
-        complex(integral / gamma_s), OracleMethod.QUADRATURE_PHI, err / gamma_s, nodes
+    return Evaluation(
+        complex(integral / gamma_s), Method.QUADRATURE_PHI, err / gamma_s, nodes
     )
 
 

@@ -1,4 +1,5 @@
-"""Principal-branch complex helpers and exactly rounded complex summation.
+"""Principal-branch complex helpers, exactly rounded complex summation, and
+the :class:`Evaluation` result that every closed form and oracle returns.
 
 Every multivalued operation in the package funnels through these functions so
 the whole library shares one branch convention: Im(log) lies in (-pi, pi],
@@ -11,11 +12,48 @@ the closed upper edge of the cut.
 from __future__ import annotations
 
 import cmath
+import enum
 import math
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import List, Sequence, Tuple
 
 from .errors import OutsideDomain, ZeroArgument
+
+
+class Method(enum.Enum):
+    INTEGER_LOG = "IntegerLog"
+    HALF_ATANH = "HalfAtanh"
+    ROOTS_OF_UNITY_POS = "RootsOfUnityPos"
+    ROOTS_OF_UNITY_NEG = "RootsOfUnityNeg"
+    SERIES = "Series"
+    SHIFTED_SERIES = "ShiftedSeries"
+    QUADRATURE_BETA = "QuadratureBeta"
+    QUADRATURE_PHI = "QuadraturePhi"
+
+
+@dataclass(frozen=True)
+class Evaluation:
+    """A value, the method that produced it, its work and an error estimate.
+
+    ``parts`` holds a closed form's signed summands, the phased logs and
+    then the power-tail sum; an oracle has none.
+    """
+
+    value: complex
+    method: Method
+    error_estimate: float
+    terms_or_nodes: int
+    parts: Tuple[complex, ...] = ()
+
+    def __post_init__(self) -> None:
+        if not (self.error_estimate >= 0.0 and math.isfinite(self.error_estimate)):
+            raise ValueError(f"error_estimate must be finite and >= 0, got {self.error_estimate}")
+        if self.terms_or_nodes < 1:
+            raise ValueError(f"terms_or_nodes must be >= 1, got {self.terms_or_nodes}")
+
+    def contributions(self) -> List[complex]:
+        return list(self.parts)
 
 
 def finite_complex(z: complex) -> complex:

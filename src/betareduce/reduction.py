@@ -18,15 +18,15 @@ z > 1.
 
 from __future__ import annotations
 
-import enum
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Tuple
 
-from .errors import BranchPoint, OutsideDomain, PoleInSum, ZeroArgument
+from .errors import BranchPoint, MaxTermsExceeded, OutsideDomain, PoleInSum, ZeroArgument
 from .principal import (
+    Evaluation,
+    Method,
     atanh,
     finite_complex,
     fsum_complex,
@@ -40,36 +40,10 @@ from .rationals import Decomposition, decompose
 # Refuse logarithms whose argument is closer than this to the branch point.
 BRANCH_GUARD = 1e-14
 
+# Power tails longer than this are refused before any work: time and memory grow with |m|.
+MAX_TAIL_TERMS = 10**6
+
 _TWO_PI = 2.0 * math.pi
-
-
-class Method(enum.Enum):
-    INTEGER_LOG = "IntegerLog"
-    HALF_ATANH = "HalfAtanh"
-    ROOTS_OF_UNITY_POS = "RootsOfUnityPos"
-    ROOTS_OF_UNITY_NEG = "RootsOfUnityNeg"
-    POLYNOMIAL_MU = "PolynomialMu"
-
-
-@dataclass
-class ReductionTrace:
-    """Diagnostic decomposition of one reduction evaluation.
-
-    ``terms`` holds ``(k, root_phase, log_term)`` triples; each contributes
-    ``-root_phase * log_term`` to the value.  ``tail_sum`` is the finite
-    power correction with its sign already applied, so the contributions
-    plus the tail reproduce the returned value up to final rounding.
-    """
-
-    method: Method
-    terms: List[Tuple[int, complex, complex]]
-    tail_sum: complex
-
-    def contributions(self) -> List[complex]:
-        return [-phase * logterm for _, phase, logterm in self.terms]
-
-    def total(self) -> complex:
-        return fsum_complex(self.contributions() + [self.tail_sum])
 
 
 def _root_table(q: int) -> Tuple[complex, ...]:
@@ -83,19 +57,19 @@ ROOT_CACHE_MAX_Q = 4096
 _unit_roots = functools.lru_cache(maxsize=64)(_root_table)
 
 
-def _roots_log_sum(p: int, q: int, z: complex):
-    """The q-term principal-log sum: B(p/q, 0, z) is minus its phased total."""
+def _roots_log_sum(p: int, q: int, z: complex) -> List[complex]:
+    """The q phased principal logs whose sum is B(p/q, 0, z)."""
     roots = _unit_roots(q) if q <= ROOT_CACHE_MAX_Q else _root_table(q)
     zq = principal_root(z, q)
-    terms = []
+    logs = []
     for k in range(q):
         w = 1 - zq * roots[k]
         if abs(w) < BRANCH_GUARD:
             raise BranchPoint(
                 f"log argument {w} within {BRANCH_GUARD} of the branch point (k={k}, q={q})"
             )
-        terms.append((k, roots[-p * k % q], principal_log(w)))
-    return terms
+        logs.append(-roots[-p * k % q] * principal_log(w))
+    return logs
 
 
 def _method(dec: Decomposition) -> Method:
@@ -105,14 +79,15 @@ def _method(dec: Decomposition) -> Method:
     return Method.ROOTS_OF_UNITY_POS if dec.m >= 0 else Method.ROOTS_OF_UNITY_NEG
 
 
-def reduce_beta(dec: Decomposition, z: complex) -> Tuple[complex, ReductionTrace]:
-    """B(m + r, 0, z) for a decomposed rational parameter, with its diagnostic trace.
+def reduce_beta(dec: Decomposition, z: complex) -> Evaluation:
+    """B(m + r, 0, z) for a decomposed rational parameter, as an :class:`Evaluation`.
 
     Half-integers take the atanh form, everything else the roots-of-unity
-    sum.  Raises :class:`BranchPoint` at z = 1 or whenever a log argument
-    falls inside the guard band, :class:`ZeroArgument` at z = 0 for m < 0
-    (negative powers of z appear), :class:`OutsideDomain` for an infinite
-    or NaN z.
+    sum; the error estimate is the condition of that sum, 2^-53 * sum|parts|.
+    Raises :class:`BranchPoint` at z = 1 or whenever a log argument falls
+    inside the guard band, :class:`ZeroArgument` at z = 0 for m < 0,
+    :class:`OutsideDomain` for an infinite or NaN z or a sum outside the
+    double range, :class:`MaxTermsExceeded` for |m| > ``MAX_TAIL_TERMS``.
 
     Runs through :func:`reduce_beta_pos` (m >= 0) or :func:`reduce_beta_neg`
     (m < 0): one kernel under two names, timed and counted by name in traced runs.
@@ -120,55 +95,60 @@ def reduce_beta(dec: Decomposition, z: complex) -> Tuple[complex, ReductionTrace
     return (reduce_beta_pos if dec.m >= 0 else reduce_beta_neg)(dec, z)
 
 
-def reduce_beta_pos(dec: Decomposition, z: complex) -> Tuple[complex, ReductionTrace]:
+def reduce_beta_pos(dec: Decomposition, z: complex) -> Evaluation:
     """:func:`reduce_beta` for m >= 0, i.e. nu > 0."""
     return _reduce(dec, z)
 
 
-def reduce_beta_neg(dec: Decomposition, z: complex) -> Tuple[complex, ReductionTrace]:
+def reduce_beta_neg(dec: Decomposition, z: complex) -> Evaluation:
     """:func:`reduce_beta` for m < 0, i.e. nu < 0."""
     return _reduce(dec, z)
 
 
-def _reduce(dec: Decomposition, z: complex) -> Tuple[complex, ReductionTrace]:
+def _reduce(dec: Decomposition, z: complex) -> Evaluation:
     z = finite_complex(z)
     if z == 0:
         if dec.m < 0:
             raise ZeroArgument("negative powers of z require z != 0")
         method = Method.HALF_ATANH if dec.r.denominator == 2 else _method(dec)
-        return 0j, ReductionTrace(method, [], 0j)
+        return Evaluation(0j, method, 0.0, 1)
     if z == 1:
         raise BranchPoint("z = 1 is the logarithmic branch point")
+    if dec.n > MAX_TAIL_TERMS:
+        raise MaxTermsExceeded(f"{dec.n} power-tail terms exceed the budget of {MAX_TAIL_TERMS}")
     if dec.r.denominator == 2:
         return _half_atanh(dec, z)
     return _roots_form(dec, z)
 
 
-def _half_atanh(dec: Decomposition, z: complex):
+def _closed_form(method: Method, logs: List[complex], tail: List[complex], work: int) -> Evaluation:
+    tail_sum = fsum_complex(tail)
+    parts = (*logs, tail_sum)
+    try:
+        spread = math.fsum(map(abs, parts))
+    except OverflowError as exc:
+        raise OutsideDomain("sum of the |parts| outside the double range") from exc
+    return Evaluation(fsum_complex(logs) + tail_sum, method, 2.0**-53 * spread, work, parts)
+
+
+def _half_atanh(dec: Decomposition, z: complex) -> Evaluation:
     # B(n+1/2, 0, z) = 2*(atanh(sqrt(z)) - sum_{k=0}^{n-1} z^(k+1/2)/(2k+1))
     # B(-n+1/2, 0, z) = 2*(atanh(sqrt(z)) - sum_{k=0}^{n-1} z^(-k-1/2)/(2k+1))
     neg = dec.m < 0
     sq = principal_sqrt(z)
-    _guard_half(sq)
-    at = atanh(sq)
+    if abs(1 - sq) < BRANCH_GUARD or abs(1 + sq) < BRANCH_GUARD:
+        raise BranchPoint("sqrt(z) within the guard band of an atanh singularity")
     tail = []
     zk = sq / z if neg else sq
     for k in range(dec.n):
         tail.append(-2.0 * zk / (2 * k + 1))
         zk = zk / z if neg else zk * z
-    tail_sum = fsum_complex(tail)
-    trace = ReductionTrace(Method.HALF_ATANH, [(0, complex(-2.0), at)], tail_sum)
-    return 2.0 * at + tail_sum, trace
+    return _closed_form(Method.HALF_ATANH, [2.0 * atanh(sq)], tail, 1 + dec.n)
 
 
-def _guard_half(sq: complex) -> None:
-    if abs(1 - sq) < BRANCH_GUARD or abs(1 + sq) < BRANCH_GUARD:
-        raise BranchPoint("sqrt(z) within the guard band of an atanh singularity")
-
-
-def _roots_form(dec: Decomposition, z: complex):
+def _roots_form(dec: Decomposition, z: complex) -> Evaluation:
     p, q = dec.r.numerator, dec.r.denominator
-    terms = _roots_log_sum(p, q, z)
+    logs = _roots_log_sum(p, q, z)
     r = p / q
     # the tail walks outward from k = 0 (m > 0) or k = -1 (m < 0), one
     # multiplication or division by z per term
@@ -180,8 +160,7 @@ def _roots_form(dec: Decomposition, z: complex):
     for k in range(-1, dec.m - 1, -1):
         zk /= z
         tail.append(zk / (k + r))
-    trace = ReductionTrace(_method(dec), terms, fsum_complex(tail))
-    return fsum_complex(trace.contributions()) + trace.tail_sum, trace
+    return _closed_form(_method(dec), logs, tail, q + dec.n)
 
 
 # Binomial sums above this length would be numerically and practically useless.
@@ -220,7 +199,7 @@ def lerch_reduce(dec: Decomposition, z: complex) -> complex:
     z = complex(z)
     if z == 0:
         raise ZeroArgument("the bridge to B(nu,0,z) needs z != 0")
-    value, _ = reduce_beta(dec, z)
+    value = reduce_beta(dec, z).value
     return rational_power(z, -dec.reconstruct()) * value
 
 
@@ -235,7 +214,7 @@ def incomplete_beta(nu: Fraction, mu: int, z: complex) -> complex:
     if not isinstance(mu, int) or mu < 0:
         raise OutsideDomain(f"mu must be a non-negative integer, got {mu!r}")
     if mu == 0:
-        return reduce_beta(decompose(nu), z)[0]
+        return reduce_beta(decompose(nu), z).value
     return beta_mu_posint(nu, mu - 1, z)
 
 

@@ -88,6 +88,14 @@ class TestEval:
         assert err.startswith("OutsideDomain")
 
 
+    # |m| = 10^6 + 1 power-tail terms: refused before any work
+    def test_work_budget_exit_two(self, capsys):
+        code, out, err = run_cli(capsys, "eval", "beta", "--nu", "2000003/2", "--z", "0.5")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("MaxTermsExceeded")
+
+
 class TestFigure:
     def test_row_count_and_reference_column(self, capsys):
         code, out, _ = run_cli(

@@ -7,8 +7,9 @@ import pytest
 
 from betareduce import (
     DivergentParameter,
+    Evaluation,
     MaxTermsExceeded,
-    OracleMethod,
+    Method,
     OutsideDomain,
     SeriesPolicy,
     beta_quadrature,
@@ -71,16 +72,31 @@ class TestLerchSeries:
         with pytest.raises(OutsideDomain):
             lerch_series(z, 1.0, 1.0)
 
+    # nan used to spin through the 10^7-term budget; nu = inf returned 0j
+    @pytest.mark.parametrize(
+        "s,nu", [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, math.inf), (1.0, -math.inf)]
+    )
+    def test_non_finite_s_or_nu_rejected(self, s, nu):
+        with pytest.raises(OutsideDomain):
+            lerch_series(0.5, s, nu)
+
     def test_max_terms_exceeded(self):
         with pytest.raises(MaxTermsExceeded):
             lerch_series(0.9, 1.0, 1.0, SeriesPolicy(rel_tol=1e-16, max_terms=50))
 
 
 class TestBetaSeries:
+    def test_correction_beyond_budget_refused(self):
+        # -m = 200 correction terms against a budget of 100; the series at r = 1/3 needs ~50
+        policy = SeriesPolicy(max_terms=100)
+        with pytest.raises(MaxTermsExceeded):
+            beta_series(Fraction(-599, 3), 0.5, policy)
+        assert math.isfinite(abs(beta_series(Fraction(-299, 3), 0.5, policy).value))
+
     def test_half_is_log3(self):
         out = beta_series(Fraction(1, 2), 0.25, TIGHT)
         assert abs(out.value - math.log(3)) <= 4 * math.ulp(math.log(3))
-        assert out.method is OracleMethod.SERIES
+        assert out.method is Method.SERIES
 
     def test_z_zero(self):
         out = beta_series(Fraction(123, 10), 0.0)
@@ -88,12 +104,12 @@ class TestBetaSeries:
 
     def test_figure_parameter_agrees_with_reduction(self):
         out = beta_series(Fraction(123, 10), 0.5, TIGHT)
-        red, _ = reduce_beta(decompose(Fraction(123, 10)), 0.5)
+        red = reduce_beta(decompose(Fraction(123, 10)), 0.5).value
         assert abs(out.value - red) <= 1e-12 * max(1.0, abs(out.value))
 
     def test_negative_uses_shifted_split(self):
         out = beta_series(Fraction(-3, 4), 0.5)
-        assert out.method is OracleMethod.SHIFTED_SERIES
+        assert out.method is Method.SHIFTED_SERIES
 
     def test_monotone_partial_sums_for_real_input(self):
         # positive terms: every truncation lies below the full sum
@@ -177,12 +193,12 @@ class TestBetaQuadrature:
 
     def test_near_one_with_large_parameter(self):
         out = beta_quadrature(12.3, 0.0, 0.99)
-        red, _ = reduce_beta(decompose(Fraction(123, 10)), 0.99)
+        red = reduce_beta(decompose(Fraction(123, 10)), 0.99).value
         assert abs(out.value - red) <= 1e-9
 
     def test_error_estimate_honest(self):
         out = beta_quadrature(0.75, 0.0, 0.6)
-        red, _ = reduce_beta(decompose(Fraction(3, 4)), 0.6)
+        red = reduce_beta(decompose(Fraction(3, 4)), 0.6).value
         assert abs(out.value - red) <= out.error_estimate + 1e-13 * abs(red)
 
     @pytest.mark.parametrize("nu,mu,z", [(0.0, 1.0, 0.5), (-1.0, 1.0, 0.5), (1.0, 0.0, 0.0), (1.0, 0.0, 1.0), (1.0, 0.0, -0.3)])
@@ -235,3 +251,15 @@ class TestCrossAgreement:
         coarse = phi_quadrature(0.5, 1.0, 1.5, rel_tol=1e-10)
         fine = phi_quadrature(0.5, 1.0, 1.5, rel_tol=0.5e-10)
         assert abs(coarse.value - fine.value) <= coarse.error_estimate
+
+
+class TestResultType:
+    def test_every_oracle_returns_an_evaluation_without_parts(self):
+        for out in (
+            lerch_series(0.5, 1.0, 1.0),
+            beta_series(Fraction(-3, 4), 0.5),
+            beta_quadrature(0.5, 0.0, 0.25),
+            phi_quadrature(0.5, 1.0, 1.0),
+        ):
+            assert isinstance(out, Evaluation)
+            assert out.parts == () and out.contributions() == []

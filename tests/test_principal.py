@@ -6,7 +6,7 @@ import math
 import pytest
 
 from betareduce import ZeroArgument, atanh, principal_log, principal_sqrt, rational_power
-from betareduce import OutsideDomain
+from betareduce import Evaluation, Method, OutsideDomain
 from betareduce.principal import fsum_complex
 from fractions import Fraction
 
@@ -123,3 +123,19 @@ class TestFsumComplex:
         v = fsum_complex([complex(0.1, -0.1)] * 1000)
         assert v.real == pytest.approx(100.0, abs=1e-13)
         assert v.imag == pytest.approx(-100.0, abs=1e-13)
+
+
+class TestEvaluation:
+    @pytest.mark.parametrize("error_estimate", [-1e-16, math.inf, math.nan])
+    def test_error_estimate_must_be_finite_and_non_negative(self, error_estimate):
+        with pytest.raises(ValueError):
+            Evaluation(1j, Method.SERIES, error_estimate, 1)
+
+    def test_work_must_be_positive(self):
+        with pytest.raises(ValueError):
+            Evaluation(1j, Method.SERIES, 0.0, 0)
+
+    def test_frozen(self):
+        ev = Evaluation(1j, Method.HALF_ATANH, 0.0, 2, (1j, 0j))
+        with pytest.raises(AttributeError):
+            ev.value = 2j

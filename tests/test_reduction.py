@@ -10,6 +10,7 @@ from betareduce import (
     BranchPoint,
     DivergentParameter,
     Decomposition,
+    MaxTermsExceeded,
     Method,
     OutsideDomain,
     PoleInSum,
@@ -27,7 +28,14 @@ from betareduce import (
     reduce_beta,
 )
 from betareduce import rationals, reduction
-from betareduce.reduction import ROOT_CACHE_MAX_Q, _roots_form, _unit_roots
+from betareduce.principal import fsum_complex, principal_log, principal_root
+from betareduce.reduction import (
+    MAX_TAIL_TERMS,
+    ROOT_CACHE_MAX_Q,
+    _closed_form,
+    _roots_form,
+    _unit_roots,
+)
 
 TIGHT = SeriesPolicy(rel_tol=1e-17)
 
@@ -45,31 +53,32 @@ def ulps(x: float, ref: float) -> float:
 
 class TestPositiveGolden:
     def test_integer_one_is_log2(self):
-        value, trace = reduce_beta(decompose(Fraction(1)), 0.5)
-        assert trace.method is Method.INTEGER_LOG
-        assert ulps(value.real, math.log(2)) <= 2
-        assert value.imag == 0.0
+        ev = reduce_beta(decompose(Fraction(1)), 0.5)
+        assert ev.method is Method.INTEGER_LOG
+        assert ulps(ev.value.real, math.log(2)) <= 2
+        assert ev.value.imag == 0.0
 
     def test_half_is_log3(self):
-        value, trace = reduce_beta(decompose(Fraction(1, 2)), 0.25)
-        assert trace.method is Method.HALF_ATANH
-        assert ulps(value.real, math.log(3)) <= 2
+        ev = reduce_beta(decompose(Fraction(1, 2)), 0.25)
+        assert ev.method is Method.HALF_ATANH
+        assert ulps(ev.value.real, math.log(3)) <= 2
 
     def test_five_fourths_matches_series_oracle(self):
-        value, trace = reduce_beta(decompose(Fraction(5, 4)), 0.3)
-        assert trace.method is Method.ROOTS_OF_UNITY_POS
+        ev = reduce_beta(decompose(Fraction(5, 4)), 0.3)
+        assert ev.method is Method.ROOTS_OF_UNITY_POS
+        value = ev.value
         assert abs(value - BETA_SERIES_5_4_AT_0_3) <= 1e-13 * BETA_SERIES_5_4_AT_0_3
         live = beta_series(Fraction(5, 4), 0.3, TIGHT).value
         assert abs(value - live) <= 1e-13 * abs(live)
 
     def test_branch_cut_imaginary_part(self):
-        value, _ = reduce_beta(decompose(Fraction(123, 10)), 2.0)
+        value = reduce_beta(decompose(Fraction(123, 10)), 2.0).value
         assert abs(value.imag + math.pi) <= 1e-12
 
     def test_zero_argument_gives_zero(self):
-        value, trace = reduce_beta(decompose(Fraction(7, 3)), 0.0)
-        assert value == 0
-        assert trace.total() == 0
+        ev = reduce_beta(decompose(Fraction(7, 3)), 0.0)
+        assert ev.value == 0
+        assert fsum_complex(ev.contributions()) == 0
 
     def test_branch_point_rejected(self):
         with pytest.raises(BranchPoint):
@@ -83,20 +92,20 @@ class TestPositiveGolden:
 
 class TestNegativeGolden:
     def test_minus_half_closed_form(self):
-        value, trace = reduce_beta(decompose(Fraction(-1, 2)), 0.25)
-        assert trace.method is Method.HALF_ATANH
+        ev = reduce_beta(decompose(Fraction(-1, 2)), 0.25)
+        assert ev.method is Method.HALF_ATANH
         ref = math.log(3) - 4.0
-        assert ulps(value.real, ref) <= 2
-        assert value.imag == 0.0
+        assert ulps(ev.value.real, ref) <= 2
+        assert ev.value.imag == 0.0
 
     def test_minus_three_quarters_matches_series_oracle(self):
-        value, _ = reduce_beta(decompose(Fraction(-3, 4)), 0.5)
+        value = reduce_beta(decompose(Fraction(-3, 4)), 0.5).value
         assert abs(value - BETA_SERIES_M3_4_AT_0_5) <= 1e-12 * BETA_SERIES_M3_4_AT_0_5
         live = beta_series(Fraction(-3, 4), 0.5, TIGHT).value
         assert abs(value - live) <= 1e-12 * abs(live)
 
     def test_tiny_z_dominated_by_leading_power(self):
-        value, _ = reduce_beta(decompose(Fraction(-1, 2)), 1e-300)
+        value = reduce_beta(decompose(Fraction(-1, 2)), 1e-300).value
         assert math.isfinite(value.real)
         assert value.imag == 0.0
         # leading term is -2 * z**(-1/2) = -2e150; magnitude check only
@@ -116,11 +125,11 @@ class TestFastPathConsistency:
     @pytest.mark.parametrize("n", [0, 1, 3, 5])
     @pytest.mark.parametrize("z", [0.1, 0.85, 0.4 + 0.3j, -0.6, 2.5, 7.0])
     def test_positive_half_integers(self, n, z):
-        fast, fast_trace = reduce_beta(decompose(n + Fraction(1, 2)), z)
-        general, trace = _roots_form(Decomposition(m=n, r=Fraction(1, 2)), complex(z))
-        assert fast_trace.method is Method.HALF_ATANH
-        assert trace.method is Method.ROOTS_OF_UNITY_POS
-        assert abs(fast - general) <= 1e-13 * max(1.0, abs(general))
+        fast = reduce_beta(decompose(n + Fraction(1, 2)), z)
+        general = _roots_form(Decomposition(m=n, r=Fraction(1, 2)), complex(z))
+        assert fast.method is Method.HALF_ATANH
+        assert general.method is Method.ROOTS_OF_UNITY_POS
+        assert abs(fast.value - general.value) <= 1e-13 * max(1.0, abs(general.value))
 
     @pytest.mark.parametrize("n", [1, 2, 4])
     @pytest.mark.parametrize("z", [0.1, 0.85, 0.4 + 0.3j, 2.5])
@@ -128,11 +137,11 @@ class TestFastPathConsistency:
         nu = Fraction(-n) + Fraction(1, 2)
         dec = decompose(nu)
         assert (dec.m, dec.r) == (-n, Fraction(1, 2))
-        fast, fast_trace = reduce_beta(dec, z)
-        general, trace = _roots_form(dec, complex(z))
-        assert fast_trace.method is Method.HALF_ATANH
-        assert trace.method is Method.ROOTS_OF_UNITY_NEG
-        assert abs(fast - general) <= 1e-13 * max(1.0, abs(general))
+        fast = reduce_beta(dec, z)
+        general = _roots_form(dec, complex(z))
+        assert fast.method is Method.HALF_ATANH
+        assert general.method is Method.ROOTS_OF_UNITY_NEG
+        assert abs(fast.value - general.value) <= 1e-13 * max(1.0, abs(general.value))
 
 
 class TestSymmetryAndInvariants:
@@ -141,20 +150,20 @@ class TestSymmetryAndInvariants:
     )
     @pytest.mark.parametrize("z", [0.3 + 0.4j, -0.2 + 0.7j, 0.05 - 0.85j])
     def test_conjugate_symmetry(self, nu, z):
-        value, _ = reduce_beta(decompose(nu), z)
-        conj_value, _ = reduce_beta(decompose(nu), z.conjugate())
+        value = reduce_beta(decompose(nu), z).value
+        conj_value = reduce_beta(decompose(nu), z.conjugate()).value
         assert abs(conj_value - value.conjugate()) <= 1e-13 * max(1.0, abs(value))
 
     @pytest.mark.parametrize("nu", [Fraction(1, 2), Fraction(5, 4), Fraction(123, 10), Fraction(7, 12)])
     @pytest.mark.parametrize("z", [1.1, 2.0, 5.0, 10.0])
     def test_imaginary_part_is_minus_pi_past_one(self, nu, z):
-        value, _ = reduce_beta(decompose(nu), z)
+        value = reduce_beta(decompose(nu), z).value
         assert abs(value.imag + math.pi) <= 1e-12
 
     @pytest.mark.parametrize("nu", [Fraction(-1, 2), Fraction(-7, 4), Fraction(-13, 12)])
     @pytest.mark.parametrize("z", [1.5, 4.0])
     def test_negative_parameter_branch_cut(self, nu, z):
-        value, _ = reduce_beta(decompose(nu), z)
+        value = reduce_beta(decompose(nu), z).value
         assert abs(value.imag + math.pi) <= 1e-12
 
     @pytest.mark.parametrize(
@@ -169,11 +178,9 @@ class TestSymmetryAndInvariants:
         ],
     )
     def test_trace_reproduces_value(self, nu, z):
-        value, trace = reduce_beta(decompose(nu), z)
-        scale = max(
-            [abs(c) for c in trace.contributions()] + [abs(trace.tail_sum), abs(value)]
-        )
-        assert abs(trace.total() - value) <= 4 * math.ulp(scale)
+        ev = reduce_beta(decompose(nu), z)
+        scale = max([abs(c) for c in ev.contributions()] + [abs(ev.value)])
+        assert abs(fsum_complex(ev.contributions()) - ev.value) <= 4 * math.ulp(scale)
 
 
 class TestOracleEquivalenceTightGrid:
@@ -189,7 +196,7 @@ class TestOracleEquivalenceTightGrid:
                 for n in range(0, 4):
                     nu = n + Fraction(p, q)
                     for z in self.Z:
-                        red, _ = reduce_beta(decompose(nu), z)
+                        red = reduce_beta(decompose(nu), z).value
                         ser = beta_series(nu, z).value
                         worst = max(worst, abs(red - ser) / max(1.0, abs(ser)))
         assert worst <= 1e-11
@@ -203,7 +210,7 @@ class TestOracleEquivalenceTightGrid:
                 for n in range(1, 4):
                     nu = -n + Fraction(p, q)
                     for z in self.Z:
-                        red, _ = reduce_beta(decompose(nu), z)
+                        red = reduce_beta(decompose(nu), z).value
                         ser = beta_series(nu, z).value
                         worst = max(worst, abs(red - ser) / max(1.0, abs(ser)))
         assert worst <= 1e-10
@@ -295,9 +302,9 @@ class TestConnectionFormula:
 class TestDispatcher:
     def test_routes_negative(self):
         via_dispatch = incomplete_beta(Fraction(-3, 4), 0, 0.5)
-        direct, trace = reduce_beta(decompose(Fraction(-3, 4)), 0.5)
-        assert trace.method is Method.ROOTS_OF_UNITY_NEG
-        assert via_dispatch == direct
+        direct = reduce_beta(decompose(Fraction(-3, 4)), 0.5)
+        assert direct.method is Method.ROOTS_OF_UNITY_NEG
+        assert via_dispatch == direct.value
 
     @pytest.mark.parametrize(
         "nu,names",
@@ -328,7 +335,7 @@ class TestDispatcher:
             recording(reduction, name)
         value = incomplete_beta(nu, 0, 0.3)
         assert calls == names
-        assert value == reduction._reduce(decompose(nu), 0.3)[0]
+        assert value == reduction._reduce(decompose(nu), 0.3).value
 
     def test_divergent_integer(self):
         with pytest.raises(DivergentParameter):
@@ -385,12 +392,18 @@ class TestUnitRootTable:
 
     @pytest.mark.parametrize("nu", [Fraction(5, 7), Fraction(-11, 12), Fraction(23, 97)])
     def test_trace_phases_match_per_call_formula(self, nu):
+        z = 0.3 + 0.2j
         dec = decompose(nu)
-        _, trace = reduce_beta(dec, 0.3 + 0.2j)
+        ev = reduce_beta(dec, z)
         p, q = dec.r.numerator, dec.r.denominator
-        assert [t[0] for t in trace.terms] == list(range(q))
-        for k, phase, _ in trace.terms:
-            assert phase == _per_call_unit_root(-p * k, q)
+        logs = ev.contributions()[:-1]
+        assert len(logs) == q
+        zq = principal_root(z, q)
+        for k, c in enumerate(logs):
+            root_k = _per_call_unit_root(k, q)
+            expected = -_per_call_unit_root(-p * k, q) * principal_log(1 - zq * root_k)
+            assert c.real.hex() == expected.real.hex()
+            assert c.imag.hex() == expected.imag.hex()
 
     def test_cache_is_bounded(self):
         maxsize = _unit_roots.cache_info().maxsize
@@ -405,3 +418,111 @@ class TestUnitRootTable:
         assert _unit_roots.cache_info().currsize == before
         ref = beta_series(nu, 0.3, TIGHT).value
         assert abs(value - ref) <= 1e-9 * max(1.0, abs(ref))
+
+
+class TestEvaluation:
+    # (nu, z, number of logs): q for the roots-of-unity sum, 1 for the atanh form
+    @pytest.mark.parametrize(
+        "nu,z,logs",
+        [
+            (Fraction(4), 0.9, 1),
+            (Fraction(1, 2), 0.7, 1),
+            (Fraction(7, 2), 2.5, 1),
+            (Fraction(-5, 2), 0.4 + 0.3j, 1),
+            (Fraction(5, 4), 0.3, 4),
+            (Fraction(38, 5), 0.88, 5),
+            (Fraction(-25, 6), 0.2 + 0.4j, 6),
+            (Fraction(123, 10), 2.0, 10),
+        ],
+    )
+    def test_closed_form_invariants(self, nu, z, logs):
+        dec = decompose(nu)
+        ev = reduce_beta(dec, z)
+        # the traced benchmark run unpacks tuples as (value, trace) and adds
+        # any tail_sum attribute to the contributions
+        assert not isinstance(ev, tuple)
+        assert not hasattr(ev, "tail_sum")
+        assert ev.contributions() == list(ev.parts)
+        assert len(ev.parts) == logs + 1
+        total = fsum_complex(list(ev.parts[:-1])) + ev.parts[-1]
+        assert total.real.hex() == ev.value.real.hex()
+        assert total.imag.hex() == ev.value.imag.hex()
+        assert ev.error_estimate == 2.0**-53 * math.fsum(abs(c) for c in ev.parts)
+        assert ev.terms_or_nodes == logs + abs(dec.m)
+
+    @pytest.mark.parametrize("nu", [Fraction(7, 3), Fraction(5, 2), Fraction(4)])
+    def test_zero_argument_short_cut(self, nu):
+        ev = reduce_beta(decompose(nu), 0.0)
+        assert (ev.value, ev.error_estimate, ev.terms_or_nodes, ev.parts) == (0j, 0.0, 1, ())
+
+    def test_overflowing_spread_is_a_named_error(self):
+        # a finite tail sum whose modulus overflows: ValueError from the
+        # estimate's validation would escape the CLI as a traceback
+        with pytest.raises(OutsideDomain):
+            _closed_form(Method.INTEGER_LOG, [0j], [complex(1.5e308, 1.5e308)], 2)
+
+
+class TestWorkBudget:
+    # |m| = MAX_TAIL_TERMS + 1 on both signs (non-positive integers diverge)
+    @pytest.mark.parametrize(
+        "nu",
+        [
+            Fraction(MAX_TAIL_TERMS + 2),
+            MAX_TAIL_TERMS + 1 + Fraction(1, 2),
+            -(MAX_TAIL_TERMS + 1) + Fraction(1, 2),
+            MAX_TAIL_TERMS + 1 + Fraction(1, 3),
+            -(MAX_TAIL_TERMS + 1) + Fraction(2, 7),
+        ],
+    )
+    def test_refused(self, nu):
+        assert abs(decompose(nu).m) == MAX_TAIL_TERMS + 1
+        with pytest.raises(MaxTermsExceeded):
+            incomplete_beta(nu, 0, 0.5)
+
+    # (|m| = 3, |m| = 4) under a budget of 3
+    @pytest.mark.parametrize(
+        "inside,outside",
+        [
+            (Fraction(4), Fraction(5)),
+            (Fraction(7, 2), Fraction(9, 2)),
+            (Fraction(-5, 2), Fraction(-7, 2)),
+            (Fraction(10, 3), Fraction(13, 3)),
+            (Fraction(-8, 3), Fraction(-11, 3)),
+        ],
+    )
+    def test_budget_edge(self, monkeypatch, inside, outside):
+        monkeypatch.setattr(reduction, "MAX_TAIL_TERMS", 3)
+        assert math.isfinite(abs(incomplete_beta(inside, 0, 0.5)))
+        with pytest.raises(MaxTermsExceeded):
+            incomplete_beta(outside, 0, 0.5)
+
+
+class TestErrorEstimate:
+    # cancellation points: the log sum and the power tail
+    # cancel to a few ulps, so the error is far above |value| * 2^-53
+    CANCELLING = [
+        (Fraction(123, 10), 1e-3),
+        (Fraction(19, 3), 1e-3),
+        (Fraction(61, 10), 0.05),
+        (Fraction(37, 3), 1e-3),
+    ]
+    ORDINARY = [(Fraction(5, 4), 0.3), (Fraction(-7, 4), 0.5), (Fraction(1, 2), 0.25)]
+
+    @staticmethod
+    def _measured_error(nu, z):
+        mpmath = pytest.importorskip("mpmath")
+        ev = reduce_beta(decompose(nu), z)
+        with mpmath.workdps(40):
+            a = mpmath.mpf(nu.numerator) / nu.denominator
+            exact = mpmath.power(z, a) * mpmath.lerchphi(z, 1, a)
+            return float(abs(mpmath.mpc(ev.value) - exact)), ev.error_estimate
+
+    @pytest.mark.parametrize("nu,z", CANCELLING)
+    def test_brackets_error_in_cancellation_region(self, nu, z):
+        err, est = self._measured_error(nu, z)
+        assert est / 100 <= err <= 100 * est
+
+    @pytest.mark.parametrize("nu,z", ORDINARY)
+    def test_bounds_error_at_ordinary_points(self, nu, z):
+        err, est = self._measured_error(nu, z)
+        assert err <= 100 * est
