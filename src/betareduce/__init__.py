@@ -38,6 +38,7 @@ from .reduction import (
     incomplete_beta,
     lerch_reduce,
     reduce_beta,
+    reduce_beta_many,
 )
 from .verify import (
     Status,
@@ -93,6 +94,7 @@ __all__ = [
     "principal_sqrt",
     "rational_power",
     "reduce_beta",
+    "reduce_beta_many",
     "render_rational",
     "run_bench",
     "run_verification",

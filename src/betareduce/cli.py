@@ -20,7 +20,7 @@ from .bench import PRESETS, run_bench, write_bench_csv
 from .errors import BetaReduceError
 from .integrals import int_power_over_linear, int_tanh_power
 from .rationals import decompose_pos, parse_rational
-from .reduction import incomplete_beta, lerch_reduce, reduce_beta
+from .reduction import incomplete_beta, lerch_reduce, reduce_beta_many
 from .verify import default_nu_grid, default_z_grid, run_verification, write_verify_csv
 
 
@@ -156,14 +156,14 @@ def _cmd_figure(args, parser) -> int:
         parser.error("need finite 1 < --z-start < --z-end")
     if args.points < 2:
         parser.error("--points must be >= 2")
-    dec = decompose_pos(args.nu)
     step = (args.z_end - args.z_start) / (args.points - 1)
+    zs = [args.z_start + j * step for j in range(args.points)]
+    # every row is evaluated before any output, so a refused row writes nothing
+    values = reduce_beta_many(decompose_pos(args.nu), zs)
     with _out_stream(args.out) as stream:
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(["z", "im_reduction", "im_series_analytic"])
-        for j in range(args.points):
-            z = args.z_start + j * step
-            value = reduce_beta(dec, complex(z)).value
+        for z, value in zip(zs, values):
             writer.writerow([repr(z), repr(value.imag), repr(-math.pi)])
     return 0
 

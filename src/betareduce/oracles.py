@@ -151,6 +151,8 @@ def beta_quadrature(
     nu = float(nu)
     mu = float(mu)
     z = float(z)
+    if not (math.isfinite(nu) and math.isfinite(mu) and math.isfinite(z)):
+        raise OutsideDomain(f"nu, mu and z must be finite, got nu = {nu}, mu = {mu}, z = {z}")
     if nu <= 0:
         raise OutsideDomain(f"quadrature needs nu > 0, got {nu}")
     if not (0.0 < z < 1.0):
@@ -190,6 +192,8 @@ def phi_quadrature(
     z = float(z)
     s = float(s)
     nu = float(nu)
+    if not (math.isfinite(z) and math.isfinite(s) and math.isfinite(nu)):
+        raise OutsideDomain(f"z, s and nu must be finite, got z = {z}, s = {s}, nu = {nu}")
     if z >= 1.0:
         raise OutsideDomain(f"the integral needs z < 1, got {z}")
     if s <= 0:

@@ -13,15 +13,19 @@ nu is the q = 1 case, where the log sum is the single term -log(1 - z).
 Half-integer nu takes an atanh fast path, measured faster, that the q = 2
 general form must reproduce.  Every log goes through the package-wide
 principal branch, which is what makes Im(B) = -pi come out on the real ray
-z > 1.
+z > 1.  :func:`reduce_beta_many` evaluates the general form for one nu at
+many z with numpy, one column per z.
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from fractions import Fraction
-from typing import List, Tuple
+from typing import Iterable, List, Tuple
+
+import numpy as np
 
 from .errors import BranchPoint, MaxTermsExceeded, OutsideDomain, PoleInSum, ZeroArgument
 from .principal import (
@@ -57,14 +61,22 @@ ROOT_CACHE_MAX_Q = 4096
 _unit_roots = functools.lru_cache(maxsize=64)(_root_table)
 
 
+def _roots(q: int) -> Tuple[complex, ...]:
+    return _unit_roots(q) if q <= ROOT_CACHE_MAX_Q else _root_table(q)
+
+
 def _roots_log_sum(p: int, q: int, z: complex) -> List[complex]:
     """The q phased principal logs whose sum is B(p/q, 0, z)."""
-    roots = _unit_roots(q) if q <= ROOT_CACHE_MAX_Q else _root_table(q)
+    roots = _roots(q)
     zq = principal_root(z, q)
     logs = []
     for k in range(q):
         w = 1 - zq * roots[k]
-        if abs(w) < BRANCH_GUARD:
+        try:
+            near = abs(w)
+        except OverflowError as exc:
+            raise OutsideDomain(f"log argument {w} outside the double range") from exc
+        if near < BRANCH_GUARD:
             raise BranchPoint(
                 f"log argument {w} within {BRANCH_GUARD} of the branch point (k={k}, q={q})"
             )
@@ -161,6 +173,88 @@ def _roots_form(dec: Decomposition, z: complex) -> Evaluation:
         zk /= z
         tail.append(zk / (k + r))
     return _closed_form(_method(dec), logs, tail, q + dec.n)
+
+
+# A batch chunk holds at most this many (q + |m|) x columns cells: 1 MB per complex matrix.
+BATCH_CELLS = 2**16
+
+# The batch leaves to reduce_beta any z, and any part, with a lane this large: its sums
+# stay far inside the double range, so it never meets an overflow the scalar path reports.
+_BATCH_LIMIT = 2.0**1000
+
+
+def reduce_beta_many(dec: Decomposition, zs: Iterable[complex]) -> List[complex]:
+    """The values ``[reduce_beta(dec, z).value for z in zs]``, computed with numpy.
+
+    One column per z holds the q phased logs of the general form (q = 1 and
+    q = 2 included) and the |m| power-tail terms, built a chunk of columns
+    at a time (at most ``BATCH_CELLS`` cells) and summed exactly rounded by
+    ``math.fsum`` per lane.  Values agree with :func:`reduce_beta` to a few
+    units of its error estimate.  A point the batch cannot finish regularly
+    -- z = 0, a lane of z or of a part beyond 2^1000 or not finite, a log
+    argument near the guard band (z = 1 among them) -- goes to
+    :func:`reduce_beta` in order, so the batch raises the first error the
+    scalar loop would.
+    """
+    zs = [complex(z) for z in zs]
+    p, q = dec.r.numerator, dec.r.denominator
+    width = q + dec.n
+    if width > BATCH_CELLS:
+        # one column alone would pass the budget (this covers |m| > MAX_TAIL_TERMS)
+        return [reduce_beta(dec, z).value for z in zs]
+    roots = np.array(_roots(q))
+    phases = -roots[-p * np.arange(q) % q]
+    # the tail's denominators with its sign folded in, exact for IEEE division:
+    # -(k + r) for k = 0..m-1, k + r for k = -1..m
+    r = p / q
+    ks = np.arange(dec.m) if dec.m > 0 else np.arange(-1, dec.m - 1, -1)
+    dens = -(ks + r) if dec.m > 0 else ks + r
+    step = BATCH_CELLS // width
+    out: List[complex] = []
+    # non-finite parts are found by explicit checks, not by numpy's warnings
+    with np.errstate(all="ignore"):
+        for start in range(0, len(zs), step):
+            out.extend(_batch_chunk(dec, roots, phases, dens[:, None], zs[start : start + step]))
+    return out
+
+
+def _batch_chunk(dec, roots, phases, dens, zs: List[complex]) -> List[complex]:
+    q, m = len(roots), dec.m
+    regular = [z != 0 and abs(z.real) < _BATCH_LIMIT and abs(z.imag) < _BATCH_LIMIT for z in zs]
+    # points left to reduce_beta keep a harmless z in their column
+    base = [z if ok else 0.5 + 0j for z, ok in zip(zs, regular)]
+    if q <= 2:
+        z_root = z_power = [principal_root(z, q) for z in base]
+    else:
+        # principal_root and rational_power from one log: exp(log(z)/q), exp((p/q) log(z))
+        r = dec.r.numerator / q
+        logs = [principal_log(z) for z in base]
+        z_root = [cmath.exp(lz / q) for lz in logs]
+        z_power = [cmath.exp(r * lz) for lz in logs]
+    parts = np.empty((q + abs(m), len(zs)), dtype=complex)
+    w = 1 - roots[:, None] * np.array(z_root)
+    w.imag[w.imag == 0.0] = 0.0  # -0.0 takes the +pi edge, as in principal_log
+    # twice the guard (z = 1 among them): a point near its edge is decided by reduce_beta
+    unfinished = ~np.array(regular) | (np.abs(w) < 2 * BRANCH_GUARD).any(axis=0)
+    np.multiply(phases[:, None], np.log(w), out=parts[:q])
+    if m:
+        # the walk outward from z^r, one multiplication (m > 0) or division (m < 0) per row
+        walk = np.empty((abs(m) + 1, len(zs)), dtype=complex)
+        walk[0] = z_power
+        walk[1:] = base
+        (np.multiply if m > 0 else np.divide).accumulate(walk, axis=0, out=walk)
+        powers = walk[:-1] if m > 0 else walk[1:]
+        tail = parts[q:]
+        # lane by lane, as Python divides a complex by a float
+        tail.real = powers.real / dens
+        tail.imag = powers.imag / dens
+        inside = (np.abs(tail.real) < _BATCH_LIMIT) & (np.abs(tail.imag) < _BATCH_LIMIT)
+        unfinished |= ~inside.all(axis=0)
+    lanes = zip(zs, unfinished.tolist(), parts.real.T.tolist(), parts.imag.T.tolist())
+    return [
+        reduce_beta(dec, z).value if left else complex(math.fsum(re), math.fsum(im))
+        for z, left, re, im in lanes
+    ]
 
 
 # Binomial sums above this length would be numerically and practically useless.

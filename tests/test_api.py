@@ -45,6 +45,7 @@ PUBLIC = [
     "principal_sqrt",
     "rational_power",
     "reduce_beta",
+    "reduce_beta_many",
     "render_rational",
     "run_bench",
     "run_verification",

@@ -87,6 +87,12 @@ class TestEval:
         assert out == ""
         assert err.startswith("OutsideDomain")
 
+    # |1 - z| overflows in the log loop; this used to end in an OverflowError traceback
+    def test_overflowing_log_argument_exit_two(self, capsys):
+        code, out, err = run_cli(capsys, "eval", "beta", "--nu", "2", "--z", "1.5e308,1.5e308")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("OutsideDomain")
 
     # |m| = 10^6 + 1 power-tail terms: refused before any work
     def test_work_budget_exit_two(self, capsys):
@@ -131,6 +137,24 @@ class TestFigure:
             main(["figure", "--nu", "1/3", "--z-start", start, "--z-end", end])
         assert exc.value.code == 2
         assert capsys.readouterr().out == ""
+
+    # every row is evaluated before the CSV is opened; the first used to print the header and a row
+    @pytest.mark.parametrize(
+        "argv,error",
+        [
+            (["--nu", "2000/3", "--z-start", "2", "--z-end", "1e300", "--points", "4"], "OutsideDomain"),
+            (["--nu", "1/3", "--z-start", "1.000000000000001"], "BranchPoint"),
+        ],
+    )
+    @pytest.mark.parametrize("to_file", [False, True])
+    def test_refused_row_writes_nothing(self, capsys, tmp_path, argv, error, to_file):
+        path = tmp_path / "figure.csv"
+        extra = ["--out", str(path)] if to_file else []
+        code, out, err = run_cli(capsys, "figure", *argv, *extra)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(error)
+        assert not path.exists()
 
     def test_too_few_points(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -206,6 +206,16 @@ class TestBetaQuadrature:
         with pytest.raises(OutsideDomain):
             beta_quadrature(nu, mu, z)
 
+    # NaN used to run QUADPACK to its roundoff abort (QuadratureNonConvergence)
+    @pytest.mark.parametrize(
+        "nu,mu,z",
+        [(math.nan, 0.0, 0.5), (math.inf, 0.0, 0.5), (0.5, math.nan, 0.5), (0.5, math.inf, 0.5),
+         (0.5, -math.inf, 0.5), (0.5, 0.0, math.nan)],
+    )
+    def test_non_finite_parameters_rejected(self, nu, mu, z):
+        with pytest.raises(OutsideDomain):
+            beta_quadrature(nu, mu, z)
+
 
 class TestPhiQuadrature:
     def test_at_z_zero(self):
@@ -235,6 +245,16 @@ class TestPhiQuadrature:
 
     @pytest.mark.parametrize("z,s,nu", [(1.0, 1.0, 1.0), (0.5, 0.0, 1.0), (0.5, 1.0, 0.0)])
     def test_outside_domain(self, z, s, nu):
+        with pytest.raises(OutsideDomain):
+            phi_quadrature(z, s, nu)
+
+    # NaN used to run all tanh-sinh levels before QuadratureNonConvergence
+    @pytest.mark.parametrize(
+        "z,s,nu",
+        [(math.nan, 1.0, 1.0), (-math.inf, 1.0, 1.0), (0.5, math.nan, 1.0), (0.5, math.inf, 1.0),
+         (0.5, 1.0, math.nan), (0.5, 1.0, math.inf)],
+    )
+    def test_non_finite_parameters_rejected(self, z, s, nu):
         with pytest.raises(OutsideDomain):
             phi_quadrature(z, s, nu)
 
