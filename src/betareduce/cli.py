@@ -140,8 +140,8 @@ def _cmd_eval(args) -> int:
 def _cmd_verify(args, parser) -> int:
     if args.n_max < 0 or args.q_max < 2:
         parser.error("need --n-max >= 0 and --q-max >= 2")
-    if args.tol < 0:
-        parser.error("--tol must be >= 0")
+    if not 0 <= args.tol < math.inf:
+        parser.error("--tol must be finite and >= 0")
     nus = default_nu_grid(args.n_max, args.q_max, args.side)
     zs = args.z_point if args.z_point else default_z_grid()
     records, passed, failed, skipped = run_verification(nus, zs, args.tol)

@@ -80,15 +80,6 @@ def principal_sqrt(w: complex) -> complex:
     return cmath.sqrt(w)
 
 
-def principal_root(z: complex, q: int) -> complex:
-    """Principal q-th root exp(log(z)/q).  Requires z != 0."""
-    if q == 1:
-        return complex(z)
-    if q == 2:
-        return principal_sqrt(z)
-    return cmath.exp(principal_log(z) / q)
-
-
 def atanh(w: complex) -> complex:
     """Inverse hyperbolic tangent on the package branch convention.
 

@@ -10,11 +10,11 @@ roots of unity plus a finite power correction:
 The log sum is B(p/q, 0, z); the correction undoes the integer shift by the
 contiguous relation B(a+1, 0, z) = B(a, 0, z) - z^a/a (DLMF 8.17).  Integer
 nu is the q = 1 case, where the log sum is the single term -log(1 - z).
-Half-integer nu takes an atanh fast path, measured faster, that the q = 2
-general form must reproduce.  Every log goes through the package-wide
-principal branch, which is what makes Im(B) = -pi come out on the real ray
-z > 1.  :func:`reduce_beta_many` evaluates the general form for one nu at
-many z with numpy, one column per z.
+One kernel evaluates every case; at q = 2 its log part is 2*atanh(sqrt(z)),
+which is more accurate at small real z than the two logs it replaces.  Every
+log goes through the package-wide principal branch, which is what makes
+Im(B) = -pi come out on the real ray z > 1.  :func:`reduce_beta_many`
+evaluates the general form for one nu at many z with numpy, one column per z.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from .principal import (
     finite_complex,
     fsum_complex,
     principal_log,
-    principal_root,
     principal_sqrt,
     rational_power,
 )
@@ -65,10 +64,23 @@ def _roots(q: int) -> Tuple[complex, ...]:
     return _unit_roots(q) if q <= ROOT_CACHE_MAX_Q else _root_table(q)
 
 
-def _roots_log_sum(p: int, q: int, z: complex) -> List[complex]:
-    """The q phased principal logs whose sum is B(p/q, 0, z)."""
+def _roots_and_powers(zs: List[complex], dec: Decomposition) -> Tuple[List[complex], List[complex]]:
+    """The principal z^(1/q) and z^r of each z != 0: the log sum's root and the tail's start."""
+    q = dec.r.denominator
+    if q == 1:
+        return zs, zs
+    if q == 2:
+        roots = [principal_sqrt(z) for z in zs]
+        return roots, roots
+    # both from one log: exp(log(z)/q), exp((p/q) log(z))
+    r = dec.r.numerator / q
+    logs = [principal_log(z) for z in zs]
+    return [cmath.exp(lz / q) for lz in logs], [cmath.exp(r * lz) for lz in logs]
+
+
+def _roots_log_sum(p: int, q: int, zq: complex) -> List[complex]:
+    """The q phased principal logs whose sum is B(p/q, 0, z), from zq = z^(1/q)."""
     roots = _roots(q)
-    zq = principal_root(z, q)
     logs = []
     for k in range(q):
         w = 1 - zq * roots[k]
@@ -85,21 +97,25 @@ def _roots_log_sum(p: int, q: int, z: complex) -> List[complex]:
 
 
 def _method(dec: Decomposition) -> Method:
-    # labels only: every q >= 3 (and q = 1) evaluation runs _roots_form
+    # labels only: every case runs _reduce, which differs by q only in its log part
     if dec.r.denominator == 1:
         return Method.INTEGER_LOG
+    if dec.r.denominator == 2:
+        return Method.HALF_ATANH
     return Method.ROOTS_OF_UNITY_POS if dec.m >= 0 else Method.ROOTS_OF_UNITY_NEG
 
 
 def reduce_beta(dec: Decomposition, z: complex) -> Evaluation:
     """B(m + r, 0, z) for a decomposed rational parameter, as an :class:`Evaluation`.
 
-    Half-integers take the atanh form, everything else the roots-of-unity
-    sum; the error estimate is the condition of that sum, 2^-53 * sum|parts|.
+    One kernel: the q phased logs (at q = 2 the single 2*atanh(sqrt(z)), more
+    accurate at small real z), then the signed power tail.  The error
+    estimate is the condition of the sum, 2^-53 * sum|parts|.
     Raises :class:`BranchPoint` at z = 1 or whenever a log argument falls
     inside the guard band, :class:`ZeroArgument` at z = 0 for m < 0,
     :class:`OutsideDomain` for an infinite or NaN z or a sum outside the
-    double range, :class:`MaxTermsExceeded` for |m| > ``MAX_TAIL_TERMS``.
+    double range, :class:`MaxTermsExceeded` for |m| or q above
+    ``MAX_TAIL_TERMS``, before any work.
 
     Runs through :func:`reduce_beta_pos` (m >= 0) or :func:`reduce_beta_neg`
     (m < 0): one kernel under two names, timed and counted by name in traced runs.
@@ -119,18 +135,37 @@ def reduce_beta_neg(dec: Decomposition, z: complex) -> Evaluation:
 
 def _reduce(dec: Decomposition, z: complex) -> Evaluation:
     z = finite_complex(z)
+    method = _method(dec)
     if z == 0:
         if dec.m < 0:
             raise ZeroArgument("negative powers of z require z != 0")
-        method = Method.HALF_ATANH if dec.r.denominator == 2 else _method(dec)
         return Evaluation(0j, method, 0.0, 1)
     if z == 1:
         raise BranchPoint("z = 1 is the logarithmic branch point")
+    p, q = dec.r.numerator, dec.r.denominator
     if dec.n > MAX_TAIL_TERMS:
         raise MaxTermsExceeded(f"{dec.n} power-tail terms exceed the budget of {MAX_TAIL_TERMS}")
-    if dec.r.denominator == 2:
-        return _half_atanh(dec, z)
-    return _roots_form(dec, z)
+    if q > MAX_TAIL_TERMS:
+        raise MaxTermsExceeded(f"{q} roots of unity exceed the budget of {MAX_TAIL_TERMS}")
+    (zq,), (zk,) = _roots_and_powers([z], dec)
+    if q == 2:
+        # B(1/2, 0, z) = 2*atanh(sqrt(z)): at small real z more accurate than its two logs
+        if abs(1 - zq) < BRANCH_GUARD or abs(1 + zq) < BRANCH_GUARD:
+            raise BranchPoint("sqrt(z) within the guard band of an atanh singularity")
+        logs = [2.0 * atanh(zq)]
+    else:
+        logs = _roots_log_sum(p, q, zq)
+    r = p / q
+    # the tail walks outward from z^r at k = 0 (m > 0) or k = -1 (m < 0), one
+    # multiplication or division by z per term
+    tail = []
+    for k in range(dec.m):
+        tail.append(-zk / (k + r))
+        zk *= z
+    for k in range(-1, dec.m - 1, -1):
+        zk /= z
+        tail.append(zk / (k + r))
+    return _closed_form(method, logs, tail, len(logs) + dec.n)
 
 
 def _closed_form(method: Method, logs: List[complex], tail: List[complex], work: int) -> Evaluation:
@@ -141,38 +176,6 @@ def _closed_form(method: Method, logs: List[complex], tail: List[complex], work:
     except OverflowError as exc:
         raise OutsideDomain("sum of the |parts| outside the double range") from exc
     return Evaluation(fsum_complex(logs) + tail_sum, method, 2.0**-53 * spread, work, parts)
-
-
-def _half_atanh(dec: Decomposition, z: complex) -> Evaluation:
-    # B(n+1/2, 0, z) = 2*(atanh(sqrt(z)) - sum_{k=0}^{n-1} z^(k+1/2)/(2k+1))
-    # B(-n+1/2, 0, z) = 2*(atanh(sqrt(z)) - sum_{k=0}^{n-1} z^(-k-1/2)/(2k+1))
-    neg = dec.m < 0
-    sq = principal_sqrt(z)
-    if abs(1 - sq) < BRANCH_GUARD or abs(1 + sq) < BRANCH_GUARD:
-        raise BranchPoint("sqrt(z) within the guard band of an atanh singularity")
-    tail = []
-    zk = sq / z if neg else sq
-    for k in range(dec.n):
-        tail.append(-2.0 * zk / (2 * k + 1))
-        zk = zk / z if neg else zk * z
-    return _closed_form(Method.HALF_ATANH, [2.0 * atanh(sq)], tail, 1 + dec.n)
-
-
-def _roots_form(dec: Decomposition, z: complex) -> Evaluation:
-    p, q = dec.r.numerator, dec.r.denominator
-    logs = _roots_log_sum(p, q, z)
-    r = p / q
-    # the tail walks outward from k = 0 (m > 0) or k = -1 (m < 0), one
-    # multiplication or division by z per term
-    tail = []
-    zk = rational_power(z, dec.r)
-    for k in range(dec.m):
-        tail.append(-zk / (k + r))
-        zk *= z
-    for k in range(-1, dec.m - 1, -1):
-        zk /= z
-        tail.append(zk / (k + r))
-    return _closed_form(_method(dec), logs, tail, q + dec.n)
 
 
 # A batch chunk holds at most this many (q + |m|) x columns cells: 1 MB per complex matrix.
@@ -200,7 +203,7 @@ def reduce_beta_many(dec: Decomposition, zs: Iterable[complex]) -> List[complex]
     p, q = dec.r.numerator, dec.r.denominator
     width = q + dec.n
     if width > BATCH_CELLS:
-        # one column alone would pass the budget (this covers |m| > MAX_TAIL_TERMS)
+        # one column alone would pass the budget (this covers |m| or q > MAX_TAIL_TERMS)
         return [reduce_beta(dec, z).value for z in zs]
     roots = np.array(_roots(q))
     phases = -roots[-p * np.arange(q) % q]
@@ -223,14 +226,7 @@ def _batch_chunk(dec, roots, phases, dens, zs: List[complex]) -> List[complex]:
     regular = [z != 0 and abs(z.real) < _BATCH_LIMIT and abs(z.imag) < _BATCH_LIMIT for z in zs]
     # points left to reduce_beta keep a harmless z in their column
     base = [z if ok else 0.5 + 0j for z, ok in zip(zs, regular)]
-    if q <= 2:
-        z_root = z_power = [principal_root(z, q) for z in base]
-    else:
-        # principal_root and rational_power from one log: exp(log(z)/q), exp((p/q) log(z))
-        r = dec.r.numerator / q
-        logs = [principal_log(z) for z in base]
-        z_root = [cmath.exp(lz / q) for lz in logs]
-        z_power = [cmath.exp(r * lz) for lz in logs]
+    z_root, z_power = _roots_and_powers(base, dec)
     parts = np.empty((q + abs(m), len(zs)), dtype=complex)
     w = 1 - roots[:, None] * np.array(z_root)
     w.imag[w.imag == 0.0] = 0.0  # -0.0 takes the +pi edge, as in principal_log

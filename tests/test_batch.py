@@ -103,6 +103,7 @@ REFUSED = [
     (MAX_TAIL_TERMS + 1 + Fraction(1, 3), [0.5]),
     (-(MAX_TAIL_TERMS + 1) + Fraction(2, 7), [0.5]),
     (Fraction(MAX_TAIL_TERMS + 2), [0.0, 0.5]),
+    (Fraction(1, MAX_TAIL_TERMS + 1), [0.5, 2.0]),  # q past the budget
 ]
 
 

@@ -101,6 +101,23 @@ class TestEval:
         assert out == ""
         assert err.startswith("MaxTermsExceeded")
 
+    # q = 10^6 + 1 roots of unity: refused before the root table is built
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "beta", "--nu", "1/1000001", "--z", "0.5"],
+            ["eval", "lerch", "--nu", "1/1000001", "--z", "0.5"],
+            ["integral", "powlin", "--nu", "1/1000001", "--z", "0.5"],
+            ["integral", "tanh", "--lambda", "1/1000001", "--z", "0.5"],
+            ["figure", "--nu", "1/1000001"],
+        ],
+    )
+    def test_denominator_budget_exit_two(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("MaxTermsExceeded")
+
 
 class TestFigure:
     def test_row_count_and_reference_column(self, capsys):
@@ -211,6 +228,14 @@ class TestVerify:
         )
         assert code == 1
         assert "failed=0" not in err
+
+    # nan used to mark every point Fail and inf to pass every point
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_bad_tolerance_refused_before_output(self, capsys, tol):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--n-max", "0", "--q-max", "3", "--tol", tol])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
     def test_output_deterministic(self, capsys):
         args = ("verify", "--n-max", "0", "--q-max", "5", "--side", "pos")
