@@ -23,13 +23,7 @@ from .errors import (
     ZeroArgument,
 )
 from .integrals import int_power_over_linear, int_tanh_power
-from .oracles import (
-    SeriesPolicy,
-    beta_quadrature,
-    beta_series,
-    lerch_series,
-    phi_quadrature,
-)
+from .oracles import beta_quadrature, beta_series, lerch_series, phi_quadrature
 from .principal import Evaluation, Method, atanh, principal_log, principal_sqrt, rational_power
 from .rationals import Decomposition, decompose, decompose_pos, parse_rational, render_rational
 from .reduction import (
@@ -69,7 +63,6 @@ __all__ = [
     "PoleInSum",
     "QuadratureNonConvergence",
     "ResidualImaginary",
-    "SeriesPolicy",
     "Status",
     "VerificationRecord",
     "ZeroArgument",

@@ -16,7 +16,6 @@ Every oracle returns an :class:`Evaluation` with an a-posteriori error bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from scipy.integrate import quad
@@ -31,24 +30,19 @@ from .principal import Evaluation, Method, finite_complex, fsum_complex, rationa
 from .rationals import decompose
 
 
-@dataclass(frozen=True)
-class SeriesPolicy:
-    """Truncation policy for the series oracles."""
+# Series truncation: stop after three consecutive terms below SERIES_REL_TOL * |running sum|.
+SERIES_REL_TOL = 1e-16
+SERIES_MAX_TERMS = 10**7
 
-    rel_tol: float = 1e-16
-    max_terms: int = 10**7
+# QUADPACK's absolute and relative tolerance for beta_quadrature.
+QUAD_TOL = 1e-12
 
-    def __post_init__(self) -> None:
-        if not (0.0 < self.rel_tol < 1.0):
-            raise ValueError(f"rel_tol must be in (0, 1), got {self.rel_tol}")
-        if self.max_terms < 1:
-            raise ValueError(f"max_terms must be >= 1, got {self.max_terms}")
+# tanh-sinh stops when two refinement levels agree to TS_REL_TOL, within TS_MAX_LEVEL halvings.
+TS_REL_TOL = 1e-13
+TS_MAX_LEVEL = 10
 
 
-_DEFAULT_POLICY = SeriesPolicy()
-
-
-def _sum_inverse_linear(z: complex, a: float, s: float, policy: SeriesPolicy):
+def _sum_inverse_linear(z: complex, a: float, s: float):
     """Exactly rounded sum of z^k/(k+a)^s with the 3-small-terms stopping rule.
 
     The rule reads a plain running sum.  Returns (sum, |last term|, terms);
@@ -58,7 +52,7 @@ def _sum_inverse_linear(z: complex, a: float, s: float, policy: SeriesPolicy):
     running = 0j
     zk = complex(1.0)
     small = 0
-    for k in range(policy.max_terms):
+    for k in range(SERIES_MAX_TERMS):
         if s == 1.0:
             term = zk / (k + a)
         else:
@@ -66,7 +60,7 @@ def _sum_inverse_linear(z: complex, a: float, s: float, policy: SeriesPolicy):
         terms.append(term)
         running += term
         last = abs(term)
-        if last <= policy.rel_tol * abs(running):
+        if last <= SERIES_REL_TOL * abs(running):
             small += 1
             if small >= 3:
                 return fsum_complex(terms), last, k + 1
@@ -74,13 +68,11 @@ def _sum_inverse_linear(z: complex, a: float, s: float, policy: SeriesPolicy):
             small = 0
         zk *= z
     raise MaxTermsExceeded(
-        f"no convergence within {policy.max_terms} terms (|z| = {abs(z)})"
+        f"no convergence within {SERIES_MAX_TERMS} terms (|z| = {abs(z)})"
     )
 
 
-def lerch_series(
-    z: complex, s: float, nu: float, policy: SeriesPolicy = _DEFAULT_POLICY
-) -> Evaluation:
+def lerch_series(z: complex, s: float, nu: float) -> Evaluation:
     """Phi(z, s, nu) by direct summation; |z| < 1, nu not in {0, -1, ...}.
 
     The reported error estimate is the geometric tail bound
@@ -94,14 +86,12 @@ def lerch_series(
         raise OutsideDomain(f"series needs |z| < 1, got |z| = {abs(z)}")
     if nu <= 0 and nu == math.floor(nu):
         raise DivergentParameter(f"nu = {nu} is a non-positive integer")
-    total, last, terms = _sum_inverse_linear(z, nu, s, policy)
+    total, last, terms = _sum_inverse_linear(z, nu, s)
     err = last / (1.0 - abs(z))
     return Evaluation(total, Method.SERIES, err, terms)
 
 
-def beta_series(
-    nu: Fraction, z: complex, policy: SeriesPolicy = _DEFAULT_POLICY
-) -> Evaluation:
+def beta_series(nu: Fraction, z: complex) -> Evaluation:
     """B(nu, 0, z) summed term by term; the independent check on the reductions.
 
     Positive nu sums z^nu * sum z^k/(k+nu) directly.  Negative non-integer
@@ -120,15 +110,15 @@ def beta_series(
         raise OutsideDomain(f"series needs |z| < 1, got |z| = {abs(z)}")
     if nu > 0:
         prefactor = rational_power(z, nu)
-        total, last, terms = _sum_inverse_linear(z, float(nu), 1.0, policy)
+        total, last, terms = _sum_inverse_linear(z, float(nu), 1.0)
         err = abs(prefactor) * last / (1.0 - abs(z))
         return Evaluation(prefactor * total, Method.SERIES, err, terms)
     dec = decompose(nu)
-    if -dec.m > policy.max_terms:
-        raise MaxTermsExceeded(f"{-dec.m} correction terms exceed the budget of {policy.max_terms}")
+    if -dec.m > SERIES_MAX_TERMS:
+        raise MaxTermsExceeded(f"{-dec.m} correction terms exceed the budget of {SERIES_MAX_TERMS}")
     r = dec.r
     prefactor = rational_power(z, r)
-    total, last, terms = _sum_inverse_linear(z, float(r), 1.0, policy)
+    total, last, terms = _sum_inverse_linear(z, float(r), 1.0)
     corr = []
     zk = prefactor
     for k in range(1, -dec.m + 1):
@@ -139,9 +129,7 @@ def beta_series(
     return Evaluation(value, Method.SHIFTED_SERIES, err, terms - dec.m)
 
 
-def beta_quadrature(
-    nu: float, mu: float, z: float, epsabs: float = 1e-12, epsrel: float = 1e-12
-) -> Evaluation:
+def beta_quadrature(nu: float, mu: float, z: float) -> Evaluation:
     """B(nu, mu, z) = z^nu * integral_0^1 t^(nu-1) (1-z*t)^(mu-1) dt by QUADPACK.
 
     Real parameters only: nu > 0, z in (0, 1).  For nu < 1 the endpoint
@@ -169,7 +157,8 @@ def beta_quadrature(
         def integrand(u: float) -> float:
             return (1.0 - z * u**inv_nu) ** (mu - 1.0) * inv_nu
 
-    result = quad(integrand, 0.0, 1.0, epsabs=epsabs, epsrel=epsrel, limit=200, full_output=1)
+    # positional: no extra args, full output, absolute and relative tolerance, 200 subintervals
+    result = quad(integrand, 0.0, 1.0, (), 1, QUAD_TOL, QUAD_TOL, 200)
     if len(result) > 3:
         raise QuadratureNonConvergence(str(result[3]))
     integral, abserr, info = result
@@ -179,9 +168,7 @@ def beta_quadrature(
     )
 
 
-def phi_quadrature(
-    z: float, s: float, nu: float, rel_tol: float = 1e-13, max_level: int = 10
-) -> Evaluation:
+def phi_quadrature(z: float, s: float, nu: float) -> Evaluation:
     """Phi(z, s, nu) from its semi-infinite integral representation.
 
     The substitution u = e^(-t) maps Gamma(s)*Phi onto
@@ -213,7 +200,7 @@ def phi_quadrature(
             core *= (-log_u) ** sm1
         return core / (1.0 - z * math.exp(log_u))
 
-    integral, err, nodes = _tanh_sinh_logistic(mapped, rel_tol, max_level)
+    integral, err, nodes = _tanh_sinh_logistic(mapped)
     gamma_s = math.gamma(s)
     return Evaluation(
         complex(integral / gamma_s), Method.QUADRATURE_PHI, err / gamma_s, nodes
@@ -230,7 +217,7 @@ def _softplus(x: float) -> float:
     return math.log1p(math.exp(x))
 
 
-def _tanh_sinh_logistic(f, rel_tol: float, max_level: int):
+def _tanh_sinh_logistic(f):
     """Tanh-sinh quadrature over (0, 1) for integrands in logistic form.
 
     ``f(log_u, log_1mu)`` must return integrand(u) * u * (1-u); the node
@@ -250,8 +237,6 @@ def _tanh_sinh_logistic(f, rel_tol: float, max_level: int):
                 log_1mu = -_softplus(a)
                 total += f(log_u, log_1mu) * math.pi * math.cosh(t)
                 count += 1
-            if j == 0 and odd_only:
-                break
             j += step
         return total, count
 
@@ -259,16 +244,16 @@ def _tanh_sinh_logistic(f, rel_tol: float, max_level: int):
     total, nodes = node_sum(h, odd_only=False)
     estimate = h * total
     err = math.inf
-    for _ in range(max_level):
+    for _ in range(TS_MAX_LEVEL):
         h *= 0.5
         extra, count = node_sum(h, odd_only=True)
         nodes += count
         new_estimate = 0.5 * estimate + h * extra
         err = abs(new_estimate - estimate)
         estimate = new_estimate
-        if err <= rel_tol * max(abs(estimate), 1e-300):
+        if err <= TS_REL_TOL * max(abs(estimate), 1e-300):
             # floor at rounding level: coinciding levels do not mean zero error
             return estimate, max(err, 4e-16 * abs(estimate)), nodes
     raise QuadratureNonConvergence(
-        f"tanh-sinh did not reach rel_tol {rel_tol} in {max_level} levels (last delta {err})"
+        f"tanh-sinh did not reach rel_tol {TS_REL_TOL} in {TS_MAX_LEVEL} levels (last delta {err})"
     )

@@ -189,15 +189,17 @@ _BATCH_LIMIT = 2.0**1000
 def reduce_beta_many(dec: Decomposition, zs: Iterable[complex]) -> List[complex]:
     """The values ``[reduce_beta(dec, z).value for z in zs]``, computed with numpy.
 
-    One column per z holds the q phased logs of the general form (q = 1 and
-    q = 2 included) and the |m| power-tail terms, built a chunk of columns
-    at a time (at most ``BATCH_CELLS`` cells) and summed exactly rounded by
+    One column per z holds the q phased logs of the general form (q = 1
+    included) and the |m| power-tail terms, built a chunk of columns at a
+    time (at most ``BATCH_CELLS`` cells) and summed exactly rounded by
     ``math.fsum`` per lane.  Values agree with :func:`reduce_beta` to a few
     units of its error estimate.  A point the batch cannot finish regularly
     -- z = 0, a lane of z or of a part beyond 2^1000 or not finite, a log
     argument near the guard band (z = 1 among them) -- goes to
     :func:`reduce_beta` in order, so the batch raises the first error the
-    scalar loop would.
+    scalar loop would.  So does a q = 2 point with real z in (0, 1), where
+    the scalar atanh is more accurate: there the batch equals
+    :func:`reduce_beta` bitwise.
     """
     zs = [complex(z) for z in zs]
     p, q = dec.r.numerator, dec.r.denominator
@@ -224,6 +226,9 @@ def reduce_beta_many(dec: Decomposition, zs: Iterable[complex]) -> List[complex]
 def _batch_chunk(dec, roots, phases, dens, zs: List[complex]) -> List[complex]:
     q, m = len(roots), dec.m
     regular = [z != 0 and abs(z.real) < _BATCH_LIMIT and abs(z.imag) < _BATCH_LIMIT for z in zs]
+    if q == 2:
+        # real z in (0, 1) takes the scalar kernel's atanh, more accurate there than two logs
+        regular = [ok and not (z.imag == 0 and 0 < z.real < 1) for z, ok in zip(zs, regular)]
     # points left to reduce_beta keep a harmless z in their column
     base = [z if ok else 0.5 + 0j for z, ok in zip(zs, regular)]
     z_root, z_power = _roots_and_powers(base, dec)

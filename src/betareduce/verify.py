@@ -19,10 +19,10 @@ from fractions import Fraction
 from math import gcd
 from typing import IO, Iterable, List, Sequence, Tuple
 
-from .errors import BetaReduceError
+from .errors import BetaReduceError, MaxTermsExceeded
 from .oracles import beta_series
 from .rationals import decompose, render_rational
-from .reduction import incomplete_beta, reduce_beta_many
+from .reduction import MAX_TAIL_TERMS, incomplete_beta, reduce_beta_many
 
 VERIFY_CSV_HEADER = (
     "nu,z_re,z_im,reduction_re,reduction_im,oracle_re,oracle_im,"
@@ -57,30 +57,40 @@ def default_z_grid() -> List[complex]:
 
 
 def fraction_grid(q_max: int = 12) -> List[Fraction]:
-    """All reduced proper fractions p/q with q <= q_max, ascending q then p."""
-    fracs = []
+    """All reduced proper fractions p/q with q <= q_max, ascending q then p.
+
+    More than ``MAX_TAIL_TERMS`` of them raise :class:`MaxTermsExceeded`
+    before any is built.
+    """
+    return _fractions(q_max, 1)
+
+
+def _fractions(q_max: int, copies: int) -> List[Fraction]:
+    # counted first: the grid grows as q_max^2, so a large q_max is refused before it is built
+    count = 0
     for q in range(2, q_max + 1):
-        for p in range(1, q):
-            if gcd(p, q) == 1:
-                fracs.append(Fraction(p, q))
-    return fracs
+        count += copies * sum(gcd(p, q) == 1 for p in range(1, q))
+        if count > MAX_TAIL_TERMS:
+            raise MaxTermsExceeded(
+                f"the grid passes the budget of {MAX_TAIL_TERMS} parameters at q = {q}"
+            )
+    return [Fraction(p, q) for q in range(2, q_max + 1) for p in range(1, q) if gcd(p, q) == 1]
 
 
 def default_nu_grid(
     n_max: int = 6, q_max: int = 12, side: str = "both"
 ) -> List[Fraction]:
-    """Rational parameters n + p/q (and -n + p/q) over the standard ranges."""
+    """Rational parameters n + p/q (and -n + p/q) over the standard ranges.
+
+    A grid of more than ``MAX_TAIL_TERMS`` parameters raises
+    :class:`MaxTermsExceeded` before any is built.
+    """
     if side not in ("pos", "neg", "both"):
         raise ValueError(f"side must be pos, neg, or both, got {side!r}")
-    fracs = fraction_grid(q_max)
-    nus: List[Fraction] = []
-    if side in ("pos", "both"):
-        for n in range(0, n_max + 1):
-            nus.extend(n + f for f in fracs)
-    if side in ("neg", "both"):
-        for n in range(1, n_max + 1):
-            nus.extend(-n + f for f in fracs)
-    return nus
+    pos = range(n_max + 1) if side != "neg" else range(0)
+    neg = range(-1, -n_max - 1, -1) if side != "pos" else range(0)
+    fracs = _fractions(q_max, max(1, len(pos) + len(neg)))
+    return [n + f for shifts in (pos, neg) for n in shifts for f in fracs]
 
 
 def run_verification(

@@ -19,7 +19,6 @@ PUBLIC = [
     "PoleInSum",
     "QuadratureNonConvergence",
     "ResidualImaginary",
-    "SeriesPolicy",
     "Status",
     "VerificationRecord",
     "ZeroArgument",

@@ -86,6 +86,15 @@ def test_default_grid_and_figure_ray(nu):
         assert abs(value.imag + math.pi) <= 1e-12
 
 
+# at q = 2 a real z in (0, 1) takes the scalar kernel's atanh, more accurate there than two logs
+@pytest.mark.parametrize("nu", [Fraction(1, 2), Fraction(9, 2), Fraction(-3, 2)])
+def test_half_integer_unit_segment_is_the_scalar_value(nu):
+    dec = decompose(nu)
+    segment = [0.05 * k for k in range(1, 20)] + [1e-3, complex(0.3, -0.0)]
+    batch = reduce_beta_many(dec, segment + [0.3 + 0.2j, -0.5, 2.5])
+    assert [repr(v) for v in batch[: len(segment)]] == [repr(v) for v in scalar_loop(dec, segment)]
+
+
 # -- named-error parity: the batch raises what the scalar loop raises first ---
 
 REFUSED = [

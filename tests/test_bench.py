@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from betareduce import BenchMethod, OutsideDomain, run_bench, write_bench_csv
+from betareduce import BenchConsistencyError, BenchMethod, OutsideDomain, run_bench, write_bench_csv
+from betareduce import bench
 from betareduce.bench import BENCH_CSV_HEADER
 
 
@@ -45,6 +46,20 @@ class TestRunBench:
     def test_repetitions_validated(self):
         with pytest.raises(ValueError):
             run_bench([], repetitions=0)
+
+    def test_warmup_validated(self):
+        with pytest.raises(ValueError):
+            run_bench([], repetitions=1, warmup=-1)
+
+    def test_complex_point_refused_by_quadrature(self):
+        with pytest.raises(OutsideDomain, match="QuadratureBeta"):
+            run_bench([(Fraction(1, 2), complex(0.3, 0.2))], repetitions=1, warmup=0)
+
+    def test_disagreeing_method_aborts_before_timing(self, monkeypatch):
+        exact = bench._quadrature_point
+        monkeypatch.setattr(bench, "_quadrature_point", lambda nu, z: exact(nu, z) + 1e-6)
+        with pytest.raises(BenchConsistencyError, match="QuadratureBeta disagrees"):
+            run_bench([(Fraction(1, 2), complex(0.3))], repetitions=1, warmup=0)
 
 
 class TestCsv:

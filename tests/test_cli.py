@@ -55,6 +55,13 @@ class TestEval:
             main(["eval", "beta", "--nu", "half", "--z", "0.5"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("z", ["abc", "1,2,3"])
+    def test_malformed_z(self, capsys, z):
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "beta", "--nu", "1/2", "--z", z])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
     def test_branch_point_exit_two(self, capsys):
         code, _, err = run_cli(capsys, "eval", "beta", "--nu", "1/2", "--z", "1")
         assert code == 2
@@ -237,6 +244,33 @@ class TestVerify:
         assert exc.value.code == 2
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("argv", [["--q-max", "1"], ["--n-max", "-1"]])
+    def test_bad_grid_bounds_refused(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", *argv])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
+    # the grid grows as q_max^2; these used to build it until memory ran out
+    @pytest.mark.parametrize("argv", [["--q-max", "100000"], ["--n-max", "1000000000000"]])
+    def test_grid_budget_exit_two(self, capsys, argv):
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("MaxTermsExceeded")
+
+    # a q = 2 row on (0, 1) used to depend on its siblings: the batch ran two logs, and a
+    # refused sibling sent the whole nu to the scalar atanh
+    def test_half_integer_row_independent_of_siblings(self, capsys):
+        argv = ("verify", "--n-max", "4", "--q-max", "2", "--side", "pos", "--z-point", "0.05")
+        rows = []
+        for extra in ((), ("--z-point", "1")):
+            _, out, _ = run_cli(capsys, *argv, *extra)
+            rows += [line for line in out.split("\n") if line.startswith("9/2,0.05,")]
+        assert len(rows) == 2 and rows[0] == rows[1]
+        _, value, _ = run_cli(capsys, "eval", "beta", "--nu", "9/2", "--z", "0.05")
+        assert rows[0].split(",")[3:5] == [value.strip(), "0.0"]
+
     def test_output_deterministic(self, capsys):
         args = ("verify", "--n-max", "0", "--q-max", "5", "--side", "pos")
         _, out1, _ = run_cli(capsys, *args)
@@ -248,6 +282,11 @@ class TestBench:
     def test_zero_reps_exit_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["bench", "--reps", "0"])
+        assert exc.value.code == 2
+
+    def test_negative_warmup_exit_two(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--warmup", "-1"])
         assert exc.value.code == 2
 
     def test_small_z_preset_schema(self, capsys):

@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from scipy.integrate import quad
@@ -9,12 +10,14 @@ from scipy.integrate import quad
 from betareduce import (
     BranchPoint,
     OutsideDomain,
+    ResidualImaginary,
     ZeroArgument,
     beta_quadrature,
     int_power_over_linear,
     int_tanh_power,
     phi_quadrature,
 )
+from betareduce import integrals
 
 LAMBDA_GRID = [Fraction(1, 2), Fraction(1), Fraction(5, 4), Fraction(7, 3), Fraction(3)]
 Z_GRID = [0.2, 0.8, 2.0]
@@ -120,6 +123,17 @@ class TestTanhPower:
     def test_saturation_guard(self):
         with pytest.raises(BranchPoint):
             int_tanh_power(Fraction(5, 4), 25.0)
+
+    def test_branch_residue_refused(self, monkeypatch):
+        # a branch error shows up as an imaginary part far above the rounding dust
+        exact = integrals.reduce_beta
+
+        def with_residue(dec, z):
+            return SimpleNamespace(value=exact(dec, z).value + 1e-6j)
+
+        monkeypatch.setattr(integrals, "reduce_beta", with_residue)
+        with pytest.raises(ResidualImaginary):
+            int_tanh_power(Fraction(5, 4), 0.8)
 
     def test_domain(self):
         with pytest.raises(OutsideDomain):

@@ -11,7 +11,7 @@ from betareduce import (
     MaxTermsExceeded,
     Method,
     OutsideDomain,
-    SeriesPolicy,
+    QuadratureNonConvergence,
     beta_quadrature,
     beta_series,
     decompose,
@@ -22,23 +22,7 @@ from betareduce import (
     rational_power,
     reduce_beta,
 )
-
-TIGHT = SeriesPolicy(rel_tol=1e-17)
-
-
-class TestSeriesPolicy:
-    def test_defaults(self):
-        p = SeriesPolicy()
-        assert p.rel_tol == 1e-16 and p.max_terms == 10**7
-
-    @pytest.mark.parametrize("rel_tol", [0.0, 1.0, -1e-3, 2.0])
-    def test_rel_tol_bounds(self, rel_tol):
-        with pytest.raises(ValueError):
-            SeriesPolicy(rel_tol=rel_tol)
-
-    def test_max_terms_bounds(self):
-        with pytest.raises(ValueError):
-            SeriesPolicy(max_terms=0)
+from betareduce import oracles
 
 
 class TestLerchSeries:
@@ -51,11 +35,12 @@ class TestLerchSeries:
         out = lerch_series(0.5, 1.0, 1.0)
         assert abs(out.value - 2 * math.log(2)) <= 4 * math.ulp(2 * math.log(2))
 
-    def test_error_estimate_is_tight_at_large_z(self):
+    def test_error_estimate_is_tight_at_large_z(self, monkeypatch):
         out = lerch_series(0.9, 2.0, 1.5)
         assert out.error_estimate <= 1e-12 * abs(out.value)
-        # halving rel_tol moves the value by less than the reported estimate
-        refined = lerch_series(0.9, 2.0, 1.5, SeriesPolicy(rel_tol=0.5e-16))
+        # halving the stopping tolerance moves the value by less than the reported estimate
+        monkeypatch.setattr(oracles, "SERIES_REL_TOL", 0.5e-16)
+        refined = lerch_series(0.9, 2.0, 1.5)
         assert abs(out.value - refined.value) <= out.error_estimate
 
     def test_negative_non_integer_nu(self):
@@ -80,21 +65,22 @@ class TestLerchSeries:
         with pytest.raises(OutsideDomain):
             lerch_series(0.5, s, nu)
 
-    def test_max_terms_exceeded(self):
+    def test_max_terms_exceeded(self, monkeypatch):
+        monkeypatch.setattr(oracles, "SERIES_MAX_TERMS", 50)
         with pytest.raises(MaxTermsExceeded):
-            lerch_series(0.9, 1.0, 1.0, SeriesPolicy(rel_tol=1e-16, max_terms=50))
+            lerch_series(0.9, 1.0, 1.0)
 
 
 class TestBetaSeries:
-    def test_correction_beyond_budget_refused(self):
+    def test_correction_beyond_budget_refused(self, monkeypatch):
         # -m = 200 correction terms against a budget of 100; the series at r = 1/3 needs ~50
-        policy = SeriesPolicy(max_terms=100)
+        monkeypatch.setattr(oracles, "SERIES_MAX_TERMS", 100)
         with pytest.raises(MaxTermsExceeded):
-            beta_series(Fraction(-599, 3), 0.5, policy)
-        assert math.isfinite(abs(beta_series(Fraction(-299, 3), 0.5, policy).value))
+            beta_series(Fraction(-599, 3), 0.5)
+        assert math.isfinite(abs(beta_series(Fraction(-299, 3), 0.5).value))
 
-    def test_half_is_log3(self):
-        out = beta_series(Fraction(1, 2), 0.25, TIGHT)
+    def test_half_is_log3(self, tight_series):
+        out = beta_series(Fraction(1, 2), 0.25)
         assert abs(out.value - math.log(3)) <= 4 * math.ulp(math.log(3))
         assert out.method is Method.SERIES
 
@@ -102,8 +88,8 @@ class TestBetaSeries:
         out = beta_series(Fraction(123, 10), 0.0)
         assert out.value == 0
 
-    def test_figure_parameter_agrees_with_reduction(self):
-        out = beta_series(Fraction(123, 10), 0.5, TIGHT)
+    def test_figure_parameter_agrees_with_reduction(self, tight_series):
+        out = beta_series(Fraction(123, 10), 0.5)
         red = reduce_beta(decompose(Fraction(123, 10)), 0.5).value
         assert abs(out.value - red) <= 1e-12 * max(1.0, abs(out.value))
 
@@ -111,10 +97,10 @@ class TestBetaSeries:
         out = beta_series(Fraction(-3, 4), 0.5)
         assert out.method is Method.SHIFTED_SERIES
 
-    def test_monotone_partial_sums_for_real_input(self):
+    def test_monotone_partial_sums_for_real_input(self, tight_series):
         # positive terms: every truncation lies below the full sum
         nu, z = Fraction(5, 4), 0.6
-        full = beta_series(nu, z, TIGHT).value.real
+        full = beta_series(nu, z).value.real
         partial = 0.0
         zk = rational_power(z, nu).real
         for k in range(40):
@@ -124,12 +110,12 @@ class TestBetaSeries:
             assert partial > prev
             assert partial < full + 1e-15
 
-    def test_shift_identity_term_for_term(self):
+    def test_shift_identity_term_for_term(self, tight_series):
         # B(n + r, 0, z) = B(r, 0, z) - sum_{k<n} z^(k+r)/(k+r)
         r, z = Fraction(2, 7), 0.55
         for n in (1, 2, 3):
-            shifted = beta_series(n + r, z, TIGHT).value
-            base = beta_series(r, z, TIGHT).value
+            shifted = beta_series(n + r, z).value
+            base = beta_series(r, z).value
             correction = sum(
                 rational_power(z, k + r) / float(k + r) for k in range(n)
             )
@@ -231,14 +217,14 @@ class TestPhiQuadrature:
         red = lerch_reduce(decompose_pos(Fraction(7, 3)), 0.5)
         assert abs(out.value - red) <= 1e-10
 
-    def test_negative_z(self):
+    def test_negative_z(self, tight_series):
         out = phi_quadrature(-0.7, 1.0, 1.5)
-        ser = lerch_series(-0.7, 1.0, 1.5, TIGHT)
+        ser = lerch_series(-0.7, 1.0, 1.5)
         assert abs(out.value - ser.value) <= out.error_estimate + ser.error_estimate
 
-    def test_fractional_s_and_nu(self):
+    def test_fractional_s_and_nu(self, tight_series):
         out = phi_quadrature(0.4, 0.5, 0.75)
-        ser = lerch_series(0.4, 0.5, 0.75, TIGHT)
+        ser = lerch_series(0.4, 0.5, 0.75)
         assert abs(out.value - ser.value) <= max(
             out.error_estimate + ser.error_estimate, 1e-12 * abs(ser.value)
         )
@@ -247,6 +233,11 @@ class TestPhiQuadrature:
     def test_outside_domain(self, z, s, nu):
         with pytest.raises(OutsideDomain):
             phi_quadrature(z, s, nu)
+
+    def test_level_budget_exhausted(self, monkeypatch):
+        monkeypatch.setattr(oracles, "TS_MAX_LEVEL", 1)
+        with pytest.raises(QuadratureNonConvergence):
+            phi_quadrature(0.5, 1.0, 1.0)
 
     # NaN used to run all tanh-sinh levels before QuadratureNonConvergence
     @pytest.mark.parametrize(
@@ -267,9 +258,11 @@ class TestCrossAgreement:
         quad = phi_quadrature(z, 1.0, nu)
         assert abs(ser.value - quad.value) <= ser.error_estimate + quad.error_estimate
 
-    def test_halving_quadrature_tolerance_self_consistent(self):
-        coarse = phi_quadrature(0.5, 1.0, 1.5, rel_tol=1e-10)
-        fine = phi_quadrature(0.5, 1.0, 1.5, rel_tol=0.5e-10)
+    def test_halving_quadrature_tolerance_self_consistent(self, monkeypatch):
+        monkeypatch.setattr(oracles, "TS_REL_TOL", 1e-10)
+        coarse = phi_quadrature(0.5, 1.0, 1.5)
+        monkeypatch.setattr(oracles, "TS_REL_TOL", 0.5e-10)
+        fine = phi_quadrature(0.5, 1.0, 1.5)
         assert abs(coarse.value - fine.value) <= coarse.error_estimate
 
 
