@@ -33,14 +33,14 @@ print("Quadrature routes for Phi(z, 1, nu) = z^(-nu) B(nu, 0, z):")
 print(f"{'nu':>6} {'z':>5}  {'closed form':>20} {'series':>20} {'beta quad':>20} {'phi quad':>20}")
 for nu, z in [(Fraction(1, 2), 0.25), (Fraction(7, 3), 0.5), (Fraction(5, 4), 0.9)]:
     closed = lerch_reduce(decompose_pos(nu), z).real
-    series = lerch_series(z, 1.0, float(nu)).value.real
+    series = lerch_series(z, float(nu)).value.real
     via_beta = beta_quadrature(float(nu), 0.0, z).value.real / z ** float(nu)
-    via_phi = phi_quadrature(z, 1.0, float(nu)).value.real
+    via_phi = phi_quadrature(z, float(nu)).value.real
     print(f"{str(nu):>6} {z:5.2f}  {closed:20.16f} {series:20.16f} {via_beta:20.16f} {via_phi:20.16f}")
 
 print()
 print("Oracle error estimates are honest a-posteriori bounds:")
-result = lerch_series(0.9, 1.0, 0.5)
+result = lerch_series(0.9, 0.5)
 print(f"  series at z=0.9: {result.terms_or_nodes} terms, reported bound {result.error_estimate:.3e}")
-result = phi_quadrature(0.9, 1.0, 0.5)
+result = phi_quadrature(0.9, 0.5)
 print(f"  tanh-sinh:       {result.terms_or_nodes} nodes, reported bound {result.error_estimate:.3e}")

@@ -20,7 +20,7 @@ from .bench import PRESETS, run_bench, write_bench_csv
 from .errors import BetaReduceError
 from .integrals import int_power_over_linear, int_tanh_power
 from .rationals import decompose_pos, parse_rational
-from .reduction import incomplete_beta, lerch_reduce, reduce_beta_many
+from .reduction import MAX_TAIL_TERMS, incomplete_beta, lerch_reduce, reduce_beta_many
 from .verify import default_nu_grid, default_z_grid, run_verification, write_verify_csv
 
 
@@ -154,8 +154,8 @@ def _cmd_verify(args, parser) -> int:
 def _cmd_figure(args, parser) -> int:
     if not (1.0 < args.z_start < args.z_end < math.inf):
         parser.error("need finite 1 < --z-start < --z-end")
-    if args.points < 2:
-        parser.error("--points must be >= 2")
+    if not 2 <= args.points <= MAX_TAIL_TERMS:
+        parser.error(f"--points must be in [2, {MAX_TAIL_TERMS}]")
     step = (args.z_end - args.z_start) / (args.points - 1)
     zs = [args.z_start + j * step for j in range(args.points)]
     # every row is evaluated before any output, so a refused row writes nothing
@@ -177,8 +177,8 @@ def _cmd_integral(args) -> int:
 
 
 def _cmd_bench(args, parser) -> int:
-    if args.reps < 1:
-        parser.error("--reps must be >= 1")
+    if not 1 <= args.reps <= MAX_TAIL_TERMS:
+        parser.error(f"--reps must be in [1, {MAX_TAIL_TERMS}]")
     if args.warmup < 0:
         parser.error("--warmup must be >= 0")
     records = run_bench(PRESETS[args.preset], args.reps, args.warmup)

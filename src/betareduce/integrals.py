@@ -39,16 +39,14 @@ def int_power_over_linear(nu: Fraction, z: complex) -> complex:
 
 def int_tanh_power(lam: Fraction, z: float) -> float:
     """integral_0^z tanh^(2*lam-1) t dt for rational lam > 0 and real z > 0."""
-    lam = Fraction(lam)
-    if lam <= 0:
-        raise OutsideDomain(f"the integral needs lambda > 0, got {lam}")
+    dec = decompose_pos(lam)
     z = float(z)
     if z <= 0:
         raise OutsideDomain(f"the integral needs z > 0, got {z}")
     w = math.tanh(z) ** 2
     if w >= TANH_SQ_CEILING:
         raise BranchPoint(f"tanh(z)^2 = {w} saturates the branch guard near 1")
-    value = reduce_beta(decompose_pos(lam), complex(w)).value
+    value = reduce_beta(dec, complex(w)).value
     half = 0.5 * value
     # rounding dust scales with the roots-of-unity terms, not the (possibly
     # tiny) result, so the residual bound is relative to max(1, |value|);

@@ -2,7 +2,7 @@
 
 Two families of oracle, deliberately far from the reduction formulas:
 
-* direct series summation of sum z^k/(k+nu)^s (exactly rounded by
+* direct series summation of sum z^k/(k+nu) (exactly rounded by
   ``math.fsum``, with a three-consecutive-small-terms stopping rule and a
   rigorous geometric tail bound), plus the shifted split for negative nu;
 * adaptive quadrature of the defining integrals -- QUADPACK on [0,1] for
@@ -42,8 +42,8 @@ TS_REL_TOL = 1e-13
 TS_MAX_LEVEL = 10
 
 
-def _sum_inverse_linear(z: complex, a: float, s: float):
-    """Exactly rounded sum of z^k/(k+a)^s with the 3-small-terms stopping rule.
+def _sum_inverse_linear(z: complex, a: float):
+    """Exactly rounded sum of z^k/(k+a) with the 3-small-terms stopping rule.
 
     The rule reads a plain running sum.  Returns (sum, |last term|, terms);
     raises :class:`MaxTermsExceeded` when the budget runs out first.
@@ -53,10 +53,7 @@ def _sum_inverse_linear(z: complex, a: float, s: float):
     zk = complex(1.0)
     small = 0
     for k in range(SERIES_MAX_TERMS):
-        if s == 1.0:
-            term = zk / (k + a)
-        else:
-            term = zk / complex(k + a) ** s
+        term = zk / (k + a)
         terms.append(term)
         running += term
         last = abs(term)
@@ -72,21 +69,21 @@ def _sum_inverse_linear(z: complex, a: float, s: float):
     )
 
 
-def lerch_series(z: complex, s: float, nu: float) -> Evaluation:
-    """Phi(z, s, nu) by direct summation; |z| < 1, nu not in {0, -1, ...}.
+def lerch_series(z: complex, nu: float) -> Evaluation:
+    """Phi(z, 1, nu) by direct summation; |z| < 1, nu not in {0, -1, ...}.
 
     The reported error estimate is the geometric tail bound
-    |last term| / (1 - |z|), which is rigorous for s > 0.
+    |last term| / (1 - |z|).
     """
     z = finite_complex(z)
-    s, nu = float(s), float(nu)
-    if not (math.isfinite(s) and math.isfinite(nu)):
-        raise OutsideDomain(f"s and nu must be finite, got s = {s}, nu = {nu}")
+    nu = float(nu)
+    if not math.isfinite(nu):
+        raise OutsideDomain(f"nu must be finite, got {nu}")
     if abs(z) >= 1.0:
         raise OutsideDomain(f"series needs |z| < 1, got |z| = {abs(z)}")
     if nu <= 0 and nu == math.floor(nu):
         raise DivergentParameter(f"nu = {nu} is a non-positive integer")
-    total, last, terms = _sum_inverse_linear(z, nu, s)
+    total, last, terms = _sum_inverse_linear(z, nu)
     err = last / (1.0 - abs(z))
     return Evaluation(total, Method.SERIES, err, terms)
 
@@ -110,7 +107,7 @@ def beta_series(nu: Fraction, z: complex) -> Evaluation:
         raise OutsideDomain(f"series needs |z| < 1, got |z| = {abs(z)}")
     if nu > 0:
         prefactor = rational_power(z, nu)
-        total, last, terms = _sum_inverse_linear(z, float(nu), 1.0)
+        total, last, terms = _sum_inverse_linear(z, float(nu))
         err = abs(prefactor) * last / (1.0 - abs(z))
         return Evaluation(prefactor * total, Method.SERIES, err, terms)
     dec = decompose(nu)
@@ -118,7 +115,7 @@ def beta_series(nu: Fraction, z: complex) -> Evaluation:
         raise MaxTermsExceeded(f"{-dec.m} correction terms exceed the budget of {SERIES_MAX_TERMS}")
     r = dec.r
     prefactor = rational_power(z, r)
-    total, last, terms = _sum_inverse_linear(z, float(r), 1.0)
+    total, last, terms = _sum_inverse_linear(z, float(r))
     corr = []
     zk = prefactor
     for k in range(1, -dec.m + 1):
@@ -168,43 +165,29 @@ def beta_quadrature(nu: float, mu: float, z: float) -> Evaluation:
     )
 
 
-def phi_quadrature(z: float, s: float, nu: float) -> Evaluation:
-    """Phi(z, s, nu) from its semi-infinite integral representation.
+def phi_quadrature(z: float, nu: float) -> Evaluation:
+    """Phi(z, 1, nu) from its semi-infinite integral representation.
 
-    The substitution u = e^(-t) maps Gamma(s)*Phi onto
-    integral_0^1 (-log u)^(s-1) u^(nu-1) / (1 - z*u) du, whose endpoint
-    singularities (algebraic at 0, (1-u)^(s-1)-type at 1) a tanh-sinh rule
-    absorbs.  Real z < 1, s > 0, nu > 0.
+    The substitution u = e^(-t) maps Phi onto
+    integral_0^1 u^(nu-1) / (1 - z*u) du, whose algebraic endpoint
+    singularity at 0 a tanh-sinh rule absorbs.  Real z < 1, nu > 0.
     """
     z = float(z)
-    s = float(s)
     nu = float(nu)
-    if not (math.isfinite(z) and math.isfinite(s) and math.isfinite(nu)):
-        raise OutsideDomain(f"z, s and nu must be finite, got z = {z}, s = {s}, nu = {nu}")
+    if not (math.isfinite(z) and math.isfinite(nu)):
+        raise OutsideDomain(f"z and nu must be finite, got z = {z}, nu = {nu}")
     if z >= 1.0:
         raise OutsideDomain(f"the integral needs z < 1, got {z}")
-    if s <= 0:
-        raise OutsideDomain(f"the integral needs s > 0, got {s}")
     if nu <= 0:
         raise OutsideDomain(f"the integral needs nu > 0, got {nu}")
 
-    sm1 = s - 1.0
-
     def mapped(log_u: float, log_1mu: float) -> float:
         # integrand times u*(1-u), assembled in log space so u^(nu-1) never
-        # overflows at the deep nodes: u^nu * (1-u) * (-log u)^(s-1) / (1-z*u)
-        core = math.exp(nu * log_u + log_1mu)
-        if core == 0.0:
-            return 0.0
-        if sm1 != 0.0:
-            core *= (-log_u) ** sm1
-        return core / (1.0 - z * math.exp(log_u))
+        # overflows at the deep nodes: u^nu * (1-u) / (1-z*u)
+        return math.exp(nu * log_u + log_1mu) / (1.0 - z * math.exp(log_u))
 
     integral, err, nodes = _tanh_sinh_logistic(mapped)
-    gamma_s = math.gamma(s)
-    return Evaluation(
-        complex(integral / gamma_s), Method.QUADRATURE_PHI, err / gamma_s, nodes
-    )
+    return Evaluation(complex(integral), Method.QUADRATURE_PHI, err, nodes)
 
 
 # tanh-sinh abscissa range: pi*sinh(6.11) ~ 708, the edge of double range.

@@ -291,9 +291,6 @@ def beta_mu_posint(nu: Fraction, m: int, z: complex) -> complex:
 
 def lerch_reduce(dec: Decomposition, z: complex) -> complex:
     """Phi(z, 1, nu) for decomposed rational nu, as z^(-nu) * B(nu, 0, z)."""
-    z = complex(z)
-    if z == 0:
-        raise ZeroArgument("the bridge to B(nu,0,z) needs z != 0")
     value = reduce_beta(dec, z).value
     return rational_power(z, -dec.reconstruct()) * value
 
@@ -305,7 +302,6 @@ def incomplete_beta(nu: Fraction, mu: int, z: complex) -> complex:
     mu >= 1 to the finite binomial sum.  Non-positive integer nu with mu = 0
     raises :class:`DivergentParameter`; non-finite z :class:`OutsideDomain`.
     """
-    nu = Fraction(nu)
     if not isinstance(mu, int) or mu < 0:
         raise OutsideDomain(f"mu must be a non-negative integer, got {mu!r}")
     if mu == 0:

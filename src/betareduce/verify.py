@@ -22,7 +22,7 @@ from typing import IO, Iterable, List, Sequence, Tuple
 from .errors import BetaReduceError, MaxTermsExceeded
 from .oracles import beta_series
 from .rationals import decompose, render_rational
-from .reduction import MAX_TAIL_TERMS, incomplete_beta, reduce_beta_many
+from .reduction import MAX_TAIL_TERMS, reduce_beta_many
 
 VERIFY_CSV_HEADER = (
     "nu,z_re,z_im,reduction_re,reduction_im,oracle_re,oracle_im,"
@@ -101,7 +101,13 @@ def run_verification(
     """Compare the reduction against the series oracle over a grid.
 
     Returns (records, passed, failed, skipped) with records in grid order.
+    A grid of more than ``MAX_TAIL_TERMS`` points, whose records would all be
+    held at once, raises :class:`MaxTermsExceeded` before any is evaluated.
     """
+    if len(nus) * len(zs) > MAX_TAIL_TERMS:
+        raise MaxTermsExceeded(
+            f"{len(nus)} x {len(zs)} grid points exceed the budget of {MAX_TAIL_TERMS}"
+        )
     records: List[VerificationRecord] = []
     passed = failed = skipped = 0
     for nu in nus:
@@ -109,13 +115,14 @@ def run_verification(
         try:
             reductions = reduce_beta_many(decompose(nu), zs)
         except BetaReduceError:
-            # some point is refused: evaluate one by one, recording each refusal
+            # some point is refused: record each refusal from one-column batches, which equal
+            # the full batch bitwise, so no row depends on its siblings
             reductions = [None] * len(zs)
         for z, reduction in zip(zs, reductions):
             z = complex(z)
             try:
                 if reduction is None:
-                    reduction = incomplete_beta(nu, 0, z)
+                    reduction = reduce_beta_many(decompose(nu), [z])[0]
                 oracle = beta_series(nu, z)
             except BetaReduceError as exc:
                 records.append(

@@ -1,5 +1,9 @@
 """The public names of the package, pinned so that any addition or removal shows as a diff."""
 
+import inspect
+
+import pytest
+
 import betareduce
 
 PUBLIC = [
@@ -57,3 +61,17 @@ def test_public_names_are_pinned():
     assert sorted(betareduce.__all__) == PUBLIC
     for name in PUBLIC:
         assert hasattr(betareduce, name), name
+
+
+# the oracles evaluate Phi(z, 1, nu) and take no tuning arguments; a new one shows here
+ORACLE_PARAMETERS = {
+    "lerch_series": ["z", "nu"],
+    "phi_quadrature": ["z", "nu"],
+    "beta_series": ["nu", "z"],
+    "beta_quadrature": ["nu", "mu", "z"],
+}
+
+
+@pytest.mark.parametrize("name,params", sorted(ORACLE_PARAMETERS.items()))
+def test_oracle_parameters_are_pinned(name, params):
+    assert list(inspect.signature(getattr(betareduce, name)).parameters) == params

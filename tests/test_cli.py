@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from betareduce import cli
 from betareduce.cli import main
 
 
@@ -185,6 +186,21 @@ class TestFigure:
             main(["figure", "--nu", "1/2", "--points", "1"])
         assert exc.value.code == 2
 
+    # the list of z is built before any row is evaluated, so a huge --points is refused first
+    def test_too_many_points(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["figure", "--nu", "1/2", "--points", str(cli.MAX_TAIL_TERMS + 1)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
+    def test_points_budget_edge(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_TAIL_TERMS", 3)
+        code, out, _ = run_cli(capsys, "figure", "--nu", "1/2", "--points", "3")
+        assert code == 0 and len(out.strip().split("\n")) == 1 + 3
+        with pytest.raises(SystemExit) as exc:
+            main(["figure", "--nu", "1/2", "--points", "4"])
+        assert exc.value.code == 2
+
 
 class TestIntegral:
     def test_powlin(self, capsys):
@@ -271,6 +287,23 @@ class TestVerify:
         _, value, _ = run_cli(capsys, "eval", "beta", "--nu", "9/2", "--z", "0.05")
         assert rows[0].split(",")[3:5] == [value.strip(), "0.0"]
 
+    # a refused sibling (z = 1) sends its nu to one-column batches, which must equal the full
+    # batch bitwise (the scalar kernel differs in the last bits, e.g. at 1/2, 0.3+0.2i)
+    def test_rows_independent_of_a_refused_sibling(self, capsys):
+        argv = ("verify", "--n-max", "0", "--q-max", "3", "--z-point", "0.3,0.2", "--z-point", "0.7")
+        _, alone, _ = run_cli(capsys, *argv)
+        _, with_one, _ = run_cli(capsys, *argv, "--z-point", "1")
+        kept = [row for row in with_one.split("\n") if ",1.0,0.0," not in row]
+        assert kept == alone.split("\n")
+        assert len(kept) == len(with_one.split("\n")) - 3
+
+    # every record (about 274 B) is held until the CSV is written: 1,147,211 points here
+    def test_point_budget_exit_two(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--q-max", "100")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("MaxTermsExceeded")
+
     def test_output_deterministic(self, capsys):
         args = ("verify", "--n-max", "0", "--q-max", "5", "--side", "pos")
         _, out1, _ = run_cli(capsys, *args)
@@ -283,6 +316,19 @@ class TestBench:
         with pytest.raises(SystemExit) as exc:
             main(["bench", "--reps", "0"])
         assert exc.value.code == 2
+
+    # every duration is kept until the medians are taken, so a huge --reps is refused first
+    def test_too_many_reps_exit_two(self, capsys, monkeypatch):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--reps", str(cli.MAX_TAIL_TERMS + 1)])
+        assert exc.value.code == 2
+        monkeypatch.setattr(cli, "MAX_TAIL_TERMS", 2)
+        code, _, _ = run_cli(capsys, "bench", "--preset", "small-z", "--reps", "2", "--warmup", "0")
+        assert code == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--preset", "small-z", "--reps", "3", "--warmup", "0"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
     def test_negative_warmup_exit_two(self, capsys):
         with pytest.raises(SystemExit) as exc:

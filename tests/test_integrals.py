@@ -48,7 +48,7 @@ class TestPowerOverLinear:
         for nu, z in [(Fraction(5, 4), 0.3), (Fraction(7, 3), 0.6), (Fraction(1, 2), 0.9)]:
             closed = int_power_over_linear(nu, z)
             beta_route = beta_quadrature(float(nu), 0.0, z)
-            phi_route = phi_quadrature(z, 1.0, float(nu))
+            phi_route = phi_quadrature(z, float(nu))
             scale = z ** float(nu)
             assert abs(beta_route.value / scale - closed) <= (
                 beta_route.error_estimate / scale + 1e-12 * max(1.0, abs(closed))

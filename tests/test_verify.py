@@ -2,7 +2,7 @@
 
 import pytest
 
-from betareduce import MaxTermsExceeded, default_nu_grid, fraction_grid
+from betareduce import MaxTermsExceeded, default_nu_grid, default_z_grid, fraction_grid, run_verification
 from betareduce import verify
 
 
@@ -40,3 +40,20 @@ def test_budget_edge(monkeypatch, build, size):
     monkeypatch.setattr(verify, "MAX_TAIL_TERMS", size - 1)
     with pytest.raises(MaxTermsExceeded):
         build()
+
+
+# every record (about 274 B) is held until the CSV is written: 1,147,211 points here
+def test_point_budget_refused_before_any_evaluation(monkeypatch):
+    monkeypatch.setattr(verify, "reduce_beta_many", None)  # any evaluation would fail
+    with pytest.raises(MaxTermsExceeded):
+        run_verification(default_nu_grid(q_max=100), default_z_grid(), 1e-10)
+
+
+def test_point_budget_edge(monkeypatch):
+    nus, zs = fraction_grid(3), [0.25, 0.5]
+    monkeypatch.setattr(verify, "MAX_TAIL_TERMS", 6)
+    records, passed, _, _ = run_verification(nus, zs, 1e-10)
+    assert len(records) == passed == 6
+    monkeypatch.setattr(verify, "MAX_TAIL_TERMS", 5)
+    with pytest.raises(MaxTermsExceeded):
+        run_verification(nus, zs, 1e-10)
