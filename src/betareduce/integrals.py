@@ -16,12 +16,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import OutsideDomain, ResidualImaginary, BranchPoint
+from .errors import OutsideDomain, ResidualImaginary
 from .rationals import decompose_pos
 from .reduction import lerch_reduce, reduce_beta
-
-# tanh(z)^2 this close to 1 would feed a meaningless log(1 - ~ulp).
-TANH_SQ_CEILING = 1.0 - 1e-15
 
 # Imaginary residue allowed on the (mathematically real) tanh integral.
 IMAG_RESIDUAL_REL = 1e-13
@@ -43,13 +40,10 @@ def int_tanh_power(lam: Fraction, z: float) -> float:
     z = float(z)
     if z <= 0:
         raise OutsideDomain(f"the integral needs z > 0, got {z}")
-    w = math.tanh(z) ** 2
-    if w >= TANH_SQ_CEILING:
-        raise BranchPoint(f"tanh(z)^2 = {w} saturates the branch guard near 1")
-    value = reduce_beta(dec, complex(w)).value
-    half = 0.5 * value
+    # tanh(z)^2 within the guard band of 1 raises BranchPoint from the kernel
+    half = 0.5 * reduce_beta(dec, complex(math.tanh(z) ** 2)).value
     # rounding dust scales with the roots-of-unity terms, not the (possibly
-    # tiny) result, so the residual bound is relative to max(1, |value|);
+    # tiny) result, so the residual bound is relative to max(1, |half|);
     # an actual branch error would show up at O(pi), thirteen orders above
     if abs(half.imag) > IMAG_RESIDUAL_REL * max(1.0, abs(half)):
         raise ResidualImaginary(

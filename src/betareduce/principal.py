@@ -36,8 +36,8 @@ class Method(enum.Enum):
 class Evaluation:
     """A value, the method that produced it, its work and an error estimate.
 
-    ``parts`` holds a closed form's signed summands, the phased logs and
-    then the power-tail sum; an oracle has none.
+    ``parts`` is every summand of a closed form, logs then tail terms: ``value`` is
+    their exactly rounded sum and ``error_estimate`` 2^-53 * sum|parts|; oracles have none.
     """
 
     value: complex

@@ -23,19 +23,20 @@ def parse_rational(text: str) -> Fraction:
 
     Decimals convert exactly ("12.3" -> 123/10); the result is in lowest
     terms.  Anything outside ``[-]digits[/digits]`` / ``[-]digits[.digits]``
-    raises :class:`ParseError`, as does a zero denominator.
+    raises :class:`ParseError`, as do a zero denominator and an over-long numeral.
     """
     if not isinstance(text, str):
         raise ParseError(f"expected a string, got {type(text).__name__}")
     s = text.strip()
     if not _GRAMMAR.fullmatch(s):
         raise ParseError(f"not a fraction or decimal literal: {text!r}")
-    if "/" in s:
-        num, den = s.split("/")
-        if int(den) == 0:
-            raise ParseError(f"zero denominator in {text!r}")
-        return Fraction(int(num), int(den))
-    return Fraction(s)
+    num, _, den = s.partition("/")
+    try:
+        return Fraction(int(num), int(den)) if den else Fraction(s)
+    except ZeroDivisionError:
+        raise ParseError(f"zero denominator in {text!r}") from None
+    except ValueError as exc:  # past the grammar, only the int-string digit limit
+        raise ParseError(f"numeral too long: {exc}") from exc
 
 
 def render_rational(x: Fraction) -> str:
@@ -69,28 +70,34 @@ def decompose(nu: Fraction) -> Decomposition:
     Integers <= 0 raise :class:`DivergentParameter`.  The split runs through
     :func:`decompose_pos` or :func:`decompose_neg`, timed by name in traced runs.
     """
-    nu = Fraction(nu)
-    return decompose_pos(nu) if nu > 0 else decompose_neg(nu)
+    nu = _exact(nu)
+    return decompose_pos(nu) if nu.numerator > 0 else decompose_neg(nu)
 
 
-def _split(nu: Fraction) -> Decomposition:
-    m = -(-nu.numerator // nu.denominator) - 1
-    return Decomposition(m=m, r=nu - m)
+def _exact(nu) -> int | Fraction:
+    # an int or a Fraction already carries its lowest-terms numerator and denominator
+    return nu if type(nu) in (int, Fraction) else Fraction(nu)
+
+
+def _split(nu: int | Fraction) -> Decomposition:
+    a, b = nu.numerator, nu.denominator
+    m = -(-a // b) - 1
+    return Decomposition(m=m, r=Fraction(a - m * b, b))
 
 
 def decompose_pos(nu: Fraction) -> Decomposition:
     """:func:`decompose` for nu > 0; anything else raises :class:`OutsideDomain`."""
-    nu = Fraction(nu)
-    if nu <= 0:
+    nu = _exact(nu)
+    if nu.numerator <= 0:
         raise OutsideDomain(f"needs nu > 0, got {nu}")
     return _split(nu)
 
 
 def decompose_neg(nu: Fraction) -> Decomposition:
     """:func:`decompose` for nu < 0; nu > 0 raises :class:`OutsideDomain`."""
-    nu = Fraction(nu)
-    if nu.denominator == 1 and nu <= 0:
+    nu = _exact(nu)
+    if nu.denominator == 1 and nu.numerator <= 0:
         raise DivergentParameter(f"divergent at the non-positive integer {nu}")
-    if nu > 0:
+    if nu.numerator > 0:
         raise OutsideDomain(f"needs nu < 0, got {nu}")
     return _split(nu)

@@ -109,8 +109,8 @@ def reduce_beta(dec: Decomposition, z: complex) -> Evaluation:
     """B(m + r, 0, z) for a decomposed rational parameter, as an :class:`Evaluation`.
 
     One kernel: the q phased logs (at q = 2 the single 2*atanh(sqrt(z)), more
-    accurate at small real z), then the signed power tail.  The error
-    estimate is the condition of the sum, 2^-53 * sum|parts|.
+    accurate at small real z) and the |m| power-tail terms, summed exactly
+    rounded at once; the error estimate is that sum's condition, 2^-53 * sum|parts|.
     Raises :class:`BranchPoint` at z = 1 or whenever a log argument falls
     inside the guard band, :class:`ZeroArgument` at z = 0 for m < 0,
     :class:`OutsideDomain` for an infinite or NaN z or a sum outside the
@@ -152,30 +152,27 @@ def _reduce(dec: Decomposition, z: complex) -> Evaluation:
         # B(1/2, 0, z) = 2*atanh(sqrt(z)): at small real z more accurate than its two logs
         if abs(1 - zq) < BRANCH_GUARD or abs(1 + zq) < BRANCH_GUARD:
             raise BranchPoint("sqrt(z) within the guard band of an atanh singularity")
-        logs = [2.0 * atanh(zq)]
+        parts = [2.0 * atanh(zq)]
     else:
-        logs = _roots_log_sum(p, q, zq)
+        parts = _roots_log_sum(p, q, zq)
     r = p / q
     # the tail walks outward from z^r at k = 0 (m > 0) or k = -1 (m < 0), one
     # multiplication or division by z per term
-    tail = []
     for k in range(dec.m):
-        tail.append(-zk / (k + r))
+        parts.append(-zk / (k + r))
         zk *= z
     for k in range(-1, dec.m - 1, -1):
         zk /= z
-        tail.append(zk / (k + r))
-    return _closed_form(method, logs, tail, len(logs) + dec.n)
+        parts.append(zk / (k + r))
+    return _closed_form(method, parts)
 
 
-def _closed_form(method: Method, logs: List[complex], tail: List[complex], work: int) -> Evaluation:
-    tail_sum = fsum_complex(tail)
-    parts = (*logs, tail_sum)
+def _closed_form(method: Method, parts: List[complex]) -> Evaluation:
     try:
         spread = math.fsum(map(abs, parts))
     except OverflowError as exc:
         raise OutsideDomain("sum of the |parts| outside the double range") from exc
-    return Evaluation(fsum_complex(logs) + tail_sum, method, 2.0**-53 * spread, work, parts)
+    return Evaluation(fsum_complex(parts), method, 2.0**-53 * spread, len(parts), tuple(parts))
 
 
 # A batch chunk holds at most this many (q + |m|) x columns cells: 1 MB per complex matrix.
@@ -271,7 +268,7 @@ def beta_mu_posint(nu: Fraction, m: int, z: complex) -> complex:
     nu = Fraction(nu)
     if m < 0 or m > MAX_BINOMIAL_M:
         raise OutsideDomain(f"m must be in [0, {MAX_BINOMIAL_M}], got {m}")
-    if nu.denominator == 1 and -m <= nu <= 0:
+    if nu.denominator == 1 and -m <= nu.numerator <= 0:
         raise PoleInSum(f"k + nu vanishes at k = {-int(nu)} for nu = {nu}")
     z = finite_complex(z)
     if z == 0:
@@ -291,8 +288,7 @@ def beta_mu_posint(nu: Fraction, m: int, z: complex) -> complex:
 
 def lerch_reduce(dec: Decomposition, z: complex) -> complex:
     """Phi(z, 1, nu) for decomposed rational nu, as z^(-nu) * B(nu, 0, z)."""
-    value = reduce_beta(dec, z).value
-    return rational_power(z, -dec.reconstruct()) * value
+    return reduce_beta(dec, z).value * rational_power(z, -dec.reconstruct())
 
 
 def incomplete_beta(nu: Fraction, mu: int, z: complex) -> complex:

@@ -112,8 +112,10 @@ def run_verification(
     passed = failed = skipped = 0
     for nu in nus:
         nu = Fraction(nu)
+        dec = None  # when nu does not decompose, each z below is refused again
         try:
-            reductions = reduce_beta_many(decompose(nu), zs)
+            dec = decompose(nu)
+            reductions = reduce_beta_many(dec, zs)
         except BetaReduceError:
             # some point is refused: record each refusal from one-column batches, which equal
             # the full batch bitwise, so no row depends on its siblings
@@ -122,7 +124,7 @@ def run_verification(
             z = complex(z)
             try:
                 if reduction is None:
-                    reduction = reduce_beta_many(decompose(nu), [z])[0]
+                    reduction = reduce_beta_many(dec or decompose(nu), [z])[0]
                 oracle = beta_series(nu, z)
             except BetaReduceError as exc:
                 records.append(

@@ -56,6 +56,13 @@ class TestEval:
             main(["eval", "beta", "--nu", "half", "--z", "0.5"])
         assert exc.value.code == 2
 
+    def test_over_long_nu_exit_two(self, capsys):
+        # past the 4,300-digit int-string limit: a ParseError, not a leaked ValueError
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "beta", "--nu", "1" * 5000, "--z", "0.5"])
+        assert exc.value.code == 2
+        assert "numeral too long" in capsys.readouterr().err
+
     @pytest.mark.parametrize("z", ["abc", "1,2,3"])
     def test_malformed_z(self, capsys, z):
         with pytest.raises(SystemExit) as exc:

@@ -120,9 +120,15 @@ class TestTanhPower:
     def test_classical_antiderivatives(self, lam, antiderivative, z):
         assert abs(int_tanh_power(lam, z) - antiderivative(z)) <= 1e-12
 
-    def test_saturation_guard(self):
+    # tanh(z)^2 at or within about 1e-15 of 1: the kernel's branch guard refuses it
+    @pytest.mark.parametrize(
+        "lam",
+        [Fraction(1), Fraction(1, 2), Fraction(5, 4), Fraction(7, 3), Fraction(1, 97), Fraction(40, 3)],
+    )
+    @pytest.mark.parametrize("z", [18.0, 18.5, 19.0, 25.0])
+    def test_saturation_guard(self, lam, z):
         with pytest.raises(BranchPoint):
-            int_tanh_power(Fraction(5, 4), 25.0)
+            int_tanh_power(lam, z)
 
     def test_branch_residue_refused(self, monkeypatch):
         # a branch error shows up as an imaginary part far above the rounding dust

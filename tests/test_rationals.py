@@ -36,7 +36,13 @@ class TestParse:
 
     @pytest.mark.parametrize(
         "bad",
-        ["", "abc", "1/0", "1/", "/2", ".5", "1.", "1.2.3", "+1/2", "1e3", "1/-2", "1 / 2"],
+        ["", "abc", "1/0", "1/", "/2", ".5", "1.", "1.2.3", "+1/2", "1e3", "1/-2", "1 / 2"]
+        # past the interpreter's 4,300-digit int-string limit
+        + [
+            pytest.param("1" * 5000, id="long-integer"),
+            pytest.param("1/" + "3" * 5000, id="long-denominator"),
+            pytest.param("0." + "1" * 5000, id="long-decimal"),
+        ],
     )
     def test_malformed(self, bad):
         with pytest.raises(ParseError):
@@ -66,18 +72,21 @@ class TestDecomposePos:
         d = decompose_pos(Fraction(3))
         assert d.r == 1 and d.m == 2
         assert d.reconstruct() == 3
+        assert decompose(3) == decompose_pos(3) == d
 
-    @pytest.mark.parametrize("nu", [Fraction(0), Fraction(-1, 2), Fraction(-4)])
+    @pytest.mark.parametrize("nu", [Fraction(0), Fraction(-1, 2), Fraction(-4), 0, -4, 0.0, -0.5])
     def test_rejects_non_positive(self, nu):
         with pytest.raises(OutsideDomain):
             decompose_pos(nu)
 
-    @given(num=st.integers(1, 10**4), den=st.integers(1, 10**3))
+    @given(num=st.integers(1, 10**30), den=st.integers(1, 10**30))
     def test_reconstruct_exact(self, num, den):
         nu = Fraction(num, den)
         d = decompose_pos(nu)
         assert d.reconstruct() == nu
         assert d == decompose(nu)
+        # a float is read as the exact binary fraction it holds
+        assert decompose_pos(float(nu)) == decompose(Fraction(float(nu)))
         assert d.m >= 0
         assert d.n == d.m
         assert 0 < d.r <= 1
@@ -93,7 +102,7 @@ class TestDecomposeNeg:
         d = decompose(Fraction(-7, 4))
         assert (d.m, d.r) == (-2, Fraction(1, 4))
 
-    @pytest.mark.parametrize("nu", [Fraction(-3), Fraction(0), Fraction(-1)])
+    @pytest.mark.parametrize("nu", [Fraction(-3), Fraction(0), Fraction(-1), -3, 0, -1.0])
     def test_non_positive_integers_diverge(self, nu):
         with pytest.raises(DivergentParameter):
             decompose(nu)
@@ -108,13 +117,16 @@ class TestDecomposeNeg:
             decompose_neg(nu)
 
     @pytest.mark.parametrize(
-        "nu,m", [(Fraction(1, 2), 0), (Fraction(1), 0), (Fraction(-1, 7), -1), (Fraction(7, 2), 3)]
+        "nu,m",
+        [(Fraction(1, 2), 0), (Fraction(1), 0), (Fraction(-1, 7), -1), (Fraction(7, 2), 3)]
+        + [(3, 2), (-0.5, -1), (0.1, 0), (-2.75, -3)],
     )
     def test_shift_sign_follows_nu(self, nu, m):
         # m = ceil(nu) - 1 is negative exactly for nu < 0
         assert decompose(nu).m == m
+        assert decompose(nu) == decompose(Fraction(nu))
 
-    @given(num=st.integers(-10**4, -1), den=st.integers(2, 10**3))
+    @given(num=st.integers(-10**30, -1), den=st.integers(2, 10**30))
     def test_reconstruct_exact(self, num, den):
         nu = Fraction(num, den)
         if nu.denominator == 1:
