@@ -14,9 +14,11 @@ logic; a surviving imaginary residual signals a branch-handling bug.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 
 from .errors import OutsideDomain, ResidualImaginary
+from .principal import rational_power
 from .rationals import decompose_pos
 from .reduction import lerch_reduce, reduce_beta
 
@@ -40,8 +42,12 @@ def int_tanh_power(lam: Fraction, z: float) -> float:
     z = float(z)
     if z <= 0:
         raise OutsideDomain(f"the integral needs z > 0, got {z}")
+    t = math.tanh(z)
+    if t**2 < sys.float_info.min:
+        # a subnormal t^2 loses digits; the terms past t^(2 lam) / (2 lam) add a relative t^2
+        return rational_power(t, 2 * lam).real / (2 * lam)
     # tanh(z)^2 within the guard band of 1 raises BranchPoint from the kernel
-    half = 0.5 * reduce_beta(dec, complex(math.tanh(z) ** 2)).value
+    half = 0.5 * reduce_beta(dec, complex(t**2)).value
     # rounding dust scales with the roots-of-unity terms, not the (possibly
     # tiny) result, so the residual bound is relative to max(1, |half|);
     # an actual branch error would show up at O(pi), thirteen orders above

@@ -18,8 +18,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from scipy.integrate import quad
-
 from .errors import (
     DivergentParameter,
     MaxTermsExceeded,
@@ -154,6 +152,7 @@ def beta_quadrature(nu: float, mu: float, z: float) -> Evaluation:
         def integrand(u: float) -> float:
             return (1.0 - z * u**inv_nu) ** (mu - 1.0) * inv_nu
 
+    from scipy.integrate import quad  # here, so importing the package does not load scipy
     # positional: no extra args, full output, absolute and relative tolerance, 200 subintervals
     result = quad(integrand, 0.0, 1.0, (), 1, QUAD_TOL, QUAD_TOL, 200)
     if len(result) > 3:

@@ -96,10 +96,11 @@ def atanh(w: complex) -> complex:
 def rational_power(z: complex, expo: Fraction) -> complex:
     """z**expo with the principal fractional branch.
 
-    The integer part goes through exact complex integer powers and the
-    fractional remainder through the principal root/log, so real positive z
-    yields an exactly real result and half-integer exponents stay as accurate
-    as a square root.  An integer power outside the double range raises
+    The integer part, truncated toward zero, goes through exact complex
+    integer powers and the signed remainder through the principal root/log,
+    so real positive z yields an exactly real result and half-integer
+    exponents stay as accurate as a square root.  An integer power outside
+    the double range, which only a result outside it has, raises
     :class:`OutsideDomain`.
     """
     expo = Fraction(expo)
@@ -108,15 +109,16 @@ def rational_power(z: complex, expo: Fraction) -> complex:
         if expo > 0:
             return 0j
         raise ZeroArgument("0 cannot be raised to a non-positive power")
-    n, rem = divmod(expo.numerator, expo.denominator)
+    p, den = expo.numerator, expo.denominator
+    n = p // den if p >= 0 else -(-p // den)  # toward zero: |z**n| lies between 1 and |z**expo|
+    rem = p - n * den
     try:
         out = z**n if n else complex(1.0)
-    except OverflowError as exc:
+    except (OverflowError, ZeroDivisionError) as exc:  # z**-k divides by an underflowed z**k
         raise OutsideDomain(f"z**{n} outside the double range") from exc
     if rem:
-        den = expo.denominator
         if den == 2:
-            out *= principal_sqrt(z)
+            out = out * principal_sqrt(z) if rem > 0 else out / principal_sqrt(z)
         else:
             out *= cmath.exp((rem / den) * principal_log(z))
     return out

@@ -1,6 +1,11 @@
 """The public names of the package, pinned so that any addition or removal shows as a diff."""
 
 import inspect
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -75,3 +80,18 @@ ORACLE_PARAMETERS = {
 @pytest.mark.parametrize("name,params", sorted(ORACLE_PARAMETERS.items()))
 def test_oracle_parameters_are_pinned(name, params):
     assert list(inspect.signature(getattr(betareduce, name)).parameters) == params
+
+
+# scipy loads only when beta_quadrature runs QUADPACK, so a fresh interpreter shows it
+def test_import_leaves_scipy_unloaded():
+    code = (
+        "import sys\n"
+        "import betareduce, betareduce.cli\n"
+        "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+        "print(repr(betareduce.beta_quadrature(0.5, 0.0, 0.25).value.real))\n"
+    )
+    path = [str(Path(betareduce.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert float(run.stdout) == pytest.approx(math.log(3), rel=1e-12)

@@ -1,5 +1,6 @@
 """CLI surface: output formats, exit codes, CSV determinism."""
 
+import argparse
 import math
 
 import pytest
@@ -102,6 +103,20 @@ class TestEval:
         assert out == ""
         assert err.startswith("OutsideDomain")
 
+    # z**-1 used to overflow here although z^(-1/3) is about 4.6e106
+    def test_tiny_z_negative_power_exit_zero(self, capsys):
+        code, out, err = run_cli(capsys, "eval", "lerch", "--nu", "1/3", "--z", "1e-320")
+        assert code == 0 and err == ""
+        assert math.isfinite(abs(complex(out.strip().replace("i", "j"))))
+
+    # z**2 underflows to 0, so z**-2 used to end in a ZeroDivisionError traceback
+    @pytest.mark.parametrize("argv", [["eval", "lerch"], ["integral", "powlin"]])
+    def test_underflowing_base_exit_two(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv, "--nu", "2", "--z", "1e-200")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("OutsideDomain")
+
     # |1 - z| overflows in the log loop; this used to end in an OverflowError traceback
     def test_overflowing_log_argument_exit_two(self, capsys):
         code, out, err = run_cli(capsys, "eval", "beta", "--nu", "2", "--z", "1.5e308,1.5e308")
@@ -132,6 +147,51 @@ class TestEval:
         assert code == 2
         assert out == ""
         assert err.startswith("MaxTermsExceeded")
+
+
+class TestParser:
+    # the parser is built once, when the module is imported; main only parses
+    def test_main_builds_no_parser(self, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        for argv in (
+            ["eval", "beta", "--nu", "1/2", "--z", "0.25"],
+            ["eval", "lerch", "--nu", "1/2", "--z", "0.25"],
+            ["integral", "tanh", "--lambda", "1/2", "--z", "0.5"],
+            ["figure", "--nu", "1/2", "--points", "2"],
+            ["verify", "--n-max", "0", "--q-max", "2", "--z-point", "0.5"],
+        ):
+            assert main(argv) == 0
+        with pytest.raises(SystemExit):
+            main(["eval", "beta", "--nu", "half", "--z", "0.5"])
+        capsys.readouterr()
+        assert built == []
+        cli.build_parser()  # the counter does see a build
+        assert len(built) > 0
+
+    # an appended option must not carry its values from one call into the next
+    def test_repeated_option_does_not_accumulate(self, capsys):
+        argv = ("verify", "--n-max", "0", "--q-max", "3")
+        run_cli(capsys, *argv, "--z-point", "0.5")
+        code, out, _ = run_cli(capsys, *argv, "--z-point", "0.3")
+        rows = out.strip().split("\n")[1:]
+        assert code == 0 and len(rows) == 3
+        assert all(row.split(",")[1:3] == ["0.3", "0.0"] for row in rows)
+
+    # Phi(z, 1, nu) is the power-over-linear integral: one handler, refusals included
+    @pytest.mark.parametrize(
+        "nu,z", [("1/3", "0.5"), ("5/4", "-2,0.5"), ("7", "0.9"), ("37/3", "3"), ("1/2", "1"), ("-1/2", "0.5")]
+    )
+    def test_lerch_is_powlin(self, capsys, nu, z):
+        lerch = run_cli(capsys, "eval", "lerch", f"--nu={nu}", f"--z={z}")
+        powlin = run_cli(capsys, "integral", "powlin", f"--nu={nu}", f"--z={z}")
+        assert lerch == powlin
 
 
 class TestFigure:

@@ -1,6 +1,7 @@
 """The two application integral families against quadrature and antiderivatives."""
 
 import math
+import sys
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -16,6 +17,7 @@ from betareduce import (
     int_power_over_linear,
     int_tanh_power,
     phi_quadrature,
+    rational_power,
 )
 from betareduce import integrals
 
@@ -140,6 +142,28 @@ class TestTanhPower:
         monkeypatch.setattr(integrals, "reduce_beta", with_residue)
         with pytest.raises(ResidualImaginary):
             int_tanh_power(Fraction(5, 4), 0.8)
+
+    # tanh(z)^2 is subnormal below z = 1.49e-154; these used to lose digits or return 0.0.
+    # exp(a*log t) amplifies rounding by |a*log t| <= 460 here; 5/4 underflows to 0.0
+    @pytest.mark.parametrize("lam", [Fraction(1, 2), Fraction(1, 3), Fraction(5, 4)])
+    @pytest.mark.parametrize("z", [1e-158, 1e-162, 1e-300])
+    def test_subnormal_square_against_mpmath(self, lam, z):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            w = mpmath.tanh(mpmath.mpf(z)) ** 2
+            a = mpmath.mpf(lam.numerator) / lam.denominator
+            ref = float(mpmath.power(w, a) * mpmath.lerchphi(w, 1, a) / 2)
+        assert math.isclose(int_tanh_power(lam, z), ref, rel_tol=1e-13, abs_tol=0.0)
+
+    # the leading term below the threshold meets the kernel just above it; lam = 1/2 runs
+    # the atanh kernel, which keeps its digits at tiny w
+    def test_leading_term_pinned_to_kernel(self):
+        lam = Fraction(1, 2)
+        below, above = 1.49e-154, 1.5e-154
+        assert math.tanh(below) ** 2 < sys.float_info.min <= math.tanh(above) ** 2
+        for z in (below, above):
+            lead = rational_power(math.tanh(z), 2 * lam).real / (2 * lam)
+            assert int_tanh_power(lam, z) == pytest.approx(lead, rel=2**-52, abs=0.0)
 
     def test_domain(self):
         with pytest.raises(OutsideDomain):

@@ -65,6 +65,17 @@ class TestRationalPower:
         with pytest.raises(OutsideDomain):
             rational_power(3.0 + 1j, Fraction(2000, 3))
 
+    # the integer part is truncated toward zero; z**-1 used to overflow at z = 1e-320
+    def test_negative_exponent_overflows_only_with_the_result(self):
+        value = rational_power(1e-320, Fraction(-1, 3))
+        assert value.imag == 0.0
+        # both sides round exp(a*log z), amplified by |a*log z| = 245
+        assert value.real == pytest.approx(math.exp(-math.log(1e-320) / 3), rel=1e-13)
+        with pytest.raises(OutsideDomain):
+            rational_power(1e-300, Fraction(-7, 3))  # about 1e700
+        with pytest.raises(OutsideDomain):
+            rational_power(1e-200, Fraction(-2))  # z**2 underflows; used to raise ZeroDivisionError
+
     def test_real_positive_stays_real(self):
         for expo in (Fraction(3, 7), Fraction(-11, 4), Fraction(123, 10)):
             assert rational_power(0.3, expo).imag == 0.0
