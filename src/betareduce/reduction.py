@@ -15,6 +15,9 @@ which is more accurate at small real z than the two logs it replaces.  Every
 log goes through the package-wide principal branch, which is what makes
 Im(B) = -pi come out on the real ray z > 1.  :func:`reduce_beta_many`
 evaluates the general form for one nu at many z with numpy, one column per z.
+For real z > 0 it pairs the conjugate rows k and q - k, which halves its
+logs and leaves the imaginary part to the k = 0 log alone: 0 on (0, 1) and
+exactly -pi on the ray z > 1.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import cmath
 import functools
 import math
 from fractions import Fraction
-from typing import Iterable, List, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -62,6 +65,22 @@ _unit_roots = functools.lru_cache(maxsize=64)(_root_table)
 
 def _roots(q: int) -> Tuple[complex, ...]:
     return _unit_roots(q) if q <= ROOT_CACHE_MAX_Q else _root_table(q)
+
+
+def _batch_table(p: int, q: int) -> Tuple[np.ndarray, np.ndarray]:
+    # the roots of _roots(q) and each log row's phase -e^(-2*pi*i*p*k/q), read-only
+    roots = np.array(_roots(q))
+    phases = -roots[-p * np.arange(q) % q]
+    roots.flags.writeable = phases.flags.writeable = False
+    return roots, phases
+
+
+# the same bound as _unit_roots: 64 (p, q) pairs of two arrays, 8 MB at most
+_batch_tables = functools.lru_cache(maxsize=64)(_batch_table)
+
+
+def _tables(p: int, q: int) -> Tuple[np.ndarray, np.ndarray]:
+    return _batch_tables(p, q) if q <= ROOT_CACHE_MAX_Q else _batch_table(p, q)
 
 
 def _roots_and_powers(zs: List[complex], dec: Decomposition) -> Tuple[List[complex], List[complex]]:
@@ -189,14 +208,19 @@ def reduce_beta_many(dec: Decomposition, zs: Iterable[complex]) -> List[complex]
     One column per z holds the q phased logs of the general form (q = 1
     included) and the |m| power-tail terms, built a chunk of columns at a
     time (at most ``BATCH_CELLS`` cells) and summed exactly rounded by
-    ``math.fsum`` per lane.  Values agree with :func:`reduce_beta` to a few
-    units of its error estimate.  A point the batch cannot finish regularly
-    -- z = 0, a lane of z or of a part beyond 2^1000 or not finite, a log
-    argument near the guard band (z = 1 among them) -- goes to
-    :func:`reduce_beta` in order, so the batch raises the first error the
-    scalar loop would.  So does a q = 2 point with real z in (0, 1), where
-    the scalar atanh is more accurate: there the batch equals
-    :func:`reduce_beta` bitwise.
+    ``math.fsum`` per lane.  A lane whose z is real and positive pairs the
+    conjugate rows k and q - k: it computes rows 0 .. q//2 only, takes
+    2*Re of each row 0 < k < q/2 and Re of the self-conjugate row q/2, so
+    its value is real on (0, 1) and has Im = -pi exactly on the ray z > 1,
+    from row 0 alone.  Every other lane computes all q rows.  Pairing is
+    decided per lane, so a value does not depend on the other points of the
+    call.  Values agree with :func:`reduce_beta` to a few units of its error
+    estimate.  A point the batch cannot finish regularly -- z = 0, a lane of
+    z or of a part beyond 2^1000 or not finite, a log argument near the guard
+    band (z = 1 among them) -- goes to :func:`reduce_beta` in order, so the
+    batch raises the first error the scalar loop would.  So does a q = 2
+    point with real z in (0, 1), where the scalar atanh is more accurate:
+    there the batch equals :func:`reduce_beta` bitwise.
     """
     zs = [complex(z) for z in zs]
     p, q = dec.r.numerator, dec.r.denominator
@@ -204,8 +228,7 @@ def reduce_beta_many(dec: Decomposition, zs: Iterable[complex]) -> List[complex]
     if width > BATCH_CELLS:
         # one column alone would pass the budget (this covers |m| or q > MAX_TAIL_TERMS)
         return [reduce_beta(dec, z).value for z in zs]
-    roots = np.array(_roots(q))
-    phases = -roots[-p * np.arange(q) % q]
+    tables = _tables(p, q)
     # the tail's denominators with its sign folded in, exact for IEEE division:
     # -(k + r) for k = 0..m-1, k + r for k = -1..m
     r = p / q
@@ -216,25 +239,26 @@ def reduce_beta_many(dec: Decomposition, zs: Iterable[complex]) -> List[complex]
     # non-finite parts are found by explicit checks, not by numpy's warnings
     with np.errstate(all="ignore"):
         for start in range(0, len(zs), step):
-            out.extend(_batch_chunk(dec, roots, phases, dens[:, None], zs[start : start + step]))
+            out.extend(_batch_chunk(dec, tables, dens[:, None], zs[start : start + step]))
     return out
 
 
-def _batch_chunk(dec, roots, phases, dens, zs: List[complex]) -> List[complex]:
+def _batch_chunk(dec, tables, dens, zs: List[complex]) -> List[complex]:
+    roots, phases = tables
     q, m = len(roots), dec.m
-    regular = [z != 0 and abs(z.real) < _BATCH_LIMIT and abs(z.imag) < _BATCH_LIMIT for z in zs]
+    za = np.array(zs, dtype=complex)
+    regular = (za != 0) & (np.abs(za.real) < _BATCH_LIMIT) & (np.abs(za.imag) < _BATCH_LIMIT)
+    # real z > 0, either sign of zero: the lanes that pair conjugate rows
+    paired = (za.imag == 0) & (za.real > 0)
     if q == 2:
         # real z in (0, 1) takes the scalar kernel's atanh, more accurate there than two logs
-        regular = [ok and not (z.imag == 0 and 0 < z.real < 1) for z, ok in zip(zs, regular)]
+        regular &= ~(paired & (za.real < 1))
+    unfinished = ~regular
     # points left to reduce_beta keep a harmless z in their column
-    base = [z if ok else 0.5 + 0j for z, ok in zip(zs, regular)]
-    z_root, z_power = _roots_and_powers(base, dec)
-    parts = np.empty((q + abs(m), len(zs)), dtype=complex)
-    w = 1 - roots[:, None] * np.array(z_root)
-    w.imag[w.imag == 0.0] = 0.0  # -0.0 takes the +pi edge, as in principal_log
-    # twice the guard (z = 1 among them): a point near its edge is decided by reduce_beta
-    unfinished = ~np.array(regular) | (np.abs(w) < 2 * BRANCH_GUARD).any(axis=0)
-    np.multiply(phases[:, None], np.log(w), out=parts[:q])
+    base = np.where(regular, za, 0.5)
+    z_root, z_power = _roots_and_powers(base.tolist(), dec)
+    z_root = np.array(z_root)
+    tail = np.empty((abs(m), len(zs)), dtype=complex)
     if m:
         # the walk outward from z^r, one multiplication (m > 0) or division (m < 0) per row
         walk = np.empty((abs(m) + 1, len(zs)), dtype=complex)
@@ -242,17 +266,31 @@ def _batch_chunk(dec, roots, phases, dens, zs: List[complex]) -> List[complex]:
         walk[1:] = base
         (np.multiply if m > 0 else np.divide).accumulate(walk, axis=0, out=walk)
         powers = walk[:-1] if m > 0 else walk[1:]
-        tail = parts[q:]
         # lane by lane, as Python divides a complex by a float
         tail.real = powers.real / dens
         tail.imag = powers.imag / dens
         inside = (np.abs(tail.real) < _BATCH_LIMIT) & (np.abs(tail.imag) < _BATCH_LIMIT)
         unfinished |= ~inside.all(axis=0)
-    lanes = zip(zs, unfinished.tolist(), parts.real.T.tolist(), parts.imag.T.tolist())
-    return [
-        reduce_beta(dec, z).value if left else complex(math.fsum(re), math.fsum(im))
-        for z, left, re, im in lanes
-    ]
+    values: List[Optional[complex]] = [None] * len(zs)
+    for lanes, pair in ((np.flatnonzero(paired), True), (np.flatnonzero(~paired), False)):
+        if not lanes.size:
+            continue
+        w = 1 - roots[: q // 2 + 1 if pair else q, None] * z_root[lanes]
+        w.imag[w.imag == 0.0] = 0.0  # -0.0 takes the +pi edge, as in principal_log
+        # twice the guard (z = 1 among them): a point near its edge is decided by reduce_beta
+        left = unfinished[lanes] | (np.abs(w) < 2 * BRANCH_GUARD).any(axis=0)
+        logs = phases[: len(w), None] * np.log(w)
+        re, im = logs.real, logs.imag
+        if pair:
+            # row k < q/2 stands for k and q - k; row 0 alone keeps its imaginary part
+            re[1 : (q + 1) // 2] *= 2
+            im = im[:1]
+        re = np.concatenate((re, tail.real[:, lanes])).T.tolist()
+        im = np.concatenate((im, tail.imag[:, lanes])).T.tolist()
+        for i, skip, re_i, im_i in zip(lanes.tolist(), left.tolist(), re, im):
+            if not skip:
+                values[i] = complex(math.fsum(re_i), math.fsum(im_i))
+    return [reduce_beta(dec, z).value if v is None else v for z, v in zip(zs, values)]
 
 
 # Binomial sums above this length would be numerically and practically useless.

@@ -86,6 +86,45 @@ def test_default_grid_and_figure_ray(nu):
         assert abs(value.imag + math.pi) <= 1e-12
 
 
+def bits(values):
+    return [(v.real.hex(), v.imag.hex()) for v in values]
+
+
+# real z > 0 pairs conjugate rows, every other z does not: decided per lane, never per chunk
+MIXED = st.one_of(
+    st.builds(complex, st.floats(1e-3, 20.0), st.sampled_from([0.0, -0.0])),  # real z > 0
+    st.builds(complex, st.floats(-10.0, -1e-3), st.sampled_from([0.0, -0.0])),  # negative reals
+    st.builds(cmath.rect, st.floats(1e-3, 10.0), ANGLES),  # complex points
+    st.builds(cmath.rect, st.floats(1e-3, 1e-2), ANGLES),  # small |z|
+).filter(lambda z: abs(1 - z) >= 0.05)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(dec=decompositions(), zs=st.lists(MIXED, min_size=1, max_size=10))
+def test_each_lane_independent_of_its_batch(dec, zs):
+    batch = bits(reduce_beta_many(dec, zs))
+    assert bits(reduce_beta_many(dec, [z])[0] for z in zs) == batch
+    width = dec.r.denominator + dec.n
+    for cells in (width, 2 * width + 1, 3 * width):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(reduction, "BATCH_CELLS", cells)
+            assert bits(reduce_beta_many(dec, zs)) == batch
+
+
+# Im B is exactly -pi on the ray and 0 on (0, 1), by construction: the rows k and q - k
+# pair, and row 0 alone holds the imaginary part (q = 1 has no m < 0: nu = m + 1 > 0)
+@pytest.mark.parametrize(
+    "q,m", [(q, m) for q in (1, 2, 3, 10, 97, 1000) for m in (-3, 0, 5) if q > 1 or m >= 0]
+)
+def test_real_axis_imaginary_part_exact(q, m):
+    dec = Decomposition(m, Fraction(1, q))
+    for zero in (0.0, -0.0):
+        ray = [complex(1.0 + 0.05 * 1.37**j, zero) for j in range(24)]
+        assert all(v.imag == -math.pi for v in reduce_beta_many(dec, ray)), (dec, zero)
+        segment = [complex(0.023 * j, zero) for j in range(1, 41)]
+        assert all(v.imag == 0.0 for v in reduce_beta_many(dec, segment)), (dec, zero)
+
+
 # at q = 2 a real z in (0, 1) takes the scalar kernel's atanh, more accurate there than two logs
 @pytest.mark.parametrize("nu", [Fraction(1, 2), Fraction(9, 2), Fraction(-3, 2)])
 def test_half_integer_unit_segment_is_the_scalar_value(nu):

@@ -1,11 +1,13 @@
 """CLI surface: output formats, exit codes, CSV determinism."""
 
 import argparse
+import csv
+import io
 import math
 
 import pytest
 
-from betareduce import cli
+from betareduce import cli, decompose_pos, parse_rational, reduce_beta_many
 from betareduce.cli import main
 
 
@@ -217,6 +219,34 @@ class TestFigure:
         assert len(lines) == 51
         for line in lines[1:]:
             assert abs(float(line.split(",")[1]) + math.pi) <= 1e-12
+
+    # the batch pairs conjugate logs on the real ray, so Im B is -pi exactly in every row
+    @pytest.mark.parametrize("nu", ["4/97", "12.3"])
+    def test_every_row_is_minus_pi(self, capsys, nu):
+        code, out, _ = run_cli(capsys, "figure", "--nu", nu)
+        assert code == 0
+        rows = out.strip().split("\n")[1:]
+        assert len(rows) == 50
+        assert all(row.split(",")[1] == repr(-math.pi) for row in rows)
+
+    # the rows are written one f-string each: the bytes of a csv.writer rendering
+    @pytest.mark.parametrize("nu,points", [("37/3", 7), ("3/1000", 3), ("5", 2)])
+    def test_bytes_are_csv_writer_bytes(self, capsys, tmp_path, nu, points):
+        start, end = 1.25, 7.5
+        path = tmp_path / "figure.csv"
+        argv = ["figure", "--nu", nu, "--z-start", repr(start), "--z-end", repr(end)]
+        code, out, _ = run_cli(capsys, *argv, "--points", str(points))
+        assert code == 0
+        assert main([*argv, "--points", str(points), "--out", str(path)]) == 0
+        step = (end - start) / (points - 1)
+        zs = [start + j * step for j in range(points)]
+        expected = io.StringIO()
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(["z", "im_reduction", "im_series_analytic"])
+        for z, value in zip(zs, reduce_beta_many(decompose_pos(parse_rational(nu)), zs)):
+            writer.writerow([repr(z), repr(value.imag), repr(-math.pi)])
+        assert out == expected.getvalue()
+        assert path.read_bytes() == expected.getvalue().encode()
 
     def test_bad_range(self, capsys):
         with pytest.raises(SystemExit) as exc:

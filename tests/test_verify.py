@@ -1,8 +1,22 @@
-"""Verification grids: their size and their refusals."""
+"""Verification grids: their size, their refusals and their CSV."""
+
+import csv
+import io
+from fractions import Fraction
 
 import pytest
 
-from betareduce import MaxTermsExceeded, default_nu_grid, default_z_grid, fraction_grid, run_verification
+from betareduce import (
+    MaxTermsExceeded,
+    Status,
+    VerificationRecord,
+    default_nu_grid,
+    default_z_grid,
+    fraction_grid,
+    render_rational,
+    run_verification,
+    write_verify_csv,
+)
 from betareduce import verify
 
 
@@ -57,3 +71,42 @@ def test_point_budget_edge(monkeypatch):
     monkeypatch.setattr(verify, "MAX_TAIL_TERMS", 5)
     with pytest.raises(MaxTermsExceeded):
         run_verification(nus, zs, 1e-10)
+
+
+def csv_writer_rendering(records):
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(verify.VERIFY_CSV_HEADER.split(","))
+    for rec in records:
+        writer.writerow(
+            [
+                render_rational(rec.nu),
+                repr(rec.z.real),
+                repr(rec.z.imag),
+                repr(rec.reduction_value.real),
+                repr(rec.reduction_value.imag),
+                repr(rec.oracle_value.real),
+                repr(rec.oracle_value.imag),
+                rec.oracle_method,
+                repr(rec.abs_err),
+                repr(rec.rel_err),
+                rec.status.value,
+                rec.note,
+            ]
+        )
+    return out.getvalue()
+
+
+# one f-string per row: no field holds a comma or a quote, so the bytes are csv.writer's
+def test_csv_bytes_are_csv_writer_bytes():
+    nus = [Fraction(1, 3), Fraction(-7, 4), Fraction(-2), Fraction(25, 2)]
+    zs = [0.5, 1.0, 0.0, complex(0.3, -0.2), complex(2.5, -0.0), -0.75]
+    records = run_verification(nus, zs, 1e-10)[0] + run_verification(nus, zs, 0.0)[0]
+    statuses = {(rec.status, rec.nu < 0, bool(rec.note)) for rec in records}
+    assert {(Status.SKIPPED, True, True), (Status.FAIL, True, False), (Status.PASS, True, False)} <= statuses
+    records.append(
+        VerificationRecord(Fraction(-37, 3), 1e-300j, -0.0j, 1e300, "ShiftedSeries", 0.0, 5e-324, Status.FAIL)
+    )
+    out = io.StringIO()
+    write_verify_csv(records, out)
+    assert out.getvalue() == csv_writer_rendering(records)
