@@ -4,7 +4,9 @@ Two families of oracle, deliberately far from the reduction formulas:
 
 * direct series summation of sum z^k/(k+nu) (exactly rounded by
   ``math.fsum``, with a three-consecutive-small-terms stopping rule and a
-  rigorous geometric tail bound), plus the shifted split for negative nu;
+  rigorous geometric tail bound), plus the shifted split for negative nu.
+  :func:`beta_series_many` sums the series of many nu at one z as a numpy
+  block, bitwise equal to :func:`beta_series` point by point;
 * adaptive quadrature of the defining integrals -- QUADPACK on [0,1] for
   the beta integrand (with a power substitution that removes the t = 0
   singularity), and a tanh-sinh rule on the exponentially mapped
@@ -17,8 +19,12 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import List, Sequence
+
+import numpy as np
 
 from .errors import (
+    BetaReduceError,
     DivergentParameter,
     MaxTermsExceeded,
     OutsideDomain,
@@ -31,6 +37,9 @@ from .rationals import decompose
 # Series truncation: stop after three consecutive terms below SERIES_REL_TOL * |running sum|.
 SERIES_REL_TOL = 1e-16
 SERIES_MAX_TERMS = 10**7
+
+# A series block holds at most this many rows x columns cells: 0.5 MB per float matrix.
+SERIES_BLOCK_CELLS = 2**16
 
 # QUADPACK's absolute and relative tolerance for beta_quadrature.
 QUAD_TOL = 1e-12
@@ -65,6 +74,58 @@ def _sum_inverse_linear(z: complex, a: float):
     raise MaxTermsExceeded(
         f"no convergence within {SERIES_MAX_TERMS} terms (|z| = {abs(z)})"
     )
+
+
+def _sums_inverse_linear(z: complex, avals: Sequence[float]) -> list:
+    """``[_sum_inverse_linear(z, a) for a in avals]``, computed as numpy blocks.
+
+    Needs a finite z with 0 < |z| < 1.  A block holds rows k and columns a,
+    at most ``SERIES_BLOCK_CELLS`` cells, and repeats the scalar loop's
+    arithmetic in its order: one walk z^k (``np.multiply.accumulate`` from
+    1), each term lane by lane as z^k/(k + a), the running sums by
+    ``np.cumsum``, the moduli by ``np.hypot`` as ``abs`` does (``np.abs``
+    rounds differently), the three-small-terms stop, and ``math.fsum`` over
+    each column's first k + 1 terms.  So every result is bitwise the scalar
+    one.  (CPython's complex / float adds ``im*0.0`` to the real lane and
+    ``-re*0.0`` to the imaginary one; that changes only the sign of a zero
+    term, which neither a modulus nor an exactly rounded sum whose first
+    term is 1/a + 0j can see.)  The rows start at log(SERIES_REL_TOL)/log|z|,
+    plus a margin, and double while a block of one column still fits; a
+    column that has not stopped by then, or whose a is below 1e-300, goes to
+    :func:`_sum_inverse_linear`, which keeps its term budget and errors.
+    """
+    avals = [float(a) for a in avals]
+    out = [None] * len(avals)
+    # a >= 1e-300: partial sums of at most SERIES_BLOCK_CELLS terms, each <= 1/a, stay finite
+    pending = [j for j, a in enumerate(avals) if a >= 1e-300]
+    # terms fall below SERIES_REL_TOL of the sum from about this row on; the stop needs two more
+    rows = math.ceil(math.log(SERIES_REL_TOL) / math.log(abs(z))) + 4
+    while pending and rows <= SERIES_BLOCK_CELLS:
+        walk = np.full(rows, z)
+        walk[0] = 1.0
+        zk = np.multiply.accumulate(walk)[:, None]
+        ks = np.arange(rows, dtype=float)[:, None]
+        width = SERIES_BLOCK_CELLS // rows
+        left = []
+        for start in range(0, len(pending), width):
+            cols = pending[start : start + width]
+            dens = ks + np.array([avals[j] for j in cols])
+            re = zk.real / dens
+            im = zk.imag / dens
+            last = np.hypot(re, im)
+            small = last <= SERIES_REL_TOL * np.hypot(np.cumsum(re, axis=0), np.cumsum(im, axis=0))
+            third = small[2:] & small[1:-1] & small[:-2]
+            stops = third.argmax(axis=0) + 2
+            for c, j in enumerate(cols):
+                k = int(stops[c])
+                if not third[k - 2, c]:
+                    left.append(j)
+                    continue
+                total = complex(math.fsum(re[: k + 1, c].tolist()), math.fsum(im[: k + 1, c].tolist()))
+                out[j] = (total, float(last[k, c]), k + 1)
+        pending = left
+        rows *= 2
+    return [_sum_inverse_linear(z, a) if res is None else res for a, res in zip(avals, out)]
 
 
 def lerch_series(z: complex, nu: float) -> Evaluation:
@@ -122,6 +183,57 @@ def beta_series(nu: Fraction, z: complex) -> Evaluation:
     value = prefactor * total + fsum_complex(corr)
     err = abs(prefactor) * last / (1.0 - abs(z))
     return Evaluation(value, Method.SHIFTED_SERIES, err, terms - dec.m)
+
+
+def beta_series_many(nus: Sequence[Fraction], z: complex) -> List[Evaluation]:
+    """The evaluations ``[beta_series(nu, z) for nu in nus]``, bitwise.
+
+    The series of every nu is summed in one :func:`_sums_inverse_linear`
+    call over the distinct a values: float(nu) for positive nu and float(r)
+    for the shifted split of nu = -n + r, so a negative nu reuses the sum of
+    its n = 0 sibling.  The prefactor and the finite correction follow per
+    point, as in :func:`beta_series`.  A z the block cannot take (0, |z| >= 1,
+    not finite), or any refused point, sends the whole list through the
+    scalar loop, which raises the first error it meets.
+    """
+    nus = [nu if isinstance(nu, Fraction) else Fraction(nu) for nu in nus]
+    z = complex(z)
+    if z != 0 and abs(z.real) < 1.0 and abs(z.imag) < 1.0 and abs(z) < 1.0:
+        try:
+            return _beta_series_block(nus, z)
+        except (BetaReduceError, ArithmeticError):
+            pass  # some point is refused: the scalar loop below meets the first refusal
+    return [beta_series(nu, z) for nu in nus]
+
+
+def _beta_series_block(nus: List[Fraction], z: complex) -> List[Evaluation]:
+    points = []
+    for nu in nus:
+        if nu > 0:
+            points.append((nu, float(nu), 0))
+            continue
+        dec = decompose(nu)  # a non-positive integer raises DivergentParameter
+        if -dec.m > SERIES_MAX_TERMS:
+            raise MaxTermsExceeded("correction beyond the budget")  # as beta_series does
+        points.append((dec.r, float(dec.r), -dec.m))
+    avals = list(dict.fromkeys(a for _, a, _ in points))
+    sums = dict(zip(avals, _sums_inverse_linear(z, avals)))
+    out = []
+    for expo, a, n in points:
+        prefactor = rational_power(z, expo)
+        total, last, terms = sums[a]
+        err = abs(prefactor) * last / (1.0 - abs(z))
+        if not n:
+            out.append(Evaluation(prefactor * total, Method.SERIES, err, terms))
+            continue
+        corr = []
+        zk = prefactor
+        for k in range(1, n + 1):
+            zk /= z
+            corr.append(zk / (a - k))
+        value = prefactor * total + fsum_complex(corr)
+        out.append(Evaluation(value, Method.SHIFTED_SERIES, err, terms + n))
+    return out
 
 
 def beta_quadrature(nu: float, mu: float, z: float) -> Evaluation:

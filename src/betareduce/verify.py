@@ -1,7 +1,8 @@
 """Reduction-versus-oracle verification grids and their records.
 
 One record per (nu, z) point: the closed-form value (one batch call per
-nu), the series oracle value, and the discrepancy.  The relative error is
+nu), the series oracle value (one numpy block per z, shared by a chunk of
+nu), and the discrepancy.  The relative error is
 absolute error over max(1, |oracle|), the convention used for every
 tolerance in this package.
 Points where either side refuses to evaluate (branch guard, domain) are
@@ -16,12 +17,16 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import IO, Iterable, List, Sequence, Tuple
+from typing import IO, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import BetaReduceError, MaxTermsExceeded
-from .oracles import beta_series
+from .oracles import beta_series, beta_series_many
+from .principal import Evaluation
 from .rationals import decompose, render_rational
 from .reduction import MAX_TAIL_TERMS, reduce_beta_many
+
+# run_verification holds the oracle values of this many nu at a time, one column per z.
+VERIFY_NU_CHUNK = 64
 
 VERIFY_CSV_HEADER = (
     "nu,z_re,z_im,reduction_re,reduction_im,oracle_re,oracle_im,"
@@ -99,7 +104,13 @@ def run_verification(
 ) -> Tuple[List[VerificationRecord], int, int, int]:
     """Compare the reduction against the series oracle over a grid.
 
-    Returns (records, passed, failed, skipped) with records in grid order.
+    Returns (records, passed, failed, skipped) with records in grid order,
+    nu-major.  The grid is taken ``VERIFY_NU_CHUNK`` parameters at a time:
+    per z, one :func:`beta_series_many` call sums the series of the whole
+    chunk as one numpy block, bitwise equal to :func:`beta_series` point by
+    point; then each nu gets its reductions from one batch call.  When a
+    call refuses some point, each point of it is evaluated alone, so a
+    Skipped row keeps its own error name and no row depends on its siblings.
     A grid of more than ``MAX_TAIL_TERMS`` points, whose records would all be
     held at once, raises :class:`MaxTermsExceeded` before any is evaluated.
     """
@@ -107,52 +118,63 @@ def run_verification(
         raise MaxTermsExceeded(
             f"{len(nus)} x {len(zs)} grid points exceed the budget of {MAX_TAIL_TERMS}"
         )
+    zs = [complex(z) for z in zs]
     records: List[VerificationRecord] = []
     passed = failed = skipped = 0
-    for nu in nus:
-        nu = Fraction(nu)
-        dec = None  # when nu does not decompose, each z below is refused again
-        try:
-            dec = decompose(nu)
-            reductions = reduce_beta_many(dec, zs)
-        except BetaReduceError:
-            # some point is refused: record each refusal from one-column batches, which equal
-            # the full batch bitwise, so no row depends on its siblings
-            reductions = [None] * len(zs)
-        for z, reduction in zip(zs, reductions):
-            z = complex(z)
+    for start in range(0, len(nus), VERIFY_NU_CHUNK):
+        chunk = [Fraction(nu) for nu in nus[start : start + VERIFY_NU_CHUNK]]
+        columns = [_oracle_column(chunk, z) for z in zs]
+        for i, nu in enumerate(chunk):
+            dec = None  # when nu does not decompose, each z below is refused again
             try:
-                if reduction is None:
-                    reduction = reduce_beta_many(dec or decompose(nu), [z])[0]
-                oracle = beta_series(nu, z)
-            except BetaReduceError as exc:
+                dec = decompose(nu)
+                reductions = reduce_beta_many(dec, zs)
+            except BetaReduceError:
+                # some point is refused: record each refusal from one-column batches, which
+                # equal the full batch bitwise
+                reductions = [None] * len(zs)
+            for z, reduction, column in zip(zs, reductions, columns):
+                try:
+                    if reduction is None:
+                        reduction = reduce_beta_many(dec or decompose(nu), [z])[0]
+                    oracle = beta_series(nu, z) if column is None else column[i]
+                except BetaReduceError as exc:
+                    records.append(
+                        VerificationRecord(
+                            nu, z, 0j, 0j, "", 0.0, 0.0, Status.SKIPPED, type(exc).__name__
+                        )
+                    )
+                    skipped += 1
+                    continue
+                abs_err = abs(reduction - oracle.value)
+                rel_err = abs_err / max(1.0, abs(oracle.value))
+                status = Status.PASS if rel_err <= tol else Status.FAIL
+                if status is Status.PASS:
+                    passed += 1
+                else:
+                    failed += 1
                 records.append(
                     VerificationRecord(
-                        nu, z, 0j, 0j, "", 0.0, 0.0, Status.SKIPPED, type(exc).__name__
+                        nu,
+                        z,
+                        reduction,
+                        oracle.value,
+                        oracle.method.value,
+                        abs_err,
+                        rel_err,
+                        status,
                     )
                 )
-                skipped += 1
-                continue
-            abs_err = abs(reduction - oracle.value)
-            rel_err = abs_err / max(1.0, abs(oracle.value))
-            status = Status.PASS if rel_err <= tol else Status.FAIL
-            if status is Status.PASS:
-                passed += 1
-            else:
-                failed += 1
-            records.append(
-                VerificationRecord(
-                    nu,
-                    z,
-                    reduction,
-                    oracle.value,
-                    oracle.method.value,
-                    abs_err,
-                    rel_err,
-                    status,
-                )
-            )
     return records, passed, failed, skipped
+
+
+def _oracle_column(chunk: List[Fraction], z: complex) -> Optional[List[Evaluation]]:
+    """The series oracle of every nu in ``chunk`` at z, or None when some point is refused."""
+    try:
+        return beta_series_many(chunk, z)
+    except (BetaReduceError, ArithmeticError):
+        # each point of the column is evaluated alone, after its reduction, as beta_series
+        return None
 
 
 def write_verify_csv(records: Iterable[VerificationRecord], stream: IO[str]) -> None:

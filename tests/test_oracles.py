@@ -1,11 +1,14 @@
 """Series and quadrature oracles: trivial values, self-consistency, cross-checks."""
 
+import cmath
 import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from betareduce import (
+    BetaReduceError,
     DivergentParameter,
     Evaluation,
     MaxTermsExceeded,
@@ -16,6 +19,8 @@ from betareduce import (
     beta_series,
     decompose,
     decompose_pos,
+    default_nu_grid,
+    default_z_grid,
     lerch_reduce,
     lerch_series,
     phi_quadrature,
@@ -167,6 +172,137 @@ class TestBetaSeries:
         # z^(r-k) overflows over the 667-term finite correction; this used to return nan+nanj
         with pytest.raises(OutsideDomain):
             beta_series(Fraction(-2000, 3), 1e-3)
+
+
+# |z| in [1e-9, 0.995], log-uniform, on every ray, on both edges of the real axis, and imaginary
+MODULI = st.floats(-9.0, math.log10(0.995)).map(lambda e: 10.0**e)
+ANGLES = st.floats(-math.pi, math.pi)
+BLOCK_POINTS = st.one_of(
+    st.builds(cmath.rect, MODULI, ANGLES),
+    st.builds(complex, MODULI, st.sampled_from([0.0, -0.0])),
+    st.builds(complex, MODULI.map(lambda r: -r), st.sampled_from([0.0, -0.0])),
+    st.builds(complex, st.sampled_from([0.0, -0.0]), MODULI.map(lambda r: -r) | MODULI),
+)
+# the a of the beta series (fractions and integers), other positive floats, large a, whose
+# terms stop later than the first rows estimate, and negative non-integers, which the block
+# leaves to the scalar loop
+A_VALUES = st.one_of(
+    st.sampled_from([1 / 3, 2 / 3, 0.5, 1.0, 2.0, 5 / 12, 37 / 3]),
+    st.floats(1e-3, 40.0),
+    st.floats(1e2, 1e6),
+    st.floats(-5.0, -1e-3).filter(lambda a: a != math.floor(a)),
+)
+
+
+def series_bits(result):
+    total, last, terms = result
+    return repr(total.real), repr(total.imag), last, terms
+
+
+def assert_block_is_scalar(z, avals):
+    block = oracles._sums_inverse_linear(z, avals)
+    assert [series_bits(r) for r in block] == [
+        series_bits(oracles._sum_inverse_linear(z, a)) for a in avals
+    ]
+
+
+class TestSeriesBlock:
+    @settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(z=BLOCK_POINTS, avals=st.lists(A_VALUES, min_size=1, max_size=8))
+    def test_block_is_the_scalar_loop_bitwise(self, z, avals):
+        assert_block_is_scalar(z, avals + avals[:1])  # one duplicate at least
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(z=BLOCK_POINTS, avals=st.lists(A_VALUES, min_size=1, max_size=8))
+    def test_small_blocks_fall_back_bitwise(self, z, avals):
+        # 40 cells: small |z| runs in blocks of a few columns, larger |z| falls back
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(oracles, "SERIES_BLOCK_CELLS", 40)
+            assert_block_is_scalar(z, avals + avals[:1])
+
+    def test_default_grid_needs_no_fallback(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(oracles, "_sum_inverse_linear", lambda z, a: calls.append((z, a)))
+        avals = [float(nu) for nu in default_nu_grid(n_max=6, q_max=12, side="pos")]
+        for z in default_z_grid():
+            oracles._sums_inverse_linear(z, avals)
+        assert calls == []
+
+    def test_growth_and_fallback_columns(self, monkeypatch):
+        scalar = oracles._sum_inverse_linear
+        calls = []
+        monkeypatch.setattr(
+            oracles, "_sum_inverse_linear", lambda z, a: calls.append(a) or scalar(z, a)
+        )
+        # a = 1e4 stops after 359 terms, past the first 354 rows: the rows double
+        assert [series_bits(r) for r in oracles._sums_inverse_linear(-0.9, [0.5, 1e4])] == [
+            series_bits(scalar(-0.9, a)) for a in (0.5, 1e4)
+        ]
+        assert calls == []
+        monkeypatch.setattr(oracles, "SERIES_BLOCK_CELLS", 40)
+        oracles._sums_inverse_linear(0.01, [0.5, 1.5, 2.5, 3.5])  # 12 rows, 3 columns a block
+        assert calls == []
+        oracles._sums_inverse_linear(-0.5, [-0.5, 0.5])  # a <= 0; 58 rows do not fit in 40
+        assert calls == [-0.5, 0.5]
+        with pytest.raises(OutsideDomain):  # 1/a overflows, as in the scalar loop
+            oracles._sums_inverse_linear(0.01, [1e-310])
+        assert calls[-1] == 1e-310
+
+
+def evaluation_bits(ev):
+    return repr(ev.value.real), repr(ev.value.imag), ev.method, repr(ev.error_estimate), ev.terms_or_nodes
+
+
+def first_scalar_error(nus, z):
+    try:
+        for nu in nus:
+            beta_series(nu, z)
+    except BetaReduceError as exc:
+        return type(exc)
+    return None
+
+
+class TestBetaSeriesMany:
+    # both signs, shifted siblings that share one series, integers, duplicates
+    NUS = default_nu_grid(n_max=2, q_max=7) + [Fraction(1), Fraction(3), Fraction(1, 2), Fraction(-5, 2)]
+
+    @pytest.mark.parametrize("z", default_z_grid() + [complex(-0.3, -0.0), 1e-9j, 0.99])
+    def test_evaluations_are_the_scalar_ones(self, z):
+        many = oracles.beta_series_many(self.NUS, z)
+        assert [evaluation_bits(ev) for ev in many] == [
+            evaluation_bits(beta_series(nu, z)) for nu in self.NUS
+        ]
+
+    def test_z_zero_is_the_scalar_loop(self):
+        nus = [nu for nu in self.NUS if nu > 0]
+        assert [evaluation_bits(ev) for ev in oracles.beta_series_many(nus, 0.0)] == [
+            evaluation_bits(beta_series(nu, 0.0)) for nu in nus
+        ]
+
+    @pytest.mark.parametrize(
+        "nus,z",
+        [
+            ([Fraction(1, 3), Fraction(-1, 3)], 0.0),
+            ([Fraction(1, 3), Fraction(5, 2)], 1.2),
+            ([Fraction(-7, 4), Fraction(1, 3)], complex(0.0, 1.2)),
+            ([Fraction(1, 3), Fraction(-2), Fraction(1, 2)], 0.5),
+            ([Fraction(-2), Fraction(1, 3)], 1.2),
+            ([Fraction(1, 3), Fraction(-2000, 3), Fraction(0)], 1e-3),
+            ([Fraction(1, 2)], complex(math.nan, 0.0)),
+        ],
+    )
+    def test_refusal_is_the_first_scalar_error(self, nus, z):
+        expected = first_scalar_error(nus, z)
+        assert expected is not None
+        with pytest.raises(expected):
+            oracles.beta_series_many(nus, z)
+
+    def test_correction_budget_is_the_scalar_one(self, monkeypatch):
+        monkeypatch.setattr(oracles, "SERIES_MAX_TERMS", 100)
+        nus = [Fraction(1, 3), Fraction(-599, 3)]
+        assert first_scalar_error(nus, 0.5) is MaxTermsExceeded
+        with pytest.raises(MaxTermsExceeded):
+            oracles.beta_series_many(nus, 0.5)
 
 
 class TestBetaQuadrature:

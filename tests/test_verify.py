@@ -10,6 +10,7 @@ from betareduce import (
     MaxTermsExceeded,
     Status,
     VerificationRecord,
+    beta_series,
     default_nu_grid,
     default_z_grid,
     fraction_grid,
@@ -110,3 +111,50 @@ def test_csv_bytes_are_csv_writer_bytes():
     out = io.StringIO()
     write_verify_csv(records, out)
     assert out.getvalue() == csv_writer_rendering(records)
+
+
+def record_bits(rec):
+    return (
+        rec.nu,
+        repr(rec.z),
+        repr(rec.reduction_value.real),
+        repr(rec.reduction_value.imag),
+        repr(rec.oracle_value.real),
+        repr(rec.oracle_value.imag),
+        rec.oracle_method,
+        repr(rec.abs_err),
+        repr(rec.rel_err),
+        rec.status,
+        rec.note,
+    )
+
+
+# both signs, the non-positive integer -2 amid them, and more nu than one chunk holds
+CHUNKED_NUS = default_nu_grid(n_max=1, q_max=9)[:40] + [Fraction(-2)] + default_nu_grid(n_max=1, q_max=9)[40:]
+CHUNKED_ZS = [0.0, 1.2, 0.5j, 0.9]
+
+
+@pytest.mark.parametrize("chunk", [None, 7])
+def test_chunked_records_are_the_pointwise_records(monkeypatch, chunk):
+    if chunk:
+        monkeypatch.setattr(verify, "VERIFY_NU_CHUNK", chunk)
+    assert len(CHUNKED_NUS) > verify.VERIFY_NU_CHUNK
+    records = run_verification(CHUNKED_NUS, CHUNKED_ZS, 1e-10)[0]
+    assert [(rec.nu, rec.z) for rec in records] == [
+        (nu, complex(z)) for nu in CHUNKED_NUS for z in CHUNKED_ZS
+    ]
+    for rec in records:
+        alone = run_verification([rec.nu], [rec.z], 1e-10)[0]
+        assert [record_bits(rec)] == [record_bits(a) for a in alone]
+        if rec.status is Status.PASS:
+            oracle = beta_series(rec.nu, rec.z).value
+            assert (repr(rec.oracle_value.real), repr(rec.oracle_value.imag)) == (
+                repr(oracle.real),
+                repr(oracle.imag),
+            )
+    notes = {(rec.status, rec.note) for rec in records}
+    assert {
+        (Status.PASS, ""),
+        (Status.SKIPPED, "OutsideDomain"),
+        (Status.SKIPPED, "DivergentParameter"),
+    } <= notes
