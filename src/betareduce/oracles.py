@@ -4,9 +4,9 @@ Two families of oracle, deliberately far from the reduction formulas:
 
 * direct series summation of sum z^k/(k+nu) (exactly rounded by
   ``math.fsum``, with a three-consecutive-small-terms stopping rule and a
-  rigorous geometric tail bound), plus the shifted split for negative nu.
-  :func:`beta_series_many` sums the series of many nu at one z as a numpy
-  block, bitwise equal to :func:`beta_series` point by point;
+  rigorous geometric tail bound), plus the shifted split for negative nu;
+  :func:`beta_series_many` sums many nu at one z as a numpy block and
+  assembles each point as :func:`beta_series` does, so bitwise alike;
 * adaptive quadrature of the defining integrals -- QUADPACK on [0,1] for
   the beta integrand (with a power substitution that removes the t = 0
   singularity), and a tanh-sinh rule on the exponentially mapped
@@ -164,76 +164,58 @@ def beta_series(nu: Fraction, z: complex) -> Evaluation:
         raise OutsideDomain("negative parameters need 0 < |z| < 1")
     if abs(z) >= 1.0:
         raise OutsideDomain(f"series needs |z| < 1, got |z| = {abs(z)}")
-    if nu > 0:
-        prefactor = rational_power(z, nu)
-        total, last, terms = _sum_inverse_linear(z, float(nu))
-        err = abs(prefactor) * last / (1.0 - abs(z))
-        return Evaluation(prefactor * total, Method.SERIES, err, terms)
-    dec = decompose(nu)
-    if -dec.m > SERIES_MAX_TERMS:
-        raise MaxTermsExceeded(f"{-dec.m} correction terms exceed the budget of {SERIES_MAX_TERMS}")
-    r = dec.r
-    prefactor = rational_power(z, r)
-    total, last, terms = _sum_inverse_linear(z, float(r))
-    corr = []
-    zk = prefactor
-    for k in range(1, -dec.m + 1):
-        zk /= z
-        corr.append(zk / (float(r) - k))
-    value = prefactor * total + fsum_complex(corr)
-    err = abs(prefactor) * last / (1.0 - abs(z))
-    return Evaluation(value, Method.SHIFTED_SERIES, err, terms - dec.m)
+    split = _series_split(nu)
+    return _series_evaluation(z, split, _sum_inverse_linear(z, split[1]))
 
 
 def beta_series_many(nus: Sequence[Fraction], z: complex) -> List[Evaluation]:
     """The evaluations ``[beta_series(nu, z) for nu in nus]``, bitwise.
 
-    The series of every nu is summed in one :func:`_sums_inverse_linear`
-    call over the distinct a values: float(nu) for positive nu and float(r)
-    for the shifted split of nu = -n + r, so a negative nu reuses the sum of
-    its n = 0 sibling.  The prefactor and the finite correction follow per
-    point, as in :func:`beta_series`.  A z the block cannot take (0, |z| >= 1,
-    not finite), or any refused point, sends the whole list through the
-    scalar loop, which raises the first error it meets.
+    One :func:`_sums_inverse_linear` call sums the series of the distinct a
+    of the splits, so a negative nu reuses the sum of its n = 0 sibling.  A
+    z the block cannot take (0, |z| >= 1, not finite), or any refused point,
+    sends the whole list through the scalar loop, which raises the first
+    error it meets.
     """
     nus = [nu if isinstance(nu, Fraction) else Fraction(nu) for nu in nus]
     z = complex(z)
     if z != 0 and abs(z.real) < 1.0 and abs(z.imag) < 1.0 and abs(z) < 1.0:
         try:
-            return _beta_series_block(nus, z)
+            splits = [_series_split(nu) for nu in nus]
+            avals = list(dict.fromkeys(a for _, a, _ in splits))
+            sums = dict(zip(avals, _sums_inverse_linear(z, avals)))
+            return [_series_evaluation(z, split, sums[split[1]]) for split in splits]
         except (BetaReduceError, ArithmeticError):
             pass  # some point is refused: the scalar loop below meets the first refusal
     return [beta_series(nu, z) for nu in nus]
 
 
-def _beta_series_block(nus: List[Fraction], z: complex) -> List[Evaluation]:
-    points = []
-    for nu in nus:
-        if nu > 0:
-            points.append((nu, float(nu), 0))
-            continue
-        dec = decompose(nu)  # a non-positive integer raises DivergentParameter
-        if -dec.m > SERIES_MAX_TERMS:
-            raise MaxTermsExceeded("correction beyond the budget")  # as beta_series does
-        points.append((dec.r, float(dec.r), -dec.m))
-    avals = list(dict.fromkeys(a for _, a, _ in points))
-    sums = dict(zip(avals, _sums_inverse_linear(z, avals)))
-    out = []
-    for expo, a, n in points:
-        prefactor = rational_power(z, expo)
-        total, last, terms = sums[a]
-        err = abs(prefactor) * last / (1.0 - abs(z))
-        if not n:
-            out.append(Evaluation(prefactor * total, Method.SERIES, err, terms))
-            continue
-        corr = []
-        zk = prefactor
-        for k in range(1, n + 1):
-            zk /= z
-            corr.append(zk / (a - k))
-        value = prefactor * total + fsum_complex(corr)
-        out.append(Evaluation(value, Method.SHIFTED_SERIES, err, terms + n))
-    return out
+def _series_split(nu: Fraction):
+    """(expo, a, n) with B(nu, 0, z) = z^expo * sum z^k/(k+a) + n correction terms.
+
+    Refuses a non-positive integer nu and n beyond ``SERIES_MAX_TERMS`` as beta_series does.
+    """
+    if nu > 0:
+        return nu, float(nu), 0
+    dec = decompose(nu)
+    if -dec.m > SERIES_MAX_TERMS:
+        raise MaxTermsExceeded(f"{-dec.m} correction terms exceed the budget of {SERIES_MAX_TERMS}")
+    return dec.r, float(dec.r), -dec.m
+
+
+def _series_evaluation(z: complex, split, sums) -> Evaluation:
+    """B(nu, 0, z) from the split of nu and the (sum, |last term|, terms) of its series."""
+    expo, a, n = split
+    total, last, terms = sums
+    prefactor = rational_power(z, expo)
+    corr = []
+    zk = prefactor
+    for k in range(1, n + 1):
+        zk /= z
+        corr.append(zk / (a - k))
+    value = prefactor * total + fsum_complex(corr) if n else prefactor * total
+    err = abs(prefactor) * last / (1.0 - abs(z))
+    return Evaluation(value, Method.SHIFTED_SERIES if n else Method.SERIES, err, terms + n)
 
 
 def beta_quadrature(nu: float, mu: float, z: float) -> Evaluation:

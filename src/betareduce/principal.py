@@ -56,11 +56,11 @@ class Evaluation:
         return list(self.parts)
 
 
-def finite_complex(z: complex) -> complex:
-    """complex(z); an infinite or NaN part raises :class:`OutsideDomain`."""
+def finite_complex(z: complex, name: str = "z") -> complex:
+    """complex(z); an infinite or NaN part raises :class:`OutsideDomain` naming it."""
     z = complex(z)
     if not cmath.isfinite(z):
-        raise OutsideDomain(f"z must be finite, got {z}")
+        raise OutsideDomain(f"{name} must be finite, got {z}")
     return z
 
 
@@ -99,9 +99,9 @@ def rational_power(z: complex, expo: Fraction) -> complex:
     The integer part, truncated toward zero, goes through exact complex
     integer powers and the signed remainder through the principal root/log,
     so real positive z yields an exactly real result and half-integer
-    exponents stay as accurate as a square root.  An integer power outside
-    the double range, which only a result outside it has, raises
-    :class:`OutsideDomain`.
+    exponents stay as accurate as a square root.  A result outside the
+    double range raises :class:`OutsideDomain`: the integer power lies
+    between 1 and the result, so it overflows only with the result.
     """
     expo = Fraction(expo)
     z = complex(z)
@@ -114,13 +114,15 @@ def rational_power(z: complex, expo: Fraction) -> complex:
     rem = p - n * den
     try:
         out = z**n if n else complex(1.0)
+        if rem:
+            if den == 2:
+                out = out * principal_sqrt(z) if rem > 0 else out / principal_sqrt(z)
+            else:
+                out *= cmath.exp((rem / den) * principal_log(z))
     except (OverflowError, ZeroDivisionError) as exc:  # z**-k divides by an underflowed z**k
-        raise OutsideDomain(f"z**{n} outside the double range") from exc
-    if rem:
-        if den == 2:
-            out = out * principal_sqrt(z) if rem > 0 else out / principal_sqrt(z)
-        else:
-            out *= cmath.exp((rem / den) * principal_log(z))
+        raise OutsideDomain(f"z**{expo} outside the double range") from exc
+    if not cmath.isfinite(out):  # complex ** gives nan+nanj, and * or / inf, not an error
+        raise OutsideDomain(f"z**{expo} outside the double range: {out}")
     return out
 
 

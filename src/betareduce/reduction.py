@@ -301,7 +301,8 @@ def beta_mu_posint(nu: Fraction, m: int, z: complex) -> complex:
     """B(nu, m+1, z) as the finite binomial sum z^nu * sum C(m,k)(-z)^k/(k+nu).
 
     Valid for any rational nu outside {0, -1, ..., -m}; those values hit a
-    vanishing denominator and raise :class:`PoleInSum`.
+    vanishing denominator and raise :class:`PoleInSum`.  A value outside
+    the double range raises :class:`OutsideDomain`.
     """
     nu = Fraction(nu)
     if m < 0 or m > MAX_BINOMIAL_M:
@@ -321,12 +322,13 @@ def beta_mu_posint(nu: Fraction, m: int, z: complex) -> complex:
         terms.append(binom * zk / (k + nuf))
         zk *= -z
         binom = binom * (m - k) / (k + 1)
-    return rational_power(z, nu) * fsum_complex(terms)
+    return finite_complex(rational_power(z, nu) * fsum_complex(terms), "B(nu, mu, z)")
 
 
 def lerch_reduce(dec: Decomposition, z: complex) -> complex:
-    """Phi(z, 1, nu) for decomposed rational nu, as z^(-nu) * B(nu, 0, z)."""
-    return reduce_beta(dec, z).value * rational_power(z, -dec.reconstruct())
+    """Phi(z, 1, nu) = z^(-nu) * B(nu, 0, z); a value past the double range raises OutsideDomain."""
+    value = reduce_beta(dec, z).value * rational_power(z, -dec.reconstruct())
+    return finite_complex(value, "Phi(z, 1, nu)")
 
 
 def incomplete_beta(nu: Fraction, mu: int, z: complex) -> complex:

@@ -17,11 +17,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import IO, Iterable, List, Optional, Sequence, Tuple
+from typing import IO, Callable, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import BetaReduceError, MaxTermsExceeded
 from .oracles import beta_series, beta_series_many
-from .principal import Evaluation
 from .rationals import decompose, render_rational
 from .reduction import MAX_TAIL_TERMS, reduce_beta_many
 
@@ -66,19 +65,7 @@ def fraction_grid(q_max: int = 12) -> List[Fraction]:
     More than ``MAX_TAIL_TERMS`` of them raise :class:`MaxTermsExceeded`
     before any is built.
     """
-    return _fractions(q_max, 1)
-
-
-def _fractions(q_max: int, copies: int) -> List[Fraction]:
-    # counted first: the grid grows as q_max^2, so a large q_max is refused before it is built
-    count = 0
-    for q in range(2, q_max + 1):
-        count += copies * sum(gcd(p, q) == 1 for p in range(1, q))
-        if count > MAX_TAIL_TERMS:
-            raise MaxTermsExceeded(
-                f"the grid passes the budget of {MAX_TAIL_TERMS} parameters at q = {q}"
-            )
-    return [Fraction(p, q) for q in range(2, q_max + 1) for p in range(1, q) if gcd(p, q) == 1]
+    return default_nu_grid(0, q_max, "pos")
 
 
 def default_nu_grid(
@@ -93,7 +80,16 @@ def default_nu_grid(
         raise ValueError(f"side must be pos, neg, or both, got {side!r}")
     pos = range(n_max + 1) if side != "neg" else range(0)
     neg = range(-1, -n_max - 1, -1) if side != "pos" else range(0)
-    fracs = _fractions(q_max, max(1, len(pos) + len(neg)))
+    copies = max(1, len(pos) + len(neg))
+    # counted first: the grid grows as q_max^2, so a large q_max is refused before it is built
+    count = 0
+    for q in range(2, q_max + 1):
+        count += copies * sum(gcd(p, q) == 1 for p in range(1, q))
+        if count > MAX_TAIL_TERMS:
+            raise MaxTermsExceeded(
+                f"the grid passes the budget of {MAX_TAIL_TERMS} parameters at q = {q}"
+            )
+    fracs = [Fraction(p, q) for q in range(2, q_max + 1) for p in range(1, q) if gcd(p, q) == 1]
     return [n + f for shifts in (pos, neg) for n in shifts for f in fracs]
 
 
@@ -106,13 +102,14 @@ def run_verification(
 
     Returns (records, passed, failed, skipped) with records in grid order,
     nu-major.  The grid is taken ``VERIFY_NU_CHUNK`` parameters at a time:
-    per z, one :func:`beta_series_many` call sums the series of the whole
-    chunk as one numpy block, bitwise equal to :func:`beta_series` point by
-    point; then each nu gets its reductions from one batch call.  When a
-    call refuses some point, each point of it is evaluated alone, so a
-    Skipped row keeps its own error name and no row depends on its siblings.
-    A grid of more than ``MAX_TAIL_TERMS`` points, whose records would all be
-    held at once, raises :class:`MaxTermsExceeded` before any is evaluated.
+    per z, one :func:`beta_series_many` call gives the chunk's oracle
+    column; per nu, one :func:`reduce_beta_many` call gives its reduction
+    row.  A call that refuses some point gives nothing: each of its points
+    is then evaluated alone, the oracle only once the point's reduction
+    succeeded, so a Skipped row keeps its own error name and no row depends
+    on its siblings.  A grid of more than ``MAX_TAIL_TERMS`` points, whose
+    records would all be held at once, raises :class:`MaxTermsExceeded`
+    before any is evaluated.
     """
     if len(nus) * len(zs) > MAX_TAIL_TERMS:
         raise MaxTermsExceeded(
@@ -120,39 +117,24 @@ def run_verification(
         )
     zs = [complex(z) for z in zs]
     records: List[VerificationRecord] = []
-    passed = failed = skipped = 0
     for start in range(0, len(nus), VERIFY_NU_CHUNK):
         chunk = [Fraction(nu) for nu in nus[start : start + VERIFY_NU_CHUNK]]
-        columns = [_oracle_column(chunk, z) for z in zs]
+        columns = [_unless_refused(lambda: beta_series_many(chunk, z)) for z in zs]
         for i, nu in enumerate(chunk):
-            dec = None  # when nu does not decompose, each z below is refused again
-            try:
-                dec = decompose(nu)
-                reductions = reduce_beta_many(dec, zs)
-            except BetaReduceError:
-                # some point is refused: record each refusal from one-column batches, which
-                # equal the full batch bitwise
-                reductions = [None] * len(zs)
-            for z, reduction, column in zip(zs, reductions, columns):
+            row = _unless_refused(lambda: reduce_beta_many(decompose(nu), zs))
+            for j, z in enumerate(zs):
                 try:
-                    if reduction is None:
-                        reduction = reduce_beta_many(dec or decompose(nu), [z])[0]
-                    oracle = beta_series(nu, z) if column is None else column[i]
+                    reduction = reduce_beta_many(decompose(nu), [z])[0] if row is None else row[j]
+                    oracle = beta_series(nu, z) if columns[j] is None else columns[j][i]
                 except BetaReduceError as exc:
                     records.append(
                         VerificationRecord(
                             nu, z, 0j, 0j, "", 0.0, 0.0, Status.SKIPPED, type(exc).__name__
                         )
                     )
-                    skipped += 1
                     continue
                 abs_err = abs(reduction - oracle.value)
                 rel_err = abs_err / max(1.0, abs(oracle.value))
-                status = Status.PASS if rel_err <= tol else Status.FAIL
-                if status is Status.PASS:
-                    passed += 1
-                else:
-                    failed += 1
                 records.append(
                     VerificationRecord(
                         nu,
@@ -162,18 +144,18 @@ def run_verification(
                         oracle.method.value,
                         abs_err,
                         rel_err,
-                        status,
+                        Status.PASS if rel_err <= tol else Status.FAIL,
                     )
                 )
-    return records, passed, failed, skipped
+    statuses = [rec.status for rec in records]
+    return (records, *(statuses.count(status) for status in Status))  # passed, failed, skipped
 
 
-def _oracle_column(chunk: List[Fraction], z: complex) -> Optional[List[Evaluation]]:
-    """The series oracle of every nu in ``chunk`` at z, or None when some point is refused."""
+def _unless_refused(call: Callable[[], List]) -> Optional[List]:
+    """The values of a batch call, or None when it refuses some point."""
     try:
-        return beta_series_many(chunk, z)
+        return call()
     except (BetaReduceError, ArithmeticError):
-        # each point of the column is evaluated alone, after its reduction, as beta_series
         return None
 
 

@@ -126,6 +126,25 @@ class TestEval:
         assert out == ""
         assert err.startswith("OutsideDomain")
 
+    # a result outside the double range used to print nan-nani, inf or -inf+infi and exit 0, or
+    # end in an OverflowError traceback (z^(-96/97) through cmath.exp)
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "lerch", "--nu", "7/3", "--z", "1e160,1e160"],
+            ["eval", "lerch", "--nu", "3/2", "--z", "7.925630563534007e-232"],
+            ["integral", "powlin", "--nu", "5/3", "--z", "1.244849450585257e-282"],
+            ["eval", "beta-mu", "--nu", "1/3", "--mu", "2", "--z", "1e300"],
+            ["eval", "beta-mu", "--nu", "1/3", "--mu", "3", "--z", "1e150,1e150"],
+            ["eval", "beta-mu", "--nu=-96/97", "--mu", "2", "--z", "6.8238642e-317"],
+        ],
+    )
+    def test_result_outside_double_range_exit_two(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("OutsideDomain")
+
     # |m| = 10^6 + 1 power-tail terms: refused before any work
     def test_work_budget_exit_two(self, capsys):
         code, out, err = run_cli(capsys, "eval", "beta", "--nu", "2000003/2", "--z", "0.5")

@@ -1,21 +1,27 @@
 """The two application integral families against quadrature and antiderivatives."""
 
+import cmath
 import math
 import sys
 from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from betareduce import (
+    BetaReduceError,
     BranchPoint,
     OutsideDomain,
     ResidualImaginary,
     ZeroArgument,
     beta_quadrature,
+    decompose,
+    incomplete_beta,
     int_power_over_linear,
     int_tanh_power,
+    lerch_reduce,
     phi_quadrature,
     rational_power,
 )
@@ -176,3 +182,33 @@ class TestTanhPower:
         value = int_tanh_power(Fraction(1, 4), 0.8)
         ref, _ = quad(tanh_integrand(Fraction(1, 4)), 0.0, 0.8, epsabs=1e-13)
         assert abs(value - ref) <= 1e-10 * max(1.0, abs(value))
+
+
+# |z| log-uniform over the whole double range, on the real and imaginary axes and off them
+WIDE_MODULI = st.floats(-320.0, 308.0).map(lambda e: 10.0**e)
+SIGNED_MODULI = WIDE_MODULI | WIDE_MODULI.map(lambda r: -r)
+WIDE_POINTS = st.one_of(
+    st.builds(cmath.rect, WIDE_MODULI, st.floats(-math.pi, math.pi)),
+    st.builds(complex, SIGNED_MODULI),
+    st.builds(lambda y: complex(0.0, y), SIGNED_MODULI),
+)
+# both signs, |nu| up to 50, q up to 12, the non-positive integers among them
+RATIONALS = st.builds(Fraction, st.integers(-600, 600), st.integers(1, 12))
+
+
+def assert_finite_or_refused(call):
+    try:
+        value = call()
+    except BetaReduceError:
+        return
+    assert cmath.isfinite(value), value
+
+
+# a value outside the double range used to come back as nan, inf or a bare OverflowError
+@settings(max_examples=400, deadline=None)
+@given(nu=RATIONALS, mu=st.integers(0, 3), z=WIDE_POINTS)
+def test_value_callers_are_finite_or_refuse(nu, mu, z):
+    assert_finite_or_refused(lambda: incomplete_beta(nu, mu, z))
+    assert_finite_or_refused(lambda: lerch_reduce(decompose(nu), z))
+    assert_finite_or_refused(lambda: int_power_over_linear(nu, z))
+    assert_finite_or_refused(lambda: int_tanh_power(nu, abs(z)))

@@ -305,6 +305,29 @@ class TestBetaSeriesMany:
             oracles.beta_series_many(nus, 0.5)
 
 
+def series_outcome(evaluate):
+    """The bits of every evaluation, or the type of the first refusal."""
+    try:
+        return [evaluation_bits(ev) for ev in evaluate()]
+    except BetaReduceError as exc:
+        return type(exc)
+
+
+# both signs with |n| up to 50 (at small |z| the correction overflows), positive integers
+SERIES_NUS = st.builds(Fraction, st.integers(-600, 600), st.integers(1, 12)).filter(
+    lambda nu: nu > 0 or nu.denominator > 1
+)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(nus=st.lists(SERIES_NUS, min_size=1, max_size=10), z=BLOCK_POINTS)
+def test_many_is_the_scalar_loop_field_by_field(nus, z):
+    nus = nus + nus[:1]  # one duplicate at least
+    assert series_outcome(lambda: oracles.beta_series_many(nus, z)) == series_outcome(
+        lambda: [beta_series(nu, z) for nu in nus]
+    )
+
+
 class TestBetaQuadrature:
     def test_unit_integrand(self):
         out = beta_quadrature(1.0, 1.0, 0.5)

@@ -2,6 +2,7 @@
 
 import csv
 import io
+import math
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,7 @@ from betareduce import (
     run_verification,
     write_verify_csv,
 )
-from betareduce import verify
+from betareduce import oracles, verify
 
 
 def test_unknown_side_refused():
@@ -158,3 +159,36 @@ def test_chunked_records_are_the_pointwise_records(monkeypatch, chunk):
         (Status.SKIPPED, "OutsideDomain"),
         (Status.SKIPPED, "DivergentParameter"),
     } <= notes
+
+
+# z = 1 and NaN refuse both sides; at 0.9999 the reduction runs but the series needs about
+# 368,000 terms, so a budget of 1,000 refuses the oracle alone
+REFUSING_NUS = [Fraction(1, 3), Fraction(-7, 4), Fraction(-2), Fraction(5, 2), Fraction(1), Fraction(-1, 3)]
+REFUSING_ZS = [1.0, complex(math.nan, 0.0), complex(0.3, -0.0), 0.9999]
+
+
+def test_refused_points_are_the_pointwise_records(monkeypatch):
+    monkeypatch.setattr(oracles, "SERIES_MAX_TERMS", 1000)
+    records, passed, failed, skipped = run_verification(REFUSING_NUS, REFUSING_ZS, 1e-17)
+    statuses = [rec.status for rec in records]
+    assert (passed, failed, skipped) == tuple(statuses.count(s) for s in Status)
+    assert passed and failed and skipped
+    for rec in records:
+        alone = run_verification([rec.nu], [rec.z], 1e-17)[0]
+        assert [record_bits(rec)] == [record_bits(a) for a in alone]
+    notes = {(rec.z.real, rec.note) for rec in records if rec.status is Status.SKIPPED}
+    assert (0.9999, "MaxTermsExceeded") in notes and (1.0, "BranchPoint") in notes
+
+
+# at 1 - 1e-15 every reduction is refused: a per-point series there would run its budget
+# once for each nu
+@pytest.mark.parametrize("z", [1.0, 1 - 1e-15])
+def test_oracle_runs_only_after_a_reduction(monkeypatch, z):
+    monkeypatch.setattr(oracles, "SERIES_MAX_TERMS", 1000)
+    calls = []
+    monkeypatch.setattr(verify, "beta_series", lambda nu, z: calls.append(nu) or beta_series(nu, z))
+    records = run_verification(REFUSING_NUS, [z, 0.9999], 1e-10)[0]
+    assert {rec.note for rec in records if rec.z == z} == {"BranchPoint", "DivergentParameter"}
+    # the column at 0.9999 is refused too: its oracle runs for each point whose reduction ran
+    assert calls == [rec.nu for rec in records if rec.note == "MaxTermsExceeded"]
+    assert calls
