@@ -9,8 +9,6 @@ compute different numbers is not reported.
 
 from __future__ import annotations
 
-import csv
-import enum
 import statistics
 import time
 from dataclasses import dataclass
@@ -19,6 +17,7 @@ from typing import IO, Iterable, List, Sequence, Tuple
 
 from .errors import BenchConsistencyError, BetaReduceError, OutsideDomain
 from .oracles import beta_quadrature, beta_series
+from .principal import Method
 from .rationals import render_rational
 from .reduction import incomplete_beta
 
@@ -27,16 +26,12 @@ AGREEMENT_TOL = 1e-9
 
 BENCH_CSV_HEADER = "method,nu,z_re,z_im,reps,median_ns,mean_ns,checksum"
 
-
-class BenchMethod(enum.Enum):
-    REDUCTION = "Reduction"
-    SERIES = "Series"
-    QUADRATURE_BETA = "QuadratureBeta"
+BenchMethod = Method  # bench's name for the one algorithm vocabulary, for callers that import it
 
 
 @dataclass(frozen=True)
 class BenchRecord:
-    method: BenchMethod
+    method: Method
     nu: Fraction
     z: complex
     repetitions: int
@@ -64,9 +59,9 @@ def _quadrature_point(nu: Fraction, z: complex) -> complex:
 
 def _evaluators(nu: Fraction, z: complex):
     return (
-        (BenchMethod.REDUCTION, lambda: incomplete_beta(nu, 0, z)),
-        (BenchMethod.SERIES, lambda: beta_series(nu, z).value),
-        (BenchMethod.QUADRATURE_BETA, lambda: _quadrature_point(nu, z)),
+        (Method.REDUCTION, lambda: incomplete_beta(nu, 0, z)),
+        (Method.SERIES, lambda: beta_series(nu, z).value),
+        (Method.QUADRATURE_BETA, lambda: _quadrature_point(nu, z)),
     )
 
 
@@ -97,7 +92,7 @@ def run_bench(
                 raise type(exc)(
                     f"{method.value} failed at nu={render_rational(nu)}, z={z}: {exc}"
                 ) from exc
-        reference = values[BenchMethod.REDUCTION]
+        reference = values[Method.REDUCTION]
         for method, value in values.items():
             if abs(value - reference) > AGREEMENT_TOL * max(1.0, abs(reference)):
                 raise BenchConsistencyError(
@@ -130,19 +125,10 @@ def run_bench(
 
 
 def write_bench_csv(records: Iterable[BenchRecord], stream: IO[str]) -> None:
-    """Emit records as CSV with the fixed schema, LF line endings."""
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(BENCH_CSV_HEADER.split(","))
-    for rec in records:
-        writer.writerow(
-            [
-                rec.method.value,
-                render_rational(rec.nu),
-                repr(rec.z.real),
-                repr(rec.z.imag),
-                rec.repetitions,
-                rec.median_nanos,
-                repr(rec.mean_nanos),
-                repr(rec.result_checksum),
-            ]
-        )
+    """Emit records as CSV with the fixed schema, LF line endings; no field needs quoting."""
+    stream.write(BENCH_CSV_HEADER + "\n")
+    stream.writelines(
+        f"{rec.method.value},{render_rational(rec.nu)},{rec.z.real!r},{rec.z.imag!r},"
+        f"{rec.repetitions},{rec.median_nanos},{rec.mean_nanos!r},{rec.result_checksum!r}\n"
+        for rec in records
+    )

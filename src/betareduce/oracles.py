@@ -53,24 +53,30 @@ def _sum_inverse_linear(z: complex, a: float):
     """Exactly rounded sum of z^k/(k+a) with the 3-small-terms stopping rule.
 
     The rule reads a plain running sum.  Returns (sum, |last term|, terms);
-    raises :class:`MaxTermsExceeded` when the budget runs out first.
+    raises :class:`MaxTermsExceeded` when the budget runs out first, at once
+    when a bound shows that no term within the budget can meet the rule.
     """
-    terms = []
-    running = 0j
-    zk = complex(1.0)
-    small = 0
-    for k in range(SERIES_MAX_TERMS):
-        term = zk / (k + a)
-        terms.append(term)
-        running += term
-        last = abs(term)
-        if last <= SERIES_REL_TOL * abs(running):
-            small += 1
-            if small >= 3:
-                return fsum_complex(terms), last, k + 1
-        else:
-            small = 0
-        zk *= z
+    n, b = SERIES_MAX_TERMS, abs(a)
+    delta = a if a > 0 else abs(a - round(a))  # distance to the nearest non-positive integer
+    floor = abs(z) ** (n - 1) / (n - 1 + b)  # no term before the budget is smaller
+    ceiling = 2 / delta + 2 * (1 + math.log(n + b)) if delta else math.inf  # no partial sum larger
+    if floor <= 2 * SERIES_REL_TOL * ceiling:  # else the stop rule cannot fire within the budget
+        terms = []
+        running = 0j
+        zk = complex(1.0)
+        small = 0
+        for k in range(n):
+            term = zk / (k + a)
+            terms.append(term)
+            running += term
+            last = abs(term)
+            if last <= SERIES_REL_TOL * abs(running):
+                small += 1
+                if small >= 3:
+                    return fsum_complex(terms), last, k + 1
+            else:
+                small = 0
+            zk *= z
     raise MaxTermsExceeded(
         f"no convergence within {SERIES_MAX_TERMS} terms (|z| = {abs(z)})"
     )

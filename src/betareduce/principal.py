@@ -1,5 +1,6 @@
 """Principal-branch complex helpers, exactly rounded complex summation, and
-the :class:`Evaluation` result that every closed form and oracle returns.
+the :class:`Evaluation` result that every closed form and oracle returns,
+tagged with the :class:`Method` (one member per algorithm) that produced it.
 
 Every multivalued operation in the package funnels through these functions so
 the whole library shares one branch convention: Im(log) lies in (-pi, pi],
@@ -22,10 +23,9 @@ from .errors import OutsideDomain, ZeroArgument
 
 
 class Method(enum.Enum):
-    INTEGER_LOG = "IntegerLog"
-    HALF_ATANH = "HalfAtanh"
-    ROOTS_OF_UNITY_POS = "RootsOfUnityPos"
-    ROOTS_OF_UNITY_NEG = "RootsOfUnityNeg"
+    """The algorithm that produced a value; each member is one algorithm that runs."""
+
+    REDUCTION = "Reduction"
     SERIES = "Series"
     SHIFTED_SERIES = "ShiftedSeries"
     QUADRATURE_BETA = "QuadratureBeta"

@@ -18,6 +18,9 @@ evaluates the general form for one nu at many z with numpy, one column per z.
 For real z > 0 it pairs the conjugate rows k and q - k, which halves its
 logs and leaves the imaginary part to the k = 0 log alone: 0 on (0, 1) and
 exactly -pi on the ray z > 1.
+
+Every closed form is therefore one algorithm, ``Method.REDUCTION``; the q = 2
+log part shows only in the count of parts, 1 + |m| where any other q has q + |m|.
 """
 
 from __future__ import annotations
@@ -115,15 +118,6 @@ def _roots_log_sum(p: int, q: int, zq: complex) -> List[complex]:
     return logs
 
 
-def _method(dec: Decomposition) -> Method:
-    # labels only: every case runs _reduce, which differs by q only in its log part
-    if dec.r.denominator == 1:
-        return Method.INTEGER_LOG
-    if dec.r.denominator == 2:
-        return Method.HALF_ATANH
-    return Method.ROOTS_OF_UNITY_POS if dec.m >= 0 else Method.ROOTS_OF_UNITY_NEG
-
-
 def reduce_beta(dec: Decomposition, z: complex) -> Evaluation:
     """B(m + r, 0, z) for a decomposed rational parameter, as an :class:`Evaluation`.
 
@@ -154,11 +148,10 @@ def reduce_beta_neg(dec: Decomposition, z: complex) -> Evaluation:
 
 def _reduce(dec: Decomposition, z: complex) -> Evaluation:
     z = finite_complex(z)
-    method = _method(dec)
     if z == 0:
         if dec.m < 0:
             raise ZeroArgument("negative powers of z require z != 0")
-        return Evaluation(0j, method, 0.0, 1)
+        return Evaluation(0j, Method.REDUCTION, 0.0, 1)
     if z == 1:
         raise BranchPoint("z = 1 is the logarithmic branch point")
     p, q = dec.r.numerator, dec.r.denominator
@@ -183,15 +176,15 @@ def _reduce(dec: Decomposition, z: complex) -> Evaluation:
     for k in range(-1, dec.m - 1, -1):
         zk /= z
         parts.append(zk / (k + r))
-    return _closed_form(method, parts)
+    return _closed_form(parts)
 
 
-def _closed_form(method: Method, parts: List[complex]) -> Evaluation:
+def _closed_form(parts: List[complex]) -> Evaluation:
     try:
         spread = math.fsum(map(abs, parts))
     except OverflowError as exc:
         raise OutsideDomain("sum of the |parts| outside the double range") from exc
-    return Evaluation(fsum_complex(parts), method, 2.0**-53 * spread, len(parts), tuple(parts))
+    return Evaluation(fsum_complex(parts), Method.REDUCTION, 2.0**-53 * spread, len(parts), tuple(parts))
 
 
 # A batch chunk holds at most this many (q + |m|) x columns cells: 1 MB per complex matrix.

@@ -1,16 +1,29 @@
 """Benchmark harness: record structure, agreement gate, determinism."""
 
+import csv
 import io
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
 
-from betareduce import BenchConsistencyError, BenchMethod, OutsideDomain, run_bench, write_bench_csv
-from betareduce import bench
-from betareduce.bench import BENCH_CSV_HEADER
+from betareduce import (
+    BenchConsistencyError,
+    BenchMethod,
+    Method,
+    OutsideDomain,
+    run_bench,
+    write_bench_csv,
+)
+from betareduce import bench, render_rational
+from betareduce.bench import BENCH_CSV_HEADER, BenchRecord
 
 
 class TestRunBench:
+    def test_bench_names_the_package_methods(self):
+        assert BenchMethod is Method
+
     def test_empty_grid(self):
         assert run_bench([], repetitions=1) == []
 
@@ -74,3 +87,41 @@ class TestCsv:
         assert "\r" not in text
         first = lines[1].split(",")
         assert first[0] == "Reduction" and first[1] == "1/2"
+
+    # the rows are written one f-string each: the bytes of a csv.writer rendering, also for
+    # non-finite and signed-zero fields, subnormal z and negative nu
+    def test_bytes_are_csv_writer_bytes(self):
+        floats = [0.3, -0.0, 5e-324, math.nan, -math.inf, 1e300]
+        records = [
+            BenchRecord(method, nu, complex(re, im), reps, median, mean, checksum)
+            for method, nu, re, im, reps, median, mean, checksum in zip(
+                itertools.cycle([Method.REDUCTION, Method.SERIES, Method.QUADRATURE_BETA]),
+                [Fraction(1, 2), Fraction(-7, 3), Fraction(5), Fraction(-1, 97)] * 3,
+                floats * 2,
+                floats[::-1] * 2,
+                [1, 2, 100] * 4,
+                [0, 7, 123456789] * 4,
+                [2, 0.5, math.inf, -0.0] * 3,
+                floats[2:] + floats,
+            )
+        ]
+        assert len(records) == 10  # zip stops at the shortest column
+        expected = io.StringIO()
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(BENCH_CSV_HEADER.split(","))
+        for rec in records:
+            writer.writerow(
+                [
+                    rec.method.value,
+                    render_rational(rec.nu),
+                    repr(rec.z.real),
+                    repr(rec.z.imag),
+                    rec.repetitions,
+                    rec.median_nanos,
+                    repr(rec.mean_nanos),
+                    repr(rec.result_checksum),
+                ]
+            )
+        buf = io.StringIO()
+        write_bench_csv(records, buf)
+        assert buf.getvalue() == expected.getvalue()

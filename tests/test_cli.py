@@ -391,6 +391,17 @@ class TestVerify:
         assert out == ""
         assert err.startswith("MaxTermsExceeded")
 
+    # every reduction at 1 - 1e-15 meets the branch-point guard, and the oracle refuses at
+    # once where it used to run its 10^7-term budget first: the rows stay what they were
+    def test_point_where_no_series_converges(self, capsys):
+        argv = ("verify", "--z-point", "0.999999999999999", "--q-max", "4", "--n-max", "1")
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0
+        assert "passed=0 failed=0 skipped=15" in err
+        nus = "1/2 1/3 2/3 1/4 3/4 3/2 4/3 5/3 5/4 7/4 -1/2 -2/3 -1/3 -3/4 -1/4".split()
+        rows = [f"{nu},0.999999999999999,0.0,0.0,0.0,0.0,0.0,,0.0,0.0,Skipped,BranchPoint" for nu in nus]
+        assert out.split("\n")[1:] == rows + [""]
+
     # a q = 2 row on (0, 1) used to depend on its siblings: the batch ran two logs, and a
     # refused sibling sent the whole nu to the scalar atanh
     def test_half_integer_row_independent_of_siblings(self, capsys):

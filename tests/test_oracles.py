@@ -28,6 +28,7 @@ from betareduce import (
     reduce_beta,
 )
 from betareduce import oracles
+from betareduce.principal import fsum_complex
 
 
 class TestLerchSeries:
@@ -75,6 +76,20 @@ class TestLerchSeries:
         monkeypatch.setattr(oracles, "SERIES_MAX_TERMS", 50)
         with pytest.raises(MaxTermsExceeded):
             lerch_series(0.9, 1.0)
+
+    # the series at 1 - 1e-15 needs about 4e16 terms: the bound refuses it before the term
+    # loop starts, where the loop used to spend its whole 10^7-term budget (seconds) first
+    def test_hopeless_z_refused_before_any_term(self, monkeypatch):
+        def no_loop(*args):
+            raise AssertionError("the term loop started")
+
+        monkeypatch.setattr(oracles, "range", no_loop, raising=False)
+        refusal = f"no convergence within {oracles.SERIES_MAX_TERMS} terms"
+        with pytest.raises(MaxTermsExceeded, match=refusal):
+            lerch_series(1 - 1e-15, 1.0)
+        for nu in (Fraction(1, 3), Fraction(37, 3), Fraction(-7, 4)):
+            with pytest.raises(MaxTermsExceeded, match=refusal):
+                beta_series(nu, 1 - 1e-15)
 
 
 class TestBetaSeries:
@@ -326,6 +341,53 @@ def test_many_is_the_scalar_loop_field_by_field(nus, z):
     assert series_outcome(lambda: oracles.beta_series_many(nus, z)) == series_outcome(
         lambda: [beta_series(nu, z) for nu in nus]
     )
+
+
+def _loop_without_bound(z, a):
+    """oracles._sum_inverse_linear's term loop, without its up-front refusal."""
+    terms = []
+    running = 0j
+    zk = complex(1.0)
+    small = 0
+    for k in range(oracles.SERIES_MAX_TERMS):
+        term = zk / (k + a)
+        terms.append(term)
+        running += term
+        last = abs(term)
+        if last <= oracles.SERIES_REL_TOL * abs(running):
+            small += 1
+            if small >= 3:
+                return fsum_complex(terms), last, k + 1
+        else:
+            small = 0
+        zk *= z
+    raise MaxTermsExceeded(
+        f"no convergence within {oracles.SERIES_MAX_TERMS} terms (|z| = {abs(z)})"
+    )
+
+
+def _sum_outcome(sum_series, z, a):
+    try:
+        return sum_series(z, a)
+    except MaxTermsExceeded as exc:
+        return str(exc)
+
+
+# |z| = 1 - 10^-u: the loop stops within budgets of 200 to 20,000 terms up to about u = 2.7
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    budget=st.integers(200, 20_000),
+    u=st.floats(0.5, 6.0),
+    angle=ANGLES,
+    a=st.floats(1e-3, 50.0) | st.floats(-50.0, -1e-3).filter(lambda a: a != math.floor(a)),
+)
+def test_up_front_refusal_is_the_loops_outcome(budget, u, angle, a):
+    z = cmath.rect(1.0 - 10.0**-u, angle)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracles, "SERIES_MAX_TERMS", budget)
+        assert _sum_outcome(oracles._sum_inverse_linear, z, a) == _sum_outcome(
+            _loop_without_bound, z, a
+        )
 
 
 class TestBetaQuadrature:

@@ -147,6 +147,6 @@ class TestEvaluation:
             Evaluation(1j, Method.SERIES, 0.0, 0)
 
     def test_frozen(self):
-        ev = Evaluation(1j, Method.HALF_ATANH, 0.0, 2, (1j, 0j))
+        ev = Evaluation(1j, Method.REDUCTION, 0.0, 2, (1j, 0j))
         with pytest.raises(AttributeError):
             ev.value = 2j

@@ -53,18 +53,21 @@ def ulps(x: float, ref: float) -> float:
 class TestPositiveGolden:
     def test_integer_one_is_log2(self):
         ev = reduce_beta(decompose(Fraction(1)), 0.5)
-        assert ev.method is Method.INTEGER_LOG
+        assert ev.method is Method.REDUCTION
+        assert ev.terms_or_nodes == 1  # q = 1: the single log -log(1 - z)
         assert ulps(ev.value.real, math.log(2)) <= 2
         assert ev.value.imag == 0.0
 
     def test_half_is_log3(self):
         ev = reduce_beta(decompose(Fraction(1, 2)), 0.25)
-        assert ev.method is Method.HALF_ATANH
+        assert ev.method is Method.REDUCTION
+        assert ev.terms_or_nodes == 1  # q = 2: the single atanh log part
         assert ulps(ev.value.real, math.log(3)) <= 2
 
     def test_five_fourths_matches_series_oracle(self, tight_series):
         ev = reduce_beta(decompose(Fraction(5, 4)), 0.3)
-        assert ev.method is Method.ROOTS_OF_UNITY_POS
+        assert ev.method is Method.REDUCTION
+        assert ev.terms_or_nodes == 4 + 1  # q phased logs, then m = 1 tail term
         value = ev.value
         assert abs(value - BETA_SERIES_5_4_AT_0_3) <= 1e-13 * BETA_SERIES_5_4_AT_0_3
         live = beta_series(Fraction(5, 4), 0.3).value
@@ -92,7 +95,8 @@ class TestPositiveGolden:
 class TestNegativeGolden:
     def test_minus_half_closed_form(self):
         ev = reduce_beta(decompose(Fraction(-1, 2)), 0.25)
-        assert ev.method is Method.HALF_ATANH
+        assert ev.method is Method.REDUCTION
+        assert ev.terms_or_nodes == 1 + 1  # the atanh log part, then the m = -1 tail term
         ref = math.log(3) - 4.0
         assert ulps(ev.value.real, ref) <= 2
         assert ev.value.imag == 0.0
@@ -133,7 +137,8 @@ class TestFastPathConsistency:
         assert dec == Decomposition(m=n, r=Fraction(1, 2))
         fast = reduce_beta(dec, z)
         general = _general_half_integer(fast, complex(z))
-        assert fast.method is Method.HALF_ATANH
+        assert fast.method is Method.REDUCTION
+        assert fast.terms_or_nodes == 1 + n  # one atanh log part, not q = 2 logs
         assert abs(fast.value - general) <= 1e-13 * max(1.0, abs(general))
 
     @pytest.mark.parametrize("n", [1, 2, 4])
@@ -144,8 +149,20 @@ class TestFastPathConsistency:
         assert (dec.m, dec.r) == (-n, Fraction(1, 2))
         fast = reduce_beta(dec, z)
         general = _general_half_integer(fast, complex(z))
-        assert fast.method is Method.HALF_ATANH
+        assert fast.method is Method.REDUCTION
+        assert fast.terms_or_nodes == 1 + n  # one atanh log part, not q = 2 logs
         assert abs(fast.value - general) <= 1e-13 * max(1.0, abs(general))
+
+
+# every closed form is one algorithm; q decides only the log part: q logs, or at q = 2 the
+# single atanh (q = 1 with m < 0 is a non-positive integer, where B diverges)
+@pytest.mark.parametrize(
+    "q,m", [(1, 3), (2, 3), (2, -3), (3, 3), (3, -3), (97, 3), (97, -3)]
+)
+def test_every_closed_form_is_the_reduction(q, m):
+    ev = reduce_beta(decompose(m + Fraction(1, q)), 0.3 + 0.2j)
+    assert ev.method is Method.REDUCTION
+    assert ev.terms_or_nodes == (1 if q == 2 else q) + abs(m)
 
 
 class TestSymmetryAndInvariants:
@@ -307,7 +324,8 @@ class TestDispatcher:
     def test_routes_negative(self):
         via_dispatch = incomplete_beta(Fraction(-3, 4), 0, 0.5)
         direct = reduce_beta(decompose(Fraction(-3, 4)), 0.5)
-        assert direct.method is Method.ROOTS_OF_UNITY_NEG
+        assert direct.method is Method.REDUCTION
+        assert direct.terms_or_nodes == 4 + 1  # q phased logs, then the m = -1 tail term
         assert via_dispatch == direct.value
 
     @pytest.mark.parametrize(
@@ -490,7 +508,7 @@ class TestEvaluation:
         # a finite part whose modulus overflows: ValueError from the
         # estimate's validation would escape the CLI as a traceback
         with pytest.raises(OutsideDomain):
-            _closed_form(Method.INTEGER_LOG, [0j, complex(1.5e308, 1.5e308)])
+            _closed_form([0j, complex(1.5e308, 1.5e308)])
 
 
 class TestWorkBudget:
@@ -573,7 +591,9 @@ class TestErrorEstimate:
     def test_atanh_log_part_at_small_real_z(self, z, bound):
         mpmath = pytest.importorskip("mpmath")
         nu = Fraction(9, 2)
-        assert reduce_beta(decompose(nu), z).method is Method.HALF_ATANH
+        ev = reduce_beta(decompose(nu), z)
+        assert ev.method is Method.REDUCTION
+        assert ev.terms_or_nodes == 1 + 4  # the atanh log part, then the m = 4 tail terms
         err, _ = self._measured_error(nu, z)
         with mpmath.workdps(40):
             exact = abs(mpmath.power(z, 4.5) * mpmath.lerchphi(z, 1, 4.5))
