@@ -5,8 +5,10 @@ Two families of oracle, deliberately far from the reduction formulas:
 * direct series summation of sum z^k/(k+nu) (exactly rounded by
   ``math.fsum``, with a three-consecutive-small-terms stopping rule and a
   rigorous geometric tail bound), plus the shifted split for negative nu;
-  :func:`beta_series_many` sums many nu at one z as a numpy block and
-  assembles each point as :func:`beta_series` does, so bitwise alike;
+  :func:`beta_series_columns` sums many nu at each of many z as numpy
+  blocks and assembles each point as :func:`beta_series` does, so bitwise
+  alike: the split of each nu and the parts of its exponent are computed
+  once for all z, the log (or square root) of each z once for all nu;
 * adaptive quadrature of the defining integrals -- QUADPACK on [0,1] for
   the beta integrand (with a power substitution that removes the t = 0
   singularity), and a tanh-sinh rule on the exponentially mapped
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import List, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -30,7 +32,8 @@ from .errors import (
     OutsideDomain,
     QuadratureNonConvergence,
 )
-from .principal import Evaluation, Method, finite_complex, fsum_complex, rational_power
+from .principal import Evaluation, Method, exponent_parts, finite_complex, fsum_complex
+from .principal import rational_power, rational_powers
 from .rationals import decompose
 
 
@@ -122,13 +125,15 @@ def _sums_inverse_linear(z: complex, avals: Sequence[float]) -> list:
             small = last <= SERIES_REL_TOL * np.hypot(np.cumsum(re, axis=0), np.cumsum(im, axis=0))
             third = small[2:] & small[1:-1] & small[:-2]
             stops = third.argmax(axis=0) + 2
-            for c, j in enumerate(cols):
-                k = int(stops[c])
-                if not third[k - 2, c]:
+            lanes = np.arange(len(cols))
+            found = third[stops - 2, lanes].tolist()
+            lasts = last[stops, lanes].tolist()
+            for c, (j, k, stopped) in enumerate(zip(cols, stops.tolist(), found)):
+                if not stopped:
                     left.append(j)
                     continue
                 total = complex(math.fsum(re[: k + 1, c].tolist()), math.fsum(im[: k + 1, c].tolist()))
-                out[j] = (total, float(last[k, c]), k + 1)
+                out[j] = (total, lasts[c], k + 1)
         pending = left
         rows *= 2
     return [_sum_inverse_linear(z, a) if res is None else res for a, res in zip(avals, out)]
@@ -170,50 +175,83 @@ def beta_series(nu: Fraction, z: complex) -> Evaluation:
         raise OutsideDomain("negative parameters need 0 < |z| < 1")
     if abs(z) >= 1.0:
         raise OutsideDomain(f"series needs |z| < 1, got |z| = {abs(z)}")
-    split = _series_split(nu)
-    return _series_evaluation(z, split, _sum_inverse_linear(z, split[1]))
+    expo, a, n = _series_split(nu)
+    return _series_evaluation(z, a, n, _sum_inverse_linear(z, a), rational_power(z, expo))
 
 
 def beta_series_many(nus: Sequence[Fraction], z: complex) -> List[Evaluation]:
     """The evaluations ``[beta_series(nu, z) for nu in nus]``, bitwise.
 
-    One :func:`_sums_inverse_linear` call sums the series of the distinct a
-    of the splits, so a negative nu reuses the sum of its n = 0 sibling.  A
-    z the block cannot take (0, |z| >= 1, not finite), or any refused point,
-    sends the whole list through the scalar loop, which raises the first
-    error it meets.
+    The column of :func:`beta_series_columns` at z; where that is refused,
+    the scalar loop, which raises the first error it meets.
+    """
+    column = beta_series_columns(nus, [z])[0]
+    return [beta_series(nu, z) for nu in nus] if column is None else column
+
+
+def beta_series_columns(
+    nus: Sequence[Fraction], zs: Sequence[complex]
+) -> List[Optional[List[Evaluation]]]:
+    """Per z, the evaluations ``[beta_series(nu, z) for nu in nus]``, or None.
+
+    Work that depends on nu alone runs once for all z: the splits, their
+    distinct a (a negative nu reuses the sum of its n = 0 sibling) and the
+    :func:`exponent_parts` of each prefactor.  Per z, one
+    :func:`_sums_inverse_linear` block sums the series of the distinct a and
+    one :func:`rational_powers` call, with one log (or square root) of z,
+    gives every prefactor.  A z the block cannot take (0, |z| >= 1, not
+    finite) or where some point is refused gives None, and so does every z
+    when some split is refused.
     """
     nus = [nu if isinstance(nu, Fraction) else Fraction(nu) for nu in nus]
-    z = complex(z)
-    if z != 0 and abs(z.real) < 1.0 and abs(z.imag) < 1.0 and abs(z) < 1.0:
-        try:
-            splits = [_series_split(nu) for nu in nus]
-            avals = list(dict.fromkeys(a for _, a, _ in splits))
-            sums = dict(zip(avals, _sums_inverse_linear(z, avals)))
-            return [_series_evaluation(z, split, sums[split[1]]) for split in splits]
-        except (BetaReduceError, ArithmeticError):
-            pass  # some point is refused: the scalar loop below meets the first refusal
-    return [beta_series(nu, z) for nu in nus]
+    try:
+        splits = [_series_split(nu) for nu in nus]
+    except (BetaReduceError, ArithmeticError):
+        return [None] * len(zs)
+    avals = list(dict.fromkeys(a for _, a, _ in splits))
+    slots = {a: slot for slot, a in enumerate(avals)}
+    parts = [exponent_parts(expo) for expo, _, _ in splits]
+    columns = []
+    for z in zs:
+        z = complex(z)
+        column = None
+        if z != 0 and abs(z.real) < 1.0 and abs(z.imag) < 1.0 and abs(z) < 1.0:
+            try:
+                sums = _sums_inverse_linear(z, avals)
+                powers = rational_powers(z, parts)
+                column = [
+                    _series_evaluation(z, a, n, sums[slots[a]], power)
+                    for (_, a, n), power in zip(splits, powers)
+                ]
+            except (BetaReduceError, ArithmeticError):
+                pass  # some point is refused
+        columns.append(column)
+    return columns
 
 
 def _series_split(nu: Fraction):
     """(expo, a, n) with B(nu, 0, z) = z^expo * sum z^k/(k+a) + n correction terms.
 
-    Refuses a non-positive integer nu and n beyond ``SERIES_MAX_TERMS`` as beta_series does.
+    Refuses a non-positive integer nu and n beyond ``SERIES_MAX_TERMS`` as
+    beta_series does, and an a that rounds to 0.0, where the value (about
+    z^a/a) lies outside the double range.
     """
     if nu > 0:
-        return nu, float(nu), 0
-    dec = decompose(nu)
-    if -dec.m > SERIES_MAX_TERMS:
-        raise MaxTermsExceeded(f"{-dec.m} correction terms exceed the budget of {SERIES_MAX_TERMS}")
-    return dec.r, float(dec.r), -dec.m
+        expo, n = nu, 0
+    else:
+        dec = decompose(nu)
+        expo, n = dec.r, -dec.m
+        if n > SERIES_MAX_TERMS:
+            raise MaxTermsExceeded(f"{n} correction terms exceed the budget of {SERIES_MAX_TERMS}")
+    a = float(expo)
+    if a == 0.0:
+        raise OutsideDomain(f"the series parameter {expo} rounds to 0.0: B({nu}, 0, z) overflows")
+    return expo, a, n
 
 
-def _series_evaluation(z: complex, split, sums) -> Evaluation:
-    """B(nu, 0, z) from the split of nu and the (sum, |last term|, terms) of its series."""
-    expo, a, n = split
+def _series_evaluation(z: complex, a: float, n: int, sums, prefactor: complex) -> Evaluation:
+    """B(nu, 0, z) from its split, the (sum, |last term|, terms) of its series and z^expo."""
     total, last, terms = sums
-    prefactor = rational_power(z, expo)
     corr = []
     zk = prefactor
     for k in range(1, n + 1):

@@ -102,28 +102,54 @@ def rational_power(z: complex, expo: Fraction) -> complex:
     exponents stay as accurate as a square root.  A result outside the
     double range raises :class:`OutsideDomain`: the integer power lies
     between 1 and the result, so it overflows only with the result.
+    :func:`rational_powers` computes it, so many exponents at one z can
+    share the split of each exponent and one log (or square root) of z.
     """
-    expo = Fraction(expo)
-    z = complex(z)
-    if z == 0:
-        if expo > 0:
-            return 0j
-        raise ZeroArgument("0 cannot be raised to a non-positive power")
+    return rational_powers(z, [exponent_parts(expo)])[0]
+
+
+def exponent_parts(expo: Fraction) -> Tuple[Fraction, int, int, int]:
+    """(expo, n, rem, den): expo = n + rem/den, n truncated toward zero, rem of its sign."""
+    expo = expo if type(expo) in (int, Fraction) else Fraction(expo)
     p, den = expo.numerator, expo.denominator
     n = p // den if p >= 0 else -(-p // den)  # toward zero: |z**n| lies between 1 and |z**expo|
-    rem = p - n * den
-    try:
-        out = z**n if n else complex(1.0)
-        if rem:
-            if den == 2:
-                out = out * principal_sqrt(z) if rem > 0 else out / principal_sqrt(z)
-            else:
-                out *= cmath.exp((rem / den) * principal_log(z))
-    except (OverflowError, ZeroDivisionError) as exc:  # z**-k divides by an underflowed z**k
-        raise OutsideDomain(f"z**{expo} outside the double range") from exc
-    if not cmath.isfinite(out):  # complex ** gives nan+nanj, and * or / inf, not an error
-        raise OutsideDomain(f"z**{expo} outside the double range: {out}")
-    return out
+    return expo, n, p - n * den, den
+
+
+def rational_powers(z: complex, parts: Sequence[Tuple]) -> List[complex]:
+    """z**expo for each expo, given as its :func:`exponent_parts`.
+
+    One principal log of z serves every remainder and one principal square
+    root every half-integer one, each computed the first time an exponent
+    needs it, so the values are bitwise those of single
+    :func:`rational_power` calls; the first refused exponent raises the
+    error its single call raises.
+    """
+    z = complex(z)
+    if z == 0:
+        if all(n > 0 or rem > 0 for _, n, rem, _ in parts):
+            return [0j] * len(parts)
+        raise ZeroArgument("0 cannot be raised to a non-positive power")
+    log = root = None
+    powers = []
+    for expo, n, rem, den in parts:
+        try:
+            out = z**n if n else complex(1.0)
+            if rem:
+                if den == 2:
+                    if root is None:
+                        root = principal_sqrt(z)
+                    out = out * root if rem > 0 else out / root
+                else:
+                    if log is None:
+                        log = principal_log(z)
+                    out *= cmath.exp((rem / den) * log)
+        except (OverflowError, ZeroDivisionError) as exc:  # z**-k divides by an underflowed z**k
+            raise OutsideDomain(f"z**{expo} outside the double range") from exc
+        if not cmath.isfinite(out):  # complex ** gives nan+nanj, and * or / inf, not an error
+            raise OutsideDomain(f"z**{expo} outside the double range: {out}")
+        powers.append(out)
+    return powers
 
 
 def fsum_complex(terms: Sequence[complex]) -> complex:

@@ -1,10 +1,10 @@
 """Reduction-versus-oracle verification grids and their records.
 
 One record per (nu, z) point: the closed-form value (one batch call per
-nu), the series oracle value (one numpy block per z, shared by a chunk of
-nu), and the discrepancy.  The relative error is
-absolute error over max(1, |oracle|), the convention used for every
-tolerance in this package.
+nu), the series oracle value (one numpy block and one log per z, shared by
+a chunk of nu that is split once for all z), and the discrepancy.  The
+relative error is absolute error over max(1, |oracle|), the convention used
+for every tolerance in this package.
 Points where either side refuses to evaluate (branch guard, domain) are
 recorded as Skipped with the refusing error's name, never as failures.
 """
@@ -17,10 +17,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import IO, Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import IO, Iterable, List, Sequence, Tuple
 
 from .errors import BetaReduceError, MaxTermsExceeded
-from .oracles import beta_series, beta_series_many
+from .oracles import beta_series, beta_series_columns
 from .rationals import decompose, render_rational
 from .reduction import MAX_TAIL_TERMS, reduce_beta_many
 
@@ -102,9 +102,10 @@ def run_verification(
 
     Returns (records, passed, failed, skipped) with records in grid order,
     nu-major.  The grid is taken ``VERIFY_NU_CHUNK`` parameters at a time:
-    per z, one :func:`beta_series_many` call gives the chunk's oracle
-    column; per nu, one :func:`reduce_beta_many` call gives its reduction
-    row.  A call that refuses some point gives nothing: each of its points
+    one :func:`beta_series_columns` call gives the chunk's oracle column at
+    every z, splitting each nu once and taking one log of each z; per nu,
+    one :func:`reduce_beta_many` call gives its reduction row.  A column or
+    row that refuses some point gives nothing: each of its points
     is then evaluated alone, the oracle only once the point's reduction
     succeeded, so a Skipped row keeps its own error name and no row depends
     on its siblings.  A grid of more than ``MAX_TAIL_TERMS`` points, whose
@@ -119,9 +120,12 @@ def run_verification(
     records: List[VerificationRecord] = []
     for start in range(0, len(nus), VERIFY_NU_CHUNK):
         chunk = [Fraction(nu) for nu in nus[start : start + VERIFY_NU_CHUNK]]
-        columns = [_unless_refused(lambda: beta_series_many(chunk, z)) for z in zs]
+        columns = beta_series_columns(chunk, zs)
         for i, nu in enumerate(chunk):
-            row = _unless_refused(lambda: reduce_beta_many(decompose(nu), zs))
+            try:
+                row = reduce_beta_many(decompose(nu), zs)
+            except (BetaReduceError, ArithmeticError):
+                row = None  # some point is refused: each is evaluated alone below
             for j, z in enumerate(zs):
                 try:
                     reduction = reduce_beta_many(decompose(nu), [z])[0] if row is None else row[j]
@@ -151,25 +155,25 @@ def run_verification(
     return (records, *(statuses.count(status) for status in Status))  # passed, failed, skipped
 
 
-def _unless_refused(call: Callable[[], List]) -> Optional[List]:
-    """The values of a batch call, or None when it refuses some point."""
-    try:
-        return call()
-    except (BetaReduceError, ArithmeticError):
-        return None
-
-
 def write_verify_csv(records: Iterable[VerificationRecord], stream: IO[str]) -> None:
     """Emit verification records as CSV, LF line endings, no timestamps.
 
     No field holds a comma, a quote or a line break, so none is quoted: the
-    bytes are those of ``csv.writer``.
+    bytes are those of ``csv.writer``.  A run of records that share one nu
+    object renders it once.
     """
+
+    def rows():
+        nu, text = object(), ""
+        for rec in records:
+            if rec.nu is not nu:
+                nu, text = rec.nu, render_rational(rec.nu)
+            yield (
+                f"{text},{rec.z.real!r},{rec.z.imag!r},"
+                f"{rec.reduction_value.real!r},{rec.reduction_value.imag!r},"
+                f"{rec.oracle_value.real!r},{rec.oracle_value.imag!r},{rec.oracle_method},"
+                f"{rec.abs_err!r},{rec.rel_err!r},{rec.status.value},{rec.note}\n"
+            )
+
     stream.write(VERIFY_CSV_HEADER + "\n")
-    stream.writelines(
-        f"{render_rational(rec.nu)},{rec.z.real!r},{rec.z.imag!r},"
-        f"{rec.reduction_value.real!r},{rec.reduction_value.imag!r},"
-        f"{rec.oracle_value.real!r},{rec.oracle_value.imag!r},{rec.oracle_method},"
-        f"{rec.abs_err!r},{rec.rel_err!r},{rec.status.value},{rec.note}\n"
-        for rec in records
-    )
+    stream.writelines(rows())

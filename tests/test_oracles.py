@@ -188,6 +188,20 @@ class TestBetaSeries:
         with pytest.raises(OutsideDomain):
             beta_series(Fraction(-2000, 3), 1e-3)
 
+    # the series parameter a rounds to 0.0: the value, about z^a/a, is beyond the double
+    # range; the first term 1/a used to raise a bare ZeroDivisionError
+    @pytest.mark.parametrize(
+        "evaluate",
+        [
+            lambda: beta_series(Fraction(1, 10**400), 0.5),
+            lambda: beta_series(Fraction(-(10**400) + 1, 10**400), 0.5),  # r = 1e-400
+            lambda: oracles.beta_series_many([Fraction(1, 3), Fraction(1, 10**400)], 0.5),
+        ],
+    )
+    def test_underflowing_parameter_is_outside_domain(self, evaluate):
+        with pytest.raises(OutsideDomain, match="rounds to 0.0"):
+            evaluate()
+
 
 # |z| in [1e-9, 0.995], log-uniform, on every ray, on both edges of the real axis, and imaginary
 MODULI = st.floats(-9.0, math.log10(0.995)).map(lambda e: 10.0**e)

@@ -6,9 +6,10 @@ import math
 import pytest
 
 from betareduce import ZeroArgument, atanh, principal_log, principal_sqrt, rational_power
-from betareduce import Evaluation, Method, OutsideDomain
-from betareduce.principal import fsum_complex
+from betareduce import BetaReduceError, Evaluation, Method, OutsideDomain
+from betareduce.principal import exponent_parts, fsum_complex, rational_powers
 from fractions import Fraction
+from hypothesis import given, settings, strategies as st
 
 
 class TestPrincipalLog:
@@ -88,6 +89,66 @@ class TestRationalPower:
 
     def test_principal_sqrt_edge(self):
         assert principal_sqrt(complex(-4.0, -0.0)) == 2j
+
+
+def power_outcome(evaluate):
+    """The bits of every power, or the type of the first refusal."""
+    try:
+        return [(repr(w.real), repr(w.imag)) for w in evaluate()]
+    except BetaReduceError as exc:
+        return type(exc)
+
+
+# |z| log-uniform in [1e-300, 0.999]: both edges of the positive and negative real axis, the
+# imaginary axis and off the axes
+MODULI = st.floats(-300.0, math.log10(0.999)).map(lambda e: 10.0**e)
+SIGNED_ZERO = st.sampled_from([0.0, -0.0])
+POWER_POINTS = st.one_of(
+    st.builds(complex, MODULI | MODULI.map(lambda r: -r), SIGNED_ZERO),
+    st.builds(complex, SIGNED_ZERO, MODULI | MODULI.map(lambda r: -r)),
+    st.builds(cmath.rect, MODULI, st.floats(-math.pi, math.pi)),
+)
+# p/q of both signs with integer parts up to 600: at small |z| they overflow, underflow
+# (z**-k divides by an underflowed z**k) and turn non-finite
+EXPONENTS = st.sampled_from([1, 2, 3, 12, 97]).flatmap(
+    lambda q: st.builds(
+        lambda n, p: Fraction(n * q + p, q),
+        st.integers(-600, 600),
+        st.integers(1 - q, q - 1).filter(lambda p: p or q == 1),
+    )
+)
+
+
+class TestRationalPowers:
+    @settings(max_examples=500, deadline=None)
+    @given(z=POWER_POINTS, expos=st.lists(EXPONENTS, min_size=1, max_size=6))
+    def test_shared_log_is_each_single_call(self, z, expos):
+        parts = [exponent_parts(expo) for expo in expos]
+        assert power_outcome(lambda: rational_powers(z, parts)) == power_outcome(
+            lambda: [rational_power(z, expo) for expo in expos]
+        )
+
+    @pytest.mark.parametrize(
+        "z,expos,refusal",
+        [
+            (1e-3, [Fraction(1, 3), Fraction(1, 2), Fraction(-2000, 3)], OutsideDomain),  # overflow
+            (1e-200, [Fraction(5, 2), Fraction(-2)], OutsideDomain),  # z**2 underflows
+            (0.0, [Fraction(3, 2), Fraction(5), Fraction(-1, 2)], ZeroArgument),
+            (0.0, [Fraction(3, 2), Fraction(5)], None),
+            (complex(-0.5, -0.0), [Fraction(1, 3), Fraction(-1, 2), Fraction(7, 12)], None),
+        ],
+    )
+    def test_first_refusal_is_the_single_calls_refusal(self, z, expos, refusal):
+        singles = power_outcome(lambda: [rational_power(z, expo) for expo in expos])
+        assert singles == refusal if refusal else isinstance(singles, list)
+        parts = [exponent_parts(expo) for expo in expos]
+        assert power_outcome(lambda: rational_powers(z, parts)) == singles
+
+    def test_parts_split_toward_zero(self):
+        assert exponent_parts(Fraction(-7, 3)) == (Fraction(-7, 3), -2, -1, 3)
+        assert exponent_parts(Fraction(37, 3)) == (Fraction(37, 3), 12, 1, 3)
+        assert exponent_parts(5) == (5, 5, 0, 1)
+        assert exponent_parts(0.5) == (Fraction(1, 2), 0, 1, 2)
 
 
 class TestFsumComplex:

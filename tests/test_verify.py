@@ -3,6 +3,7 @@
 import csv
 import io
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -19,7 +20,7 @@ from betareduce import (
     run_verification,
     write_verify_csv,
 )
-from betareduce import oracles, verify
+from betareduce import oracles, principal, verify
 
 
 def test_unknown_side_refused():
@@ -109,6 +110,11 @@ def test_csv_bytes_are_csv_writer_bytes():
     records.append(
         VerificationRecord(Fraction(-37, 3), 1e-300j, -0.0j, 1e300, "ShiftedSeries", 0.0, 5e-324, Status.FAIL)
     )
+    # each run of one nu object is rendered once: nu alternating a, b, a, then an equal
+    # Fraction that is another object
+    a, b, twin = Fraction(2, 7), Fraction(-9, 2), Fraction(2, 7)
+    assert twin == a and twin is not a
+    records += [replace(records[0], nu=nu) for nu in (a, b, a, twin)]
     out = io.StringIO()
     write_verify_csv(records, out)
     assert out.getvalue() == csv_writer_rendering(records)
@@ -128,6 +134,21 @@ def record_bits(rec):
         rec.status,
         rec.note,
     )
+
+
+# one chunk at the default z: each nu is split once and each z has one log for the
+# prefactors of the whole chunk, not one at every point
+def test_oracle_work_once_per_nu_and_once_per_z(monkeypatch):
+    nus, zs = default_nu_grid(n_max=1, q_max=8), default_z_grid()
+    assert len(nus) <= verify.VERIFY_NU_CHUNK and len(zs) == 29
+    splits, logs = [], []
+    split, log = oracles._series_split, principal.principal_log
+    monkeypatch.setattr(oracles, "_series_split", lambda nu: splits.append(nu) or split(nu))
+    monkeypatch.setattr(principal, "principal_log", lambda w: logs.append(w) or log(w))
+    records, passed, _, _ = run_verification(nus, zs, 1e-10)
+    assert passed == len(records) == len(nus) * len(zs)
+    assert splits == nus
+    assert logs == zs
 
 
 # both signs, the non-positive integer -2 amid them, and more nu than one chunk holds
