@@ -5,23 +5,26 @@ Two families of oracle, deliberately far from the reduction formulas:
 * direct series summation of sum z^k/(k+nu) (exactly rounded by
   ``math.fsum``, with a three-consecutive-small-terms stopping rule and a
   rigorous geometric tail bound), plus the shifted split for negative nu;
-  :func:`beta_series_columns` sums many nu at each of many z as numpy
-  blocks and assembles each point as :func:`beta_series` does, so bitwise
-  alike: the split of each nu and the parts of its exponent are computed
-  once for all z, the log (or square root) of each z once for all nu;
+  :func:`beta_series_columns` gives the plain values of many nu at each of
+  many z, one numpy pass per z, assembled as :func:`beta_series` assembles
+  them, so bitwise alike: the split of each nu and the parts of its
+  exponent are computed once for all z, the log (or square root) of each z
+  once for all nu; a z the pass cannot finish gives no column, and
+  :func:`beta_series`, point by point, owns every refusal;
 * adaptive quadrature of the defining integrals -- QUADPACK on [0,1] for
   the beta integrand (with a power substitution that removes the t = 0
   singularity), and a tanh-sinh rule on the exponentially mapped
   semi-infinite integral for the Lerch form.
 
-Every oracle returns an :class:`Evaluation` with an a-posteriori error bound.
+Every oracle returns an :class:`Evaluation` with an a-posteriori error bound;
+the columns hold values only, with one method per nu.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -33,7 +36,7 @@ from .errors import (
     QuadratureNonConvergence,
 )
 from .principal import Evaluation, Method, exponent_parts, finite_complex, fsum_complex
-from .principal import rational_power, rational_powers
+from .principal import finite_double, rational_power, rational_powers
 from .rationals import decompose
 
 
@@ -85,58 +88,51 @@ def _sum_inverse_linear(z: complex, a: float):
     )
 
 
-def _sums_inverse_linear(z: complex, avals: Sequence[float]) -> list:
-    """``[_sum_inverse_linear(z, a) for a in avals]``, computed as numpy blocks.
+def _sums_inverse_linear(z: complex, avals: Sequence[float]) -> Optional[list]:
+    """``[_sum_inverse_linear(z, a) for a in avals]`` as one numpy pass, or None.
 
-    Needs a finite z with 0 < |z| < 1.  A block holds rows k and columns a,
-    at most ``SERIES_BLOCK_CELLS`` cells, and repeats the scalar loop's
-    arithmetic in its order: one walk z^k (``np.multiply.accumulate`` from
-    1), each term lane by lane as z^k/(k + a), the running sums by
+    Needs a finite z with 0 < |z| < 1.  The pass holds rows k and columns a,
+    at most ``SERIES_BLOCK_CELLS`` cells a block, and repeats the scalar
+    loop's arithmetic in its order: one walk z^k (``np.multiply.accumulate``
+    from 1), each term lane by lane as z^k/(k + a), the running sums by
     ``np.cumsum``, the moduli by ``np.hypot`` as ``abs`` does (``np.abs``
     rounds differently), the three-small-terms stop, and ``math.fsum`` over
     each column's first k + 1 terms.  So every result is bitwise the scalar
     one.  (CPython's complex / float adds ``im*0.0`` to the real lane and
     ``-re*0.0`` to the imaginary one; that changes only the sign of a zero
     term, which neither a modulus nor an exactly rounded sum whose first
-    term is 1/a + 0j can see.)  The rows start at log(SERIES_REL_TOL)/log|z|,
-    plus a margin, and double while a block of one column still fits; a
-    column that has not stopped by then, or whose a is below 1e-300, goes to
-    :func:`_sum_inverse_linear`, which keeps its term budget and errors.
+    term is 1/a + 0j can see.)  The rows are log(SERIES_REL_TOL)/log|z| plus
+    a margin.  None when they do not fit in ``SERIES_BLOCK_CELLS``, when an
+    a is below 1e-300, or when some column has not stopped within them: each
+    point then goes to :func:`beta_series`, whose scalar loop keeps its term
+    budget and errors.
     """
-    avals = [float(a) for a in avals]
-    out = [None] * len(avals)
-    # a >= 1e-300: partial sums of at most SERIES_BLOCK_CELLS terms, each <= 1/a, stay finite
-    pending = [j for j, a in enumerate(avals) if a >= 1e-300]
     # terms fall below SERIES_REL_TOL of the sum from about this row on; the stop needs two more
     rows = math.ceil(math.log(SERIES_REL_TOL) / math.log(abs(z))) + 4
-    while pending and rows <= SERIES_BLOCK_CELLS:
-        walk = np.full(rows, z)
-        walk[0] = 1.0
-        zk = np.multiply.accumulate(walk)[:, None]
-        ks = np.arange(rows, dtype=float)[:, None]
-        width = SERIES_BLOCK_CELLS // rows
-        left = []
-        for start in range(0, len(pending), width):
-            cols = pending[start : start + width]
-            dens = ks + np.array([avals[j] for j in cols])
-            re = zk.real / dens
-            im = zk.imag / dens
-            last = np.hypot(re, im)
-            small = last <= SERIES_REL_TOL * np.hypot(np.cumsum(re, axis=0), np.cumsum(im, axis=0))
-            third = small[2:] & small[1:-1] & small[:-2]
-            stops = third.argmax(axis=0) + 2
-            lanes = np.arange(len(cols))
-            found = third[stops - 2, lanes].tolist()
-            lasts = last[stops, lanes].tolist()
-            for c, (j, k, stopped) in enumerate(zip(cols, stops.tolist(), found)):
-                if not stopped:
-                    left.append(j)
-                    continue
-                total = complex(math.fsum(re[: k + 1, c].tolist()), math.fsum(im[: k + 1, c].tolist()))
-                out[j] = (total, lasts[c], k + 1)
-        pending = left
-        rows *= 2
-    return [_sum_inverse_linear(z, a) if res is None else res for a, res in zip(avals, out)]
+    # a >= 1e-300: partial sums of at most SERIES_BLOCK_CELLS terms, each <= 1/a, stay finite
+    if rows > SERIES_BLOCK_CELLS or min(avals, default=1.0) < 1e-300:
+        return None
+    walk = np.full(rows, z)
+    walk[0] = 1.0
+    zk = np.multiply.accumulate(walk)[:, None]
+    ks = np.arange(rows, dtype=float)[:, None]
+    width = SERIES_BLOCK_CELLS // rows
+    out = []
+    for start in range(0, len(avals), width):
+        dens = ks + np.array(avals[start : start + width])
+        re = zk.real / dens
+        im = zk.imag / dens
+        last = np.hypot(re, im)
+        small = last <= SERIES_REL_TOL * np.hypot(np.cumsum(re, axis=0), np.cumsum(im, axis=0))
+        third = small[2:] & small[1:-1] & small[:-2]
+        if not third.any(axis=0).all():
+            return None
+        stops = third.argmax(axis=0) + 2
+        lasts = last[stops, np.arange(len(stops))].tolist()
+        for c, k in enumerate(stops.tolist()):
+            total = complex(math.fsum(re[: k + 1, c].tolist()), math.fsum(im[: k + 1, c].tolist()))
+            out.append((total, lasts[c], k + 1))
+    return out
 
 
 def lerch_series(z: complex, nu: float) -> Evaluation:
@@ -176,65 +172,64 @@ def beta_series(nu: Fraction, z: complex) -> Evaluation:
     if abs(z) >= 1.0:
         raise OutsideDomain(f"series needs |z| < 1, got |z| = {abs(z)}")
     expo, a, n = _series_split(nu)
-    return _series_evaluation(z, a, n, _sum_inverse_linear(z, a), rational_power(z, expo))
-
-
-def beta_series_many(nus: Sequence[Fraction], z: complex) -> List[Evaluation]:
-    """The evaluations ``[beta_series(nu, z) for nu in nus]``, bitwise.
-
-    The column of :func:`beta_series_columns` at z; where that is refused,
-    the scalar loop, which raises the first error it meets.
-    """
-    column = beta_series_columns(nus, [z])[0]
-    return [beta_series(nu, z) for nu in nus] if column is None else column
+    total, last, terms = _sum_inverse_linear(z, a)
+    prefactor = rational_power(z, expo)
+    err = abs(prefactor) * last / (1.0 - abs(z))
+    value = _series_value(z, a, n, total, prefactor)
+    return Evaluation(value, _series_method(nu), err, terms + n)
 
 
 def beta_series_columns(
     nus: Sequence[Fraction], zs: Sequence[complex]
-) -> List[Optional[List[Evaluation]]]:
-    """Per z, the evaluations ``[beta_series(nu, z) for nu in nus]``, or None.
+) -> Tuple[List[Method], List[Optional[List[complex]]]]:
+    """Each nu's method, and per z the values ``[beta_series(nu, z).value for nu in nus]`` or None.
 
     Work that depends on nu alone runs once for all z: the splits, their
     distinct a (a negative nu reuses the sum of its n = 0 sibling) and the
     :func:`exponent_parts` of each prefactor.  Per z, one
-    :func:`_sums_inverse_linear` block sums the series of the distinct a and
+    :func:`_sums_inverse_linear` pass sums the series of the distinct a and
     one :func:`rational_powers` call, with one log (or square root) of z,
-    gives every prefactor.  A z the block cannot take (0, |z| >= 1, not
-    finite) or where some point is refused gives None, and so does every z
-    when some split is refused.
+    gives every prefactor.  The methods are those of :func:`beta_series`,
+    refused points included.  A z the pass cannot take (0, |z| >= 1, not
+    finite, or a column that does not stop within its rows) or where some
+    point is refused gives None, and so does every z when some split is
+    refused: the caller then calls :func:`beta_series`, which owns every
+    refusal, point by point.
     """
     nus = [nu if isinstance(nu, Fraction) else Fraction(nu) for nu in nus]
+    methods = [_series_method(nu) for nu in nus]
     try:
         splits = [_series_split(nu) for nu in nus]
     except (BetaReduceError, ArithmeticError):
-        return [None] * len(zs)
+        return methods, [None] * len(zs)
     avals = list(dict.fromkeys(a for _, a, _ in splits))
     slots = {a: slot for slot, a in enumerate(avals)}
     parts = [exponent_parts(expo) for expo, _, _ in splits]
     columns = []
-    for z in zs:
-        z = complex(z)
-        column = None
-        if z != 0 and abs(z.real) < 1.0 and abs(z.imag) < 1.0 and abs(z) < 1.0:
-            try:
-                sums = _sums_inverse_linear(z, avals)
-                powers = rational_powers(z, parts)
-                column = [
-                    _series_evaluation(z, a, n, sums[slots[a]], power)
-                    for (_, a, n), power in zip(splits, powers)
-                ]
-            except (BetaReduceError, ArithmeticError):
-                pass  # some point is refused
-        columns.append(column)
-    return columns
+    for z in map(complex, zs):
+        inside = z != 0 and abs(z.real) < 1.0 and abs(z.imag) < 1.0 and abs(z) < 1.0
+        sums = _sums_inverse_linear(z, avals) if inside else None
+        try:
+            columns.append(None if sums is None else [
+                _series_value(z, a, n, sums[slots[a]][0], power)
+                for (_, a, n), power in zip(splits, rational_powers(z, parts))
+            ])
+        except (BetaReduceError, ArithmeticError):
+            columns.append(None)  # some point is refused
+    return methods, columns
+
+
+def _series_method(nu: Fraction) -> Method:
+    """The method of every B(nu, 0, z) the series gives: the shifted split for negative nu."""
+    return Method.SERIES if nu > 0 else Method.SHIFTED_SERIES
 
 
 def _series_split(nu: Fraction):
     """(expo, a, n) with B(nu, 0, z) = z^expo * sum z^k/(k+a) + n correction terms.
 
     Refuses a non-positive integer nu and n beyond ``SERIES_MAX_TERMS`` as
-    beta_series does, and an a that rounds to 0.0, where the value (about
-    z^a/a) lies outside the double range.
+    beta_series does, and an a that is no finite non-zero double: where it
+    rounds to 0.0 the value (about z^a/a) lies outside the double range.
     """
     if nu > 0:
         expo, n = nu, 0
@@ -243,23 +238,17 @@ def _series_split(nu: Fraction):
         expo, n = dec.r, -dec.m
         if n > SERIES_MAX_TERMS:
             raise MaxTermsExceeded(f"{n} correction terms exceed the budget of {SERIES_MAX_TERMS}")
-    a = float(expo)
-    if a == 0.0:
-        raise OutsideDomain(f"the series parameter {expo} rounds to 0.0: B({nu}, 0, z) overflows")
-    return expo, a, n
+    return expo, finite_double(expo, "the series parameter"), n
 
 
-def _series_evaluation(z: complex, a: float, n: int, sums, prefactor: complex) -> Evaluation:
-    """B(nu, 0, z) from its split, the (sum, |last term|, terms) of its series and z^expo."""
-    total, last, terms = sums
+def _series_value(z: complex, a: float, n: int, total: complex, prefactor: complex) -> complex:
+    """B(nu, 0, z) from its split, the sum of its series and z^expo."""
     corr = []
     zk = prefactor
     for k in range(1, n + 1):
         zk /= z
         corr.append(zk / (a - k))
-    value = prefactor * total + fsum_complex(corr) if n else prefactor * total
-    err = abs(prefactor) * last / (1.0 - abs(z))
-    return Evaluation(value, Method.SHIFTED_SERIES if n else Method.SERIES, err, terms + n)
+    return prefactor * total + fsum_complex(corr) if n else prefactor * total
 
 
 def beta_quadrature(nu: float, mu: float, z: float) -> Evaluation:

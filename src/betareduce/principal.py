@@ -64,6 +64,17 @@ def finite_complex(z: complex, name: str = "z") -> complex:
     return z
 
 
+def finite_double(x, name: str) -> float:
+    """float(x); one that overflows or rounds to 0.0 raises :class:`OutsideDomain` naming it."""
+    try:
+        f = float(x)
+    except OverflowError:
+        f = 0.0
+    if not (f and math.isfinite(f)):
+        raise OutsideDomain(f"{name} = {x} does not round to a finite non-zero double")
+    return f
+
+
 def principal_log(w: complex) -> complex:
     """Complex log with Im in (-pi, pi]; exact negative reals map to +i*pi."""
     w = complex(w)

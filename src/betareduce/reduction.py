@@ -39,6 +39,7 @@ from .principal import (
     Method,
     atanh,
     finite_complex,
+    finite_double,
     fsum_complex,
     principal_log,
     principal_sqrt,
@@ -55,35 +56,23 @@ MAX_TAIL_TERMS = 10**6
 _TWO_PI = 2.0 * math.pi
 
 
-def _root_table(q: int) -> Tuple[complex, ...]:
+def _root_table(q: int) -> Tuple[Tuple[complex, ...], np.ndarray]:
     # e^(2*pi*i*j/q) from the exact angle of each j, not by repeated
-    # multiplication: keeps the phase tight for large k*p products.
-    return tuple(complex(math.cos(_TWO_PI * j / q), math.sin(_TWO_PI * j / q)) for j in range(q))
+    # multiplication: keeps the phase tight for large k*p products.  The
+    # tuple serves the scalar kernel, a read-only array of it the batch.
+    roots = tuple(complex(math.cos(_TWO_PI * j / q), math.sin(_TWO_PI * j / q)) for j in range(q))
+    table = np.array(roots)
+    table.flags.writeable = False
+    return roots, table
 
 
-# q up to this keeps its table in the cache (64 tables, 10 MB at most); larger q builds its own.
+# q up to this keeps its tuple and array in the cache (64 q, 15 MB at most); larger q builds anew.
 ROOT_CACHE_MAX_Q = 4096
 _unit_roots = functools.lru_cache(maxsize=64)(_root_table)
 
 
-def _roots(q: int) -> Tuple[complex, ...]:
+def _roots(q: int) -> Tuple[Tuple[complex, ...], np.ndarray]:
     return _unit_roots(q) if q <= ROOT_CACHE_MAX_Q else _root_table(q)
-
-
-def _batch_table(p: int, q: int) -> Tuple[np.ndarray, np.ndarray]:
-    # the roots of _roots(q) and each log row's phase -e^(-2*pi*i*p*k/q), read-only
-    roots = np.array(_roots(q))
-    phases = -roots[-p * np.arange(q) % q]
-    roots.flags.writeable = phases.flags.writeable = False
-    return roots, phases
-
-
-# the same bound as _unit_roots: 64 (p, q) pairs of two arrays, 8 MB at most
-_batch_tables = functools.lru_cache(maxsize=64)(_batch_table)
-
-
-def _tables(p: int, q: int) -> Tuple[np.ndarray, np.ndarray]:
-    return _batch_tables(p, q) if q <= ROOT_CACHE_MAX_Q else _batch_table(p, q)
 
 
 def _roots_and_powers(zs: List[complex], dec: Decomposition) -> Tuple[List[complex], List[complex]]:
@@ -102,7 +91,7 @@ def _roots_and_powers(zs: List[complex], dec: Decomposition) -> Tuple[List[compl
 
 def _roots_log_sum(p: int, q: int, zq: complex) -> List[complex]:
     """The q phased principal logs whose sum is B(p/q, 0, z), from zq = z^(1/q)."""
-    roots = _roots(q)
+    roots = _roots(q)[0]
     logs = []
     for k in range(q):
         w = 1 - zq * roots[k]
@@ -221,7 +210,8 @@ def reduce_beta_many(dec: Decomposition, zs: Iterable[complex]) -> List[complex]
     if width > BATCH_CELLS:
         # one column alone would pass the budget (this covers |m| or q > MAX_TAIL_TERMS)
         return [reduce_beta(dec, z).value for z in zs]
-    tables = _tables(p, q)
+    roots = _roots(q)[1]
+    phases = -roots[-p * np.arange(q) % q]  # each log row's phase -e^(-2*pi*i*p*k/q)
     # the tail's denominators with its sign folded in, exact for IEEE division:
     # -(k + r) for k = 0..m-1, k + r for k = -1..m
     r = p / q
@@ -232,12 +222,11 @@ def reduce_beta_many(dec: Decomposition, zs: Iterable[complex]) -> List[complex]
     # non-finite parts are found by explicit checks, not by numpy's warnings
     with np.errstate(all="ignore"):
         for start in range(0, len(zs), step):
-            out.extend(_batch_chunk(dec, tables, dens[:, None], zs[start : start + step]))
+            out.extend(_batch_chunk(dec, roots, phases, dens[:, None], zs[start : start + step]))
     return out
 
 
-def _batch_chunk(dec, tables, dens, zs: List[complex]) -> List[complex]:
-    roots, phases = tables
+def _batch_chunk(dec, roots, phases, dens, zs: List[complex]) -> List[complex]:
     q, m = len(roots), dec.m
     za = np.array(zs, dtype=complex)
     regular = (za != 0) & (np.abs(za.real) < _BATCH_LIMIT) & (np.abs(za.imag) < _BATCH_LIMIT)
@@ -295,7 +284,8 @@ def beta_mu_posint(nu: Fraction, m: int, z: complex) -> complex:
 
     Valid for any rational nu outside {0, -1, ..., -m}; those values hit a
     vanishing denominator and raise :class:`PoleInSum`.  A value outside
-    the double range raises :class:`OutsideDomain`.
+    the double range, or a nu that does not round to a finite non-zero
+    double, raises :class:`OutsideDomain`.
     """
     nu = Fraction(nu)
     if m < 0 or m > MAX_BINOMIAL_M:
@@ -307,7 +297,7 @@ def beta_mu_posint(nu: Fraction, m: int, z: complex) -> complex:
         if nu > 0:
             return 0j
         raise ZeroArgument(f"z = 0 needs nu > 0, got nu = {nu}")
-    nuf = float(nu)
+    nuf = finite_double(nu, "nu")
     terms = []
     binom = 1.0
     zk = complex(1.0)  # (-z)^k

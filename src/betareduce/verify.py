@@ -1,8 +1,9 @@
 """Reduction-versus-oracle verification grids and their records.
 
 One record per (nu, z) point: the closed-form value (one batch call per
-nu), the series oracle value (one numpy block and one log per z, shared by
-a chunk of nu that is split once for all z), and the discrepancy.  The
+nu), the series oracle value (one numpy pass and one log per z, shared by
+a chunk of nu that is split once for all z; a point the batch paths do not
+finish is evaluated alone), and the discrepancy.  The
 relative error is absolute error over max(1, |oracle|), the convention used
 for every tolerance in this package.
 Points where either side refuses to evaluate (branch guard, domain) are
@@ -102,10 +103,12 @@ def run_verification(
 
     Returns (records, passed, failed, skipped) with records in grid order,
     nu-major.  The grid is taken ``VERIFY_NU_CHUNK`` parameters at a time:
-    one :func:`beta_series_columns` call gives the chunk's oracle column at
-    every z, splitting each nu once and taking one log of each z; per nu,
-    one :func:`reduce_beta_many` call gives its reduction row.  A column or
-    row that refuses some point gives nothing: each of its points
+    one :func:`beta_series_columns` call gives each nu's oracle method and
+    the chunk's oracle values at every z, splitting each nu once and taking
+    one log of each z; per nu, one :func:`reduce_beta_many` call gives its
+    reduction row.  Both return plain values and leave every refusal to the
+    one per-point path: a column the series pass cannot finish, or a column
+    or row that refuses some point, gives nothing, and each of its points
     is then evaluated alone, the oracle only once the point's reduction
     succeeded, so a Skipped row keeps its own error name and no row depends
     on its siblings.  A grid of more than ``MAX_TAIL_TERMS`` points, whose
@@ -120,8 +123,9 @@ def run_verification(
     records: List[VerificationRecord] = []
     for start in range(0, len(nus), VERIFY_NU_CHUNK):
         chunk = [Fraction(nu) for nu in nus[start : start + VERIFY_NU_CHUNK]]
-        columns = beta_series_columns(chunk, zs)
+        methods, columns = beta_series_columns(chunk, zs)
         for i, nu in enumerate(chunk):
+            method = methods[i].value
             try:
                 row = reduce_beta_many(decompose(nu), zs)
             except (BetaReduceError, ArithmeticError):
@@ -129,7 +133,7 @@ def run_verification(
             for j, z in enumerate(zs):
                 try:
                     reduction = reduce_beta_many(decompose(nu), [z])[0] if row is None else row[j]
-                    oracle = beta_series(nu, z) if columns[j] is None else columns[j][i]
+                    oracle = beta_series(nu, z).value if columns[j] is None else columns[j][i]
                 except BetaReduceError as exc:
                     records.append(
                         VerificationRecord(
@@ -137,15 +141,15 @@ def run_verification(
                         )
                     )
                     continue
-                abs_err = abs(reduction - oracle.value)
-                rel_err = abs_err / max(1.0, abs(oracle.value))
+                abs_err = abs(reduction - oracle)
+                rel_err = abs_err / max(1.0, abs(oracle))
                 records.append(
                     VerificationRecord(
                         nu,
                         z,
                         reduction,
-                        oracle.value,
-                        oracle.method.value,
+                        oracle,
+                        method,
                         abs_err,
                         rel_err,
                         Status.PASS if rel_err <= tol else Status.FAIL,

@@ -137,6 +137,11 @@ class TestEval:
             ["eval", "beta-mu", "--nu", "1/3", "--mu", "2", "--z", "1e300"],
             ["eval", "beta-mu", "--nu", "1/3", "--mu", "3", "--z", "1e150,1e150"],
             ["eval", "beta-mu", "--nu=-96/97", "--mu", "2", "--z", "6.8238642e-317"],
+            # nu beyond the double range: float(nu) overflowed, or rounded to 0.0 and was
+            # divided by, and ended in a traceback with exit 1
+            ["eval", "beta-mu", "--nu", "1" + "0" * 400, "--mu", "1", "--z", "0.5"],
+            ["eval", "beta-mu", "--nu", "1/1" + "0" * 400, "--mu", "1", "--z", "0.5"],
+            ["eval", "beta-mu", "--nu=-1/1" + "0" * 400, "--mu", "1", "--z", "0.5"],
         ],
     )
     def test_result_outside_double_range_exit_two(self, capsys, argv):

@@ -189,17 +189,23 @@ class TestBetaSeries:
             beta_series(Fraction(-2000, 3), 1e-3)
 
     # the series parameter a rounds to 0.0: the value, about z^a/a, is beyond the double
-    # range; the first term 1/a used to raise a bare ZeroDivisionError
+    # range; the first term 1/a used to raise a bare ZeroDivisionError.  An a that
+    # overflows (the value underflows) used to raise a bare OverflowError
     @pytest.mark.parametrize(
         "evaluate",
         [
             lambda: beta_series(Fraction(1, 10**400), 0.5),
             lambda: beta_series(Fraction(-(10**400) + 1, 10**400), 0.5),  # r = 1e-400
-            lambda: oracles.beta_series_many([Fraction(1, 3), Fraction(1, 10**400)], 0.5),
+            # the columns leave the refusal to beta_series: their one column is None
+            lambda: oracles.beta_series_columns([Fraction(1, 3), Fraction(1, 10**400)], [0.5])[1]
+            == [None]
+            and beta_series(Fraction(1, 10**400), 0.5),
+            lambda: beta_series(Fraction(10**400), 0.5),
+            lambda: beta_series(Fraction(3 * 10**400 + 1, 3), 0.5),
         ],
     )
     def test_underflowing_parameter_is_outside_domain(self, evaluate):
-        with pytest.raises(OutsideDomain, match="rounds to 0.0"):
+        with pytest.raises(OutsideDomain, match="does not round to a finite non-zero double"):
             evaluate()
 
 
@@ -229,10 +235,15 @@ def series_bits(result):
 
 
 def assert_block_is_scalar(z, avals):
+    """The single pass is the scalar loop bitwise, and None exactly where it cannot finish."""
     block = oracles._sums_inverse_linear(z, avals)
-    assert [series_bits(r) for r in block] == [
-        series_bits(oracles._sum_inverse_linear(z, a)) for a in avals
-    ]
+    scalar = [oracles._sum_inverse_linear(z, a) for a in avals]
+    rows = math.ceil(math.log(oracles.SERIES_REL_TOL) / math.log(abs(z))) + 4
+    fits = rows <= oracles.SERIES_BLOCK_CELLS and min(avals) >= 1e-300
+    if fits and all(terms <= rows for _, _, terms in scalar):
+        assert [series_bits(r) for r in block] == [series_bits(r) for r in scalar]
+    else:
+        assert block is None
 
 
 class TestSeriesBlock:
@@ -244,17 +255,22 @@ class TestSeriesBlock:
     @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(z=BLOCK_POINTS, avals=st.lists(A_VALUES, min_size=1, max_size=8))
     def test_small_blocks_fall_back_bitwise(self, z, avals):
-        # 40 cells: small |z| runs in blocks of a few columns, larger |z| falls back
+        # 40 cells: small |z| runs in blocks of a few columns, larger |z| is refused
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(oracles, "SERIES_BLOCK_CELLS", 40)
             assert_block_is_scalar(z, avals + avals[:1])
 
+    # the series parameters of the default grid, of the verify-grid window grid and of
+    # --n-max 3 --q-max 20, and a up to 10^4: one pass finishes every column
     def test_default_grid_needs_no_fallback(self, monkeypatch):
         calls = []
         monkeypatch.setattr(oracles, "_sum_inverse_linear", lambda z, a: calls.append((z, a)))
         avals = [float(nu) for nu in default_nu_grid(n_max=6, q_max=12, side="pos")]
+        for nus in (default_nu_grid(0, 8), default_nu_grid(3, 20)):
+            avals += [oracles._series_split(nu)[1] for nu in nus]
+        avals += [10.0**k + 1 / 3 for k in (2, 3, 4)]
         for z in default_z_grid():
-            oracles._sums_inverse_linear(z, avals)
+            assert isinstance(oracles._sums_inverse_linear(z, avals), list)
         assert calls == []
 
     def test_growth_and_fallback_columns(self, monkeypatch):
@@ -263,23 +279,24 @@ class TestSeriesBlock:
         monkeypatch.setattr(
             oracles, "_sum_inverse_linear", lambda z, a: calls.append(a) or scalar(z, a)
         )
-        # a = 1e4 stops after 359 terms, past the first 354 rows: the rows double
-        assert [series_bits(r) for r in oracles._sums_inverse_linear(-0.9, [0.5, 1e4])] == [
-            series_bits(scalar(-0.9, a)) for a in (0.5, 1e4)
-        ]
-        assert calls == []
+        # a = 1e4 stops after 359 terms, past the 354 rows of the single pass
+        assert oracles._sums_inverse_linear(-0.9, [0.5, 1e4]) is None
+        assert oracles._sums_inverse_linear(0.01, [1e-310]) is None  # 1/a would overflow
         monkeypatch.setattr(oracles, "SERIES_BLOCK_CELLS", 40)
-        oracles._sums_inverse_linear(0.01, [0.5, 1.5, 2.5, 3.5])  # 12 rows, 3 columns a block
+        avals = [0.5, 1.5, 2.5, 3.5]  # 12 rows, 3 columns a block
+        assert [series_bits(r) for r in oracles._sums_inverse_linear(0.01, avals)] == [
+            series_bits(scalar(0.01, a)) for a in avals
+        ]
+        assert oracles._sums_inverse_linear(-0.5, [-0.5, 0.5]) is None  # 58 rows do not fit in 40
         assert calls == []
-        oracles._sums_inverse_linear(-0.5, [-0.5, 0.5])  # a <= 0; 58 rows do not fit in 40
-        assert calls == [-0.5, 0.5]
-        with pytest.raises(OutsideDomain):  # 1/a overflows, as in the scalar loop
-            oracles._sums_inverse_linear(0.01, [1e-310])
-        assert calls[-1] == 1e-310
 
 
-def evaluation_bits(ev):
-    return repr(ev.value.real), repr(ev.value.imag), ev.method, repr(ev.error_estimate), ev.terms_or_nodes
+def value_bits(value, method):
+    return repr(value.real), repr(value.imag), method
+
+
+def scalar_value_bits(nus, z):
+    return [value_bits(ev.value, ev.method) for ev in (beta_series(nu, z) for nu in nus)]
 
 
 def first_scalar_error(nus, z):
@@ -291,22 +308,22 @@ def first_scalar_error(nus, z):
     return None
 
 
+# the columns of beta_series_columns(nus, [z]) against the scalar loop
 class TestBetaSeriesMany:
     # both signs, shifted siblings that share one series, integers, duplicates
     NUS = default_nu_grid(n_max=2, q_max=7) + [Fraction(1), Fraction(3), Fraction(1, 2), Fraction(-5, 2)]
 
     @pytest.mark.parametrize("z", default_z_grid() + [complex(-0.3, -0.0), 1e-9j, 0.99])
     def test_evaluations_are_the_scalar_ones(self, z):
-        many = oracles.beta_series_many(self.NUS, z)
-        assert [evaluation_bits(ev) for ev in many] == [
-            evaluation_bits(beta_series(nu, z)) for nu in self.NUS
-        ]
+        methods, (column,) = oracles.beta_series_columns(self.NUS, [z])
+        assert [value_bits(v, m) for v, m in zip(column, methods)] == scalar_value_bits(self.NUS, z)
 
+    # z = 0 gives no column, so each point goes to beta_series alone; the methods are its own
     def test_z_zero_is_the_scalar_loop(self):
         nus = [nu for nu in self.NUS if nu > 0]
-        assert [evaluation_bits(ev) for ev in oracles.beta_series_many(nus, 0.0)] == [
-            evaluation_bits(beta_series(nu, 0.0)) for nu in nus
-        ]
+        methods, columns = oracles.beta_series_columns(nus, [0.0])
+        assert columns == [None]
+        assert methods == [beta_series(nu, 0.0).method for nu in nus]
 
     @pytest.mark.parametrize(
         "nus,z",
@@ -321,25 +338,17 @@ class TestBetaSeriesMany:
         ],
     )
     def test_refusal_is_the_first_scalar_error(self, nus, z):
-        expected = first_scalar_error(nus, z)
-        assert expected is not None
-        with pytest.raises(expected):
-            oracles.beta_series_many(nus, z)
+        assert first_scalar_error(nus, z) is not None
+        assert oracles.beta_series_columns(nus, [z])[1] == [None]
 
     def test_correction_budget_is_the_scalar_one(self, monkeypatch):
         monkeypatch.setattr(oracles, "SERIES_MAX_TERMS", 100)
         nus = [Fraction(1, 3), Fraction(-599, 3)]
         assert first_scalar_error(nus, 0.5) is MaxTermsExceeded
-        with pytest.raises(MaxTermsExceeded):
-            oracles.beta_series_many(nus, 0.5)
-
-
-def series_outcome(evaluate):
-    """The bits of every evaluation, or the type of the first refusal."""
-    try:
-        return [evaluation_bits(ev) for ev in evaluate()]
-    except BetaReduceError as exc:
-        return type(exc)
+        assert oracles.beta_series_columns(nus, [0.5, 0.25]) == (
+            [Method.SERIES, Method.SHIFTED_SERIES],
+            [None, None],
+        )
 
 
 # both signs with |n| up to 50 (at small |z| the correction overflows), positive integers
@@ -352,9 +361,12 @@ SERIES_NUS = st.builds(Fraction, st.integers(-600, 600), st.integers(1, 12)).fil
 @given(nus=st.lists(SERIES_NUS, min_size=1, max_size=10), z=BLOCK_POINTS)
 def test_many_is_the_scalar_loop_field_by_field(nus, z):
     nus = nus + nus[:1]  # one duplicate at least
-    assert series_outcome(lambda: oracles.beta_series_many(nus, z)) == series_outcome(
-        lambda: [beta_series(nu, z) for nu in nus]
-    )
+    methods, (column,) = oracles.beta_series_columns(nus, [z])
+    if column is not None:
+        assert [value_bits(v, m) for v, m in zip(column, methods)] == scalar_value_bits(nus, z)
+    elif first_scalar_error(nus, z) is None:
+        # every point evaluates: the single pass could not finish some column
+        assert oracles._sums_inverse_linear(z, [oracles._series_split(nu)[1] for nu in nus]) is None
 
 
 def _loop_without_bound(z, a):

@@ -32,7 +32,6 @@ from betareduce.principal import fsum_complex, principal_log, principal_sqrt
 from betareduce.reduction import (
     MAX_TAIL_TERMS,
     ROOT_CACHE_MAX_Q,
-    _batch_tables,
     _closed_form,
     _roots_log_sum,
     _unit_roots,
@@ -405,7 +404,7 @@ def _per_call_unit_root(num: int, den: int) -> complex:
 class TestUnitRootTable:
     @pytest.mark.parametrize("q", list(range(2, 25)) + [97, 1000])
     def test_entries_bitwise_equal_to_per_call_formula(self, q):
-        table = _unit_roots(q)
+        table = _unit_roots(q)[0]
         assert len(table) == q
         for j in range(q):
             expected = _per_call_unit_root(j, q)
@@ -441,33 +440,35 @@ class TestUnitRootTable:
         ref = beta_series(nu, 0.3).value
         assert abs(value - ref) <= 1e-9 * max(1.0, abs(ref))
 
-    # the batch's numpy tables follow the same rules as _unit_roots
+    # the batch reads the array of the same cache entry, so it follows the same rules
     def test_batch_table_cache_is_bounded(self):
-        maxsize = _batch_tables.cache_info().maxsize
-        assert maxsize is not None and maxsize > 0
+        maxsize = _unit_roots.cache_info().maxsize
+        for q in range(2, maxsize + 10):
+            reduce_beta_many(decompose(Fraction(1, q)), [0.3])
+        assert _unit_roots.cache_info().currsize == maxsize
 
     @pytest.mark.parametrize("nu", [Fraction(5, 7), Fraction(-11, 12), Fraction(23, 97)])
     def test_batch_tables_are_the_scalar_tables(self, nu):
         dec = decompose(nu)
-        p, q = dec.r.numerator, dec.r.denominator
+        q = dec.r.denominator
         reduce_beta_many(dec, [0.3])
-        hits = _batch_tables.cache_info().hits
+        hits = _unit_roots.cache_info().hits
         reduce_beta_many(dec, [0.3, 2.5])
-        assert _batch_tables.cache_info().hits == hits + 1
-        roots, phases = _batch_tables(p, q)
-        assert not roots.flags.writeable and not phases.flags.writeable
-        assert roots.tolist() == list(_unit_roots(q))
-        assert phases.tolist() == [-_unit_roots(q)[-p * k % q] for k in range(q)]
+        assert _unit_roots.cache_info().hits == hits + 1
+        roots, table = _unit_roots(q)
+        assert not table.flags.writeable
+        assert table.tolist() == list(roots)
 
     def test_batch_large_q_not_cached(self):
         dec = decompose(Fraction(1, ROOT_CACHE_MAX_Q + 3))
-        before = _batch_tables.cache_info()
+        before = _unit_roots.cache_info()
         zs = [0.3, 2.5, 0.2 + 0.4j]
         values = reduce_beta_many(dec, zs)
-        assert _batch_tables.cache_info() == before
+        assert _unit_roots.cache_info() == before
         for z, value in zip(zs, values):
             ev = reduce_beta(dec, z)
             assert abs(value - ev.value) <= 64 * (ev.error_estimate + dec.r.denominator * 2**-53)
+        assert _unit_roots.cache_info() == before
 
 
 class TestEvaluation:

@@ -151,6 +151,16 @@ def test_oracle_work_once_per_nu_and_once_per_z(monkeypatch):
     assert logs == zs
 
 
+# the oracle columns hold plain values: no Evaluation is built where every column is a list
+def test_columns_build_no_evaluation(monkeypatch):
+    built = []
+    evaluation = oracles.Evaluation
+    monkeypatch.setattr(oracles, "Evaluation", lambda *args: built.append(args) or evaluation(*args))
+    records, passed, _, _ = run_verification(default_nu_grid(1, 8), default_z_grid(), 1e-10)
+    assert passed == len(records) == 1827
+    assert built == []
+
+
 # both signs, the non-positive integer -2 amid them, and more nu than one chunk holds
 CHUNKED_NUS = default_nu_grid(n_max=1, q_max=9)[:40] + [Fraction(-2)] + default_nu_grid(n_max=1, q_max=9)[40:]
 CHUNKED_ZS = [0.0, 1.2, 0.5j, 0.9]
@@ -169,11 +179,13 @@ def test_chunked_records_are_the_pointwise_records(monkeypatch, chunk):
         alone = run_verification([rec.nu], [rec.z], 1e-10)[0]
         assert [record_bits(rec)] == [record_bits(a) for a in alone]
         if rec.status is Status.PASS:
-            oracle = beta_series(rec.nu, rec.z).value
+            oracle = beta_series(rec.nu, rec.z)
             assert (repr(rec.oracle_value.real), repr(rec.oracle_value.imag)) == (
-                repr(oracle.real),
-                repr(oracle.imag),
+                repr(oracle.value.real),
+                repr(oracle.value.imag),
             )
+            # the method comes from the per-nu list, not from the point
+            assert rec.oracle_method == oracle.method.value
     notes = {(rec.status, rec.note) for rec in records}
     assert {
         (Status.PASS, ""),
