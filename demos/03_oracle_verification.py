@@ -2,10 +2,10 @@
 
 Nothing here trusts the closed forms: the series oracle sums the defining
 expansion term by term (exactly rounded by ``math.fsum``, with a rigorous
-tail bound) and the two quadrature oracles integrate the defining integral
-representations with completely different machinery (QUADPACK, and a
-tanh-sinh rule on the exponentially mapped semi-infinite integral).  The
-closed form has to meet all of them.
+tail bound) and the two quadrature oracles integrate two different integral
+representations with two different QUADPACK rules (the beta integrand on
+[0, 1], and the paper's semi-infinite integral with the infinite-interval
+rule).  The closed form has to meet all of them.
 """
 
 from fractions import Fraction
@@ -41,6 +41,6 @@ for nu, z in [(Fraction(1, 2), 0.25), (Fraction(7, 3), 0.5), (Fraction(5, 4), 0.
 print()
 print("Oracle error estimates are honest a-posteriori bounds:")
 result = lerch_series(0.9, 0.5)
-print(f"  series at z=0.9: {result.terms_or_nodes} terms, reported bound {result.error_estimate:.3e}")
+print(f"  series at z=0.9:   {result.terms_or_nodes} terms, reported bound {result.error_estimate:.3e}")
 result = phi_quadrature(0.9, 0.5)
-print(f"  tanh-sinh:       {result.terms_or_nodes} nodes, reported bound {result.error_estimate:.3e}")
+print(f"  phi quad at z=0.9: {result.terms_or_nodes} QUADPACK evaluations, reported bound {result.error_estimate:.3e}")

@@ -17,7 +17,7 @@ from typing import IO, Iterable, List, Sequence, Tuple
 
 from .errors import BenchConsistencyError, BetaReduceError, OutsideDomain
 from .oracles import beta_quadrature, beta_series
-from .principal import Method
+from .principal import Method, to_double
 from .rationals import render_rational
 from .reduction import incomplete_beta
 
@@ -81,7 +81,7 @@ def run_bench(
     records: List[BenchRecord] = []
     for nu, z in grid:
         nu = Fraction(nu)
-        z = complex(z)
+        z = to_double(z, complex)
         evaluators = _evaluators(nu, z)
 
         values = {}

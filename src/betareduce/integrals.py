@@ -18,7 +18,7 @@ import sys
 from fractions import Fraction
 
 from .errors import OutsideDomain, ResidualImaginary
-from .principal import rational_power
+from .principal import rational_power, to_double
 from .rationals import decompose_pos
 from .reduction import lerch_reduce, reduce_beta
 
@@ -39,7 +39,7 @@ def int_power_over_linear(nu: Fraction, z: complex) -> complex:
 def int_tanh_power(lam: Fraction, z: float) -> float:
     """integral_0^z tanh^(2*lam-1) t dt for rational lam > 0 and real z > 0."""
     dec = decompose_pos(lam)
-    z = float(z)
+    z = to_double(z)
     if z <= 0:
         raise OutsideDomain(f"the integral needs z > 0, got {z}")
     t = math.tanh(z)

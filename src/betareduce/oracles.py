@@ -11,10 +11,10 @@ Two families of oracle, deliberately far from the reduction formulas:
   exponent are computed once for all z, the log (or square root) of each z
   once for all nu; a z the pass cannot finish gives no column, and
   :func:`beta_series`, point by point, owns every refusal;
-* adaptive quadrature of the defining integrals -- QUADPACK on [0,1] for
+* adaptive quadrature of the defining integrals by QUADPACK -- on [0,1] for
   the beta integrand (with a power substitution that removes the t = 0
-  singularity), and a tanh-sinh rule on the exponentially mapped
-  semi-infinite integral for the Lerch form.
+  singularity), and by its infinite-interval rule on [0, inf) for the
+  paper's semi-infinite integral of the Lerch form.
 
 Every oracle returns an :class:`Evaluation` with an a-posteriori error bound;
 the columns hold values only, with one method per nu.
@@ -36,7 +36,7 @@ from .errors import (
     QuadratureNonConvergence,
 )
 from .principal import Evaluation, Method, exponent_parts, finite_complex, fsum_complex
-from .principal import finite_double, rational_power, rational_powers
+from .principal import finite_double, rational_power, rational_powers, to_double
 from .rationals import decompose
 
 
@@ -50,9 +50,8 @@ SERIES_BLOCK_CELLS = 2**16
 # QUADPACK's absolute and relative tolerance for beta_quadrature.
 QUAD_TOL = 1e-12
 
-# tanh-sinh stops when two refinement levels agree to TS_REL_TOL, within TS_MAX_LEVEL halvings.
-TS_REL_TOL = 1e-13
-TS_MAX_LEVEL = 10
+# QUADPACK's relative tolerance for phi_quadrature.
+PHI_REL_TOL = 1e-13
 
 
 def _sum_inverse_linear(z: complex, a: float):
@@ -142,7 +141,7 @@ def lerch_series(z: complex, nu: float) -> Evaluation:
     |last term| / (1 - |z|).
     """
     z = finite_complex(z)
-    nu = float(nu)
+    nu = to_double(nu)
     if not math.isfinite(nu):
         raise OutsideDomain(f"nu must be finite, got {nu}")
     if abs(z) >= 1.0:
@@ -206,7 +205,7 @@ def beta_series_columns(
     slots = {a: slot for slot, a in enumerate(avals)}
     parts = [exponent_parts(expo) for expo, _, _ in splits]
     columns = []
-    for z in map(complex, zs):
+    for z in [to_double(z, complex) for z in zs]:
         inside = z != 0 and abs(z.real) < 1.0 and abs(z.imag) < 1.0 and abs(z) < 1.0
         sums = _sums_inverse_linear(z, avals) if inside else None
         try:
@@ -258,9 +257,7 @@ def beta_quadrature(nu: float, mu: float, z: float) -> Evaluation:
     singularity is removed exactly by t = u^(1/nu), which turns the
     integrand into (1 - z*u^(1/nu))^(mu-1)/nu, bounded on [0, 1].
     """
-    nu = float(nu)
-    mu = float(mu)
-    z = float(z)
+    nu, mu, z = to_double(nu), to_double(mu), to_double(z)
     if not (math.isfinite(nu) and math.isfinite(mu) and math.isfinite(z)):
         raise OutsideDomain(f"nu, mu and z must be finite, got nu = {nu}, mu = {mu}, z = {z}")
     if nu <= 0:
@@ -279,90 +276,42 @@ def beta_quadrature(nu: float, mu: float, z: float) -> Evaluation:
         def integrand(u: float) -> float:
             return (1.0 - z * u**inv_nu) ** (mu - 1.0) * inv_nu
 
-    from scipy.integrate import quad  # here, so importing the package does not load scipy
-    # positional: no extra args, full output, absolute and relative tolerance, 200 subintervals
-    result = quad(integrand, 0.0, 1.0, (), 1, QUAD_TOL, QUAD_TOL, 200)
-    if len(result) > 3:
-        raise QuadratureNonConvergence(str(result[3]))
-    integral, abserr, info = result
+    integral, abserr, neval = _quad(integrand, 0.0, 1.0, QUAD_TOL, QUAD_TOL)
     scale = z**nu
-    return Evaluation(
-        complex(scale * integral), Method.QUADRATURE_BETA, scale * abserr, info["neval"]
-    )
+    return Evaluation(complex(scale * integral), Method.QUADRATURE_BETA, scale * abserr, neval)
 
 
 def phi_quadrature(z: float, nu: float) -> Evaluation:
-    """Phi(z, 1, nu) from its semi-infinite integral representation.
+    """Phi(z, 1, nu) = integral_0^inf e^(-(nu-1)t) / (e^t - z) dt by QUADPACK.
 
-    The substitution u = e^(-t) maps Phi onto
-    integral_0^1 u^(nu-1) / (1 - z*u) du, whose algebraic endpoint
-    singularity at 0 a tanh-sinh rule absorbs.  Real z < 1, nu > 0.
+    Real z < 1, nu > 0.  The integrand, written e^(-nu*t) / (1 - z*e^(-t))
+    so that nothing overflows, goes to QUADPACK's infinite-interval rule at
+    relative tolerance ``PHI_REL_TOL`` (Phi > 0 here) in s = max(1, nu)*t:
+    in t, the rule's first nodes all underflow for nu above about 2e5.
     """
-    z = float(z)
-    nu = float(nu)
+    z, nu = to_double(z), to_double(nu)
     if not (math.isfinite(z) and math.isfinite(nu)):
         raise OutsideDomain(f"z and nu must be finite, got z = {z}, nu = {nu}")
     if z >= 1.0:
         raise OutsideDomain(f"the integral needs z < 1, got {z}")
     if nu <= 0:
         raise OutsideDomain(f"the integral needs nu > 0, got {nu}")
+    c = max(1.0, nu)
 
-    def mapped(log_u: float, log_1mu: float) -> float:
-        # integrand times u*(1-u), assembled in log space so u^(nu-1) never
-        # overflows at the deep nodes: u^nu * (1-u) / (1-z*u)
-        return math.exp(nu * log_u + log_1mu) / (1.0 - z * math.exp(log_u))
+    def integrand(s: float) -> float:
+        # for z > 0, 1 - z*e^(-t) as (1 - z) - z*expm1(-t): no cancellation near z = 1
+        den = 1.0 - z - z * math.expm1(-s / c) if z > 0 else 1.0 - z * math.exp(-s / c)
+        return math.exp(-nu / c * s) / den
 
-    integral, err, nodes = _tanh_sinh_logistic(mapped)
-    return Evaluation(complex(integral), Method.QUADRATURE_PHI, err, nodes)
-
-
-# tanh-sinh abscissa range: pi*sinh(6.11) ~ 708, the edge of double range.
-_TS_TMAX = 6.11
+    integral, abserr, neval = _quad(integrand, 0.0, math.inf, 0.0, PHI_REL_TOL)
+    return Evaluation(complex(integral / c), Method.QUADRATURE_PHI, abserr / c, neval)
 
 
-def _softplus(x: float) -> float:
-    if x > 36.0:
-        return x
-    return math.log1p(math.exp(x))
-
-
-def _tanh_sinh_logistic(f):
-    """Tanh-sinh quadrature over (0, 1) for integrands in logistic form.
-
-    ``f(log_u, log_1mu)`` must return integrand(u) * u * (1-u); the node
-    u = 1/(1 + e^(-pi*sinh t)) then carries weight pi*cosh(t)*h.  Error
-    estimate is the difference between the last two refinement levels.
-    """
-
-    def node_sum(h: float, odd_only: bool) -> tuple[float, int]:
-        total = 0.0
-        count = 0
-        j = 1 if odd_only else 0
-        step = 2 if odd_only else 1
-        while j * h <= _TS_TMAX:
-            for t in ((j * h,) if j == 0 else (j * h, -j * h)):
-                a = math.pi * math.sinh(t)
-                log_u = -_softplus(-a)
-                log_1mu = -_softplus(a)
-                total += f(log_u, log_1mu) * math.pi * math.cosh(t)
-                count += 1
-            j += step
-        return total, count
-
-    h = 1.0
-    total, nodes = node_sum(h, odd_only=False)
-    estimate = h * total
-    err = math.inf
-    for _ in range(TS_MAX_LEVEL):
-        h *= 0.5
-        extra, count = node_sum(h, odd_only=True)
-        nodes += count
-        new_estimate = 0.5 * estimate + h * extra
-        err = abs(new_estimate - estimate)
-        estimate = new_estimate
-        if err <= TS_REL_TOL * max(abs(estimate), 1e-300):
-            # floor at rounding level: coinciding levels do not mean zero error
-            return estimate, max(err, 4e-16 * abs(estimate)), nodes
-    raise QuadratureNonConvergence(
-        f"tanh-sinh did not reach rel_tol {TS_REL_TOL} in {TS_MAX_LEVEL} levels (last delta {err})"
-    )
+def _quad(integrand, a: float, b: float, abs_tol: float, rel_tol: float):
+    """(integral, abserr, neval) of QUADPACK over [a, b]; its warning raises QuadratureNonConvergence."""
+    from scipy.integrate import quad  # here, so importing the package does not load scipy
+    # positional: no extra args, full output, absolute and relative tolerance, 200 subintervals
+    result = quad(integrand, a, b, (), 1, abs_tol, rel_tol, 200)
+    if len(result) > 3:
+        raise QuadratureNonConvergence(str(result[3]))
+    return result[0], result[1], result[2]["neval"]  # integral, abserr, evaluations

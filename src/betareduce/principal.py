@@ -56,9 +56,18 @@ class Evaluation:
         return list(self.parts)
 
 
+def to_double(x, kind=float):
+    """kind(x), kind float or complex, with an exact real beyond the double range
+    rounded to +-inf, as the literal 1e400 is, where kind(x) raises OverflowError."""
+    try:
+        return kind(x)
+    except OverflowError:
+        return kind(math.inf if x > 0 else -math.inf)
+
+
 def finite_complex(z: complex, name: str = "z") -> complex:
     """complex(z); an infinite or NaN part raises :class:`OutsideDomain` naming it."""
-    z = complex(z)
+    z = to_double(z, complex)
     if not cmath.isfinite(z):
         raise OutsideDomain(f"{name} must be finite, got {z}")
     return z
@@ -66,10 +75,7 @@ def finite_complex(z: complex, name: str = "z") -> complex:
 
 def finite_double(x, name: str) -> float:
     """float(x); one that overflows or rounds to 0.0 raises :class:`OutsideDomain` naming it."""
-    try:
-        f = float(x)
-    except OverflowError:
-        f = 0.0
+    f = to_double(x)
     if not (f and math.isfinite(f)):
         raise OutsideDomain(f"{name} = {x} does not round to a finite non-zero double")
     return f
@@ -136,7 +142,7 @@ def rational_powers(z: complex, parts: Sequence[Tuple]) -> List[complex]:
     :func:`rational_power` calls; the first refused exponent raises the
     error its single call raises.
     """
-    z = complex(z)
+    z = to_double(z, complex)
     if z == 0:
         if all(n > 0 or rem > 0 for _, n, rem, _ in parts):
             return [0j] * len(parts)

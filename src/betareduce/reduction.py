@@ -44,6 +44,7 @@ from .principal import (
     principal_log,
     principal_sqrt,
     rational_power,
+    to_double,
 )
 from .rationals import Decomposition, decompose
 
@@ -204,7 +205,7 @@ def reduce_beta_many(dec: Decomposition, zs: Iterable[complex]) -> List[complex]
     point with real z in (0, 1), where the scalar atanh is more accurate:
     there the batch equals :func:`reduce_beta` bitwise.
     """
-    zs = [complex(z) for z in zs]
+    zs = [to_double(z, complex) for z in zs]
     p, q = dec.r.numerator, dec.r.denominator
     width = q + dec.n
     if width > BATCH_CELLS:

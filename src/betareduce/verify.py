@@ -22,6 +22,7 @@ from typing import IO, Iterable, List, Sequence, Tuple
 
 from .errors import BetaReduceError, MaxTermsExceeded
 from .oracles import beta_series, beta_series_columns
+from .principal import to_double
 from .rationals import decompose, render_rational
 from .reduction import MAX_TAIL_TERMS, reduce_beta_many
 
@@ -119,7 +120,7 @@ def run_verification(
         raise MaxTermsExceeded(
             f"{len(nus)} x {len(zs)} grid points exceed the budget of {MAX_TAIL_TERMS}"
         )
-    zs = [complex(z) for z in zs]
+    zs = [to_double(z, complex) for z in zs]
     records: List[VerificationRecord] = []
     for start in range(0, len(nus), VERIFY_NU_CHUNK):
         chunk = [Fraction(nu) for nu in nus[start : start + VERIFY_NU_CHUNK]]

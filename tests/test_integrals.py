@@ -64,6 +64,7 @@ class TestPowerOverLinear:
             assert abs(phi_route.value - closed) <= (
                 phi_route.error_estimate + 1e-12 * max(1.0, abs(closed))
             )
+            assert abs(phi_route.value - closed) <= 1e-12 * max(1.0, abs(closed))
 
     def test_zero_rejected(self):
         with pytest.raises(ZeroArgument):

@@ -468,7 +468,24 @@ class TestPhiQuadrature:
     def test_negative_z(self, tight_series):
         out = phi_quadrature(-0.7, 1.5)
         ser = lerch_series(-0.7, 1.5)
-        assert abs(out.value - ser.value) <= out.error_estimate + ser.error_estimate
+        diff = abs(out.value - ser.value)
+        assert diff <= out.error_estimate + ser.error_estimate
+        assert diff <= ser.error_estimate + 2 * math.ulp(out.value.real)
+
+    @pytest.mark.parametrize("nu", [1e-3, 1e6])
+    @pytest.mark.parametrize("z", [0.5, -0.7])
+    def test_small_and_large_nu_match_series(self, z, nu):
+        out = phi_quadrature(z, nu)
+        ser = lerch_series(z, nu)
+        assert abs(out.value - ser.value) <= ser.error_estimate + 2 * math.ulp(out.value.real)
+
+    # Phi(0, 1, nu) = 1/nu: e^(-nu*t) decays slowly for small nu, and for large nu the
+    # rule's first nodes in t itself all underflow from nu of about 2e5: 0.0, estimate 0.0
+    @pytest.mark.parametrize("nu", [1e-3, 1e4, 1e6, 1e300])
+    def test_small_and_large_nu_at_z_zero(self, nu):
+        out = phi_quadrature(0.0, nu)
+        assert abs(out.value - 1 / nu) <= out.error_estimate
+        assert abs(out.value - 1 / nu) <= 1e-13 / nu
 
     # ids spell Phi's (z, s, nu); the oracle evaluates s = 1 only
     @pytest.mark.parametrize(
@@ -478,12 +495,20 @@ class TestPhiQuadrature:
         with pytest.raises(OutsideDomain):
             phi_quadrature(z, nu)
 
-    def test_level_budget_exhausted(self, monkeypatch):
-        monkeypatch.setattr(oracles, "TS_MAX_LEVEL", 1)
-        with pytest.raises(QuadratureNonConvergence):
-            phi_quadrature(0.5, 1.0)
+    def test_quadpack_warning_is_non_convergence(self, monkeypatch):
+        import scipy.integrate
 
-    # NaN used to run all tanh-sinh levels before QuadratureNonConvergence
+        def warned(*args):
+            # QUADPACK's full output when it stops short: a fourth element, the message
+            return 0.5, 1.0, {"neval": 21}, "The maximum number of subdivisions (200) has been achieved."
+
+        monkeypatch.setattr(scipy.integrate, "quad", warned)
+        with pytest.raises(QuadratureNonConvergence, match="subdivisions"):
+            phi_quadrature(0.5, 1.0)
+        with pytest.raises(QuadratureNonConvergence, match="subdivisions"):
+            beta_quadrature(0.5, 0.0, 0.25)
+
+    # NaN used to reach the quadrature rule before QuadratureNonConvergence
     @pytest.mark.parametrize(
         "z,nu",
         [
@@ -502,14 +527,30 @@ class TestCrossAgreement:
     def test_series_vs_integral(self, nu, z):
         ser = lerch_series(z, nu)
         quad = phi_quadrature(z, nu)
-        assert abs(ser.value - quad.value) <= ser.error_estimate + quad.error_estimate
+        diff = abs(ser.value - quad.value)
+        assert diff <= ser.error_estimate + quad.error_estimate
+        assert diff <= ser.error_estimate + 2 * math.ulp(quad.value.real)
 
     def test_halving_quadrature_tolerance_self_consistent(self, monkeypatch):
-        monkeypatch.setattr(oracles, "TS_REL_TOL", 1e-10)
+        monkeypatch.setattr(oracles, "PHI_REL_TOL", 1e-10)
         coarse = phi_quadrature(0.5, 1.5)
-        monkeypatch.setattr(oracles, "TS_REL_TOL", 0.5e-10)
+        monkeypatch.setattr(oracles, "PHI_REL_TOL", 0.5e-10)
         fine = phi_quadrature(0.5, 1.5)
         assert abs(coarse.value - fine.value) <= coarse.error_estimate
+
+
+@pytest.mark.parametrize("z", [-1e6, -5.0, -0.7, 0.0, 0.1, 0.5, 0.9, 0.99, 0.9999])
+@pytest.mark.parametrize("nu", [1e-3, 0.05, 0.5, 1.0, 1.5, 7 / 3, 12.3, 50.0, 1e4, 1e6])
+def test_phi_quadrature_against_mpmath(nu, z):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        exact = mpmath.re(mpmath.lerchphi(mpmath.mpf(z), 1, mpmath.mpf(nu)))
+        out = phi_quadrature(z, nu)
+        err = float(abs(mpmath.mpf(out.value.real) - exact))
+        exact = float(exact)
+    assert out.value.imag == 0.0
+    assert err <= out.error_estimate
+    assert err <= 1e-14 * exact
 
 
 class TestResultType:
