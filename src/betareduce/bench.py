@@ -18,7 +18,7 @@ from typing import IO, Iterable, List, Sequence, Tuple
 from .errors import BenchConsistencyError, BetaReduceError, OutsideDomain
 from .oracles import beta_quadrature, beta_series
 from .principal import Method, to_double
-from .rationals import render_rational
+from .rationals import exact_rational, render_rational
 from .reduction import incomplete_beta
 
 # Methods whose values differ by more than this at a point invalidate the run.
@@ -80,7 +80,7 @@ def run_bench(
         raise ValueError(f"warmup must be >= 0, got {warmup}")
     records: List[BenchRecord] = []
     for nu, z in grid:
-        nu = Fraction(nu)
+        nu = Fraction(exact_rational(nu))
         z = to_double(z, complex)
         evaluators = _evaluators(nu, z)
 

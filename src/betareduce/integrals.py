@@ -20,7 +20,7 @@ from fractions import Fraction
 from .errors import OutsideDomain, ResidualImaginary
 from .principal import rational_power, to_double
 from .rationals import decompose_pos
-from .reduction import lerch_reduce, reduce_beta
+from .reduction import beta_value, lerch_reduce
 
 # Imaginary residue allowed on the (mathematically real) tanh integral.
 IMAG_RESIDUAL_REL = 1e-13
@@ -47,7 +47,7 @@ def int_tanh_power(lam: Fraction, z: float) -> float:
         # a subnormal t^2 loses digits; the terms past t^(2 lam) / (2 lam) add a relative t^2
         return rational_power(t, 2 * lam).real / (2 * lam)
     # tanh(z)^2 within the guard band of 1 raises BranchPoint from the kernel
-    half = 0.5 * reduce_beta(dec, complex(t**2)).value
+    half = 0.5 * beta_value(dec, complex(t**2))
     # rounding dust scales with the roots-of-unity terms, not the (possibly
     # tiny) result, so the residual bound is relative to max(1, |half|);
     # an actual branch error would show up at O(pi), thirteen orders above

@@ -37,7 +37,7 @@ from .errors import (
 )
 from .principal import Evaluation, Method, exponent_parts, finite_complex, fsum_complex
 from .principal import finite_double, rational_power, rational_powers, to_double
-from .rationals import decompose
+from .rationals import decompose, exact_rational
 
 
 # Series truncation: stop after three consecutive terms below SERIES_REL_TOL * |running sum|.
@@ -160,7 +160,7 @@ def beta_series(nu: Fraction, z: complex) -> Evaluation:
     nu = -n + r uses the shifted split: the same series at r plus the exact
     finite correction sum z^(r-k)/(r-k), k = 1..n.
     """
-    nu = Fraction(nu)
+    nu = exact_rational(nu)
     if nu.denominator == 1 and nu <= 0:
         raise DivergentParameter(f"divergent at the non-positive integer {nu}")
     z = finite_complex(z)
@@ -195,7 +195,7 @@ def beta_series_columns(
     refused: the caller then calls :func:`beta_series`, which owns every
     refusal, point by point.
     """
-    nus = [nu if isinstance(nu, Fraction) else Fraction(nu) for nu in nus]
+    nus = [exact_rational(nu) for nu in nus]
     methods = [_series_method(nu) for nu in nus]
     try:
         splits = [_series_split(nu) for nu in nus]

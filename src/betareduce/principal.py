@@ -20,6 +20,7 @@ from fractions import Fraction
 from typing import List, Sequence, Tuple
 
 from .errors import OutsideDomain, ZeroArgument
+from .rationals import exact_rational
 
 
 class Method(enum.Enum):
@@ -83,18 +84,16 @@ def finite_double(x, name: str) -> float:
 
 def principal_log(w: complex) -> complex:
     """Complex log with Im in (-pi, pi]; exact negative reals map to +i*pi."""
-    w = complex(w)
-    if w.imag == 0.0:
-        w = complex(w.real, 0.0)
-    return cmath.log(w)
+    if not isinstance(w, complex):
+        w = to_double(w, complex)
+    return cmath.log(w if w.imag else complex(w.real, 0.0))
 
 
 def principal_sqrt(w: complex) -> complex:
     """Square root on the same branch as :func:`principal_log`."""
-    w = complex(w)
-    if w.imag == 0.0:
-        w = complex(w.real, 0.0)
-    return cmath.sqrt(w)
+    if not isinstance(w, complex):
+        w = to_double(w, complex)
+    return cmath.sqrt(w if w.imag else complex(w.real, 0.0))
 
 
 def atanh(w: complex) -> complex:
@@ -104,7 +103,7 @@ def atanh(w: complex) -> complex:
     (log(1+w) - log(1-w))/2 with the (-pi, pi] logs, so real w > 1 lands on
     the lower edge: Im = -pi/2.
     """
-    w = complex(w)
+    w = to_double(w, complex)
     if w.imag == 0.0 and -1.0 < w.real < 1.0:
         return complex(math.atanh(w.real), 0.0)
     return 0.5 * (principal_log(1 + w) - principal_log(1 - w))
@@ -127,7 +126,7 @@ def rational_power(z: complex, expo: Fraction) -> complex:
 
 def exponent_parts(expo: Fraction) -> Tuple[Fraction, int, int, int]:
     """(expo, n, rem, den): expo = n + rem/den, n truncated toward zero, rem of its sign."""
-    expo = expo if type(expo) in (int, Fraction) else Fraction(expo)
+    expo = exact_rational(expo)
     p, den = expo.numerator, expo.denominator
     n = p // den if p >= 0 else -(-p // den)  # toward zero: |z**n| lies between 1 and |z**expo|
     return expo, n, p - n * den, den

@@ -41,7 +41,7 @@ def parse_rational(text: str) -> Fraction:
 
 def render_rational(x: Fraction) -> str:
     """Canonical lowest-terms form: "p/q", or a bare integer."""
-    return str(Fraction(x))
+    return str(exact_rational(x))
 
 
 @dataclass(frozen=True)
@@ -70,13 +70,17 @@ def decompose(nu: Fraction) -> Decomposition:
     Integers <= 0 raise :class:`DivergentParameter`.  The split runs through
     :func:`decompose_pos` or :func:`decompose_neg`, timed by name in traced runs.
     """
-    nu = _exact(nu)
+    nu = exact_rational(nu)
     return decompose_pos(nu) if nu.numerator > 0 else decompose_neg(nu)
 
 
-def _exact(nu) -> int | Fraction:
-    # an int or a Fraction already carries its lowest-terms numerator and denominator
-    return nu if type(nu) in (int, Fraction) else Fraction(nu)
+def exact_rational(nu) -> int | Fraction:
+    """nu as an exact int or Fraction; an infinite or NaN one raises :class:`OutsideDomain`."""
+    try:
+        # an int or a Fraction already carries its lowest-terms numerator and denominator
+        return nu if type(nu) in (int, Fraction) else Fraction(nu)
+    except (OverflowError, ValueError) as exc:
+        raise OutsideDomain(f"{nu!r} is not a finite rational") from exc
 
 
 def _split(nu: int | Fraction) -> Decomposition:
@@ -87,7 +91,7 @@ def _split(nu: int | Fraction) -> Decomposition:
 
 def decompose_pos(nu: Fraction) -> Decomposition:
     """:func:`decompose` for nu > 0; anything else raises :class:`OutsideDomain`."""
-    nu = _exact(nu)
+    nu = exact_rational(nu)
     if nu.numerator <= 0:
         raise OutsideDomain(f"needs nu > 0, got {nu}")
     return _split(nu)
@@ -95,7 +99,7 @@ def decompose_pos(nu: Fraction) -> Decomposition:
 
 def decompose_neg(nu: Fraction) -> Decomposition:
     """:func:`decompose` for nu < 0; nu > 0 raises :class:`OutsideDomain`."""
-    nu = _exact(nu)
+    nu = exact_rational(nu)
     if nu.denominator == 1 and nu.numerator <= 0:
         raise DivergentParameter(f"divergent at the non-positive integer {nu}")
     if nu.numerator > 0:

@@ -46,7 +46,7 @@ from .principal import (
     rational_power,
     to_double,
 )
-from .rationals import Decomposition, decompose
+from .rationals import Decomposition, decompose, exact_rational
 
 # Refuse logarithms whose argument is closer than this to the branch point.
 BRANCH_GUARD = 1e-14
@@ -93,19 +93,17 @@ def _roots_and_powers(zs: List[complex], dec: Decomposition) -> Tuple[List[compl
 def _roots_log_sum(p: int, q: int, zq: complex) -> List[complex]:
     """The q phased principal logs whose sum is B(p/q, 0, z), from zq = z^(1/q)."""
     roots = _roots(q)[0]
-    logs = []
-    for k in range(q):
-        w = 1 - zq * roots[k]
-        try:
-            near = abs(w)
-        except OverflowError as exc:
-            raise OutsideDomain(f"log argument {w} outside the double range") from exc
-        if near < BRANCH_GUARD:
-            raise BranchPoint(
-                f"log argument {w} within {BRANCH_GUARD} of the branch point (k={k}, q={q})"
-            )
-        logs.append(-roots[-p * k % q] * principal_log(w))
-    return logs
+    ws = [1 - zq * root for root in roots]
+    try:
+        near = min(map(abs, ws))
+    except OverflowError as exc:  # only at q = 1: from q = 3 on, |zq| < 2^342
+        raise OutsideDomain(f"log argument {ws[0]} outside the double range") from exc
+    if near < BRANCH_GUARD:
+        k = next(k for k, w in enumerate(ws) if abs(w) < BRANCH_GUARD)
+        raise BranchPoint(
+            f"log argument {ws[k]} within {BRANCH_GUARD} of the branch point (k={k}, q={q})"
+        )
+    return [-roots[-p * k % q] * principal_log(w) for k, w in enumerate(ws)]
 
 
 def reduce_beta(dec: Decomposition, z: complex) -> Evaluation:
@@ -120,28 +118,51 @@ def reduce_beta(dec: Decomposition, z: complex) -> Evaluation:
     double range, :class:`MaxTermsExceeded` for |m| or q above
     ``MAX_TAIL_TERMS``, before any work.
 
-    Runs through :func:`reduce_beta_pos` (m >= 0) or :func:`reduce_beta_neg`
-    (m < 0): one kernel under two names, timed and counted by name in traced runs.
+    Only this function builds the :class:`Evaluation`; the value callers
+    take the same parts through :func:`beta_value`.  Every evaluation gets
+    them from :func:`reduce_beta_pos` (m >= 0) or :func:`reduce_beta_neg`
+    (m < 0) once: one kernel under two names, timed and counted by name in traced runs.
     """
-    return (reduce_beta_pos if dec.m >= 0 else reduce_beta_neg)(dec, z)
+    parts = (reduce_beta_pos if dec.m >= 0 else reduce_beta_neg)(dec, z)
+    spread, value = _spread(parts), fsum_complex(parts)
+    return Evaluation(value, Method.REDUCTION, 2.0**-53 * spread, len(parts) or 1, tuple(parts))
 
 
-def reduce_beta_pos(dec: Decomposition, z: complex) -> Evaluation:
-    """:func:`reduce_beta` for m >= 0, i.e. nu > 0."""
-    return _reduce(dec, z)
+_reduce = reduce_beta  # its former private name, which the routing test reads values through
 
 
-def reduce_beta_neg(dec: Decomposition, z: complex) -> Evaluation:
-    """:func:`reduce_beta` for m < 0, i.e. nu < 0."""
-    return _reduce(dec, z)
+def beta_value(dec: Decomposition, z: complex) -> complex:
+    """``reduce_beta(dec, z).value`` and its errors, bitwise, without the :class:`Evaluation`.
+
+    The value of :func:`incomplete_beta` at mu = 0, :func:`lerch_reduce`, the
+    integrals and the points :func:`reduce_beta_many` leaves to the scalar
+    kernel.  Log parts stay below 2^10 and the tail's moduli |z|^x / |x| are
+    log-convex in x, so while the tail's ends have lanes below ``_BATCH_LIMIT``
+    the sum|parts| (at most 2^21 parts) cannot overflow and is not taken.
+    """
+    parts = (reduce_beta_pos if dec.m >= 0 else reduce_beta_neg)(dec, z)
+    ends = (parts[-dec.n], parts[-1]) if dec.m and parts else ()
+    if not all(abs(t.real) < _BATCH_LIMIT and abs(t.imag) < _BATCH_LIMIT for t in ends):
+        _spread(parts)
+    return fsum_complex(parts)
 
 
-def _reduce(dec: Decomposition, z: complex) -> Evaluation:
+def reduce_beta_pos(dec: Decomposition, z: complex) -> List[complex]:
+    """The parts of :func:`reduce_beta` for m >= 0, i.e. nu > 0: logs, then tail terms."""
+    return _kernel(dec, z)
+
+
+def reduce_beta_neg(dec: Decomposition, z: complex) -> List[complex]:
+    """The parts of :func:`reduce_beta` for m < 0, i.e. nu < 0: logs, then tail terms."""
+    return _kernel(dec, z)
+
+
+def _kernel(dec: Decomposition, z: complex) -> List[complex]:
     z = finite_complex(z)
     if z == 0:
         if dec.m < 0:
             raise ZeroArgument("negative powers of z require z != 0")
-        return Evaluation(0j, Method.REDUCTION, 0.0, 1)
+        return []
     if z == 1:
         raise BranchPoint("z = 1 is the logarithmic branch point")
     p, q = dec.r.numerator, dec.r.denominator
@@ -166,21 +187,21 @@ def _reduce(dec: Decomposition, z: complex) -> Evaluation:
     for k in range(-1, dec.m - 1, -1):
         zk /= z
         parts.append(zk / (k + r))
-    return _closed_form(parts)
+    return parts
 
 
-def _closed_form(parts: List[complex]) -> Evaluation:
+def _spread(parts: List[complex]) -> float:
+    """sum|parts|; one outside the double range raises :class:`OutsideDomain`."""
     try:
-        spread = math.fsum(map(abs, parts))
+        return math.fsum(map(abs, parts))
     except OverflowError as exc:
         raise OutsideDomain("sum of the |parts| outside the double range") from exc
-    return Evaluation(fsum_complex(parts), Method.REDUCTION, 2.0**-53 * spread, len(parts), tuple(parts))
 
 
 # A batch chunk holds at most this many (q + |m|) x columns cells: 1 MB per complex matrix.
 BATCH_CELLS = 2**16
 
-# The batch leaves to reduce_beta any z, and any part, with a lane this large: its sums
+# The batch leaves to beta_value any z, and any part, with a lane this large: its sums
 # stay far inside the double range, so it never meets an overflow the scalar path reports.
 _BATCH_LIMIT = 2.0**1000
 
@@ -200,7 +221,7 @@ def reduce_beta_many(dec: Decomposition, zs: Iterable[complex]) -> List[complex]
     call.  Values agree with :func:`reduce_beta` to a few units of its error
     estimate.  A point the batch cannot finish regularly -- z = 0, a lane of
     z or of a part beyond 2^1000 or not finite, a log argument near the guard
-    band (z = 1 among them) -- goes to :func:`reduce_beta` in order, so the
+    band (z = 1 among them) -- goes to :func:`beta_value` in order, so the
     batch raises the first error the scalar loop would.  So does a q = 2
     point with real z in (0, 1), where the scalar atanh is more accurate:
     there the batch equals :func:`reduce_beta` bitwise.
@@ -210,7 +231,7 @@ def reduce_beta_many(dec: Decomposition, zs: Iterable[complex]) -> List[complex]
     width = q + dec.n
     if width > BATCH_CELLS:
         # one column alone would pass the budget (this covers |m| or q > MAX_TAIL_TERMS)
-        return [reduce_beta(dec, z).value for z in zs]
+        return [beta_value(dec, z) for z in zs]
     roots = _roots(q)[1]
     phases = -roots[-p * np.arange(q) % q]  # each log row's phase -e^(-2*pi*i*p*k/q)
     # the tail's denominators with its sign folded in, exact for IEEE division:
@@ -237,7 +258,7 @@ def _batch_chunk(dec, roots, phases, dens, zs: List[complex]) -> List[complex]:
         # real z in (0, 1) takes the scalar kernel's atanh, more accurate there than two logs
         regular &= ~(paired & (za.real < 1))
     unfinished = ~regular
-    # points left to reduce_beta keep a harmless z in their column
+    # points left to beta_value keep a harmless z in their column
     base = np.where(regular, za, 0.5)
     z_root, z_power = _roots_and_powers(base.tolist(), dec)
     z_root = np.array(z_root)
@@ -260,7 +281,7 @@ def _batch_chunk(dec, roots, phases, dens, zs: List[complex]) -> List[complex]:
             continue
         w = 1 - roots[: q // 2 + 1 if pair else q, None] * z_root[lanes]
         w.imag[w.imag == 0.0] = 0.0  # -0.0 takes the +pi edge, as in principal_log
-        # twice the guard (z = 1 among them): a point near its edge is decided by reduce_beta
+        # twice the guard (z = 1 among them): a point near its edge is decided by beta_value
         left = unfinished[lanes] | (np.abs(w) < 2 * BRANCH_GUARD).any(axis=0)
         logs = phases[: len(w), None] * np.log(w)
         re, im = logs.real, logs.imag
@@ -273,7 +294,7 @@ def _batch_chunk(dec, roots, phases, dens, zs: List[complex]) -> List[complex]:
         for i, skip, re_i, im_i in zip(lanes.tolist(), left.tolist(), re, im):
             if not skip:
                 values[i] = complex(math.fsum(re_i), math.fsum(im_i))
-    return [reduce_beta(dec, z).value if v is None else v for z, v in zip(zs, values)]
+    return [beta_value(dec, z) if v is None else v for z, v in zip(zs, values)]
 
 
 # Binomial sums above this length would be numerically and practically useless.
@@ -288,7 +309,7 @@ def beta_mu_posint(nu: Fraction, m: int, z: complex) -> complex:
     the double range, or a nu that does not round to a finite non-zero
     double, raises :class:`OutsideDomain`.
     """
-    nu = Fraction(nu)
+    nu = exact_rational(nu)
     if m < 0 or m > MAX_BINOMIAL_M:
         raise OutsideDomain(f"m must be in [0, {MAX_BINOMIAL_M}], got {m}")
     if nu.denominator == 1 and -m <= nu.numerator <= 0:
@@ -311,7 +332,7 @@ def beta_mu_posint(nu: Fraction, m: int, z: complex) -> complex:
 
 def lerch_reduce(dec: Decomposition, z: complex) -> complex:
     """Phi(z, 1, nu) = z^(-nu) * B(nu, 0, z); a value past the double range raises OutsideDomain."""
-    value = reduce_beta(dec, z).value * rational_power(z, -dec.reconstruct())
+    value = beta_value(dec, z) * rational_power(z, -dec.reconstruct())
     return finite_complex(value, "Phi(z, 1, nu)")
 
 
@@ -325,7 +346,7 @@ def incomplete_beta(nu: Fraction, mu: int, z: complex) -> complex:
     if not isinstance(mu, int) or mu < 0:
         raise OutsideDomain(f"mu must be a non-negative integer, got {mu!r}")
     if mu == 0:
-        return reduce_beta(decompose(nu), z).value
+        return beta_value(decompose(nu), z)
     return beta_mu_posint(nu, mu - 1, z)
 
 
@@ -334,7 +355,7 @@ def connection_check(nu: Fraction, mu: int, z: complex) -> float:
 
     Returns |lhs - rhs| / max(1, |lhs|); evaluation errors propagate.
     """
-    nu = Fraction(nu)
+    nu = exact_rational(nu)
     b = incomplete_beta(nu, mu, z)
     b_up_nu = incomplete_beta(nu + 1, mu, z)
     b_up_mu = incomplete_beta(nu, mu + 1, z)

@@ -23,7 +23,7 @@ from typing import IO, Iterable, List, Sequence, Tuple
 from .errors import BetaReduceError, MaxTermsExceeded
 from .oracles import beta_series, beta_series_columns
 from .principal import to_double
-from .rationals import decompose, render_rational
+from .rationals import decompose, exact_rational, render_rational
 from .reduction import MAX_TAIL_TERMS, reduce_beta_many
 
 # run_verification holds the oracle values of this many nu at a time, one column per z.
@@ -123,7 +123,7 @@ def run_verification(
     zs = [to_double(z, complex) for z in zs]
     records: List[VerificationRecord] = []
     for start in range(0, len(nus), VERIFY_NU_CHUNK):
-        chunk = [Fraction(nu) for nu in nus[start : start + VERIFY_NU_CHUNK]]
+        chunk = [Fraction(exact_rational(nu)) for nu in nus[start : start + VERIFY_NU_CHUNK]]
         methods, columns = beta_series_columns(chunk, zs)
         for i, nu in enumerate(chunk):
             method = methods[i].value

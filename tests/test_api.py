@@ -122,6 +122,9 @@ BEYOND_DOUBLE_RANGE = {
     "phi_quadrature z": lambda x: betareduce.phi_quadrature(x, 1.5),
     "beta_series_columns z": lambda x: oracles.beta_series_columns([THIRD], [0.5, x]),
     "run_bench z": lambda x: betareduce.run_bench([(Fraction(1, 2), x)], 1, 0),
+    "principal_log w": betareduce.principal_log,
+    "principal_sqrt w": betareduce.principal_sqrt,
+    "atanh w": betareduce.atanh,
 }
 
 
@@ -141,3 +144,33 @@ def test_exact_reals_beyond_the_double_range_meet_the_refusal_of_inf(name, sign)
     assert at_inf[0] != "OverflowError"
     assert _outcome(call, sign * 10**400) == at_inf
     assert _outcome(call, Fraction(sign * 10**400)) == at_inf
+
+
+# each entry point, with its rational (or real) parameter as the argument
+PARAMETERS = {
+    "incomplete_beta mu=0": lambda x: betareduce.incomplete_beta(x, 0, 0.5),
+    "incomplete_beta mu=2": lambda x: betareduce.incomplete_beta(x, 2, 0.5),
+    "beta_mu_posint": lambda x: betareduce.beta_mu_posint(x, 1, 0.5),
+    "connection_check": lambda x: betareduce.connection_check(x, 0, 0.5),
+    "beta_series": lambda x: betareduce.beta_series(x, 0.5),
+    "beta_series_columns": lambda x: oracles.beta_series_columns([x], [0.5]),
+    "decompose": betareduce.decompose,
+    "decompose_pos": betareduce.decompose_pos,
+    "int_power_over_linear": lambda x: betareduce.int_power_over_linear(x, 0.5),
+    "int_tanh_power": lambda x: betareduce.int_tanh_power(x, 0.5),
+    "rational_power": lambda x: betareduce.rational_power(0.5, x),
+    "render_rational": betareduce.render_rational,
+    "run_verification": lambda x: betareduce.run_verification([x], [0.5], 1e-10),
+    "run_bench": lambda x: betareduce.run_bench([(x, 0.5)], 1, 0),
+    "lerch_series": lambda x: betareduce.lerch_series(0.5, x),
+    "phi_quadrature": lambda x: betareduce.phi_quadrature(0.5, x),
+    "beta_quadrature": lambda x: betareduce.beta_quadrature(x, 0.0, 0.5),
+}
+
+
+# Fraction(x) of an infinite or NaN float raises OverflowError or ValueError; callers get OutsideDomain
+@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("name", sorted(PARAMETERS))
+def test_non_finite_parameters_are_outside_the_domain(name, x):
+    with pytest.raises(betareduce.OutsideDomain):
+        PARAMETERS[name](x)

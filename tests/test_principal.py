@@ -3,6 +3,7 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 
 from betareduce import ZeroArgument, atanh, principal_log, principal_sqrt, rational_power
@@ -27,6 +28,53 @@ class TestPrincipalLog:
     def test_real_positive_is_real(self):
         out = principal_log(2.5)
         assert out.imag == 0.0
+
+
+def _before(fn):
+    # the helpers as first written: complex() on every argument, then -0.0 -> +0.0
+    def helper(w):
+        w = complex(w)
+        if w.imag == 0.0:
+            w = complex(w.real, 0.0)
+        return fn(w)
+
+    return helper
+
+
+def _bits(call, w):
+    try:
+        out = call(w)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+    return type(out).__name__, out.real.hex(), out.imag.hex()
+
+
+PRINCIPAL = [(principal_log, _before(cmath.log)), (principal_sqrt, _before(cmath.sqrt))]
+ARGUMENTS = [
+    complex(-1.0, 0.0), complex(-1.0, -0.0), complex(2.5, 0.0), complex(2.5, -0.0),
+    complex(-0.0, -0.0), complex(0.0, 0.0), complex(-3.0, 0.5), complex(0.2, -7.0),
+    -1.0, -2.5, -0.0, 0.0, 3.0, -4, 0, 7, True, False, Fraction(-1, 3), Fraction(5, 2),
+    np.float64(-2.0), np.float64(-0.0), np.complex128(complex(-2.0, -0.0)),
+    np.complex128(complex(-2.0, 0.5)), complex(math.inf, -0.0), complex(math.nan, 0.0),
+]
+
+
+class TestPrincipalHelpersAsBefore:
+    """The helpers pass a complex straight to cmath; every value and error stays bitwise."""
+
+    @pytest.mark.parametrize("w", ARGUMENTS, ids=repr)
+    @pytest.mark.parametrize("helper,before", PRINCIPAL, ids=["log", "sqrt"])
+    def test_listed_arguments(self, helper, before, w):
+        assert _bits(helper, w) == _bits(before, w)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        re=st.floats(allow_nan=False, allow_infinity=False),
+        im=st.sampled_from([0.0, -0.0]) | st.floats(allow_nan=False, allow_infinity=False),
+    )
+    def test_complex_arguments(self, re, im):
+        for helper, before in PRINCIPAL:
+            assert _bits(helper, complex(re, im)) == _bits(before, complex(re, im))
 
 
 class TestAtanh:

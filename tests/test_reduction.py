@@ -3,8 +3,10 @@
 import cmath
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from betareduce import (
     BranchPoint,
@@ -22,18 +24,20 @@ from betareduce import (
     decompose,
     decompose_pos,
     incomplete_beta,
+    int_power_over_linear,
+    int_tanh_power,
     lerch_reduce,
     lerch_series,
     reduce_beta,
     reduce_beta_many,
 )
-from betareduce import rationals, reduction
+from betareduce import integrals, rationals, reduction
 from betareduce.principal import fsum_complex, principal_log, principal_sqrt
 from betareduce.reduction import (
     MAX_TAIL_TERMS,
     ROOT_CACHE_MAX_Q,
-    _closed_form,
     _roots_log_sum,
+    _spread,
     _unit_roots,
 )
 
@@ -509,7 +513,7 @@ class TestEvaluation:
         # a finite part whose modulus overflows: ValueError from the
         # estimate's validation would escape the CLI as a traceback
         with pytest.raises(OutsideDomain):
-            _closed_form([0j, complex(1.5e308, 1.5e308)])
+            _spread([0j, complex(1.5e308, 1.5e308)])
 
 
 class TestWorkBudget:
@@ -599,3 +603,69 @@ class TestErrorEstimate:
         with mpmath.workdps(40):
             exact = abs(mpmath.power(z, 4.5) * mpmath.lerchphi(z, 1, 4.5))
         assert err <= bound * float(exact)
+
+
+def _outcome(call):
+    try:
+        value = complex(call())
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+    return value.real.hex(), value.imag.hex()
+
+
+def _evaluation_value(dec, z):
+    return reduce_beta(dec, z).value
+
+
+NEAR_MAX_Q = decompose(1 + Fraction(ROOT_CACHE_MAX_Q + 2, ROOT_CACHE_MAX_Q + 3))
+
+
+@st.composite
+def pinned_decompositions(draw):
+    q = draw(st.sampled_from([1, 2, 3, 7, 12, 97, ROOT_CACHE_MAX_Q + 3]))
+    p = draw(st.integers(1, q).filter(lambda p: math.gcd(p, q) == 1))
+    m = draw(st.integers(0 if q == 1 else -12, 12))  # m < 0 at q = 1 is a divergent integer
+    return decompose(m + Fraction(p, q))
+
+
+SIGNED_ZERO = st.sampled_from([0.0, -0.0])
+SIGN = st.sampled_from([1.0, -1.0])
+PINNED_POINTS = st.one_of(
+    st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False),
+    st.builds(complex, st.floats(1.0, 1e6, exclude_min=True), SIGNED_ZERO),
+    st.builds(complex, st.floats(-1e6, 0.0, exclude_max=True), SIGNED_ZERO),
+    st.complex_numbers(min_magnitude=1.0, max_magnitude=1e300, allow_nan=False, allow_infinity=False),
+    st.builds(lambda re, im: 1e-300 * complex(re, im), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+    st.builds(
+        lambda s, x, im: complex(s * x, im), SIGN, st.floats(2.0**1000, 1.7e308), st.floats(-1.7e308, 1.7e308)
+    ),
+    st.builds(lambda d, t: 1 + cmath.rect(d, t), st.floats(1e-17, 1e-13), st.floats(-math.pi, math.pi)),
+    st.sampled_from([0j, complex(-0.0, -0.0), 1 + 0j, complex(1.0, -0.0), complex(1 + 1e-15, 0.0)]),
+)
+
+
+class TestValuePathIsTheEvaluation:
+    """Every value caller sums the kernel's parts without an Evaluation: bitwise its value, same errors."""
+
+    @settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(dec=pinned_decompositions(), z=PINNED_POINTS)
+    @example(dec=decompose(Fraction(2)), z=complex(1.5e308, 1.5e308))  # |1 - z| overflows
+    @example(dec=NEAR_MAX_Q, z=complex(1.5e308, 1.5e308))  # a tail part near the overflow
+    @example(dec=NEAR_MAX_Q, z=complex(1.7e308, 1.7e308))  # its modulus overflows
+    @example(dec=decompose(Fraction(5, 2)), z=complex(0.25, 0.0))  # the q = 2 atanh form
+    def test_value_callers(self, dec, z):
+        nu = dec.reconstruct()
+        expected = _outcome(lambda: _evaluation_value(dec, z))
+        assert _outcome(lambda: reduction.beta_value(dec, z)) == expected
+        assert _outcome(lambda: incomplete_beta(nu, 0, z)) == expected
+        callers = [
+            lambda: lerch_reduce(dec, z),
+            lambda: int_power_over_linear(nu, z),
+            lambda: int_tanh_power(nu, abs(z.real)),
+            lambda: reduce_beta_many(dec, [z])[0],
+        ]
+        lean = [_outcome(call) for call in callers]
+        with mock.patch.object(reduction, "beta_value", _evaluation_value), mock.patch.object(
+            integrals, "beta_value", _evaluation_value
+        ):
+            assert [_outcome(call) for call in callers] == lean

@@ -63,3 +63,32 @@ def test_main_prints_a_total_line(src_lines, capsys):
     assert src_lines.main([str(ROOT / "src")]) == 0
     last = capsys.readouterr().out.splitlines()[-1]
     assert last.startswith("total: ") and "code + " in last
+
+
+@pytest.fixture(scope="module")
+def output_hashes():
+    spec = importlib.util.spec_from_file_location("output_hashes", ROOT / "tools" / "output_hashes.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_output_hashes_name_every_output_and_repeat(output_hashes, capsys):
+    runs = []
+    for _ in range(2):
+        assert output_hashes.main([]) == 0
+        runs.append(capsys.readouterr().out.splitlines())
+    assert runs[0] == runs[1]
+    assert [line.split("  ", 1)[1] for line in runs[0]] == [
+        "verify",
+        "verify --side both --n-max 3 --q-max 20",
+        "verify --z-point 0.999999999999999",
+        "figure --nu 12.3 --points 300",
+        "values",
+    ]
+    assert all(len(line.split("  ", 1)[0]) == 64 for line in runs[0])
+
+
+def test_output_hashes_refuse_an_unknown_name(output_hashes, capsys):
+    assert output_hashes.main(["nothing"]) == 2
+    assert "unknown outputs" in capsys.readouterr().err

@@ -1,0 +1,131 @@
+"""Print one SHA-256 per named output of the package, so a change can show its outputs unchanged.
+
+Usage::
+
+    python tools/output_hashes.py            # every output
+    python tools/output_hashes.py NAME ...   # these outputs only
+
+The outputs are the CSV bytes of four CLI calls (``verify`` on its default
+grid, ``verify --side both --n-max 3 --q-max 20``, ``verify --z-point
+0.999999999999999`` and ``figure --nu 12.3 --points 300``) and ``values``:
+a fixed, self-seeded list of value-caller calls (``incomplete_beta`` at
+mu = 0 and mu >= 1, ``lerch_reduce``, ``int_power_over_linear`` and
+``int_tanh_power``), one line each, the value's parts in ``float.hex`` or
+the error's name and message.  Each line reads ``<sha256>  <name>``.  The
+package is imported from the ``src/`` next to this file.
+"""
+
+from __future__ import annotations
+
+import cmath
+import contextlib
+import hashlib
+import io
+import math
+import random
+import sys
+import tempfile
+from fractions import Fraction
+from pathlib import Path
+from typing import Callable, Dict, Iterator, List
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+import betareduce as br  # noqa: E402
+from betareduce import cli  # noqa: E402
+
+CLI_OUTPUTS = (
+    "verify",
+    "verify --side both --n-max 3 --q-max 20",
+    "verify --z-point 0.999999999999999",
+    "figure --nu 12.3 --points 300",
+)
+VALUE_CALLS = 4000
+VALUE_SEED = 20201
+
+
+def cli_csv(args: str) -> bytes:
+    """The CSV that ``betareduce <args> --out <file>`` writes; its stderr summary is dropped."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out.csv"
+        with contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(args.split() + ["--out", str(out)])
+        if code != 0:
+            raise RuntimeError(f"betareduce {args} exited {code}")
+        return out.read_bytes()
+
+
+def _nu(rng: random.Random, positive: bool) -> Fraction:
+    q = rng.choice([1, 2, 3, 4, 5, 7, 12, 24, 97, 101])
+    p = rng.randrange(1, q + 1)
+    m = rng.randrange(0, 13) if positive else -rng.randrange(1, 13)
+    return m + Fraction(p, q)
+
+
+def _z(rng: random.Random) -> complex:
+    region = rng.choice(["disk", "ray", "far", "small", "negative", "signed zero", "edge"])
+    if region == "edge":
+        # z = 0, the branch point, inside its guard band, and -0.0 on both parts
+        return rng.choice([0j, 1 + 0j, complex(1 + 1e-15, 0.0), complex(-0.0, -0.0)])
+    if region == "disk":
+        return complex(rng.uniform(-0.95, 0.95), rng.uniform(-0.3, 0.3))
+    if region == "ray":
+        return complex(rng.uniform(1.01, 10.0), 0.0)
+    if region == "far":
+        return cmath.rect(rng.uniform(1.0, 10.0), rng.uniform(-math.pi, math.pi))
+    if region == "small":
+        return complex(rng.uniform(-1e-2, 1e-2), rng.uniform(-1e-2, 1e-2))
+    if region == "negative":
+        return complex(-rng.uniform(0.01, 20.0), 0.0)
+    return complex(rng.uniform(1.01, 10.0), -0.0)
+
+
+def value_calls() -> Iterator[Callable[[], object]]:
+    """The fixed list of value-caller calls, seeded by ``VALUE_SEED``."""
+    rng = random.Random(VALUE_SEED)
+    for _ in range(VALUE_CALLS):
+        kind = rng.choice(["beta", "beta", "beta", "beta_mu", "lerch", "powlin", "tanh"])
+        nu, z = _nu(rng, positive=kind in ("powlin", "tanh") or rng.random() < 0.6), _z(rng)
+        if kind == "beta":
+            yield lambda nu=nu, z=z: br.incomplete_beta(nu, 0, z)
+        elif kind == "beta_mu":
+            yield lambda nu=nu, z=z, mu=rng.randrange(1, 4): br.incomplete_beta(nu, mu, z)
+        elif kind == "lerch":
+            yield lambda nu=nu, z=z: br.lerch_reduce(br.decompose(nu), z)
+        elif kind == "powlin":
+            yield lambda nu=nu, z=z: br.int_power_over_linear(nu, z)
+        else:
+            yield lambda nu=nu, x=rng.uniform(0.01, 8.0): br.int_tanh_power(nu, x)
+
+
+def _line(call: Callable[[], object]) -> str:
+    try:
+        value = complex(call())
+    except br.BetaReduceError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return f"{value.real.hex()} {value.imag.hex()}"
+
+
+def value_lines() -> bytes:
+    return "".join(_line(call) + "\n" for call in value_calls()).encode()
+
+
+OUTPUTS: Dict[str, Callable[[], bytes]] = {
+    **{args: (lambda args=args: cli_csv(args)) for args in CLI_OUTPUTS},
+    "values": value_lines,
+}
+
+
+def main(argv: List[str]) -> int:
+    unknown = [name for name in argv if name not in OUTPUTS]
+    if unknown:
+        print(f"unknown outputs {unknown}; known: {list(OUTPUTS)}", file=sys.stderr)
+        return 2
+    for name in argv or OUTPUTS:
+        print(f"{hashlib.sha256(OUTPUTS[name]()).hexdigest()}  {name}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
