@@ -90,46 +90,47 @@ def _sum_inverse_linear(z: complex, a: float):
 def _sums_inverse_linear(z: complex, avals: Sequence[float]) -> Optional[list]:
     """``[_sum_inverse_linear(z, a) for a in avals]`` as one numpy pass, or None.
 
-    Needs a finite z with 0 < |z| < 1.  The pass holds rows k and columns a,
-    at most ``SERIES_BLOCK_CELLS`` cells a block, and repeats the scalar
-    loop's arithmetic in its order: one walk z^k (``np.multiply.accumulate``
-    from 1), each term lane by lane as z^k/(k + a), the running sums by
-    ``np.cumsum``, the moduli by ``np.hypot`` as ``abs`` does (``np.abs``
-    rounds differently), the three-small-terms stop, and ``math.fsum`` over
-    each column's first k + 1 terms.  So every result is bitwise the scalar
-    one.  (CPython's complex / float adds ``im*0.0`` to the real lane and
-    ``-re*0.0`` to the imaginary one; that changes only the sign of a zero
-    term, which neither a modulus nor an exactly rounded sum whose first
-    term is 1/a + 0j can see.)  The rows are log(SERIES_REL_TOL)/log|z| plus
-    a margin.  None when they do not fit in ``SERIES_BLOCK_CELLS``, when an
-    a is below 1e-300, or when some column has not stopped within them: each
-    point then goes to :func:`beta_series`, whose scalar loop keeps its term
-    budget and errors.
+    Needs a finite z with 0 < |z| < 1.  The pass holds one row per a and
+    one column per k, at most ``SERIES_BLOCK_CELLS`` cells a block, and
+    repeats the scalar loop's arithmetic in its order: one walk z^k
+    (``np.multiply.accumulate`` from 1), each term lane by lane as
+    z^k/(a + k), the running sums by ``np.cumsum`` along the row, the
+    moduli by ``np.hypot`` as ``abs`` does (``np.abs`` rounds differently),
+    the three-small-terms stop, and ``math.fsum`` over each row's first
+    k + 1 terms, which lie contiguous.  So every result is bitwise the
+    scalar one.  (CPython's complex / float adds ``im*0.0`` to the real lane
+    and ``-re*0.0`` to the imaginary one; that changes only the sign of a
+    zero term, which neither a modulus nor an exactly rounded sum whose
+    first term is 1/a + 0j can see.)  The columns are
+    log(SERIES_REL_TOL)/log|z| plus a margin.  None when they do not fit in
+    ``SERIES_BLOCK_CELLS``, when an a is below 1e-300, or when some row has
+    not stopped within them: each point then goes to :func:`beta_series`,
+    whose scalar loop keeps its term budget and errors.
     """
-    # terms fall below SERIES_REL_TOL of the sum from about this row on; the stop needs two more
-    rows = math.ceil(math.log(SERIES_REL_TOL) / math.log(abs(z))) + 4
+    # terms fall below SERIES_REL_TOL of the sum from about this one on; the stop needs two more
+    terms = math.ceil(math.log(SERIES_REL_TOL) / math.log(abs(z))) + 4
     # a >= 1e-300: partial sums of at most SERIES_BLOCK_CELLS terms, each <= 1/a, stay finite
-    if rows > SERIES_BLOCK_CELLS or min(avals, default=1.0) < 1e-300:
+    if terms > SERIES_BLOCK_CELLS or min(avals, default=1.0) < 1e-300:
         return None
-    walk = np.full(rows, z)
+    walk = np.full(terms, z)
     walk[0] = 1.0
-    zk = np.multiply.accumulate(walk)[:, None]
-    ks = np.arange(rows, dtype=float)[:, None]
-    width = SERIES_BLOCK_CELLS // rows
+    zk = np.multiply.accumulate(walk)
+    ks = np.arange(terms, dtype=float)
+    width = SERIES_BLOCK_CELLS // terms
     out = []
     for start in range(0, len(avals), width):
-        dens = ks + np.array(avals[start : start + width])
+        dens = np.array(avals[start : start + width])[:, None] + ks
         re = zk.real / dens
         im = zk.imag / dens
         last = np.hypot(re, im)
-        small = last <= SERIES_REL_TOL * np.hypot(np.cumsum(re, axis=0), np.cumsum(im, axis=0))
-        third = small[2:] & small[1:-1] & small[:-2]
-        if not third.any(axis=0).all():
+        small = last <= SERIES_REL_TOL * np.hypot(np.cumsum(re, axis=1), np.cumsum(im, axis=1))
+        third = small[:, 2:] & small[:, 1:-1] & small[:, :-2]
+        if not third.any(axis=1).all():
             return None
-        stops = third.argmax(axis=0) + 2
-        lasts = last[stops, np.arange(len(stops))].tolist()
+        stops = third.argmax(axis=1) + 2
+        lasts = last[np.arange(len(stops)), stops].tolist()
         for c, k in enumerate(stops.tolist()):
-            total = complex(math.fsum(re[: k + 1, c].tolist()), math.fsum(im[: k + 1, c].tolist()))
+            total = complex(math.fsum(re[c, : k + 1].tolist()), math.fsum(im[c, : k + 1].tolist()))
             out.append((total, lasts[c], k + 1))
     return out
 
@@ -190,7 +191,7 @@ def beta_series_columns(
     one :func:`rational_powers` call, with one log (or square root) of z,
     gives every prefactor.  The methods are those of :func:`beta_series`,
     refused points included.  A z the pass cannot take (0, |z| >= 1, not
-    finite, or a column that does not stop within its rows) or where some
+    finite, or a series that does not stop within its terms) or where some
     point is refused gives None, and so does every z when some split is
     refused: the caller then calls :func:`beta_series`, which owns every
     refusal, point by point.

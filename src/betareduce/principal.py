@@ -15,6 +15,7 @@ from __future__ import annotations
 import cmath
 import enum
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Sequence, Tuple
@@ -168,6 +169,9 @@ def rational_powers(z: complex, parts: Sequence[Tuple]) -> List[complex]:
     return powers
 
 
+_REAL, _IMAG = operator.attrgetter("real"), operator.attrgetter("imag")
+
+
 def fsum_complex(terms: Sequence[complex]) -> complex:
     """Exactly rounded sum of complex terms: ``math.fsum`` on each lane.
 
@@ -175,7 +179,7 @@ def fsum_complex(terms: Sequence[complex]) -> complex:
     adds inf to -inf, or holds an infinite or NaN term.
     """
     try:
-        total = complex(math.fsum([t.real for t in terms]), math.fsum([t.imag for t in terms]))
+        total = complex(math.fsum(map(_REAL, terms)), math.fsum(map(_IMAG, terms)))
     except (OverflowError, ValueError) as exc:
         raise OutsideDomain(f"sum outside the double range: {exc}") from exc
     if not cmath.isfinite(total):

@@ -13,11 +13,13 @@ nu is the q = 1 case, where the log sum is the single term -log(1 - z).
 One kernel evaluates every case; at q = 2 its log part is 2*atanh(sqrt(z)),
 which is more accurate at small real z than the two logs it replaces.  Every
 log goes through the package-wide principal branch, which is what makes
-Im(B) = -pi come out on the real ray z > 1.  :func:`reduce_beta_many`
-evaluates the general form for one nu at many z with numpy, one column per z.
-For real z > 0 it pairs the conjugate rows k and q - k, which halves its
-logs and leaves the imaginary part to the k = 0 log alone: 0 on (0, 1) and
-exactly -pi on the ray z > 1.
+Im(B) = -pi come out on the real ray z > 1.  :func:`reduce_beta_rows`
+evaluates the general form for many nu of one denominator q at many z with
+numpy, one column per z, and builds one log table per (q, z) that every
+p/q and every integer shift shares; :func:`reduce_beta_many`, one nu at
+many z, is its one-row case.  For real z > 0 it pairs the conjugate rows k
+and q - k, which halves its logs and leaves the imaginary part to the k = 0
+log alone: 0 on (0, 1) and exactly -pi on the ray z > 1.
 
 Every closed form is therefore one algorithm, ``Method.REDUCTION``; the q = 2
 log part shows only in the count of parts, 1 + |m| where any other q has q + |m|.
@@ -29,11 +31,12 @@ import cmath
 import functools
 import math
 from fractions import Fraction
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import BranchPoint, MaxTermsExceeded, OutsideDomain, PoleInSum, ZeroArgument
+from .errors import BetaReduceError, BranchPoint, MaxTermsExceeded, OutsideDomain, PoleInSum
+from .errors import ZeroArgument
 from .principal import (
     Evaluation,
     Method,
@@ -76,18 +79,40 @@ def _roots(q: int) -> Tuple[Tuple[complex, ...], np.ndarray]:
     return _unit_roots(q) if q <= ROOT_CACHE_MAX_Q else _root_table(q)
 
 
-def _roots_and_powers(zs: List[complex], dec: Decomposition) -> Tuple[List[complex], List[complex]]:
-    """The principal z^(1/q) and z^r of each z != 0: the log sum's root and the tail's start."""
-    q = dec.r.denominator
+def _phase_table(q: int) -> Tuple[Tuple[complex, ...], np.ndarray]:
+    # the phase -e^(-2*pi*i*j/q) of log row j at p = 1; the fraction p/q takes row p*k mod q
+    # for its log row k, the same number as -e^(-2*pi*i*p*k/q)
+    roots = _roots(q)[0]
+    phases = tuple([-roots[-j % q] for j in range(q)])
+    table = np.array(phases)
+    table.flags.writeable = False
+    return phases, table
+
+
+# one phase table per q, under the root table's bounds: every fraction p/q reads it
+_unit_phases = functools.lru_cache(maxsize=64)(_phase_table)
+
+
+def _phases(q: int) -> Tuple[Tuple[complex, ...], np.ndarray]:
+    return _unit_phases(q) if q <= ROOT_CACHE_MAX_Q else _phase_table(q)
+
+
+def _roots_and_logs(zs: List[complex], q: int) -> Tuple[List[complex], Optional[List[complex]]]:
+    """The principal z^(1/q) of each z != 0 and, for q >= 3, the log of z it comes from."""
     if q == 1:
-        return zs, zs
+        return zs, None
     if q == 2:
-        roots = [principal_sqrt(z) for z in zs]
-        return roots, roots
-    # both from one log: exp(log(z)/q), exp((p/q) log(z))
-    r = dec.r.numerator / q
+        return [principal_sqrt(z) for z in zs], None
     logs = [principal_log(z) for z in zs]
-    return [cmath.exp(lz / q) for lz in logs], [cmath.exp(r * lz) for lz in logs]
+    return [cmath.exp(lz / q) for lz in logs], logs
+
+
+def _powers(roots: List[complex], logs: Optional[List[complex]], r: Fraction) -> List[complex]:
+    """z^r of each z, the tail's start, from :func:`_roots_and_logs`: the root itself at q <= 2."""
+    if logs is None:
+        return roots
+    x = r.numerator / r.denominator
+    return [cmath.exp(x * lz) for lz in logs]
 
 
 def _roots_log_sum(p: int, q: int, zq: complex) -> List[complex]:
@@ -103,7 +128,8 @@ def _roots_log_sum(p: int, q: int, zq: complex) -> List[complex]:
         raise BranchPoint(
             f"log argument {ws[k]} within {BRANCH_GUARD} of the branch point (k={k}, q={q})"
         )
-    return [-roots[-p * k % q] * principal_log(w) for k, w in enumerate(ws)]
+    phases = _phases(q)[0]
+    return [phases[p * k % q] * principal_log(w) for k, w in enumerate(ws)]
 
 
 def reduce_beta(dec: Decomposition, z: complex) -> Evaluation:
@@ -170,7 +196,8 @@ def _kernel(dec: Decomposition, z: complex) -> List[complex]:
         raise MaxTermsExceeded(f"{dec.n} power-tail terms exceed the budget of {MAX_TAIL_TERMS}")
     if q > MAX_TAIL_TERMS:
         raise MaxTermsExceeded(f"{q} roots of unity exceed the budget of {MAX_TAIL_TERMS}")
-    (zq,), (zk,) = _roots_and_powers([z], dec)
+    roots, logs = _roots_and_logs([z], q)
+    zq, zk = roots[0], _powers(roots, logs, dec.r)[0]
     if q == 2:
         # B(1/2, 0, z) = 2*atanh(sqrt(z)): at small real z more accurate than its two logs
         if abs(1 - zq) < BRANCH_GUARD or abs(1 + zq) < BRANCH_GUARD:
@@ -209,47 +236,69 @@ _BATCH_LIMIT = 2.0**1000
 def reduce_beta_many(dec: Decomposition, zs: Iterable[complex]) -> List[complex]:
     """The values ``[reduce_beta(dec, z).value for z in zs]``, computed with numpy.
 
-    One column per z holds the q phased logs of the general form (q = 1
-    included) and the |m| power-tail terms, built a chunk of columns at a
-    time (at most ``BATCH_CELLS`` cells) and summed exactly rounded by
-    ``math.fsum`` per lane.  A lane whose z is real and positive pairs the
-    conjugate rows k and q - k: it computes rows 0 .. q//2 only, takes
-    2*Re of each row 0 < k < q/2 and Re of the self-conjugate row q/2, so
-    its value is real on (0, 1) and has Im = -pi exactly on the ray z > 1,
-    from row 0 alone.  Every other lane computes all q rows.  Pairing is
-    decided per lane, so a value does not depend on the other points of the
-    call.  Values agree with :func:`reduce_beta` to a few units of its error
-    estimate.  A point the batch cannot finish regularly -- z = 0, a lane of
-    z or of a part beyond 2^1000 or not finite, a log argument near the guard
-    band (z = 1 among them) -- goes to :func:`beta_value` in order, so the
-    batch raises the first error the scalar loop would.  So does a q = 2
-    point with real z in (0, 1), where the scalar atanh is more accurate:
-    there the batch equals :func:`reduce_beta` bitwise.
+    The one-row case of :func:`reduce_beta_rows`.  Where that gives no row
+    (a point refused, or one column beyond ``BATCH_CELLS``), the scalar
+    loop runs, so the batch raises the first error the scalar loop would.
+    Values agree with :func:`reduce_beta` to a few units of its error
+    estimate, and equal it bitwise at the points the batch leaves to
+    :func:`beta_value`.
     """
     zs = [to_double(z, complex) for z in zs]
-    p, q = dec.r.numerator, dec.r.denominator
-    width = q + dec.n
-    if width > BATCH_CELLS:
-        # one column alone would pass the budget (this covers |m| or q > MAX_TAIL_TERMS)
-        return [beta_value(dec, z) for z in zs]
+    row = reduce_beta_rows([dec], zs)[0]
+    return [beta_value(dec, z) for z in zs] if row is None else row
+
+
+def reduce_beta_rows(
+    decs: Sequence[Decomposition], zs: List[complex]
+) -> List[Optional[List[complex]]]:
+    """Per decomposition, ``[reduce_beta(dec, z).value for z in zs]`` or None.
+
+    Every decomposition has the same q, and every z is a float or complex
+    (:func:`to_double` of the input).  One column per z holds the q
+    phased logs of the general form (q = 1 included) and the |m| power-tail
+    terms, built a chunk of columns at a time (at most ``BATCH_CELLS``
+    cells per matrix) and summed exactly rounded by ``math.fsum`` per lane.
+    The log table -- the root z^(1/q) (with the one log of z it comes
+    from), the rows w = 1 - z^(1/q) e^(2*pi*i*k/q), their guard-band mask
+    and log(w) -- is built once per (q, z) and shared by every p/q and
+    every integer shift; each decomposition adds its row phases, z^r and
+    its tail.  A lane whose z is real and positive pairs the conjugate rows
+    k and q - k: it computes rows 0 .. q//2 only, takes 2*Re of each row
+    0 < k < q/2 and Re of the self-conjugate row q/2, so its value is real
+    on (0, 1) and has Im = -pi exactly on the ray z > 1, from row 0 alone.
+    Every other lane computes all q rows.  Pairing is decided per lane, so
+    a value depends neither on the other points nor on the other rows of
+    the call.  A point the batch cannot finish regularly -- z = 0, a lane
+    of z or of a part beyond 2^1000 or not finite, a log argument near the
+    guard band (z = 1 among them) -- goes to :func:`beta_value`, and so
+    does a q = 2 point with real z in (0, 1), where the scalar atanh is
+    more accurate.  A row where that point is refused, or whose one column
+    alone passes ``BATCH_CELLS`` (|m| or q above ``MAX_TAIL_TERMS`` among
+    them), is None: its points are left to the caller.
+    """
+    q = decs[0].r.denominator if decs else 1
+    if any(dec.r.denominator != q for dec in decs):
+        raise ValueError("reduce_beta_rows needs decompositions with one denominator")
+    rows: List[Optional[List[complex]]] = [[] if q + dec.n <= BATCH_CELLS else None for dec in decs]
+    live = [i for i, row in enumerate(rows) if row is not None]
+    if not live:
+        return rows
     roots = _roots(q)[1]
-    phases = -roots[-p * np.arange(q) % q]  # each log row's phase -e^(-2*pi*i*p*k/q)
-    # the tail's denominators with its sign folded in, exact for IEEE division:
-    # -(k + r) for k = 0..m-1, k + r for k = -1..m
-    r = p / q
-    ks = np.arange(dec.m) if dec.m > 0 else np.arange(-1, dec.m - 1, -1)
-    dens = -(ks + r) if dec.m > 0 else ks + r
-    step = BATCH_CELLS // width
-    out: List[complex] = []
+    fit = [decs[i] for i in live]
+    step = BATCH_CELLS // (q + max(dec.n for dec in fit))
     # non-finite parts are found by explicit checks, not by numpy's warnings
     with np.errstate(all="ignore"):
-        for start in range(0, len(zs), step):
-            out.extend(_batch_chunk(dec, roots, phases, dens[:, None], zs[start : start + step]))
-    return out
+        chunks = [_rows_chunk(roots, fit, zs[s : s + step]) for s in range(0, len(zs), step)]
+    for i, parts in zip(live, zip(*chunks)):
+        if None in parts:
+            rows[i] = None
+        else:
+            rows[i] = parts[0] if len(parts) == 1 else [v for part in parts for v in part]
+    return rows
 
 
-def _batch_chunk(dec, roots, phases, dens, zs: List[complex]) -> List[complex]:
-    q, m = len(roots), dec.m
+def _rows_chunk(roots, decs, zs: List[complex]) -> List[Optional[List[complex]]]:
+    q = len(roots)
     za = np.array(zs, dtype=complex)
     regular = (za != 0) & (np.abs(za.real) < _BATCH_LIMIT) & (np.abs(za.imag) < _BATCH_LIMIT)
     # real z > 0, either sign of zero: the lanes that pair conjugate rows
@@ -257,44 +306,67 @@ def _batch_chunk(dec, roots, phases, dens, zs: List[complex]) -> List[complex]:
     if q == 2:
         # real z in (0, 1) takes the scalar kernel's atanh, more accurate there than two logs
         regular &= ~(paired & (za.real < 1))
-    unfinished = ~regular
     # points left to beta_value keep a harmless z in their column
     base = np.where(regular, za, 0.5)
-    z_root, z_power = _roots_and_powers(base.tolist(), dec)
-    z_root = np.array(z_root)
-    tail = np.empty((abs(m), len(zs)), dtype=complex)
-    if m:
-        # the walk outward from z^r, one multiplication (m > 0) or division (m < 0) per row
-        walk = np.empty((abs(m) + 1, len(zs)), dtype=complex)
-        walk[0] = z_power
-        walk[1:] = base
-        (np.multiply if m > 0 else np.divide).accumulate(walk, axis=0, out=walk)
-        powers = walk[:-1] if m > 0 else walk[1:]
-        # lane by lane, as Python divides a complex by a float
-        tail.real = powers.real / dens
-        tail.imag = powers.imag / dens
-        inside = (np.abs(tail.real) < _BATCH_LIMIT) & (np.abs(tail.imag) < _BATCH_LIMIT)
-        unfinished |= ~inside.all(axis=0)
-    values: List[Optional[complex]] = [None] * len(zs)
+    z_roots, z_logs = _roots_and_logs(base.tolist(), q)
+    z_root = np.array(z_roots)
+    # the log table of each lane group, shared by every decomposition
+    tables = []
     for lanes, pair in ((np.flatnonzero(paired), True), (np.flatnonzero(~paired), False)):
-        if not lanes.size:
-            continue
-        w = 1 - roots[: q // 2 + 1 if pair else q, None] * z_root[lanes]
-        w.imag[w.imag == 0.0] = 0.0  # -0.0 takes the +pi edge, as in principal_log
-        # twice the guard (z = 1 among them): a point near its edge is decided by beta_value
-        left = unfinished[lanes] | (np.abs(w) < 2 * BRANCH_GUARD).any(axis=0)
-        logs = phases[: len(w), None] * np.log(w)
-        re, im = logs.real, logs.imag
-        if pair:
-            # row k < q/2 stands for k and q - k; row 0 alone keeps its imaginary part
-            re[1 : (q + 1) // 2] *= 2
-            im = im[:1]
-        re = np.concatenate((re, tail.real[:, lanes])).T.tolist()
-        im = np.concatenate((im, tail.imag[:, lanes])).T.tolist()
-        for i, skip, re_i, im_i in zip(lanes.tolist(), left.tolist(), re, im):
-            if not skip:
-                values[i] = complex(math.fsum(re_i), math.fsum(im_i))
-    return [beta_value(dec, z) if v is None else v for z, v in zip(zs, values)]
+        if lanes.size:
+            w = 1 - roots[: q // 2 + 1 if pair else q, None] * z_root[lanes]
+            w.imag[w.imag == 0.0] = 0.0  # -0.0 takes the +pi edge, as in principal_log
+            # twice the guard (z = 1 among them): a point near its edge is decided by beta_value
+            left = ~regular[lanes] | (np.abs(w) < 2 * BRANCH_GUARD).any(axis=0)
+            tables.append((lanes, pair, left, np.log(w)))
+    out: List[Optional[List[complex]]] = []
+    for dec in decs:
+        if dec.m:
+            tail = _tail(dec, base, _powers(z_roots, z_logs, dec.r))
+            inside = (np.abs(tail.real) < _BATCH_LIMIT) & (np.abs(tail.imag) < _BATCH_LIMIT)
+            outside = ~inside.all(axis=0)  # a lane with a part past the limit goes to beta_value
+        phases = _phases(q)[1][dec.r.numerator * np.arange(q) % q]
+        values: List[Optional[complex]] = [None] * len(zs)
+        for lanes, pair, left, log_w in tables:
+            logs = phases[: len(log_w), None] * log_w
+            re, im = logs.real, logs.imag
+            if pair:
+                # row k < q/2 stands for k and q - k; row 0 alone keeps its imaginary part
+                re[1 : (q + 1) // 2] *= 2
+                im = im[:1]
+            if dec.m:
+                re = np.concatenate((re, tail.real[:, lanes]))
+                im = np.concatenate((im, tail.imag[:, lanes]))
+                left = left | outside[lanes]
+            re, im = re.T.tolist(), im.T.tolist()
+            for i, skip, re_i, im_i in zip(lanes.tolist(), left.tolist(), re, im):
+                if not skip:
+                    values[i] = complex(math.fsum(re_i), math.fsum(im_i))
+        try:
+            out.append([beta_value(dec, z) if v is None else v for z, v in zip(zs, values)])
+        except (BetaReduceError, ArithmeticError):
+            out.append(None)  # some point is refused: the caller evaluates each alone
+    return out
+
+
+def _tail(dec: Decomposition, base: np.ndarray, z_power: List[complex]) -> np.ndarray:
+    """The |m| x columns signed power-tail terms, walking outward from z^r, one row per term."""
+    m, r = dec.m, dec.r.numerator / dec.r.denominator
+    # the denominators with the tail's sign folded in, exact for IEEE division:
+    # -(k + r) for k = 0..m-1, k + r for k = -1..m
+    ks = np.arange(m) if m > 0 else np.arange(-1, m - 1, -1)
+    dens = (-(ks + r) if m > 0 else ks + r)[:, None]
+    # one multiplication (m > 0) or division (m < 0) by z per row
+    walk = np.empty((abs(m) + 1, len(base)), dtype=complex)
+    walk[0] = z_power
+    walk[1:] = base
+    (np.multiply if m > 0 else np.divide).accumulate(walk, axis=0, out=walk)
+    powers = walk[:-1] if m > 0 else walk[1:]
+    # lane by lane, as Python divides a complex by a float
+    tail = np.empty(powers.shape, dtype=complex)
+    tail.real = powers.real / dens
+    tail.imag = powers.imag / dens
+    return tail
 
 
 # Binomial sums above this length would be numerically and practically useless.

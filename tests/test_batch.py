@@ -1,4 +1,5 @@
-"""reduce_beta_many against its reference, the scalar reduce_beta loop."""
+"""reduce_beta_many against its reference, the scalar reduce_beta loop, and the
+grouped rows of reduce_beta_rows against reduce_beta_many."""
 
 import cmath
 import math
@@ -18,8 +19,8 @@ from betareduce import (
     reduce_beta_many,
     run_verification,
 )
-from betareduce import reduction
-from betareduce.reduction import MAX_TAIL_TERMS
+from betareduce import reduction, verify
+from betareduce.reduction import MAX_TAIL_TERMS, reduce_beta_rows
 
 
 def bound(dec, ev):
@@ -210,6 +211,64 @@ def test_column_beyond_budget_runs_the_scalar_path(monkeypatch):
     monkeypatch.setattr(reduction, "BATCH_CELLS", dec.r.denominator + dec.n - 1)
     zs = [0.3, 2.5, 0.4 + 0.3j]
     assert reduce_beta_many(dec, zs) == scalar_loop(dec, zs)
+
+
+# -- grouped rows: one log table per (q, z) ------------------------------------
+
+# one chunk: several q, several p per q, both signs, shifts up to +-6, q = 1 and q = 2,
+# the non-positive integer -2, and 2000/3, whose tail passes 2^1000 at z = 2.88
+GROUPED_NUS = (
+    [
+        m + Fraction(p, q)
+        for q in (2, 3, 5, 12)
+        for p in range(1, q)
+        if math.gcd(p, q) == 1
+        for m in (-6, -1, 0, 3, 6)
+    ]
+    + [Fraction(n) for n in (1, 4, 7)]
+    + [Fraction(-2), Fraction(2000, 3)]
+)
+GROUPED_ZS = [
+    # regular points, real z > 0 among them (paired lanes), and both zeros of the cut
+    default_z_grid()[::2] + [2.5, complex(1.5, -0.0), -0.5, 1e-3j, 2.88],
+    [0.5, 0.3 + 0.2j, 0.0],  # z = 0 refuses every m < 0
+    [0.5, 1.0],  # the branch point refuses every row
+    [2.0, 1 + 1e-15, 0.3],  # inside the guard band
+]
+
+
+@pytest.mark.parametrize("cells", [None, 2 * 669 + 1, 40])
+@pytest.mark.parametrize("zs", GROUPED_ZS)
+def test_grouped_rows_are_the_single_rows(monkeypatch, zs, cells):
+    if cells:
+        monkeypatch.setattr(reduction, "BATCH_CELLS", cells)
+    rows = verify._reduction_rows(GROUPED_NUS, zs)
+    assert len(rows) == len(GROUPED_NUS)
+    for nu, row in zip(GROUPED_NUS, rows):
+        single = outcome(lambda: reduce_beta_many(decompose(nu), zs))
+        if row is not None:
+            assert bits(row) == bits(single), nu
+        elif not isinstance(single, tuple):
+            # no row and no refusal: one column alone passes the budget
+            dec = decompose(nu)
+            assert dec.r.denominator + dec.n > reduction.BATCH_CELLS, nu
+    # 2000/3 at 2.88: a part past 2^1000, finished by the scalar kernel inside its row
+    if 2.88 in zs and not cells:
+        assert rows[GROUPED_NUS.index(Fraction(2000, 3))][-1] == reduce_beta(
+            decompose(Fraction(2000, 3)), 2.88
+        ).value
+    # a refused row leaves its siblings alone: at z = 0 only the rows with m < 0 are None,
+    # and those too wide for 40 cells
+    if 0.0 in zs:
+        wide = {Fraction(2000, 3)} if cells == 40 else set()
+        assert [row is None for row in rows] == [nu < 0 or nu in wide for nu in GROUPED_NUS]
+
+
+def test_grouped_rows_need_one_denominator():
+    with pytest.raises(ValueError):
+        reduce_beta_rows([decompose(Fraction(1, 3)), decompose(Fraction(1, 4))], [0.5])
+    assert reduce_beta_rows([], [0.5]) == []
+    assert reduce_beta_rows([decompose(Fraction(1, 3))], []) == [[]]
 
 
 # -- routing --------------------------------------------------------------------

@@ -434,6 +434,27 @@ class TestUnitRootTable:
         maxsize = _unit_roots.cache_info().maxsize
         assert maxsize is not None and maxsize > 0
 
+    # the phase table of q: fraction p/q reads row p*k mod q for its log row k, bitwise
+    # the per-call formula -e^(-2*pi*i*p*k/q), in the scalar tuple and the batch array alike
+    @pytest.mark.parametrize("q", [1, 3, 7, 12, 97, ROOT_CACHE_MAX_Q + 1])
+    def test_phase_tables_are_the_per_call_formula(self, q):
+        phases, table = reduction._phases(q)
+        assert not table.flags.writeable and table.tolist() == list(phases)
+        for p in [p for p in range(1, q + 1) if math.gcd(p, q) == 1][:12]:
+            for k in range(q):
+                phase, expected = phases[p * k % q], -_per_call_unit_root(-p * k, q)
+                assert (phase.real.hex(), phase.imag.hex()) == (
+                    expected.real.hex(),
+                    expected.imag.hex(),
+                )
+
+    def test_phase_cache_is_bounded_and_skips_large_q(self):
+        cache = reduction._unit_phases
+        assert cache.cache_info().maxsize == _unit_roots.cache_info().maxsize
+        before = cache.cache_info()
+        reduction._phases(ROOT_CACHE_MAX_Q + 1)
+        assert cache.cache_info() == before
+
     def test_large_q_not_cached(self, tight_series):
         q = ROOT_CACHE_MAX_Q + 3
         nu = Fraction(1, q)

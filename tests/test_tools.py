@@ -84,6 +84,7 @@ def test_output_hashes_name_every_output_and_repeat(output_hashes, capsys):
         "verify --side both --n-max 3 --q-max 20",
         "verify --z-point 0.999999999999999",
         "figure --nu 12.3 --points 300",
+        "verify --n-max 0 --q-max 8",
         "values",
     ]
     assert all(len(line.split("  ", 1)[0]) == 64 for line in runs[0])

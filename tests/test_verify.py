@@ -20,7 +20,7 @@ from betareduce import (
     run_verification,
     write_verify_csv,
 )
-from betareduce import oracles, principal, verify
+from betareduce import oracles, principal, reduction, verify
 
 
 def test_unknown_side_refused():
@@ -62,6 +62,7 @@ def test_budget_edge(monkeypatch, build, size):
 # every record (about 274 B) is held until the CSV is written: 1,147,211 points here
 def test_point_budget_refused_before_any_evaluation(monkeypatch):
     monkeypatch.setattr(verify, "reduce_beta_many", None)  # any evaluation would fail
+    monkeypatch.setattr(verify, "reduce_beta_rows", None)
     with pytest.raises(MaxTermsExceeded):
         run_verification(default_nu_grid(q_max=100), default_z_grid(), 1e-10)
 
@@ -149,6 +150,24 @@ def test_oracle_work_once_per_nu_and_once_per_z(monkeypatch):
     assert passed == len(records) == len(nus) * len(zs)
     assert splits == nus
     assert logs == zs
+
+
+# the reduction takes one log of each z per denominator q >= 3 of a chunk, shared by every
+# p/q and every shift: 174 logs for a timed benchmark window (21 nu, 6 such q, 29 z), not 580
+@pytest.mark.parametrize("nus", [default_nu_grid(0, 8), default_nu_grid()])
+def test_reduction_logs_once_per_q_and_z(monkeypatch, nus):
+    zs = default_z_grid()
+    logs = []
+    log = reduction.principal_log
+    monkeypatch.setattr(reduction, "principal_log", lambda w: logs.append(w) or log(w))
+    records, passed, _, _ = run_verification(nus, zs, 1e-10)
+    assert passed == len(records) == len(nus) * len(zs)
+    size = verify.VERIFY_NU_CHUNK
+    chunks = [nus[i : i + size] for i in range(0, len(nus), size)]
+    groups = sum(len({nu.denominator for nu in chunk if nu.denominator >= 3}) for chunk in chunks)
+    assert logs == zs * groups
+    if len(nus) == 21:
+        assert len(logs) == 174
 
 
 # the oracle columns hold plain values: no Evaluation is built where every column is a list

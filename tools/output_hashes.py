@@ -5,13 +5,15 @@ Usage::
     python tools/output_hashes.py            # every output
     python tools/output_hashes.py NAME ...   # these outputs only
 
-The outputs are the CSV bytes of four CLI calls (``verify`` on its default
+The outputs are the CSV bytes of five CLI calls (``verify`` on its default
 grid, ``verify --side both --n-max 3 --q-max 20``, ``verify --z-point
-0.999999999999999`` and ``figure --nu 12.3 --points 300``) and ``values``:
-a fixed, self-seeded list of value-caller calls (``incomplete_beta`` at
-mu = 0 and mu >= 1, ``lerch_reduce``, ``int_power_over_linear`` and
-``int_tanh_power``), one line each, the value's parts in ``float.hex`` or
-the error's name and message.  Each line reads ``<sha256>  <name>``.  The
+0.999999999999999``, ``figure --nu 12.3 --points 300`` and ``verify --n-max
+0 --q-max 8``, the part of the default grid that a timed verify-grid window
+of ``perfbench/run.py`` evaluates) and ``values``: a fixed, self-seeded list
+of value-caller calls (``incomplete_beta`` at mu = 0 and mu >= 1,
+``lerch_reduce``, ``int_power_over_linear`` and ``int_tanh_power``), one
+line each, the value's parts in ``float.hex`` or the error's name and
+message.  Each line reads ``<sha256>  <name>``.  The
 package is imported from the ``src/`` next to this file.
 """
 
@@ -40,6 +42,7 @@ CLI_OUTPUTS = (
     "verify --side both --n-max 3 --q-max 20",
     "verify --z-point 0.999999999999999",
     "figure --nu 12.3 --points 300",
+    "verify --n-max 0 --q-max 8",
 )
 VALUE_CALLS = 4000
 VALUE_SEED = 20201
