@@ -90,6 +90,11 @@ def principal_log(w: complex) -> complex:
     return cmath.log(w if w.imag else complex(w.real, 0.0))
 
 
+def principal_logs(ws: Sequence[complex]) -> List[complex]:
+    """``[principal_log(w) for w in ws]`` for complex ws, in one call: the same signed-zero rule."""
+    return [cmath.log(w if w.imag else complex(w.real, 0.0)) for w in ws]
+
+
 def principal_sqrt(w: complex) -> complex:
     """Square root on the same branch as :func:`principal_log`."""
     if not isinstance(w, complex):

@@ -45,6 +45,7 @@ from .principal import (
     finite_double,
     fsum_complex,
     principal_log,
+    principal_logs,
     principal_sqrt,
     rational_power,
     to_double,
@@ -98,7 +99,7 @@ def _phases(q: int) -> Tuple[Tuple[complex, ...], np.ndarray]:
 
 
 def _roots_and_logs(zs: List[complex], q: int) -> Tuple[List[complex], Optional[List[complex]]]:
-    """The principal z^(1/q) of each z != 0 and, for q >= 3, the log of z it comes from."""
+    """Batch helper: the principal z^(1/q) of each z != 0 and, for q >= 3, the log of z."""
     if q == 1:
         return zs, None
     if q == 2:
@@ -108,7 +109,7 @@ def _roots_and_logs(zs: List[complex], q: int) -> Tuple[List[complex], Optional[
 
 
 def _powers(roots: List[complex], logs: Optional[List[complex]], r: Fraction) -> List[complex]:
-    """z^r of each z, the tail's start, from :func:`_roots_and_logs`: the root itself at q <= 2."""
+    """Batch helper: z^r of each z, the tail's start, from :func:`_roots_and_logs`."""
     if logs is None:
         return roots
     x = r.numerator / r.denominator
@@ -129,7 +130,7 @@ def _roots_log_sum(p: int, q: int, zq: complex) -> List[complex]:
             f"log argument {ws[k]} within {BRANCH_GUARD} of the branch point (k={k}, q={q})"
         )
     phases = _phases(q)[0]
-    return [phases[p * k % q] * principal_log(w) for k, w in enumerate(ws)]
+    return [phases[p * k % q] * lw for k, lw in enumerate(principal_logs(ws))]
 
 
 def reduce_beta(dec: Decomposition, z: complex) -> Evaluation:
@@ -167,9 +168,13 @@ def beta_value(dec: Decomposition, z: complex) -> complex:
     the sum|parts| (at most 2^21 parts) cannot overflow and is not taken.
     """
     parts = (reduce_beta_pos if dec.m >= 0 else reduce_beta_neg)(dec, z)
-    ends = (parts[-dec.n], parts[-1]) if dec.m and parts else ()
-    if not all(abs(t.real) < _BATCH_LIMIT and abs(t.imag) < _BATCH_LIMIT for t in ends):
-        _spread(parts)
+    if dec.m and parts:
+        a, b = parts[-abs(dec.m)], parts[-1]
+        if not (
+            abs(a.real) < _BATCH_LIMIT and abs(a.imag) < _BATCH_LIMIT
+            and abs(b.real) < _BATCH_LIMIT and abs(b.imag) < _BATCH_LIMIT
+        ):
+            _spread(parts)
     return fsum_complex(parts)
 
 
@@ -185,33 +190,37 @@ def reduce_beta_neg(dec: Decomposition, z: complex) -> List[complex]:
 
 def _kernel(dec: Decomposition, z: complex) -> List[complex]:
     z = finite_complex(z)
+    m, p, q = dec.m, dec.r.numerator, dec.r.denominator
     if z == 0:
-        if dec.m < 0:
+        if m < 0:
             raise ZeroArgument("negative powers of z require z != 0")
         return []
     if z == 1:
         raise BranchPoint("z = 1 is the logarithmic branch point")
-    p, q = dec.r.numerator, dec.r.denominator
-    if dec.n > MAX_TAIL_TERMS:
-        raise MaxTermsExceeded(f"{dec.n} power-tail terms exceed the budget of {MAX_TAIL_TERMS}")
+    if abs(m) > MAX_TAIL_TERMS:
+        raise MaxTermsExceeded(f"{abs(m)} power-tail terms exceed the budget of {MAX_TAIL_TERMS}")
     if q > MAX_TAIL_TERMS:
         raise MaxTermsExceeded(f"{q} roots of unity exceed the budget of {MAX_TAIL_TERMS}")
-    roots, logs = _roots_and_logs([z], q)
-    zq, zk = roots[0], _powers(roots, logs, dec.r)[0]
+    # z^(1/q) and z^r, the tail's start, by the operations of _roots_and_logs and _powers
+    r = p / q
     if q == 2:
         # B(1/2, 0, z) = 2*atanh(sqrt(z)): at small real z more accurate than its two logs
+        zq = zk = principal_sqrt(z)
         if abs(1 - zq) < BRANCH_GUARD or abs(1 + zq) < BRANCH_GUARD:
             raise BranchPoint("sqrt(z) within the guard band of an atanh singularity")
         parts = [2.0 * atanh(zq)]
     else:
+        zq = zk = z
+        if q > 2:
+            lz = principal_log(z)
+            zq, zk = cmath.exp(lz / q), cmath.exp(r * lz)
         parts = _roots_log_sum(p, q, zq)
-    r = p / q
     # the tail walks outward from z^r at k = 0 (m > 0) or k = -1 (m < 0), one
     # multiplication or division by z per term
-    for k in range(dec.m):
+    for k in range(m):
         parts.append(-zk / (k + r))
         zk *= z
-    for k in range(-1, dec.m - 1, -1):
+    for k in range(-1, m - 1, -1):
         zk /= z
         parts.append(zk / (k + r))
     return parts

@@ -8,7 +8,7 @@ import pytest
 
 from betareduce import ZeroArgument, atanh, principal_log, principal_sqrt, rational_power
 from betareduce import BetaReduceError, Evaluation, Method, OutsideDomain
-from betareduce.principal import exponent_parts, fsum_complex, rational_powers
+from betareduce.principal import exponent_parts, fsum_complex, principal_logs, rational_powers
 from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
@@ -75,6 +75,36 @@ class TestPrincipalHelpersAsBefore:
     def test_complex_arguments(self, re, im):
         for helper, before in PRINCIPAL:
             assert _bits(helper, complex(re, im)) == _bits(before, complex(re, im))
+
+
+def _logs_outcome(call):
+    try:
+        return [(w.real.hex(), w.imag.hex()) for w in call()]
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+EDGE_LANES = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1.7e308, -1.7e308])
+LOG_ROWS = st.builds(
+    complex,
+    EDGE_LANES | st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0]) | EDGE_LANES | st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+class TestPrincipalLogs:
+    """The list form is bitwise one principal_log per row, the +pi edge and error included."""
+
+    def test_negative_axis_takes_plus_pi_for_either_zero(self):
+        logs = principal_logs([complex(-2.0, 0.0), complex(-2.0, -0.0), complex(-5e-324, -0.0)])
+        assert [w.imag for w in logs] == [math.pi] * 3
+
+    @settings(max_examples=500, deadline=None)
+    @given(ws=st.lists(LOG_ROWS, max_size=12))
+    def test_rows_are_principal_log(self, ws):
+        assert _logs_outcome(lambda: principal_logs(ws)) == _logs_outcome(
+            lambda: [principal_log(w) for w in ws]
+        )
 
 
 class TestAtanh:

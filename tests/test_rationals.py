@@ -48,6 +48,34 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_rational(bad)
 
+    @given(
+        sign=st.sampled_from(["", "-"]),
+        lead=st.text("0", max_size=5),
+        whole=st.text("0123456789", min_size=1, max_size=20),
+        decimals=st.text("0123456789", max_size=20),
+        trail=st.text("0", max_size=5),
+    )
+    def test_decimal_is_the_fraction_of_its_literal(self, sign, lead, whole, decimals, trail):
+        point = f".{decimals}{trail}" if decimals or trail else ""
+        text = f"{sign}{lead}{whole}{point}"
+        value = parse_rational(text)
+        assert type(value) is Fraction and value == Fraction(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["-" + "7" * 4301 + ".5", "1." + "2" * 4301, "-" + "3" * 4301 + "." + "4" * 4302],
+    )
+    def test_over_long_decimal_refused_with_the_fraction_parser_message(self, text):
+        with pytest.raises(ValueError) as parser:
+            Fraction(text)
+        with pytest.raises(ParseError, match="numeral too long") as refused:
+            parse_rational(text)
+        assert str(refused.value) == f"numeral too long: {parser.value}"
+
+    def test_each_side_of_the_point_within_the_digit_limit_parses(self):
+        text = "-" + "9" * 4000 + "." + "1" * 4000
+        assert parse_rational(text) == Fraction(text)
+
     def test_non_string(self):
         with pytest.raises(ParseError):
             parse_rational(1.5)

@@ -32,10 +32,16 @@ from betareduce import (
     reduce_beta_many,
 )
 from betareduce import integrals, rationals, reduction
-from betareduce.principal import fsum_complex, principal_log, principal_sqrt
+from betareduce.principal import atanh, finite_complex, fsum_complex, principal_log, principal_sqrt
+from betareduce.principal import rational_power
 from betareduce.reduction import (
+    BRANCH_GUARD,
     MAX_TAIL_TERMS,
     ROOT_CACHE_MAX_Q,
+    _phases,
+    _powers,
+    _roots,
+    _roots_and_logs,
     _roots_log_sum,
     _spread,
     _unit_roots,
@@ -690,3 +696,71 @@ class TestValuePathIsTheEvaluation:
             integrals, "beta_value", _evaluation_value
         ):
             assert [_outcome(call) for call in callers] == lean
+
+
+def _reference_parts(dec, z):
+    """The kernel's parts as first formulated: the batch helpers on [z], one principal_log per row."""
+    z = finite_complex(z)
+    if z == 0:
+        if dec.m < 0:
+            raise ZeroArgument("negative powers of z require z != 0")
+        return []
+    if z == 1:
+        raise BranchPoint("z = 1 is the logarithmic branch point")
+    p, q = dec.r.numerator, dec.r.denominator
+    roots, logs = _roots_and_logs([z], q)
+    zq, zk = roots[0], _powers(roots, logs, dec.r)[0]
+    if q == 2:
+        if abs(1 - zq) < BRANCH_GUARD or abs(1 + zq) < BRANCH_GUARD:
+            raise BranchPoint("sqrt(z) within the guard band of an atanh singularity")
+        parts = [2.0 * atanh(zq)]
+    else:
+        ws = [1 - zq * root for root in _roots(q)[0]]
+        try:
+            near = min(map(abs, ws))
+        except OverflowError as exc:
+            raise OutsideDomain(f"log argument {ws[0]} outside the double range") from exc
+        if near < BRANCH_GUARD:
+            k = next(k for k, w in enumerate(ws) if abs(w) < BRANCH_GUARD)
+            raise BranchPoint(
+                f"log argument {ws[k]} within {BRANCH_GUARD} of the branch point (k={k}, q={q})"
+            )
+        phases = _phases(q)[0]
+        parts = [phases[p * k % q] * principal_log(w) for k, w in enumerate(ws)]
+    r = p / q
+    for k in range(dec.m):
+        parts.append(-zk / (k + r))
+        zk *= z
+    for k in range(-1, dec.m - 1, -1):
+        zk /= z
+        parts.append(zk / (k + r))
+    return parts
+
+
+def _parts_outcome(call):
+    try:
+        parts = call()
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+    return [(t.real.hex(), t.imag.hex()) for t in parts]
+
+
+class TestKernelAsFirstFormulated:
+    """The scalar kernel's inline root, power and list of row logs are bitwise the batch helpers'."""
+
+    @settings(max_examples=600, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(dec=pinned_decompositions(), z=PINNED_POINTS)
+    @example(dec=decompose(12 + Fraction(1, 97)), z=complex(1e-300, 0.0))  # z**-1165/97 overflows
+    @example(dec=decompose(Fraction(12)), z=complex(1e-300, 0.0))  # z**-12 overflows
+    @example(dec=decompose(-12 + Fraction(1, 3)), z=complex(1e300, -0.0))  # z**35/3 overflows
+    @example(dec=decompose(Fraction(-7, 2)), z=complex(-2.0, -0.0))  # the +pi edge at q = 2
+    @example(dec=decompose(Fraction(1, 3)), z=0j)  # 0 to a negative power in lerch_reduce
+    def test_parts_and_lerch(self, dec, z):
+        kernel = reduction.reduce_beta_pos if dec.m >= 0 else reduction.reduce_beta_neg
+        assert _parts_outcome(lambda: kernel(dec, z)) == _parts_outcome(
+            lambda: _reference_parts(dec, z)
+        )
+        reference = lambda: finite_complex(  # noqa: E731
+            reduction.beta_value(dec, z) * rational_power(z, -dec.reconstruct()), "Phi(z, 1, nu)"
+        )
+        assert _outcome(lambda: lerch_reduce(dec, z)) == _outcome(reference)

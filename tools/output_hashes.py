@@ -13,7 +13,10 @@ of ``perfbench/run.py`` evaluates) and ``values``: a fixed, self-seeded list
 of value-caller calls (``incomplete_beta`` at mu = 0 and mu >= 1,
 ``lerch_reduce``, ``int_power_over_linear`` and ``int_tanh_power``), one
 line each, the value's parts in ``float.hex`` or the error's name and
-message.  Each line reads ``<sha256>  <name>``.  The
+message; and ``evaluations``: ``reduce_beta``'s :class:`Evaluation` at the
+(nu, z) point each of those calls draws, one line each, its value,
+``error_estimate``, ``terms_or_nodes`` and ``parts`` in ``float.hex``, or
+the error's name and message.  Each line reads ``<sha256>  <name>``.  The
 package is imported from the ``src/`` next to this file.
 """
 
@@ -29,7 +32,7 @@ import sys
 import tempfile
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Dict, Iterator, List
+from typing import Callable, Dict, Iterator, List, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
@@ -84,22 +87,26 @@ def _z(rng: random.Random) -> complex:
     return complex(rng.uniform(1.01, 10.0), -0.0)
 
 
-def value_calls() -> Iterator[Callable[[], object]]:
-    """The fixed list of value-caller calls, seeded by ``VALUE_SEED``."""
+def value_calls() -> Iterator[Tuple[Fraction, complex, Callable[[], object]]]:
+    """The fixed value-caller calls, each with its drawn (nu, z), seeded by ``VALUE_SEED``."""
     rng = random.Random(VALUE_SEED)
     for _ in range(VALUE_CALLS):
         kind = rng.choice(["beta", "beta", "beta", "beta_mu", "lerch", "powlin", "tanh"])
         nu, z = _nu(rng, positive=kind in ("powlin", "tanh") or rng.random() < 0.6), _z(rng)
         if kind == "beta":
-            yield lambda nu=nu, z=z: br.incomplete_beta(nu, 0, z)
+            yield nu, z, lambda nu=nu, z=z: br.incomplete_beta(nu, 0, z)
         elif kind == "beta_mu":
-            yield lambda nu=nu, z=z, mu=rng.randrange(1, 4): br.incomplete_beta(nu, mu, z)
+            yield nu, z, lambda nu=nu, z=z, mu=rng.randrange(1, 4): br.incomplete_beta(nu, mu, z)
         elif kind == "lerch":
-            yield lambda nu=nu, z=z: br.lerch_reduce(br.decompose(nu), z)
+            yield nu, z, lambda nu=nu, z=z: br.lerch_reduce(br.decompose(nu), z)
         elif kind == "powlin":
-            yield lambda nu=nu, z=z: br.int_power_over_linear(nu, z)
+            yield nu, z, lambda nu=nu, z=z: br.int_power_over_linear(nu, z)
         else:
-            yield lambda nu=nu, x=rng.uniform(0.01, 8.0): br.int_tanh_power(nu, x)
+            yield nu, z, lambda nu=nu, x=rng.uniform(0.01, 8.0): br.int_tanh_power(nu, x)
+
+
+def _hex(values) -> str:
+    return " ".join(f"{v.real.hex()} {v.imag.hex()}" for v in values)
 
 
 def _line(call: Callable[[], object]) -> str:
@@ -110,13 +117,26 @@ def _line(call: Callable[[], object]) -> str:
     return f"{value.real.hex()} {value.imag.hex()}"
 
 
+def _evaluation_line(nu: Fraction, z: complex) -> str:
+    try:
+        ev = br.reduce_beta(br.decompose(nu), z)
+    except br.BetaReduceError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return f"{_hex([ev.value])} {ev.error_estimate.hex()} {ev.terms_or_nodes} | {_hex(ev.parts)}"
+
+
 def value_lines() -> bytes:
-    return "".join(_line(call) + "\n" for call in value_calls()).encode()
+    return "".join(_line(call) + "\n" for _, _, call in value_calls()).encode()
+
+
+def evaluation_lines() -> bytes:
+    return "".join(_evaluation_line(nu, z) + "\n" for nu, z, _ in value_calls()).encode()
 
 
 OUTPUTS: Dict[str, Callable[[], bytes]] = {
     **{args: (lambda args=args: cli_csv(args)) for args in CLI_OUTPUTS},
     "values": value_lines,
+    "evaluations": evaluation_lines,
 }
 
 
