@@ -8,7 +8,7 @@ all methods agree at each point before timing anything.
 
 from fractions import Fraction
 
-from betareduce import BenchMethod, run_bench
+from betareduce import Method, run_bench
 
 GRID = [
     (Fraction(1, 2), complex(0.5)),
@@ -25,9 +25,9 @@ for rec in records:
     by_point.setdefault(rec.z, {})[rec.method] = rec.median_nanos
 
 for z, timings in by_point.items():
-    reduction = timings[BenchMethod.REDUCTION]
-    series = timings[BenchMethod.SERIES]
-    quadrature = timings[BenchMethod.QUADRATURE_BETA]
+    reduction = timings[Method.REDUCTION]
+    series = timings[Method.SERIES]
+    quadrature = timings[Method.QUADRATURE_BETA]
     print(
         f"{z.real:7.3f}  {reduction:12d} {series:12d} {quadrature:12d}"
         f"  {series / reduction:16.0f}x"

@@ -8,7 +8,7 @@ quadrature oracles, applies them to two integral families, and times them
 against the oracles.
 """
 
-from .bench import BenchMethod, BenchRecord, PRESETS, run_bench, write_bench_csv
+from .bench import BenchRecord, PRESETS, run_bench, write_bench_csv
 from .errors import (
     BenchConsistencyError,
     BetaReduceError,
@@ -48,7 +48,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BenchConsistencyError",
-    "BenchMethod",
     "BenchRecord",
     "BetaReduceError",
     "BranchPoint",

@@ -26,9 +26,6 @@ AGREEMENT_TOL = 1e-9
 
 BENCH_CSV_HEADER = "method,nu,z_re,z_im,reps,median_ns,mean_ns,checksum"
 
-BenchMethod = Method  # bench's name for the one algorithm vocabulary, for callers that import it
-
-
 @dataclass(frozen=True)
 class BenchRecord:
     method: Method

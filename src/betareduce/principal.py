@@ -54,9 +54,6 @@ class Evaluation:
         if self.terms_or_nodes < 1:
             raise ValueError(f"terms_or_nodes must be >= 1, got {self.terms_or_nodes}")
 
-    def contributions(self) -> List[complex]:
-        return list(self.parts)
-
 
 def to_double(x, kind=float):
     """kind(x), kind float or complex, with an exact real beyond the double range

@@ -4,7 +4,8 @@ The evaluation routines need the parameter split as ``m + p/q``: a signed
 integer shift m = ceil(nu) - 1 and a fractional part 0 < p/q <= 1, so that
 positive and negative parameters and the integers share one form.  Fractions
 are always held in lowest terms; decimal input is converted exactly, never
-through a binary float.
+through a binary float.  :func:`decompose` splits either sign;
+:func:`decompose_pos` is the same split behind a nu > 0 gate.
 """
 
 from __future__ import annotations
@@ -67,11 +68,14 @@ class Decomposition:
 def decompose(nu: Fraction) -> Decomposition:
     """Split nu as m + r with the signed shift m = ceil(nu) - 1 and 0 < r <= 1.
 
-    Integers <= 0 raise :class:`DivergentParameter`.  The split runs through
-    :func:`decompose_pos` or :func:`decompose_neg`, timed by name in traced runs.
+    One split for both signs; integers <= 0 raise :class:`DivergentParameter`.
     """
     nu = exact_rational(nu)
-    return decompose_pos(nu) if nu.numerator > 0 else decompose_neg(nu)
+    a, b = nu.numerator, nu.denominator
+    if b == 1 and a <= 0:
+        raise DivergentParameter(f"divergent at the non-positive integer {nu}")
+    m = -(-a // b) - 1
+    return Decomposition(m=m, r=Fraction(a - m * b, b))
 
 
 def exact_rational(nu) -> int | Fraction:
@@ -83,25 +87,9 @@ def exact_rational(nu) -> int | Fraction:
         raise OutsideDomain(f"{nu!r} is not a finite rational") from exc
 
 
-def _split(nu: int | Fraction) -> Decomposition:
-    a, b = nu.numerator, nu.denominator
-    m = -(-a // b) - 1
-    return Decomposition(m=m, r=Fraction(a - m * b, b))
-
-
 def decompose_pos(nu: Fraction) -> Decomposition:
     """:func:`decompose` for nu > 0; anything else raises :class:`OutsideDomain`."""
     nu = exact_rational(nu)
     if nu.numerator <= 0:
         raise OutsideDomain(f"needs nu > 0, got {nu}")
-    return _split(nu)
-
-
-def decompose_neg(nu: Fraction) -> Decomposition:
-    """:func:`decompose` for nu < 0; nu > 0 raises :class:`OutsideDomain`."""
-    nu = exact_rational(nu)
-    if nu.denominator == 1 and nu.numerator <= 0:
-        raise DivergentParameter(f"divergent at the non-positive integer {nu}")
-    if nu.numerator > 0:
-        raise OutsideDomain(f"needs nu < 0, got {nu}")
-    return _split(nu)
+    return decompose(nu)

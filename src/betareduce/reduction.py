@@ -13,13 +13,15 @@ nu is the q = 1 case, where the log sum is the single term -log(1 - z).
 One kernel evaluates every case; at q = 2 its log part is 2*atanh(sqrt(z)),
 which is more accurate at small real z than the two logs it replaces.  Every
 log goes through the package-wide principal branch, which is what makes
-Im(B) = -pi come out on the real ray z > 1.  :func:`reduce_beta_rows`
-evaluates the general form for many nu of one denominator q at many z with
-numpy, one column per z, and builds one log table per (q, z) that every
-p/q and every integer shift shares; :func:`reduce_beta_many`, one nu at
-many z, is its one-row case.  For real z > 0 it pairs the conjugate rows k
-and q - k, which halves its logs and leaves the imaginary part to the k = 0
-log alone: 0 on (0, 1) and exactly -pi on the ray z > 1.
+Im(B) = -pi come out on the real ray z > 1.  One cache entry per q holds
+the q-th roots of unity and the row phases, as tuples for the scalar kernel
+and read-only arrays for the batch.  :func:`reduce_beta_rows` evaluates the
+general form for many nu of one denominator q at many z with numpy, one
+column per z, and builds one log table per (q, z) that every p/q and every
+integer shift shares; :func:`reduce_beta_many`, one nu at many z, is its
+one-row case.  For real z > 0 it pairs the conjugate rows k and q - k, which
+halves its logs and leaves the imaginary part to the k = 0 log alone: 0 on
+(0, 1) and exactly -pi on the ray z > 1.
 
 Every closed form is therefore one algorithm, ``Method.REDUCTION``; the q = 2
 log part shows only in the count of parts, 1 + |m| where any other q has q + |m|.
@@ -61,41 +63,28 @@ MAX_TAIL_TERMS = 10**6
 _TWO_PI = 2.0 * math.pi
 
 
-def _root_table(q: int) -> Tuple[Tuple[complex, ...], np.ndarray]:
-    # e^(2*pi*i*j/q) from the exact angle of each j, not by repeated
-    # multiplication: keeps the phase tight for large k*p products.  The
-    # tuple serves the scalar kernel, a read-only array of it the batch.
+def _build_tables(q: int) -> Tuple[Tuple[tuple, tuple], Tuple[np.ndarray, np.ndarray]]:
+    # the roots e^(2*pi*i*j/q) from the exact angle of each j, not by repeated
+    # multiplication: keeps the phase tight for large k*p products; and the
+    # phase -e^(-2*pi*i*j/q) of log row j at p = 1: the fraction p/q takes row
+    # p*k mod q for its log row k, the same number as -e^(-2*pi*i*p*k/q).  The
+    # tuples serve the scalar kernel, read-only arrays of them the batch.
     roots = tuple(complex(math.cos(_TWO_PI * j / q), math.sin(_TWO_PI * j / q)) for j in range(q))
-    table = np.array(roots)
-    table.flags.writeable = False
-    return roots, table
-
-
-# q up to this keeps its tuple and array in the cache (64 q, 15 MB at most); larger q builds anew.
-ROOT_CACHE_MAX_Q = 4096
-_unit_roots = functools.lru_cache(maxsize=64)(_root_table)
-
-
-def _roots(q: int) -> Tuple[Tuple[complex, ...], np.ndarray]:
-    return _unit_roots(q) if q <= ROOT_CACHE_MAX_Q else _root_table(q)
-
-
-def _phase_table(q: int) -> Tuple[Tuple[complex, ...], np.ndarray]:
-    # the phase -e^(-2*pi*i*j/q) of log row j at p = 1; the fraction p/q takes row p*k mod q
-    # for its log row k, the same number as -e^(-2*pi*i*p*k/q)
-    roots = _roots(q)[0]
     phases = tuple([-roots[-j % q] for j in range(q)])
-    table = np.array(phases)
-    table.flags.writeable = False
-    return phases, table
+    arrays = np.array(roots), np.array(phases)
+    for table in arrays:
+        table.flags.writeable = False
+    return (roots, phases), arrays
 
 
-# one phase table per q, under the root table's bounds: every fraction p/q reads it
-_unit_phases = functools.lru_cache(maxsize=64)(_phase_table)
+# q up to this keeps its tables in the cache (64 q, 30 MB at most); larger q builds anew.
+ROOT_CACHE_MAX_Q = 4096
+_cached_tables = functools.lru_cache(maxsize=64)(_build_tables)
 
 
-def _phases(q: int) -> Tuple[Tuple[complex, ...], np.ndarray]:
-    return _unit_phases(q) if q <= ROOT_CACHE_MAX_Q else _phase_table(q)
+def _tables(q: int) -> Tuple[Tuple[tuple, tuple], Tuple[np.ndarray, np.ndarray]]:
+    """((roots, phases), (root array, phase array)) of q: one entry per q, read by every p/q."""
+    return _cached_tables(q) if q <= ROOT_CACHE_MAX_Q else _build_tables(q)
 
 
 def _roots_and_logs(zs: List[complex], q: int) -> Tuple[List[complex], Optional[List[complex]]]:
@@ -118,7 +107,7 @@ def _powers(roots: List[complex], logs: Optional[List[complex]], r: Fraction) ->
 
 def _roots_log_sum(p: int, q: int, zq: complex) -> List[complex]:
     """The q phased principal logs whose sum is B(p/q, 0, z), from zq = z^(1/q)."""
-    roots = _roots(q)[0]
+    roots, phases = _tables(q)[0]
     ws = [1 - zq * root for root in roots]
     try:
         near = min(map(abs, ws))
@@ -129,7 +118,6 @@ def _roots_log_sum(p: int, q: int, zq: complex) -> List[complex]:
         raise BranchPoint(
             f"log argument {ws[k]} within {BRANCH_GUARD} of the branch point (k={k}, q={q})"
         )
-    phases = _phases(q)[0]
     return [phases[p * k % q] * lw for k, lw in enumerate(principal_logs(ws))]
 
 
@@ -153,9 +141,6 @@ def reduce_beta(dec: Decomposition, z: complex) -> Evaluation:
     parts = (reduce_beta_pos if dec.m >= 0 else reduce_beta_neg)(dec, z)
     spread, value = _spread(parts), fsum_complex(parts)
     return Evaluation(value, Method.REDUCTION, 2.0**-53 * spread, len(parts) or 1, tuple(parts))
-
-
-_reduce = reduce_beta  # its former private name, which the routing test reads values through
 
 
 def beta_value(dec: Decomposition, z: complex) -> complex:
@@ -292,12 +277,11 @@ def reduce_beta_rows(
     live = [i for i, row in enumerate(rows) if row is not None]
     if not live:
         return rows
-    roots = _roots(q)[1]
     fit = [decs[i] for i in live]
     step = BATCH_CELLS // (q + max(dec.n for dec in fit))
     # non-finite parts are found by explicit checks, not by numpy's warnings
     with np.errstate(all="ignore"):
-        chunks = [_rows_chunk(roots, fit, zs[s : s + step]) for s in range(0, len(zs), step)]
+        chunks = [_rows_chunk(q, fit, zs[s : s + step]) for s in range(0, len(zs), step)]
     for i, parts in zip(live, zip(*chunks)):
         if None in parts:
             rows[i] = None
@@ -306,8 +290,8 @@ def reduce_beta_rows(
     return rows
 
 
-def _rows_chunk(roots, decs, zs: List[complex]) -> List[Optional[List[complex]]]:
-    q = len(roots)
+def _rows_chunk(q: int, decs, zs: List[complex]) -> List[Optional[List[complex]]]:
+    roots, phases = _tables(q)[1]
     za = np.array(zs, dtype=complex)
     regular = (za != 0) & (np.abs(za.real) < _BATCH_LIMIT) & (np.abs(za.imag) < _BATCH_LIMIT)
     # real z > 0, either sign of zero: the lanes that pair conjugate rows
@@ -324,7 +308,6 @@ def _rows_chunk(roots, decs, zs: List[complex]) -> List[Optional[List[complex]]]
     for lanes, pair in ((np.flatnonzero(paired), True), (np.flatnonzero(~paired), False)):
         if lanes.size:
             w = 1 - roots[: q // 2 + 1 if pair else q, None] * z_root[lanes]
-            w.imag[w.imag == 0.0] = 0.0  # -0.0 takes the +pi edge, as in principal_log
             # twice the guard (z = 1 among them): a point near its edge is decided by beta_value
             left = ~regular[lanes] | (np.abs(w) < 2 * BRANCH_GUARD).any(axis=0)
             tables.append((lanes, pair, left, np.log(w)))
@@ -334,10 +317,10 @@ def _rows_chunk(roots, decs, zs: List[complex]) -> List[Optional[List[complex]]]
             tail = _tail(dec, base, _powers(z_roots, z_logs, dec.r))
             inside = (np.abs(tail.real) < _BATCH_LIMIT) & (np.abs(tail.imag) < _BATCH_LIMIT)
             outside = ~inside.all(axis=0)  # a lane with a part past the limit goes to beta_value
-        phases = _phases(q)[1][dec.r.numerator * np.arange(q) % q]
+        row_phases = phases[dec.r.numerator * np.arange(q) % q]
         values: List[Optional[complex]] = [None] * len(zs)
         for lanes, pair, left, log_w in tables:
-            logs = phases[: len(log_w), None] * log_w
+            logs = row_phases[: len(log_w), None] * log_w
             re, im = logs.real, logs.imag
             if pair:
                 # row k < q/2 stands for k and q - k; row 0 alone keeps its imaginary part
@@ -386,13 +369,13 @@ def beta_mu_posint(nu: Fraction, m: int, z: complex) -> complex:
     """B(nu, m+1, z) as the finite binomial sum z^nu * sum C(m,k)(-z)^k/(k+nu).
 
     Valid for any rational nu outside {0, -1, ..., -m}; those values hit a
-    vanishing denominator and raise :class:`PoleInSum`.  A value outside
-    the double range, or a nu that does not round to a finite non-zero
-    double, raises :class:`OutsideDomain`.
+    vanishing denominator and raise :class:`PoleInSum`.  An m that is not an
+    int in [0, ``MAX_BINOMIAL_M``], a value outside the double range, or a nu
+    that does not round to a finite non-zero double raises :class:`OutsideDomain`.
     """
     nu = exact_rational(nu)
-    if m < 0 or m > MAX_BINOMIAL_M:
-        raise OutsideDomain(f"m must be in [0, {MAX_BINOMIAL_M}], got {m}")
+    if not isinstance(m, int) or m < 0 or m > MAX_BINOMIAL_M:
+        raise OutsideDomain(f"m must be an integer in [0, {MAX_BINOMIAL_M}], got {m!r}")
     if nu.denominator == 1 and -m <= nu.numerator <= 0:
         raise PoleInSum(f"k + nu vanishes at k = {-int(nu)} for nu = {nu}")
     z = finite_complex(z)

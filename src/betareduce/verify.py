@@ -116,8 +116,10 @@ def run_verification(
     succeeded, so a Skipped row keeps its own error name and no row depends
     on its siblings.  A grid of more than ``MAX_TAIL_TERMS`` points, whose
     records would all be held at once, raises :class:`MaxTermsExceeded`
-    before any is evaluated.
+    before any is evaluated; a NaN, negative or infinite ``tol`` raises ``ValueError``.
     """
+    if not 0 <= tol < math.inf:
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
     if len(nus) * len(zs) > MAX_TAIL_TERMS:
         raise MaxTermsExceeded(
             f"{len(nus)} x {len(zs)} grid points exceed the budget of {MAX_TAIL_TERMS}"

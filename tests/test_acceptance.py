@@ -21,7 +21,7 @@ from betareduce import (
     lerch_reduce,
     reduce_beta,
     run_bench,
-    BenchMethod,
+    Method,
 )
 
 REAL_Z = [complex(0.05 * k) for k in range(1, 19)]
@@ -150,8 +150,8 @@ def test_criterion_6_connection_formula_random_draws():
 def test_criterion_7_reduction_beats_series_near_one():
     records = run_bench([(Fraction(1, 2), complex(0.999))], repetitions=100, warmup=5)
     by_method = {rec.method: rec for rec in records}
-    reduction = by_method[BenchMethod.REDUCTION].median_nanos
-    series = by_method[BenchMethod.SERIES].median_nanos
+    reduction = by_method[Method.REDUCTION].median_nanos
+    series = by_method[Method.SERIES].median_nanos
     ratio = series / max(reduction, 1)
     report(
         "7 reduction at least 10x faster than series at z = 0.999",

@@ -15,7 +15,6 @@ from betareduce import oracles
 
 PUBLIC = [
     "BenchConsistencyError",
-    "BenchMethod",
     "BenchRecord",
     "BetaReduceError",
     "BranchPoint",

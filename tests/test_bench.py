@@ -10,7 +10,6 @@ import pytest
 
 from betareduce import (
     BenchConsistencyError,
-    BenchMethod,
     Method,
     OutsideDomain,
     run_bench,
@@ -21,9 +20,6 @@ from betareduce.bench import BENCH_CSV_HEADER, BenchRecord
 
 
 class TestRunBench:
-    def test_bench_names_the_package_methods(self):
-        assert BenchMethod is Method
-
     def test_empty_grid(self):
         assert run_bench([], repetitions=1) == []
 
@@ -31,9 +27,9 @@ class TestRunBench:
         grid = [(Fraction(5, 4), complex(0.1)), (Fraction(1, 2), complex(0.3))]
         records = run_bench(grid, repetitions=3, warmup=1)
         assert [r.method for r in records] == [
-            BenchMethod.REDUCTION,
-            BenchMethod.SERIES,
-            BenchMethod.QUADRATURE_BETA,
+            Method.REDUCTION,
+            Method.SERIES,
+            Method.QUADRATURE_BETA,
         ] * 2
         for rec in records:
             assert rec.repetitions == 3

@@ -562,4 +562,4 @@ class TestResultType:
             phi_quadrature(0.5, 1.0),
         ):
             assert isinstance(out, Evaluation)
-            assert out.parts == () and out.contributions() == []
+            assert out.parts == ()

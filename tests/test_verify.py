@@ -77,6 +77,15 @@ def test_point_budget_edge(monkeypatch):
         run_verification(nus, zs, 1e-10)
 
 
+# a NaN or negative tol would fail every row and an infinite one pass every row
+@pytest.mark.parametrize("tol", [math.nan, -1e-10, -math.inf, math.inf])
+def test_bad_tolerance_refused_before_any_evaluation(monkeypatch, tol):
+    monkeypatch.setattr(verify, "reduce_beta_many", None)  # any evaluation would fail
+    monkeypatch.setattr(verify, "reduce_beta_rows", None)
+    with pytest.raises(ValueError, match="tol"):
+        run_verification(fraction_grid(3), [0.25, 0.5], tol)
+
+
 def csv_writer_rendering(records):
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
