@@ -69,12 +69,14 @@ def run_bench(
 
     Evaluation errors propagate, re-raised with the failing (method, point)
     in the message.  Method values must agree within ``AGREEMENT_TOL``
-    (relative to max(1, |reduction|)) or the run aborts.
+    (relative to max(1, |reduction|)) or the run aborts.  A ``repetitions``
+    that is not an int >= 1, or a ``warmup`` that is not an int >= 0,
+    raises ``ValueError`` before any method runs.
     """
-    if repetitions < 1:
-        raise ValueError(f"repetitions must be >= 1, got {repetitions}")
-    if warmup < 0:
-        raise ValueError(f"warmup must be >= 0, got {warmup}")
+    if not isinstance(repetitions, int) or repetitions < 1:
+        raise ValueError(f"repetitions must be an int >= 1, got {repetitions!r}")
+    if not isinstance(warmup, int) or warmup < 0:
+        raise ValueError(f"warmup must be an int >= 0, got {warmup!r}")
     records: List[BenchRecord] = []
     for nu, z in grid:
         nu = Fraction(exact_rational(nu))

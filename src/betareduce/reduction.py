@@ -16,12 +16,12 @@ log goes through the package-wide principal branch, which is what makes
 Im(B) = -pi come out on the real ray z > 1.  One cache entry per q holds
 the q-th roots of unity and the row phases, as tuples for the scalar kernel
 and read-only arrays for the batch.  :func:`reduce_beta_rows` evaluates the
-general form for many nu of one denominator q at many z with numpy, one
-column per z, and builds one log table per (q, z) that every p/q and every
-integer shift shares; :func:`reduce_beta_many`, one nu at many z, is its
-one-row case.  For real z > 0 it pairs the conjugate rows k and q - k, which
-halves its logs and leaves the imaginary part to the k = 0 log alone: 0 on
-(0, 1) and exactly -pi on the ray z > 1.
+general form for many nu at many z with numpy, one column per z: it groups
+the nu by denominator q and builds one log table per (q, z) that every p/q
+and every integer shift shares; :func:`reduce_beta_many`, one decomposed nu
+at many z, is its one-row case.  For real z > 0 it pairs the conjugate
+rows k and q - k, which halves its logs and leaves the imaginary part to
+the k = 0 log alone: 0 on (0, 1) and exactly -pi on the ray z > 1.
 
 Every closed form is therefore one algorithm, ``Method.REDUCTION``; the q = 2
 log part shows only in the count of parts, 1 + |m| where any other q has q + |m|.
@@ -33,7 +33,7 @@ import cmath
 import functools
 import math
 from fractions import Fraction
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -238,18 +238,17 @@ def reduce_beta_many(dec: Decomposition, zs: Iterable[complex]) -> List[complex]
     :func:`beta_value`.
     """
     zs = [to_double(z, complex) for z in zs]
-    row = reduce_beta_rows([dec], zs)[0]
+    row = _grouped_rows([dec], zs)[0]
     return [beta_value(dec, z) for z in zs] if row is None else row
 
 
-def reduce_beta_rows(
-    decs: Sequence[Decomposition], zs: List[complex]
-) -> List[Optional[List[complex]]]:
-    """Per decomposition, ``[reduce_beta(dec, z).value for z in zs]`` or None.
+def reduce_beta_rows(nus: Sequence[Fraction], zs: List[complex]) -> List[Optional[List[complex]]]:
+    """Per nu, ``[reduce_beta(decompose(nu), z).value for z in zs]`` or None.
 
-    Every decomposition has the same q, and every z is a float or complex
-    (:func:`to_double` of the input).  One column per z holds the q
-    phased logs of the general form (q = 1 included) and the |m| power-tail
+    The nu may have any denominators: each is decomposed once, and the
+    decompositions are grouped by q, one batch per q.  Every z is a float
+    or complex (:func:`to_double` of the input).  One column per z holds
+    the q phased logs of the general form (q = 1 included) and the |m| power-tail
     terms, built a chunk of columns at a time (at most ``BATCH_CELLS``
     cells per matrix) and summed exactly rounded by ``math.fsum`` per lane.
     The log table -- the root z^(1/q) (with the one log of z it comes
@@ -268,25 +267,35 @@ def reduce_beta_rows(
     does a q = 2 point with real z in (0, 1), where the scalar atanh is
     more accurate.  A row where that point is refused, or whose one column
     alone passes ``BATCH_CELLS`` (|m| or q above ``MAX_TAIL_TERMS`` among
-    them), is None: its points are left to the caller.
+    them), is None, and so is the row of a nu that :func:`decompose`
+    refuses: its points are left to the caller.
     """
-    q = decs[0].r.denominator if decs else 1
-    if any(dec.r.denominator != q for dec in decs):
-        raise ValueError("reduce_beta_rows needs decompositions with one denominator")
-    rows: List[Optional[List[complex]]] = [[] if q + dec.n <= BATCH_CELLS else None for dec in decs]
-    live = [i for i, row in enumerate(rows) if row is not None]
-    if not live:
-        return rows
-    fit = [decs[i] for i in live]
-    step = BATCH_CELLS // (q + max(dec.n for dec in fit))
-    # non-finite parts are found by explicit checks, not by numpy's warnings
-    with np.errstate(all="ignore"):
-        chunks = [_rows_chunk(q, fit, zs[s : s + step]) for s in range(0, len(zs), step)]
-    for i, parts in zip(live, zip(*chunks)):
-        if None in parts:
-            rows[i] = None
-        else:
-            rows[i] = parts[0] if len(parts) == 1 else [v for part in parts for v in part]
+    decs: List[Optional[Decomposition]] = []
+    for nu in nus:
+        try:
+            decs.append(decompose(nu))
+        except BetaReduceError:
+            decs.append(None)
+    return _grouped_rows(decs, zs)
+
+
+def _grouped_rows(
+    decs: Sequence[Optional[Decomposition]], zs: List[complex]
+) -> List[Optional[List[complex]]]:
+    """:func:`reduce_beta_rows` of the decompositions, None standing for a refused nu."""
+    rows = [[] if dec and dec.r.denominator + dec.n <= BATCH_CELLS else None for dec in decs]
+    by_q: Dict[int, List[int]] = {}
+    for i, dec in enumerate(decs):
+        if rows[i] is not None:
+            by_q.setdefault(dec.r.denominator, []).append(i)
+    for q, group in by_q.items():
+        fit = [decs[i] for i in group]
+        step = BATCH_CELLS // (q + max(dec.n for dec in fit))
+        # non-finite parts are found by explicit checks, not by numpy's warnings
+        with np.errstate(all="ignore"):
+            chunks = [_rows_chunk(q, fit, zs[s : s + step]) for s in range(0, len(zs), step)]
+        for i, parts in zip(group, zip(*chunks)):
+            rows[i] = None if None in parts else [v for part in parts for v in part]
     return rows
 
 

@@ -1,12 +1,12 @@
 """Reduction-versus-oracle verification grids and their records.
 
-One record per (nu, z) point: the closed-form value (one batch call per
-denominator q of a chunk of nu, with one log table per (q, z) shared by
-every p/q and every integer shift), the series oracle value (one numpy
-pass and one log per z, shared by a chunk of nu that is split once for all
-z; a point the batch paths do not finish is evaluated alone), and the
-discrepancy.  The relative error is absolute error over max(1, |oracle|),
-the convention used for every tolerance in this package.
+One record per (nu, z) point: the closed-form value (one batch call for
+the grid, with one log table per (q, z) shared by every p/q and every
+integer shift), the series oracle value (one numpy pass and one log per
+z, shared by every nu, each split once for all z; a point the batch paths
+do not finish is evaluated alone), and the discrepancy.  The relative
+error is absolute error over max(1, |oracle|), the convention used for
+every tolerance in this package.
 Points where either side refuses to evaluate (branch guard, domain) are
 recorded as Skipped with the refusing error's name, never as failures.
 """
@@ -19,16 +19,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import IO, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import IO, Iterable, List, Sequence, Tuple
 
 from .errors import BetaReduceError, MaxTermsExceeded
 from .oracles import beta_series, beta_series_columns
 from .principal import to_double
-from .rationals import Decomposition, decompose, exact_rational, render_rational
+from .rationals import decompose, exact_rational, render_rational
 from .reduction import MAX_TAIL_TERMS, reduce_beta_many, reduce_beta_rows
-
-# run_verification holds the oracle values of this many nu at a time, one column per z.
-VERIFY_NU_CHUNK = 64
 
 VERIFY_CSV_HEADER = (
     "nu,z_re,z_im,reduction_re,reduction_im,oracle_re,oracle_im,"
@@ -104,19 +101,20 @@ def run_verification(
     """Compare the reduction against the series oracle over a grid.
 
     Returns (records, passed, failed, skipped) with records in grid order,
-    nu-major.  The grid is taken ``VERIFY_NU_CHUNK`` parameters at a time:
-    one :func:`beta_series_columns` call gives each nu's oracle method and
-    the chunk's oracle values at every z, splitting each nu once and taking
-    one log of each z; per q, one :func:`reduce_beta_rows` call gives the
-    reduction rows of the chunk's nu with that denominator, with one log
-    table per (q, z).  Both return plain values and leave every refusal to
-    the one per-point path: a column the series pass cannot finish, or a
-    column or row that refuses some point, gives nothing, and each of its points
-    is then evaluated alone, the oracle only once the point's reduction
-    succeeded, so a Skipped row keeps its own error name and no row depends
-    on its siblings.  A grid of more than ``MAX_TAIL_TERMS`` points, whose
-    records would all be held at once, raises :class:`MaxTermsExceeded`
-    before any is evaluated; a NaN, negative or infinite ``tol`` raises ``ValueError``.
+    nu-major.  The whole grid takes one :func:`beta_series_columns` call,
+    which gives each nu's oracle method and the oracle values at every z,
+    splitting each nu once and taking one log of each z, and one
+    :func:`reduce_beta_rows` call, which groups the nu by denominator q and
+    builds one log table per (q, z).  Both return plain values and leave
+    every refusal to the one per-point path: a nu that a batch refuses
+    gives no values of its own, and a column the series pass cannot
+    finish, or a column or row that refuses some point, gives none at all.
+    Each point without a value is then evaluated alone, the oracle only
+    once the point's reduction succeeded, so a Skipped row keeps its own
+    error name and no row depends on its siblings.  A grid of more than
+    ``MAX_TAIL_TERMS`` points, whose records would all be held at once,
+    raises :class:`MaxTermsExceeded` before any is evaluated; a NaN,
+    negative or infinite ``tol`` raises ``ValueError``.
     """
     if not 0 <= tol < math.inf:
         raise ValueError(f"tol must be finite and >= 0, got {tol}")
@@ -125,56 +123,41 @@ def run_verification(
             f"{len(nus)} x {len(zs)} grid points exceed the budget of {MAX_TAIL_TERMS}"
         )
     zs = [to_double(z, complex) for z in zs]
+    nus = [Fraction(exact_rational(nu)) for nu in nus]
+    methods, columns = beta_series_columns(nus, zs)
+    rows = reduce_beta_rows(nus, zs)
     records: List[VerificationRecord] = []
-    for start in range(0, len(nus), VERIFY_NU_CHUNK):
-        chunk = [Fraction(exact_rational(nu)) for nu in nus[start : start + VERIFY_NU_CHUNK]]
-        methods, columns = beta_series_columns(chunk, zs)
-        rows = _reduction_rows(chunk, zs)
-        for i, (nu, row) in enumerate(zip(chunk, rows)):
-            method = methods[i].value
-            for j, z in enumerate(zs):
-                try:
-                    reduction = reduce_beta_many(decompose(nu), [z])[0] if row is None else row[j]
-                    oracle = beta_series(nu, z).value if columns[j] is None else columns[j][i]
-                except BetaReduceError as exc:
-                    records.append(
-                        VerificationRecord(
-                            nu, z, 0j, 0j, "", 0.0, 0.0, Status.SKIPPED, type(exc).__name__
-                        )
-                    )
-                    continue
-                abs_err = abs(reduction - oracle)
-                rel_err = abs_err / max(1.0, abs(oracle))
+    for i, (nu, row) in enumerate(zip(nus, rows)):
+        method = methods[i].value
+        for j, z in enumerate(zs):
+            try:
+                reduction = reduce_beta_many(decompose(nu), [z])[0] if row is None else row[j]
+                oracle = None if columns[j] is None else columns[j][i]
+                if oracle is None:
+                    oracle = beta_series(nu, z).value
+            except BetaReduceError as exc:
                 records.append(
                     VerificationRecord(
-                        nu,
-                        z,
-                        reduction,
-                        oracle,
-                        method,
-                        abs_err,
-                        rel_err,
-                        Status.PASS if rel_err <= tol else Status.FAIL,
+                        nu, z, 0j, 0j, "", 0.0, 0.0, Status.SKIPPED, type(exc).__name__
                     )
                 )
+                continue
+            abs_err = abs(reduction - oracle)
+            rel_err = abs_err / max(1.0, abs(oracle))
+            records.append(
+                VerificationRecord(
+                    nu,
+                    z,
+                    reduction,
+                    oracle,
+                    method,
+                    abs_err,
+                    rel_err,
+                    Status.PASS if rel_err <= tol else Status.FAIL,
+                )
+            )
     statuses = [rec.status for rec in records]
     return (records, *(statuses.count(status) for status in Status))  # passed, failed, skipped
-
-
-def _reduction_rows(nus: Sequence[Fraction], zs: List[complex]) -> List[Optional[List[complex]]]:
-    """Each nu's reduction row at every z, or None: one :func:`reduce_beta_rows` call per q."""
-    rows: List[Optional[List[complex]]] = [None] * len(nus)
-    by_q: Dict[int, List[Tuple[int, Decomposition]]] = {}
-    for i, nu in enumerate(nus):
-        try:
-            dec = decompose(nu)
-        except BetaReduceError:
-            continue  # refused: each point is evaluated, and refused, alone
-        by_q.setdefault(dec.r.denominator, []).append((i, dec))
-    for group in by_q.values():
-        for (i, _), row in zip(group, reduce_beta_rows([dec for _, dec in group], zs)):
-            rows[i] = row
-    return rows
 
 
 def write_verify_csv(records: Iterable[VerificationRecord], stream: IO[str]) -> None:

@@ -19,7 +19,7 @@ from betareduce import (
     reduce_beta_many,
     run_verification,
 )
-from betareduce import reduction, verify
+from betareduce import reduction
 from betareduce.reduction import MAX_TAIL_TERMS, reduce_beta_rows
 
 
@@ -215,8 +215,9 @@ def test_column_beyond_budget_runs_the_scalar_path(monkeypatch):
 
 # -- grouped rows: one log table per (q, z) ------------------------------------
 
-# one chunk: several q, several p per q, both signs, shifts up to +-6, q = 1 and q = 2,
-# the non-positive integer -2, and 2000/3, whose tail passes 2^1000 at z = 2.88
+# several q, several p per q, both signs, shifts up to +-6, q = 1 and q = 2, the
+# non-positive integer -2, which decompose refuses, and 2000/3, whose tail passes 2^1000
+# at z = 2.88
 GROUPED_NUS = (
     [
         m + Fraction(p, q)
@@ -242,7 +243,7 @@ GROUPED_ZS = [
 def test_grouped_rows_are_the_single_rows(monkeypatch, zs, cells):
     if cells:
         monkeypatch.setattr(reduction, "BATCH_CELLS", cells)
-    rows = verify._reduction_rows(GROUPED_NUS, zs)
+    rows = reduce_beta_rows(GROUPED_NUS, zs)
     assert len(rows) == len(GROUPED_NUS)
     for nu, row in zip(GROUPED_NUS, rows):
         single = outcome(lambda: reduce_beta_many(decompose(nu), zs))
@@ -264,11 +265,17 @@ def test_grouped_rows_are_the_single_rows(monkeypatch, zs, cells):
         assert [row is None for row in rows] == [nu < 0 or nu in wide for nu in GROUPED_NUS]
 
 
-def test_grouped_rows_need_one_denominator():
-    with pytest.raises(ValueError):
-        reduce_beta_rows([decompose(Fraction(1, 3)), decompose(Fraction(1, 4))], [0.5])
+# one call over every denominator gives each nu the row of a call over its own q alone
+@pytest.mark.parametrize("zs", GROUPED_ZS)
+def test_mixed_denominators_give_the_per_q_rows(zs):
+    rows = reduce_beta_rows(GROUPED_NUS, zs)
+    for q in {nu.denominator for nu in GROUPED_NUS}:
+        group = [i for i, nu in enumerate(GROUPED_NUS) if nu.denominator == q]
+        alone = reduce_beta_rows([GROUPED_NUS[i] for i in group], zs)
+        assert [rows[i] and bits(rows[i]) for i in group] == [row and bits(row) for row in alone], q
     assert reduce_beta_rows([], [0.5]) == []
-    assert reduce_beta_rows([decompose(Fraction(1, 3))], []) == [[]]
+    assert reduce_beta_rows([Fraction(1, 3)], []) == [[]]
+    assert reduce_beta_rows([Fraction(-2)], []) == [None]
 
 
 # -- routing --------------------------------------------------------------------

@@ -60,6 +60,18 @@ class TestRunBench:
         with pytest.raises(ValueError):
             run_bench([], repetitions=1, warmup=-1)
 
+    # a float or str count used to evaluate every method once, then raise a bare TypeError
+    @pytest.mark.parametrize(
+        "counts", [{"repetitions": 2.5}, {"repetitions": "2"}, {"repetitions": 1, "warmup": 1.5}]
+    )
+    def test_non_int_counts_refused_before_any_method(self, monkeypatch, counts):
+        calls = []
+        for name in ("incomplete_beta", "beta_series", "_quadrature_point"):
+            monkeypatch.setattr(bench, name, lambda *args, name=name: calls.append(name))
+        with pytest.raises(ValueError, match="must be an int"):
+            run_bench([(Fraction(1, 2), complex(0.3))], **counts)
+        assert calls == []
+
     def test_complex_point_refused_by_quadrature(self):
         with pytest.raises(OutsideDomain, match="QuadratureBeta"):
             run_bench([(Fraction(1, 2), complex(0.3, 0.2))], repetitions=1, warmup=0)

@@ -196,9 +196,9 @@ class TestBetaSeries:
         [
             lambda: beta_series(Fraction(1, 10**400), 0.5),
             lambda: beta_series(Fraction(-(10**400) + 1, 10**400), 0.5),  # r = 1e-400
-            # the columns leave the refusal to beta_series: their one column is None
+            # the columns leave the refusal to beta_series: that nu alone has no value
             lambda: oracles.beta_series_columns([Fraction(1, 3), Fraction(1, 10**400)], [0.5])[1]
-            == [None]
+            == [[beta_series(Fraction(1, 3), 0.5).value, None]]
             and beta_series(Fraction(1, 10**400), 0.5),
             lambda: beta_series(Fraction(10**400), 0.5),
             lambda: beta_series(Fraction(3 * 10**400 + 1, 3), 0.5),
@@ -339,16 +339,38 @@ class TestBetaSeriesMany:
     )
     def test_refusal_is_the_first_scalar_error(self, nus, z):
         assert first_scalar_error(nus, z) is not None
-        assert oracles.beta_series_columns(nus, [z])[1] == [None]
+        methods, (column,) = oracles.beta_series_columns(nus, [z])
+        if z == 0.5:
+            # the split of -2 is refused: only its own value is missing, the others are scalar
+            assert column[1] is None
+            assert [value_bits(column[i], methods[i]) for i in (0, 2)] == scalar_value_bits(
+                [nus[0], nus[2]], z
+            )
+        else:
+            # 0's split is refused at 1e-3 too, but so is the point of -2000/3
+            assert column is None
 
     def test_correction_budget_is_the_scalar_one(self, monkeypatch):
         monkeypatch.setattr(oracles, "SERIES_MAX_TERMS", 100)
         nus = [Fraction(1, 3), Fraction(-599, 3)]
         assert first_scalar_error(nus, 0.5) is MaxTermsExceeded
+        # the split of -599/3 is refused by the budget: only its own values are missing
         assert oracles.beta_series_columns(nus, [0.5, 0.25]) == (
             [Method.SERIES, Method.SHIFTED_SERIES],
-            [None, None],
+            [[beta_series(nus[0], z).value, None] for z in (0.5, 0.25)],
         )
+
+    # an a below 1e-300 would make the single pass refuse every column; that nu alone is
+    # left to beta_series, which evaluates it (a = 1e-301, the value about 1e301)
+    def test_tiny_parameter_leaves_only_its_own_points(self):
+        nus, zs = [Fraction(1, 3), Fraction(1, 10**301), Fraction(-5, 2)], [0.5, 0.25j]
+        methods, columns = oracles.beta_series_columns(nus, zs)
+        for z, column in zip(zs, columns):
+            assert column[1] is None
+            assert [value_bits(column[i], methods[i]) for i in (0, 2)] == scalar_value_bits(
+                [nus[0], nus[2]], z
+            )
+            assert math.isfinite(abs(beta_series(nus[1], z).value))
 
 
 # both signs with |n| up to 50 (at small |z| the correction overflows), positive integers

@@ -87,6 +87,7 @@ def test_output_hashes_name_every_output_and_repeat(output_hashes, capsys):
         "verify --n-max 0 --q-max 8",
         "values",
         "evaluations",
+        "records",
     ]
     assert all(len(line.split("  ", 1)[0]) == 64 for line in runs[0])
 

@@ -146,11 +146,11 @@ def record_bits(rec):
     )
 
 
-# one chunk at the default z: each nu is split once and each z has one log for the
-# prefactors of the whole chunk, not one at every point
+# the default grid: each nu is split once and each z has one log for the prefactors of
+# the whole grid, not one at every point
 def test_oracle_work_once_per_nu_and_once_per_z(monkeypatch):
-    nus, zs = default_nu_grid(n_max=1, q_max=8), default_z_grid()
-    assert len(nus) <= verify.VERIFY_NU_CHUNK and len(zs) == 29
+    nus, zs = default_nu_grid(), default_z_grid()
+    assert (len(nus), len(zs)) == (585, 29)
     splits, logs = [], []
     split, log = oracles._series_split, principal.principal_log
     monkeypatch.setattr(oracles, "_series_split", lambda nu: splits.append(nu) or split(nu))
@@ -161,8 +161,9 @@ def test_oracle_work_once_per_nu_and_once_per_z(monkeypatch):
     assert logs == zs
 
 
-# the reduction takes one log of each z per denominator q >= 3 of a chunk, shared by every
-# p/q and every shift: 174 logs for a timed benchmark window (21 nu, 6 such q, 29 z), not 580
+# the reduction takes one log of each z per denominator q >= 3 of the grid, shared by every
+# p/q and every shift: 174 logs for a timed benchmark window (21 nu, 6 such q, 29 z), not
+# 580, and 290 for the default grid (10 such q), not 2,668
 @pytest.mark.parametrize("nus", [default_nu_grid(0, 8), default_nu_grid()])
 def test_reduction_logs_once_per_q_and_z(monkeypatch, nus):
     zs = default_z_grid()
@@ -171,12 +172,8 @@ def test_reduction_logs_once_per_q_and_z(monkeypatch, nus):
     monkeypatch.setattr(reduction, "principal_log", lambda w: logs.append(w) or log(w))
     records, passed, _, _ = run_verification(nus, zs, 1e-10)
     assert passed == len(records) == len(nus) * len(zs)
-    size = verify.VERIFY_NU_CHUNK
-    chunks = [nus[i : i + size] for i in range(0, len(nus), size)]
-    groups = sum(len({nu.denominator for nu in chunk if nu.denominator >= 3}) for chunk in chunks)
-    assert logs == zs * groups
-    if len(nus) == 21:
-        assert len(logs) == 174
+    assert logs == zs * len({nu.denominator for nu in nus if nu.denominator >= 3})
+    assert len(logs) == {21: 174, 585: 290}[len(nus)]
 
 
 # the oracle columns hold plain values: no Evaluation is built where every column is a list
@@ -189,19 +186,15 @@ def test_columns_build_no_evaluation(monkeypatch):
     assert built == []
 
 
-# both signs, the non-positive integer -2 amid them, and more nu than one chunk holds
-CHUNKED_NUS = default_nu_grid(n_max=1, q_max=9)[:40] + [Fraction(-2)] + default_nu_grid(n_max=1, q_max=9)[40:]
-CHUNKED_ZS = [0.0, 1.2, 0.5j, 0.9]
+# both signs, several denominators, and the non-positive integer -2 amid them
+GRID_NUS = default_nu_grid(n_max=1, q_max=9)[:40] + [Fraction(-2)] + default_nu_grid(n_max=1, q_max=9)[40:]
+GRID_ZS = [0.0, 1.2, 0.5j, 0.9]
 
 
-@pytest.mark.parametrize("chunk", [None, 7])
-def test_chunked_records_are_the_pointwise_records(monkeypatch, chunk):
-    if chunk:
-        monkeypatch.setattr(verify, "VERIFY_NU_CHUNK", chunk)
-    assert len(CHUNKED_NUS) > verify.VERIFY_NU_CHUNK
-    records = run_verification(CHUNKED_NUS, CHUNKED_ZS, 1e-10)[0]
+def test_grid_records_are_the_pointwise_records():
+    records = run_verification(GRID_NUS, GRID_ZS, 1e-10)[0]
     assert [(rec.nu, rec.z) for rec in records] == [
-        (nu, complex(z)) for nu in CHUNKED_NUS for z in CHUNKED_ZS
+        (nu, complex(z)) for nu in GRID_NUS for z in GRID_ZS
     ]
     for rec in records:
         alone = run_verification([rec.nu], [rec.z], 1e-10)[0]
@@ -253,3 +246,23 @@ def test_oracle_runs_only_after_a_reduction(monkeypatch, z):
     # the column at 0.9999 is refused too: its oracle runs for each point whose reduction ran
     assert calls == [rec.nu for rec in records if rec.note == "MaxTermsExceeded"]
     assert calls
+
+
+# -2 (its split is refused) and 1/10^301 (its series parameter is below 1e-300) leave the
+# batch values of the 21 other nu in place; their own reductions are refused, so no point
+# of the grid goes to the per-point oracle
+@pytest.mark.parametrize("bad", [Fraction(-2), Fraction(1, 10**301)])
+def test_refused_nu_costs_only_its_own_points(monkeypatch, bad):
+    nus, zs = default_nu_grid(0, 8) + [bad], default_z_grid()
+    calls = []
+    monkeypatch.setattr(verify, "beta_series", lambda nu, z: calls.append(nu) or beta_series(nu, z))
+    records = run_verification(nus, zs, 1e-10)[0]
+    assert calls == []
+    assert {(rec.status, rec.note) for rec in records if rec.nu == bad} <= {
+        (Status.SKIPPED, "DivergentParameter"),
+        (Status.SKIPPED, "MaxTermsExceeded"),
+    }
+    monkeypatch.undo()
+    for rec in records:
+        alone = run_verification([rec.nu], [rec.z], 1e-10)[0]
+        assert [record_bits(rec)] == [record_bits(a) for a in alone]

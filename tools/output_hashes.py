@@ -16,8 +16,12 @@ line each, the value's parts in ``float.hex`` or the error's name and
 message; and ``evaluations``: ``reduce_beta``'s :class:`Evaluation` at the
 (nu, z) point each of those calls draws, one line each, its value,
 ``error_estimate``, ``terms_or_nodes`` and ``parts`` in ``float.hex``, or
-the error's name and message.  Each line reads ``<sha256>  <name>``.  The
-package is imported from the ``src/`` next to this file.
+the error's name and message; and ``records``: the ``write_verify_csv``
+bytes of ``run_verification`` over a fixed grid that meets the library's
+refusal paths (``nu`` from ``default_nu_grid(1, 8)`` plus ``-2``,
+``1/10^301`` and ``2000/3``; ``z`` from ``default_z_grid()`` plus ``0``,
+``1``, NaN, ``1.2`` and ``1 - 1e-15``).  Each line reads ``<sha256>
+<name>``.  The package is imported from the ``src/`` next to this file.
 """
 
 from __future__ import annotations
@@ -49,6 +53,8 @@ CLI_OUTPUTS = (
 )
 VALUE_CALLS = 4000
 VALUE_SEED = 20201
+RECORD_NUS = br.default_nu_grid(1, 8) + [Fraction(-2), Fraction(1, 10**301), Fraction(2000, 3)]
+RECORD_ZS = br.default_z_grid() + [0.0, 1.0, math.nan, 1.2, 1 - 1e-15]
 
 
 def cli_csv(args: str) -> bytes:
@@ -125,6 +131,12 @@ def _evaluation_line(nu: Fraction, z: complex) -> str:
     return f"{_hex([ev.value])} {ev.error_estimate.hex()} {ev.terms_or_nodes} | {_hex(ev.parts)}"
 
 
+def record_lines() -> bytes:
+    out = io.StringIO()
+    br.write_verify_csv(br.run_verification(RECORD_NUS, RECORD_ZS, 1e-10)[0], out)
+    return out.getvalue().encode()
+
+
 def value_lines() -> bytes:
     return "".join(_line(call) + "\n" for _, _, call in value_calls()).encode()
 
@@ -137,6 +149,7 @@ OUTPUTS: Dict[str, Callable[[], bytes]] = {
     **{args: (lambda args=args: cli_csv(args)) for args in CLI_OUTPUTS},
     "values": value_lines,
     "evaluations": evaluation_lines,
+    "records": record_lines,
 }
 
 
