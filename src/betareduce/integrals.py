@@ -37,11 +37,14 @@ def int_power_over_linear(nu: Fraction, z: complex) -> complex:
 
 
 def int_tanh_power(lam: Fraction, z: float) -> float:
-    """integral_0^z tanh^(2*lam-1) t dt for rational lam > 0 and real z > 0."""
+    """integral_0^z tanh^(2*lam-1) t dt for rational lam > 0 and finite real z > 0.
+
+    It diverges as z -> inf: an infinite or NaN z raises :class:`OutsideDomain`.
+    """
     dec = decompose_pos(lam)
     z = to_double(z)
-    if z <= 0:
-        raise OutsideDomain(f"the integral needs z > 0, got {z}")
+    if not 0 < z < math.inf:
+        raise OutsideDomain(f"the integral needs a finite z > 0, got {z}")
     t = math.tanh(z)
     if t**2 < sys.float_info.min:
         # a subnormal t^2 loses digits; the terms past t^(2 lam) / (2 lam) add a relative t^2

@@ -9,9 +9,8 @@ Two families of oracle, deliberately far from the reduction formulas:
   many z, one numpy pass per z, assembled as :func:`beta_series` assembles
   them, so bitwise alike: the split of each nu and the parts of its
   exponent are computed once for all z, the log (or square root) of each z
-  once for all nu; a nu whose split is refused has no values and a z the
-  pass cannot finish gives no column, and :func:`beta_series`, point by
-  point, owns every refusal;
+  once for all nu; a point the pass cannot finish is None, and
+  :func:`beta_series`, point by point, owns every refusal;
 * adaptive quadrature of the defining integrals by QUADPACK -- on [0,1] for
   the beta integrand (with a power substitution that removes the t = 0
   singularity), and by its infinite-interval rule on [0, inf) for the
@@ -182,8 +181,8 @@ def beta_series(nu: Fraction, z: complex) -> Evaluation:
 
 def beta_series_columns(
     nus: Sequence[Fraction], zs: Sequence[complex]
-) -> Tuple[List[Method], List[Optional[List[Optional[complex]]]]]:
-    """Each nu's method, and per z the values ``[beta_series(nu, z).value for nu in nus]`` or None.
+) -> Tuple[List[Method], List[List[Optional[complex]]]]:
+    """Each nu's method, and per z the values ``[beta_series(nu, z).value for nu in nus]``.
 
     Work that depends on nu alone runs once for all z: the splits, their
     distinct a (a negative nu reuses the sum of its n = 0 sibling) and the
@@ -191,13 +190,13 @@ def beta_series_columns(
     :func:`_sums_inverse_linear` pass sums the series of the distinct a and
     one :func:`rational_powers` call, with one log (or square root) of z,
     gives every prefactor.  The methods are those of :func:`beta_series`,
-    refused points included.  A nu whose split is refused, or whose a is
-    below 1e-300 (the pass would refuse its every column), has the value
-    None in every column; the other nu keep theirs.  A z the pass cannot
-    take (0, |z| >= 1, not finite, or a series that does not stop within
-    its terms) or where some other point is refused gives None.  The
-    caller then calls :func:`beta_series`, which owns every refusal, point
-    by point.
+    refused points included.  A value the pass cannot finish is None: at
+    every z, that of a nu whose split is refused or whose a is below
+    1e-300 (the pass would refuse its every column); at every nu, that of
+    a z the pass cannot take (0, |z| >= 1, not finite, or a series that
+    does not stop within its terms); and a point whose value is refused.
+    The caller then calls :func:`beta_series`, which owns every refusal,
+    point by point.
     """
     nus = [exact_rational(nu) for nu in nus]
     methods = [_series_method(nu) for nu in nus]
@@ -209,22 +208,26 @@ def beta_series_columns(
             split = None  # refused: its points go to beta_series alone
         # an a below 1e-300 would make the pass refuse every column: its points go there too
         splits.append(split if split and split[1] >= 1e-300 else None)
-    kept = [split for split in splits if split]
-    avals = list(dict.fromkeys(a for _, a, _ in kept))
+    kept = [i for i, split in enumerate(splits) if split]
+    avals = list(dict.fromkeys(splits[i][1] for i in kept))
     slots = {a: slot for slot, a in enumerate(avals)}
-    parts = [exponent_parts(expo) for expo, _, _ in kept]
+    parts = [exponent_parts(splits[i][0]) for i in kept]
     columns = []
     for z in [to_double(z, complex) for z in zs]:
+        column: List[Optional[complex]] = [None] * len(nus)
         inside = z != 0 and abs(z.real) < 1.0 and abs(z.imag) < 1.0 and abs(z) < 1.0
         sums = _sums_inverse_linear(z, avals) if inside else None
         try:
-            values = None if sums is None else iter([
-                _series_value(z, a, n, sums[slots[a]][0], power)
-                for (_, a, n), power in zip(kept, rational_powers(z, parts))
-            ])
+            powers = [] if sums is None else rational_powers(z, parts)
         except (BetaReduceError, ArithmeticError):
-            values = None  # some point is refused
-        columns.append(values and [next(values) if split else None for split in splits])
+            powers = []  # some power is refused: every point of this z goes to beta_series
+        for i, power in zip(kept, powers):
+            _, a, n = splits[i]
+            try:
+                column[i] = _series_value(z, a, n, sums[slots[a]][0], power)
+            except (BetaReduceError, ArithmeticError):
+                pass  # refused: this point goes to beta_series alone
+        columns.append(column)
     return methods, columns
 
 

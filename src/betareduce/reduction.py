@@ -18,8 +18,9 @@ the q-th roots of unity and the row phases, as tuples for the scalar kernel
 and read-only arrays for the batch.  :func:`reduce_beta_rows` evaluates the
 general form for many nu at many z with numpy, one column per z: it groups
 the nu by denominator q and builds one log table per (q, z) that every p/q
-and every integer shift shares; :func:`reduce_beta_many`, one decomposed nu
-at many z, is its one-row case.  For real z > 0 it pairs the conjugate
+and every integer shift shares, and leaves None each point it cannot finish,
+for the caller's :func:`beta_value`; :func:`reduce_beta_many`, one decomposed
+nu at many z, is its one-row case.  For real z > 0 it pairs the conjugate
 rows k and q - k, which halves its logs and leaves the imaginary part to
 the k = 0 log alone: 0 on (0, 1) and exactly -pi on the ray z > 1.
 
@@ -147,10 +148,10 @@ def beta_value(dec: Decomposition, z: complex) -> complex:
     """``reduce_beta(dec, z).value`` and its errors, bitwise, without the :class:`Evaluation`.
 
     The value of :func:`incomplete_beta` at mu = 0, :func:`lerch_reduce`, the
-    integrals and the points :func:`reduce_beta_many` leaves to the scalar
-    kernel.  Log parts stay below 2^10 and the tail's moduli |z|^x / |x| are
-    log-convex in x, so while the tail's ends have lanes below ``_BATCH_LIMIT``
-    the sum|parts| (at most 2^21 parts) cannot overflow and is not taken.
+    integrals and each point the batch leaves None.  Log parts stay below
+    2^10 and the tail's moduli |z|^x / |x| are log-convex in x, so while the
+    tail's ends have lanes below ``_BATCH_LIMIT`` the sum|parts| (at most
+    2^21 parts) cannot overflow and is not taken.
     """
     parts = (reduce_beta_pos if dec.m >= 0 else reduce_beta_neg)(dec, z)
     if dec.m and parts:
@@ -222,7 +223,7 @@ def _spread(parts: List[complex]) -> float:
 # A batch chunk holds at most this many (q + |m|) x columns cells: 1 MB per complex matrix.
 BATCH_CELLS = 2**16
 
-# The batch leaves to beta_value any z, and any part, with a lane this large: its sums
+# The batch leaves None any z, and any part, with a lane this large: its sums
 # stay far inside the double range, so it never meets an overflow the scalar path reports.
 _BATCH_LIMIT = 2.0**1000
 
@@ -230,20 +231,18 @@ _BATCH_LIMIT = 2.0**1000
 def reduce_beta_many(dec: Decomposition, zs: Iterable[complex]) -> List[complex]:
     """The values ``[reduce_beta(dec, z).value for z in zs]``, computed with numpy.
 
-    The one-row case of :func:`reduce_beta_rows`.  Where that gives no row
-    (a point refused, or one column beyond ``BATCH_CELLS``), the scalar
-    loop runs, so the batch raises the first error the scalar loop would.
-    Values agree with :func:`reduce_beta` to a few units of its error
-    estimate, and equal it bitwise at the points the batch leaves to
-    :func:`beta_value`.
+    The one-row case of :func:`reduce_beta_rows`; each point it leaves None
+    goes to :func:`beta_value` in z order, so the batch raises the first
+    error the scalar loop would.  Values agree with :func:`reduce_beta` to
+    a few units of its error estimate, and equal it bitwise at those points.
     """
     zs = [to_double(z, complex) for z in zs]
     row = _grouped_rows([dec], zs)[0]
-    return [beta_value(dec, z) for z in zs] if row is None else row
+    return [beta_value(dec, z) if v is None else v for z, v in zip(zs, row)]
 
 
-def reduce_beta_rows(nus: Sequence[Fraction], zs: List[complex]) -> List[Optional[List[complex]]]:
-    """Per nu, ``[reduce_beta(decompose(nu), z).value for z in zs]`` or None.
+def reduce_beta_rows(nus: Sequence[Fraction], zs: List[complex]) -> List[List[Optional[complex]]]:
+    """Per nu, ``[reduce_beta(decompose(nu), z).value for z in zs]``, None where left.
 
     The nu may have any denominators: each is decomposed once, and the
     decompositions are grouped by q, one batch per q.  Every z is a float
@@ -261,14 +260,13 @@ def reduce_beta_rows(nus: Sequence[Fraction], zs: List[complex]) -> List[Optiona
     on (0, 1) and has Im = -pi exactly on the ray z > 1, from row 0 alone.
     Every other lane computes all q rows.  Pairing is decided per lane, so
     a value depends neither on the other points nor on the other rows of
-    the call.  A point the batch cannot finish regularly -- z = 0, a lane
+    the call.  A point the batch cannot finish regularly is None, for the
+    caller's :func:`beta_value`, which owns every refusal: z = 0, a lane
     of z or of a part beyond 2^1000 or not finite, a log argument near the
-    guard band (z = 1 among them) -- goes to :func:`beta_value`, and so
-    does a q = 2 point with real z in (0, 1), where the scalar atanh is
-    more accurate.  A row where that point is refused, or whose one column
-    alone passes ``BATCH_CELLS`` (|m| or q above ``MAX_TAIL_TERMS`` among
-    them), is None, and so is the row of a nu that :func:`decompose`
-    refuses: its points are left to the caller.
+    guard band (z = 1 among them), and a q = 2 point with real z in
+    (0, 1), where the scalar atanh is more accurate.  So is every point of
+    a nu that :func:`decompose` refuses or whose one column alone passes
+    ``BATCH_CELLS`` (|m| or q above ``MAX_TAIL_TERMS`` among them).
     """
     decs: List[Optional[Decomposition]] = []
     for nu in nus:
@@ -281,12 +279,12 @@ def reduce_beta_rows(nus: Sequence[Fraction], zs: List[complex]) -> List[Optiona
 
 def _grouped_rows(
     decs: Sequence[Optional[Decomposition]], zs: List[complex]
-) -> List[Optional[List[complex]]]:
+) -> List[List[Optional[complex]]]:
     """:func:`reduce_beta_rows` of the decompositions, None standing for a refused nu."""
-    rows = [[] if dec and dec.r.denominator + dec.n <= BATCH_CELLS else None for dec in decs]
+    rows = [[None] * len(zs) for _ in decs]
     by_q: Dict[int, List[int]] = {}
     for i, dec in enumerate(decs):
-        if rows[i] is not None:
+        if dec and dec.r.denominator + dec.n <= BATCH_CELLS:
             by_q.setdefault(dec.r.denominator, []).append(i)
     for q, group in by_q.items():
         fit = [decs[i] for i in group]
@@ -295,11 +293,11 @@ def _grouped_rows(
         with np.errstate(all="ignore"):
             chunks = [_rows_chunk(q, fit, zs[s : s + step]) for s in range(0, len(zs), step)]
         for i, parts in zip(group, zip(*chunks)):
-            rows[i] = None if None in parts else [v for part in parts for v in part]
+            rows[i] = [v for part in parts for v in part]
     return rows
 
 
-def _rows_chunk(q: int, decs, zs: List[complex]) -> List[Optional[List[complex]]]:
+def _rows_chunk(q: int, decs, zs: List[complex]) -> List[List[Optional[complex]]]:
     roots, phases = _tables(q)[1]
     za = np.array(zs, dtype=complex)
     regular = (za != 0) & (np.abs(za.real) < _BATCH_LIMIT) & (np.abs(za.imag) < _BATCH_LIMIT)
@@ -308,7 +306,7 @@ def _rows_chunk(q: int, decs, zs: List[complex]) -> List[Optional[List[complex]]
     if q == 2:
         # real z in (0, 1) takes the scalar kernel's atanh, more accurate there than two logs
         regular &= ~(paired & (za.real < 1))
-    # points left to beta_value keep a harmless z in their column
+    # points left None keep a harmless z in their column
     base = np.where(regular, za, 0.5)
     z_roots, z_logs = _roots_and_logs(base.tolist(), q)
     z_root = np.array(z_roots)
@@ -317,15 +315,15 @@ def _rows_chunk(q: int, decs, zs: List[complex]) -> List[Optional[List[complex]]
     for lanes, pair in ((np.flatnonzero(paired), True), (np.flatnonzero(~paired), False)):
         if lanes.size:
             w = 1 - roots[: q // 2 + 1 if pair else q, None] * z_root[lanes]
-            # twice the guard (z = 1 among them): a point near its edge is decided by beta_value
+            # twice the guard (z = 1 among them): a point near its edge is left None
             left = ~regular[lanes] | (np.abs(w) < 2 * BRANCH_GUARD).any(axis=0)
             tables.append((lanes, pair, left, np.log(w)))
-    out: List[Optional[List[complex]]] = []
+    out: List[List[Optional[complex]]] = []
     for dec in decs:
         if dec.m:
             tail = _tail(dec, base, _powers(z_roots, z_logs, dec.r))
             inside = (np.abs(tail.real) < _BATCH_LIMIT) & (np.abs(tail.imag) < _BATCH_LIMIT)
-            outside = ~inside.all(axis=0)  # a lane with a part past the limit goes to beta_value
+            outside = ~inside.all(axis=0)  # a lane with a part past the limit is left None
         row_phases = phases[dec.r.numerator * np.arange(q) % q]
         values: List[Optional[complex]] = [None] * len(zs)
         for lanes, pair, left, log_w in tables:
@@ -343,10 +341,7 @@ def _rows_chunk(q: int, decs, zs: List[complex]) -> List[Optional[List[complex]]
             for i, skip, re_i, im_i in zip(lanes.tolist(), left.tolist(), re, im):
                 if not skip:
                     values[i] = complex(math.fsum(re_i), math.fsum(im_i))
-        try:
-            out.append([beta_value(dec, z) if v is None else v for z, v in zip(zs, values)])
-        except (BetaReduceError, ArithmeticError):
-            out.append(None)  # some point is refused: the caller evaluates each alone
+        out.append(values)
     return out
 
 

@@ -3,8 +3,8 @@
 One record per (nu, z) point: the closed-form value (one batch call for
 the grid, with one log table per (q, z) shared by every p/q and every
 integer shift), the series oracle value (one numpy pass and one log per
-z, shared by every nu, each split once for all z; a point the batch paths
-do not finish is evaluated alone), and the discrepancy.  The relative
+z, shared by every nu, each split once for all z), and the discrepancy.
+A point that either batch leaves None is evaluated alone.  The relative
 error is absolute error over max(1, |oracle|), the convention used for
 every tolerance in this package.
 Points where either side refuses to evaluate (branch guard, domain) are
@@ -25,7 +25,7 @@ from .errors import BetaReduceError, MaxTermsExceeded
 from .oracles import beta_series, beta_series_columns
 from .principal import to_double
 from .rationals import decompose, exact_rational, render_rational
-from .reduction import MAX_TAIL_TERMS, reduce_beta_many, reduce_beta_rows
+from .reduction import MAX_TAIL_TERMS, beta_value, reduce_beta_rows
 
 VERIFY_CSV_HEADER = (
     "nu,z_re,z_im,reduction_re,reduction_im,oracle_re,oracle_im,"
@@ -105,16 +105,15 @@ def run_verification(
     which gives each nu's oracle method and the oracle values at every z,
     splitting each nu once and taking one log of each z, and one
     :func:`reduce_beta_rows` call, which groups the nu by denominator q and
-    builds one log table per (q, z).  Both return plain values and leave
-    every refusal to the one per-point path: a nu that a batch refuses
-    gives no values of its own, and a column the series pass cannot
-    finish, or a column or row that refuses some point, gives none at all.
-    Each point without a value is then evaluated alone, the oracle only
-    once the point's reduction succeeded, so a Skipped row keeps its own
-    error name and no row depends on its siblings.  A grid of more than
-    ``MAX_TAIL_TERMS`` points, whose records would all be held at once,
-    raises :class:`MaxTermsExceeded` before any is evaluated; a NaN,
-    negative or infinite ``tol`` raises ``ValueError``.
+    builds one log table per (q, z).  Both return plain values, None at
+    each point they do not finish, and leave every refusal to the scalar
+    path: a None reduction is :func:`beta_value` of the point, a None
+    oracle :func:`beta_series` of it, the oracle only once the point's
+    reduction succeeded.  So a Skipped row keeps its own error name and no
+    row depends on its siblings.  A grid of more than ``MAX_TAIL_TERMS``
+    points, whose records would all be held at once, raises
+    :class:`MaxTermsExceeded` before any is evaluated; a NaN, negative or
+    infinite ``tol`` raises ``ValueError``.
     """
     if not 0 <= tol < math.inf:
         raise ValueError(f"tol must be finite and >= 0, got {tol}")
@@ -127,12 +126,12 @@ def run_verification(
     methods, columns = beta_series_columns(nus, zs)
     rows = reduce_beta_rows(nus, zs)
     records: List[VerificationRecord] = []
-    for i, (nu, row) in enumerate(zip(nus, rows)):
-        method = methods[i].value
-        for j, z in enumerate(zs):
+    for i, (nu, method, row) in enumerate(zip(nus, [m.value for m in methods], rows)):
+        for z, reduction, column in zip(zs, row, columns):
             try:
-                reduction = reduce_beta_many(decompose(nu), [z])[0] if row is None else row[j]
-                oracle = None if columns[j] is None else columns[j][i]
+                if reduction is None:
+                    reduction = beta_value(decompose(nu), z)
+                oracle = column[i]
                 if oracle is None:
                     oracle = beta_series(nu, z).value
             except BetaReduceError as exc:

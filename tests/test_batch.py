@@ -238,6 +238,16 @@ GROUPED_ZS = [
 ]
 
 
+def left_to_the_caller(dec, z):
+    """Whether the batch leaves None a point that the scalar kernel evaluates."""
+    return (
+        dec.r.denominator + dec.n > reduction.BATCH_CELLS
+        or z == 0
+        or (dec.r.denominator == 2 and z.imag == 0 and 0 < z.real < 1)  # the scalar atanh
+        or max(max(abs(p.real), abs(p.imag)) for p in reduce_beta(dec, z).parts) >= 2.0**1000
+    )
+
+
 @pytest.mark.parametrize("cells", [None, 2 * 669 + 1, 40])
 @pytest.mark.parametrize("zs", GROUPED_ZS)
 def test_grouped_rows_are_the_single_rows(monkeypatch, zs, cells):
@@ -246,23 +256,24 @@ def test_grouped_rows_are_the_single_rows(monkeypatch, zs, cells):
     rows = reduce_beta_rows(GROUPED_NUS, zs)
     assert len(rows) == len(GROUPED_NUS)
     for nu, row in zip(GROUPED_NUS, rows):
-        single = outcome(lambda: reduce_beta_many(decompose(nu), zs))
-        if row is not None:
-            assert bits(row) == bits(single), nu
-        elif not isinstance(single, tuple):
-            # no row and no refusal: one column alone passes the budget
-            dec = decompose(nu)
-            assert dec.r.denominator + dec.n > reduction.BATCH_CELLS, nu
-    # 2000/3 at 2.88: a part past 2^1000, finished by the scalar kernel inside its row
+        assert len(row) == len(zs)
+        for z, value in zip(zs, row):
+            single = outcome(lambda: reduce_beta_many(decompose(nu), [z]))
+            if value is not None:
+                assert bits([value]) == bits(single), (nu, z)
+            # None is exactly a point that reduce_beta_many refuses or leaves to the scalar
+            # kernel: a refused point (z = 0 for m < 0, z = 1) leaves its siblings alone
+            refused = isinstance(single, tuple)
+            assert (value is None) == (refused or left_to_the_caller(decompose(nu), z)), (nu, z)
+    # 2000/3 at 2.88: a part past 2^1000, left None for the scalar kernel, which finishes it
     if 2.88 in zs and not cells:
-        assert rows[GROUPED_NUS.index(Fraction(2000, 3))][-1] == reduce_beta(
-            decompose(Fraction(2000, 3)), 2.88
-        ).value
-    # a refused row leaves its siblings alone: at z = 0 only the rows with m < 0 are None,
-    # and those too wide for 40 cells
-    if 0.0 in zs:
-        wide = {Fraction(2000, 3)} if cells == 40 else set()
-        assert [row is None for row in rows] == [nu < 0 or nu in wide for nu in GROUPED_NUS]
+        dec = decompose(Fraction(2000, 3))
+        assert rows[GROUPED_NUS.index(Fraction(2000, 3))][-1] is None
+        assert reduce_beta_many(dec, zs)[-1] == reduce_beta(dec, 2.88).value
+
+
+def point_bits(row):
+    return [None if value is None else (value.real.hex(), value.imag.hex()) for value in row]
 
 
 # one call over every denominator gives each nu the row of a call over its own q alone
@@ -272,10 +283,11 @@ def test_mixed_denominators_give_the_per_q_rows(zs):
     for q in {nu.denominator for nu in GROUPED_NUS}:
         group = [i for i, nu in enumerate(GROUPED_NUS) if nu.denominator == q]
         alone = reduce_beta_rows([GROUPED_NUS[i] for i in group], zs)
-        assert [rows[i] and bits(rows[i]) for i in group] == [row and bits(row) for row in alone], q
+        assert [point_bits(rows[i]) for i in group] == [point_bits(row) for row in alone], q
     assert reduce_beta_rows([], [0.5]) == []
     assert reduce_beta_rows([Fraction(1, 3)], []) == [[]]
-    assert reduce_beta_rows([Fraction(-2)], []) == [None]
+    assert reduce_beta_rows([Fraction(-2)], []) == [[]]
+    assert reduce_beta_rows([Fraction(-2)], [0.5, 0.25]) == [[None, None]]
 
 
 # -- routing --------------------------------------------------------------------

@@ -341,6 +341,14 @@ class TestIntegral:
         ref = math.atanh(u) - 2 * u + math.atan(u)
         assert abs(float(out.strip()) - ref) <= 1e-12
 
+    # the integral diverges as z -> inf; inf used to exit 2 with BranchPoint, nan to print nan
+    @pytest.mark.parametrize("z", ["inf", "nan"])
+    def test_tanh_non_finite_z_exit_two(self, capsys, z):
+        code, out, err = run_cli(capsys, "integral", "tanh", "--lambda", "1/2", "--z", z)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("OutsideDomain") and "z" in err
+
     def test_powlin_zero_exit_two(self, capsys):
         code, _, err = run_cli(capsys, "integral", "powlin", "--nu", "1/2", "--z", "0")
         assert code == 2

@@ -308,6 +308,16 @@ def first_scalar_error(nus, z):
     return None
 
 
+def assert_points_are_scalar(nus, z, column, methods):
+    """Each value is bitwise beta_series's, and each point beta_series refuses is None."""
+    assert len(column) == len(nus)
+    for nu, value, method in zip(nus, column, methods):
+        if first_scalar_error([nu], z) is not None:
+            assert value is None, nu
+        elif value is not None:
+            assert value_bits(value, method) == scalar_value_bits([nu], z)[0], nu
+
+
 # the columns of beta_series_columns(nus, [z]) against the scalar loop
 class TestBetaSeriesMany:
     # both signs, shifted siblings that share one series, integers, duplicates
@@ -318,11 +328,11 @@ class TestBetaSeriesMany:
         methods, (column,) = oracles.beta_series_columns(self.NUS, [z])
         assert [value_bits(v, m) for v, m in zip(column, methods)] == scalar_value_bits(self.NUS, z)
 
-    # z = 0 gives no column, so each point goes to beta_series alone; the methods are its own
+    # z = 0 is outside the pass: each point is None, for beta_series alone; the methods are its own
     def test_z_zero_is_the_scalar_loop(self):
         nus = [nu for nu in self.NUS if nu > 0]
         methods, columns = oracles.beta_series_columns(nus, [0.0])
-        assert columns == [None]
+        assert columns == [[None] * len(nus)]
         assert methods == [beta_series(nu, 0.0).method for nu in nus]
 
     @pytest.mark.parametrize(
@@ -340,15 +350,13 @@ class TestBetaSeriesMany:
     def test_refusal_is_the_first_scalar_error(self, nus, z):
         assert first_scalar_error(nus, z) is not None
         methods, (column,) = oracles.beta_series_columns(nus, [z])
-        if z == 0.5:
-            # the split of -2 is refused: only its own value is missing, the others are scalar
-            assert column[1] is None
-            assert [value_bits(column[i], methods[i]) for i in (0, 2)] == scalar_value_bits(
-                [nus[0], nus[2]], z
-            )
-        else:
-            # 0's split is refused at 1e-3 too, but so is the point of -2000/3
-            assert column is None
+        assert_points_are_scalar(nus, z, column, methods)
+        # the pass finishes 0.5 and 1e-3, where only the refused points are None: the split
+        # of -2 or 0, and the point of -2000/3, whose correction overflows; it takes no other z
+        finished = z in (0.5, 1e-3)
+        assert [value is None for value in column] == [
+            not finished or first_scalar_error([nu], z) is not None for nu in nus
+        ]
 
     def test_correction_budget_is_the_scalar_one(self, monkeypatch):
         monkeypatch.setattr(oracles, "SERIES_MAX_TERMS", 100)
@@ -384,10 +392,10 @@ SERIES_NUS = st.builds(Fraction, st.integers(-600, 600), st.integers(1, 12)).fil
 def test_many_is_the_scalar_loop_field_by_field(nus, z):
     nus = nus + nus[:1]  # one duplicate at least
     methods, (column,) = oracles.beta_series_columns(nus, [z])
-    if column is not None:
-        assert [value_bits(v, m) for v, m in zip(column, methods)] == scalar_value_bits(nus, z)
-    elif first_scalar_error(nus, z) is None:
-        # every point evaluates: the single pass could not finish some column
+    assert_points_are_scalar(nus, z, column, methods)
+    if None in column and first_scalar_error(nus, z) is None:
+        # every point evaluates: the single pass could not finish this z
+        assert column == [None] * len(nus)
         assert oracles._sums_inverse_linear(z, [oracles._series_split(nu)[1] for nu in nus]) is None
 
 

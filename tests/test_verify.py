@@ -61,7 +61,7 @@ def test_budget_edge(monkeypatch, build, size):
 
 # every record (about 274 B) is held until the CSV is written: 1,147,211 points here
 def test_point_budget_refused_before_any_evaluation(monkeypatch):
-    monkeypatch.setattr(verify, "reduce_beta_many", None)  # any evaluation would fail
+    monkeypatch.setattr(verify, "beta_value", None)  # any evaluation would fail
     monkeypatch.setattr(verify, "reduce_beta_rows", None)
     with pytest.raises(MaxTermsExceeded):
         run_verification(default_nu_grid(q_max=100), default_z_grid(), 1e-10)
@@ -80,7 +80,7 @@ def test_point_budget_edge(monkeypatch):
 # a NaN or negative tol would fail every row and an infinite one pass every row
 @pytest.mark.parametrize("tol", [math.nan, -1e-10, -math.inf, math.inf])
 def test_bad_tolerance_refused_before_any_evaluation(monkeypatch, tol):
-    monkeypatch.setattr(verify, "reduce_beta_many", None)  # any evaluation would fail
+    monkeypatch.setattr(verify, "beta_value", None)  # any evaluation would fail
     monkeypatch.setattr(verify, "reduce_beta_rows", None)
     with pytest.raises(ValueError, match="tol"):
         run_verification(fraction_grid(3), [0.25, 0.5], tol)
@@ -266,3 +266,50 @@ def test_refused_nu_costs_only_its_own_points(monkeypatch, bad):
     for rec in records:
         alone = run_verification([rec.nu], [rec.z], 1e-10)[0]
         assert [record_bits(rec)] == [record_bits(a) for a in alone]
+
+
+def assert_records_are_pointwise(records, base, added):
+    """The records of the added points are their pointwise records, the others those of base."""
+    others = iter(base)
+    for rec in records:
+        if added(rec):
+            alone = run_verification([rec.nu], [rec.z], 1e-10)[0]
+            assert [record_bits(rec)] == [record_bits(a) for a in alone]
+        else:
+            assert record_bits(rec) == record_bits(next(others))
+    assert next(others, None) is None
+
+
+# z = 1 refuses every reduction: its 585 points and the 234 q = 2 lanes on (0, 1), which the
+# batch leaves to the scalar atanh, are the only scalar reductions, after one batch call
+def test_refused_z_costs_only_its_own_points(monkeypatch):
+    nus, zs = default_nu_grid(), default_z_grid() + [1.0]
+    scalar, batches, oracle = [], [], []
+    value, grouped = reduction.beta_value, reduction._grouped_rows
+    monkeypatch.setattr(verify, "beta_value", lambda dec, z: scalar.append(z) or value(dec, z))
+    monkeypatch.setattr(
+        reduction, "_grouped_rows", lambda decs, zs: batches.append(len(decs)) or grouped(decs, zs)
+    )
+    monkeypatch.setattr(verify, "beta_series", lambda nu, z: oracle.append(nu) or beta_series(nu, z))
+    records = run_verification(nus, zs, 1e-10)[0]
+    assert batches == [585]
+    assert len(scalar) == 234 + 585 and scalar.count(1.0) == 585
+    assert oracle == []
+    monkeypatch.undo()
+    base = run_verification(nus, default_z_grid(), 1e-10)[0]
+    assert_records_are_pointwise(records, base, lambda rec: rec.z == 1.0)
+
+
+# the correction of -2000/3 overflows at 1e-3 and at the real z up to 0.3: the oracle pass
+# leaves those points alone None, and their reductions are refused too, so no point of the
+# grid goes to the per-point oracle
+def test_refused_oracle_point_costs_only_itself(monkeypatch):
+    bad = Fraction(-2000, 3)
+    nus, zs = default_nu_grid() + [bad], default_z_grid() + [1e-3]
+    calls = []
+    monkeypatch.setattr(verify, "beta_series", lambda nu, z: calls.append(nu) or beta_series(nu, z))
+    records = run_verification(nus, zs, 1e-10)[0]
+    assert calls == []
+    monkeypatch.undo()
+    base = run_verification(default_nu_grid(), default_z_grid(), 1e-10)[0]
+    assert_records_are_pointwise(records, base, lambda rec: rec.nu == bad or rec.z == 1e-3)

@@ -19,8 +19,9 @@ message; and ``evaluations``: ``reduce_beta``'s :class:`Evaluation` at the
 the error's name and message; and ``records``: the ``write_verify_csv``
 bytes of ``run_verification`` over a fixed grid that meets the library's
 refusal paths (``nu`` from ``default_nu_grid(1, 8)`` plus ``-2``,
-``1/10^301`` and ``2000/3``; ``z`` from ``default_z_grid()`` plus ``0``,
-``1``, NaN, ``1.2`` and ``1 - 1e-15``).  Each line reads ``<sha256>
+``1/10^301``, ``2000/3`` and ``-2000/3``, whose series correction
+overflows at small z; ``z`` from ``default_z_grid()`` plus ``0``, ``1``,
+NaN, ``1.2``, ``1 - 1e-15`` and ``1e-3``).  Each line reads ``<sha256>
 <name>``.  The package is imported from the ``src/`` next to this file.
 """
 
@@ -53,8 +54,10 @@ CLI_OUTPUTS = (
 )
 VALUE_CALLS = 4000
 VALUE_SEED = 20201
-RECORD_NUS = br.default_nu_grid(1, 8) + [Fraction(-2), Fraction(1, 10**301), Fraction(2000, 3)]
-RECORD_ZS = br.default_z_grid() + [0.0, 1.0, math.nan, 1.2, 1 - 1e-15]
+RECORD_NUS = br.default_nu_grid(1, 8) + [
+    Fraction(-2), Fraction(1, 10**301), Fraction(2000, 3), Fraction(-2000, 3)
+]
+RECORD_ZS = br.default_z_grid() + [0.0, 1.0, math.nan, 1.2, 1 - 1e-15, 1e-3]
 
 
 def cli_csv(args: str) -> bytes:
