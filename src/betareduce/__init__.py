@@ -10,7 +10,6 @@ against the oracles.
 
 from .bench import BenchRecord, PRESETS, run_bench, write_bench_csv
 from .errors import (
-    BenchConsistencyError,
     BetaReduceError,
     BranchPoint,
     DivergentParameter,
@@ -47,7 +46,6 @@ from .verify import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BenchConsistencyError",
     "BenchRecord",
     "BetaReduceError",
     "BranchPoint",

@@ -39,7 +39,3 @@ class QuadratureNonConvergence(BetaReduceError):
 
 class ResidualImaginary(BetaReduceError):
     """A value that must be real came back with a non-negligible imaginary part."""
-
-
-class BenchConsistencyError(BetaReduceError):
-    """Benchmark methods disagreed at a grid point; timings would be meaningless."""

@@ -145,8 +145,8 @@ def lerch_series(z: complex, nu: float) -> Evaluation:
     nu = to_double(nu)
     if not math.isfinite(nu):
         raise OutsideDomain(f"nu must be finite, got {nu}")
-    if abs(z) >= 1.0:
-        raise OutsideDomain(f"series needs |z| < 1, got |z| = {abs(z)}")
+    if not _in_unit_disk(z):
+        raise OutsideDomain(f"series needs |z| < 1, got z = {z}")
     if nu <= 0 and nu == math.floor(nu):
         raise DivergentParameter(f"nu = {nu} is a non-positive integer")
     total, last, terms = _sum_inverse_linear(z, nu)
@@ -169,8 +169,8 @@ def beta_series(nu: Fraction, z: complex) -> Evaluation:
         if nu > 0:
             return Evaluation(0j, Method.SERIES, 0.0, 1)
         raise OutsideDomain("negative parameters need 0 < |z| < 1")
-    if abs(z) >= 1.0:
-        raise OutsideDomain(f"series needs |z| < 1, got |z| = {abs(z)}")
+    if not _in_unit_disk(z):
+        raise OutsideDomain(f"series needs |z| < 1, got z = {z}")
     expo, a, n = _series_split(nu)
     total, last, terms = _sum_inverse_linear(z, a)
     prefactor = rational_power(z, expo)
@@ -215,8 +215,7 @@ def beta_series_columns(
     columns = []
     for z in [to_double(z, complex) for z in zs]:
         column: List[Optional[complex]] = [None] * len(nus)
-        inside = z != 0 and abs(z.real) < 1.0 and abs(z.imag) < 1.0 and abs(z) < 1.0
-        sums = _sums_inverse_linear(z, avals) if inside else None
+        sums = _sums_inverse_linear(z, avals) if z != 0 and _in_unit_disk(z) else None
         try:
             powers = [] if sums is None else rational_powers(z, parts)
         except (BetaReduceError, ArithmeticError):
@@ -229,6 +228,11 @@ def beta_series_columns(
                 pass  # refused: this point goes to beta_series alone
         columns.append(column)
     return methods, columns
+
+
+def _in_unit_disk(z: complex) -> bool:
+    """|z| < 1, the parts first: ``abs(z)`` raises OverflowError beyond the double range."""
+    return abs(z.real) < 1.0 and abs(z.imag) < 1.0 and abs(z) < 1.0
 
 
 def _series_method(nu: Fraction) -> Method:
@@ -275,6 +279,8 @@ def beta_quadrature(nu: float, mu: float, z: float) -> Evaluation:
         raise OutsideDomain(f"nu, mu and z must be finite, got nu = {nu}, mu = {mu}, z = {z}")
     if nu <= 0:
         raise OutsideDomain(f"quadrature needs nu > 0, got {nu}")
+    if not math.isfinite(1.0 / nu):
+        raise OutsideDomain(f"quadrature needs a finite 1/nu, got nu = {nu}")
     if not (0.0 < z < 1.0):
         raise OutsideDomain(f"quadrature needs z in (0, 1), got {z}")
 

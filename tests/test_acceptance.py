@@ -153,12 +153,15 @@ def test_criterion_7_reduction_beats_series_near_one():
     reduction = by_method[Method.REDUCTION].median_nanos
     series = by_method[Method.SERIES].median_nanos
     ratio = series / max(reduction, 1)
+    worst = max(rec.rel_diff for rec in records)
     report(
         "7 reduction at least 10x faster than series at z = 0.999",
         ratio >= 10.0,
         f"median series/reduction = {ratio:.0f}x "
-        f"({series} ns vs {reduction} ns over 100 reps)",
+        f"({series} ns vs {reduction} ns over 100 reps), worst rel_diff {worst:.1e}",
     )
+    # every method agrees with the closed form: the bound the harness no longer enforces itself
+    assert all(rec.rel_diff <= 1e-9 for rec in records), records
 
 
 def test_criterion_8_derivative_matches_integrand():

@@ -14,7 +14,6 @@ import betareduce
 from betareduce import oracles
 
 PUBLIC = [
-    "BenchConsistencyError",
     "BenchRecord",
     "BetaReduceError",
     "BranchPoint",

@@ -1,4 +1,4 @@
-"""Benchmark harness: record structure, agreement gate, determinism."""
+"""Benchmark harness: record structure, each method's difference from the closed form, determinism."""
 
 import csv
 import io
@@ -8,13 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from betareduce import (
-    BenchConsistencyError,
-    Method,
-    OutsideDomain,
-    run_bench,
-    write_bench_csv,
-)
+from betareduce import Method, OutsideDomain, run_bench, write_bench_csv
 from betareduce import bench, render_rational
 from betareduce.bench import BENCH_CSV_HEADER, BenchRecord
 
@@ -35,10 +29,10 @@ class TestRunBench:
             assert rec.repetitions == 3
             assert rec.median_nanos >= 0
 
-    def test_checksums_cross_validated(self):
+    def test_methods_agree_with_the_closed_form(self):
         records = run_bench([(Fraction(5, 4), complex(0.1))], repetitions=2, warmup=0)
-        sums = [r.result_checksum for r in records]
-        assert max(sums) - min(sums) <= 1e-9 * max(1.0, abs(sums[0]))
+        assert records[0].method is Method.REDUCTION and records[0].rel_diff == 0.0
+        assert all(r.rel_diff <= 1e-9 for r in records)
 
     def test_structure_deterministic(self):
         grid = [(Fraction(1, 2), complex(0.2))]
@@ -76,11 +70,18 @@ class TestRunBench:
         with pytest.raises(OutsideDomain, match="QuadratureBeta"):
             run_bench([(Fraction(1, 2), complex(0.3, 0.2))], repetitions=1, warmup=0)
 
-    def test_disagreeing_method_aborts_before_timing(self, monkeypatch):
+    # a method that disagrees with the closed form is graded, not a reason to stop the run
+    def test_disagreeing_method_is_reported(self, monkeypatch):
+        nu, z = Fraction(1, 2), complex(0.3)
         exact = bench._quadrature_point
         monkeypatch.setattr(bench, "_quadrature_point", lambda nu, z: exact(nu, z) + 1e-6)
-        with pytest.raises(BenchConsistencyError, match="QuadratureBeta disagrees"):
-            run_bench([(Fraction(1, 2), complex(0.3))], repetitions=1, warmup=0)
+        records = run_bench([(nu, z)], repetitions=1, warmup=0)
+        assert [r.method for r in records] == [Method.REDUCTION, Method.SERIES, Method.QUADRATURE_BETA]
+        assert records[0].rel_diff == 0.0
+        assert records[1].rel_diff <= 1e-9
+        value = bench.incomplete_beta(nu, 0, z)
+        assert records[2].rel_diff == abs(exact(nu, z) + 1e-6 - value) / max(1.0, abs(value))
+        assert records[2].rel_diff > 1e-7  # the shift, not noise
 
 
 class TestCsv:
@@ -101,8 +102,8 @@ class TestCsv:
     def test_bytes_are_csv_writer_bytes(self):
         floats = [0.3, -0.0, 5e-324, math.nan, -math.inf, 1e300]
         records = [
-            BenchRecord(method, nu, complex(re, im), reps, median, mean, checksum)
-            for method, nu, re, im, reps, median, mean, checksum in zip(
+            BenchRecord(method, nu, complex(re, im), reps, median, mean, rel_diff)
+            for method, nu, re, im, reps, median, mean, rel_diff in zip(
                 itertools.cycle([Method.REDUCTION, Method.SERIES, Method.QUADRATURE_BETA]),
                 [Fraction(1, 2), Fraction(-7, 3), Fraction(5), Fraction(-1, 97)] * 3,
                 floats * 2,
@@ -127,7 +128,7 @@ class TestCsv:
                     rec.repetitions,
                     rec.median_nanos,
                     repr(rec.mean_nanos),
-                    repr(rec.result_checksum),
+                    repr(rec.rel_diff),
                 ]
             )
         buf = io.StringIO()

@@ -58,7 +58,8 @@ class TestLerchSeries:
         with pytest.raises(DivergentParameter):
             lerch_series(0.5, nu)
 
-    @pytest.mark.parametrize("z", [1.0, -1.0, 1.2, 0.8 + 0.8j])
+    # |z| of the last one is beyond the double range: abs(z) used to raise a bare OverflowError
+    @pytest.mark.parametrize("z", [1.0, -1.0, 1.2, 0.8 + 0.8j, complex(1.7e308, 1.7e308)])
     def test_outside_domain(self, z):
         with pytest.raises(OutsideDomain):
             lerch_series(z, 1.0)
@@ -147,6 +148,8 @@ class TestBetaSeries:
             beta_series(Fraction(-2), 0.5)
         with pytest.raises(OutsideDomain):
             beta_series(Fraction(1, 2), 1.1)
+        with pytest.raises(OutsideDomain):  # |z| overflows: abs(z) used to raise OverflowError
+            beta_series(Fraction(1, 2), complex(1.7e308, 1.7e308))
         with pytest.raises(OutsideDomain):
             beta_series(Fraction(-1, 2), 0.0)
 
@@ -465,9 +468,15 @@ class TestBetaQuadrature:
         red = reduce_beta(decompose(Fraction(3, 4)), 0.6).value
         assert abs(out.value - red) <= out.error_estimate + 1e-13 * abs(red)
 
-    @pytest.mark.parametrize("nu,mu,z", [(0.0, 1.0, 0.5), (-1.0, 1.0, 0.5), (1.0, 0.0, 0.0), (1.0, 0.0, 1.0), (1.0, 0.0, -0.3)])
+    # the refusals at z = 0.5 name nu; 1/nu of the last one overflows, and its error estimate
+    # used to come out inf, so that Evaluation raised a bare ValueError
+    @pytest.mark.parametrize(
+        "nu,mu,z",
+        [(0.0, 1.0, 0.5), (-1.0, 1.0, 0.5), (1.0, 0.0, 0.0), (1.0, 0.0, 1.0), (1.0, 0.0, -0.3),
+         (1e-310, 0.0, 0.5)],
+    )
     def test_outside_domain(self, nu, mu, z):
-        with pytest.raises(OutsideDomain):
+        with pytest.raises(OutsideDomain, match="nu" if z == 0.5 else None):
             beta_quadrature(nu, mu, z)
 
     # NaN used to run QUADPACK to its roundoff abort (QuadratureNonConvergence)

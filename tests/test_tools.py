@@ -65,6 +65,15 @@ def test_main_prints_a_total_line(src_lines, capsys):
     assert last.startswith("total: ") and "code + " in last
 
 
+# --help is no path: it used to end in a FileNotFoundError traceback
+@pytest.mark.parametrize("argv", [["--help"], [str(ROOT / "src"), str(ROOT / "nowhere")]])
+def test_missing_path_prints_the_usage_and_counts_nothing(src_lines, capsys, argv):
+    assert src_lines.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert repr(argv[-1]) in err and "Usage::" in err
+
+
 @pytest.fixture(scope="module")
 def output_hashes():
     spec = importlib.util.spec_from_file_location("output_hashes", ROOT / "tools" / "output_hashes.py")

@@ -13,6 +13,8 @@ Each line gets exactly one kind, decided in this order:
 4. code: the rest.
 
 Prints one line per file and a total line, ``lines = code + docstrings + comments + blanks``.
+A path that does not exist (``--help`` included) prints the usage to stderr and exits 2,
+before any file is counted.
 """
 
 from __future__ import annotations
@@ -73,6 +75,11 @@ def _row(name: str, counts: Dict[str, int]) -> str:
 
 def main(argv: List[str]) -> int:
     paths = argv or [str(ROOT / "src")]
+    missing = [path for path in paths if not Path(path).exists()]
+    if missing:
+        print(f"no such paths {missing}", file=sys.stderr)
+        print(__doc__.split("Each line")[0].rstrip(), file=sys.stderr)
+        return 2
     total = dict.fromkeys(KINDS, 0)
     for path in python_files(paths):
         counts = count_lines(path.read_text(encoding="utf-8"))
