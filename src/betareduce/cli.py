@@ -66,7 +66,9 @@ def build_parser() -> argparse.ArgumentParser:
         p_fn = eval_sub.add_parser(name, help=helptext)
         p_fn.set_defaults(run=run)
         p_fn.add_argument("--nu", required=True, type=_rational, help="rational nu, 'p/q' or decimal")
-        p_fn.add_argument("--z", required=True, type=_complex_point, help="'re' or 're,im'")
+        p_fn.add_argument(
+            "--z", required=True, type=_complex_point, help="'re' or 're,im'; a negative re: --z=-1e308"
+        )
         if name == "beta-mu":
             p_fn.add_argument("--mu", required=True, type=int, help="integer mu >= 1")
 
@@ -81,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         type=_complex_point,
         metavar="Z",
-        help="use this z instead of the default grid (repeatable)",
+        help="use this z instead of the default grid (repeatable); a negative re: --z-point=-0.5,0.25",
     )
     p_verify.add_argument("--out", help="write CSV here instead of stdout")
 

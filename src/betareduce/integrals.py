@@ -18,7 +18,7 @@ import sys
 from fractions import Fraction
 
 from .errors import OutsideDomain, ResidualImaginary
-from .principal import rational_power, to_double
+from .principal import finite_complex, finite_double, rational_power, to_double
 from .rationals import decompose_pos
 from .reduction import beta_value, lerch_reduce
 
@@ -48,7 +48,8 @@ def int_tanh_power(lam: Fraction, z: float) -> float:
     t = math.tanh(z)
     if t**2 < sys.float_info.min:
         # a subnormal t^2 loses digits; the terms past t^(2 lam) / (2 lam) add a relative t^2
-        return rational_power(t, 2 * lam).real / (2 * lam)
+        value = rational_power(t, 2 * lam).real / finite_double(2 * lam, "2 lambda")
+        return finite_complex(value, "the integral").real
     # tanh(z)^2 within the guard band of 1 raises BranchPoint from the kernel
     half = 0.5 * beta_value(dec, complex(t**2))
     # rounding dust scales with the roots-of-unity terms, not the (possibly

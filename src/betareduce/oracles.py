@@ -35,6 +35,7 @@ from .errors import (
     OutsideDomain,
     QuadratureNonConvergence,
 )
+from . import principal
 from .principal import Evaluation, Method, exponent_parts, finite_complex, fsum_complex
 from .principal import finite_double, rational_power, rational_powers, to_double
 from .rationals import decompose, exact_rational
@@ -43,9 +44,6 @@ from .rationals import decompose, exact_rational
 # Series truncation: stop after three consecutive terms below SERIES_REL_TOL * |running sum|.
 SERIES_REL_TOL = 1e-16
 SERIES_MAX_TERMS = 10**7
-
-# A series block holds at most this many rows x columns cells: 0.5 MB per float matrix.
-SERIES_BLOCK_CELLS = 2**16
 
 # QUADPACK's absolute and relative tolerance for beta_quadrature.
 QUAD_TOL = 1e-12
@@ -87,51 +85,45 @@ def _sum_inverse_linear(z: complex, a: float):
     )
 
 
-def _sums_inverse_linear(z: complex, avals: Sequence[float]) -> Optional[list]:
-    """``[_sum_inverse_linear(z, a) for a in avals]`` as one numpy pass, or None.
+def _sums_inverse_linear(z: complex, avals: Sequence[float]) -> Optional[List[Optional[complex]]]:
+    """``[_sum_inverse_linear(z, a)[0] for a in avals]`` as one numpy pass, or None.
 
-    Needs a finite z with 0 < |z| < 1.  The pass holds one row per a and
-    one column per k, at most ``SERIES_BLOCK_CELLS`` cells a block, and
-    repeats the scalar loop's arithmetic in its order: one walk z^k
-    (``np.multiply.accumulate`` from 1), each term lane by lane as
-    z^k/(a + k), the running sums by ``np.cumsum`` along the row, the
-    moduli by ``np.hypot`` as ``abs`` does (``np.abs`` rounds differently),
-    the three-small-terms stop, and ``math.fsum`` over each row's first
-    k + 1 terms, which lie contiguous.  So every result is bitwise the
-    scalar one.  (CPython's complex / float adds ``im*0.0`` to the real lane
-    and ``-re*0.0`` to the imaginary one; that changes only the sign of a
-    zero term, which neither a modulus nor an exactly rounded sum whose
-    first term is 1/a + 0j can see.)  The columns are
-    log(SERIES_REL_TOL)/log|z| plus a margin.  None when they do not fit in
-    ``SERIES_BLOCK_CELLS``, when an a is below 1e-300, or when some row has
-    not stopped within them: each point then goes to :func:`beta_series`,
-    whose scalar loop keeps its term budget and errors.
+    Needs a finite z with 0 < |z| < 1 and every a >= 1e-300 (the caller's
+    screen).  One row per a and one column per k, at most
+    ``principal.BATCH_CELLS`` cells a block, repeat the scalar loop's
+    arithmetic in its order: one walk z^k (``np.multiply.accumulate`` from
+    1), each term lane by lane as z^k/(a + k), the running sums by
+    ``np.cumsum`` along the row, the moduli by ``np.hypot`` as ``abs`` does
+    (``np.abs`` rounds differently), the three-small-terms stop, and
+    ``math.fsum`` over each row's terms through the stop, which lie
+    contiguous.  So every total is bitwise the scalar one.  (CPython's
+    complex / float adds ``im*0.0`` to the real lane and ``-re*0.0`` to the
+    imaginary one; that changes only the sign of a zero term, which neither
+    a modulus nor an exactly rounded sum whose first term is 1/a + 0j can
+    see.)  The columns are log(SERIES_REL_TOL)/log|z| plus a margin.  None
+    when they do not fit in a block; the total of a row that has not
+    stopped within them is None alone, for :func:`beta_series`.
     """
     # terms fall below SERIES_REL_TOL of the sum from about this one on; the stop needs two more
     terms = math.ceil(math.log(SERIES_REL_TOL) / math.log(abs(z))) + 4
-    # a >= 1e-300: partial sums of at most SERIES_BLOCK_CELLS terms, each <= 1/a, stay finite
-    if terms > SERIES_BLOCK_CELLS or min(avals, default=1.0) < 1e-300:
+    if terms > principal.BATCH_CELLS:
         return None
     walk = np.full(terms, z)
     walk[0] = 1.0
     zk = np.multiply.accumulate(walk)
     ks = np.arange(terms, dtype=float)
-    width = SERIES_BLOCK_CELLS // terms
-    out = []
+    width = principal.BATCH_CELLS // terms
+    out: List[Optional[complex]] = []
     for start in range(0, len(avals), width):
         dens = np.array(avals[start : start + width])[:, None] + ks
-        re = zk.real / dens
-        im = zk.imag / dens
-        last = np.hypot(re, im)
-        small = last <= SERIES_REL_TOL * np.hypot(np.cumsum(re, axis=1), np.cumsum(im, axis=1))
+        re, im = zk.real / dens, zk.imag / dens
+        running = np.hypot(np.cumsum(re, axis=1), np.cumsum(im, axis=1))
+        small = np.hypot(re, im) <= SERIES_REL_TOL * running
         third = small[:, 2:] & small[:, 1:-1] & small[:, :-2]
-        if not third.any(axis=1).all():
-            return None
-        stops = third.argmax(axis=1) + 2
-        lasts = last[np.arange(len(stops)), stops].tolist()
-        for c, k in enumerate(stops.tolist()):
-            total = complex(math.fsum(re[c, : k + 1].tolist()), math.fsum(im[c, : k + 1].tolist()))
-            out.append((total, lasts[c], k + 1))
+        stops = third.argmax(axis=1) + 3  # the terms through the third small one
+        for c, (k, stopped) in enumerate(zip(stops.tolist(), third.any(axis=1).tolist())):
+            total = complex(math.fsum(re[c, :k].tolist()), math.fsum(im[c, :k].tolist()))
+            out.append(total if stopped else None)
     return out
 
 
@@ -192,11 +184,11 @@ def beta_series_columns(
     gives every prefactor.  The methods are those of :func:`beta_series`,
     refused points included.  A value the pass cannot finish is None: at
     every z, that of a nu whose split is refused or whose a is below
-    1e-300 (the pass would refuse its every column); at every nu, that of
-    a z the pass cannot take (0, |z| >= 1, not finite, or a series that
-    does not stop within its terms); and a point whose value is refused.
-    The caller then calls :func:`beta_series`, which owns every refusal,
-    point by point.
+    1e-300; at every nu, that of a z the pass cannot take (0, |z| >= 1,
+    not finite, columns that do not fit in a block, or a refused
+    prefactor); and a point whose series does not stop within the pass's
+    columns or whose value is refused.  The caller then calls
+    :func:`beta_series`, which owns every refusal, point by point.
     """
     nus = [exact_rational(nu) for nu in nus]
     methods = [_series_method(nu) for nu in nus]
@@ -206,7 +198,7 @@ def beta_series_columns(
             split = _series_split(nu)
         except (BetaReduceError, ArithmeticError):
             split = None  # refused: its points go to beta_series alone
-        # an a below 1e-300 would make the pass refuse every column: its points go there too
+        # a >= 1e-300: partial sums of at most BATCH_CELLS terms, each <= 1/a, stay finite
         splits.append(split if split and split[1] >= 1e-300 else None)
     kept = [i for i, split in enumerate(splits) if split]
     avals = list(dict.fromkeys(splits[i][1] for i in kept))
@@ -223,7 +215,8 @@ def beta_series_columns(
         for i, power in zip(kept, powers):
             _, a, n = splits[i]
             try:
-                column[i] = _series_value(z, a, n, sums[slots[a]][0], power)
+                if sums[slots[a]] is not None:  # else its row did not stop: to beta_series
+                    column[i] = _series_value(z, a, n, sums[slots[a]], power)
             except (BetaReduceError, ArithmeticError):
                 pass  # refused: this point goes to beta_series alone
         columns.append(column)
@@ -279,8 +272,9 @@ def beta_quadrature(nu: float, mu: float, z: float) -> Evaluation:
         raise OutsideDomain(f"nu, mu and z must be finite, got nu = {nu}, mu = {mu}, z = {z}")
     if nu <= 0:
         raise OutsideDomain(f"quadrature needs nu > 0, got {nu}")
-    if not math.isfinite(1.0 / nu):
-        raise OutsideDomain(f"quadrature needs a finite 1/nu, got nu = {nu}")
+    # the integrand below is about 1/nu, and QUADPACK's sums of it overflow past 2^1023
+    if not 1.0 / nu < 2.0**1023:
+        raise OutsideDomain(f"quadrature needs 1/nu below 2^1023, got nu = {nu}")
     if not (0.0 < z < 1.0):
         raise OutsideDomain(f"quadrature needs z in (0, 1), got {z}")
 
@@ -329,8 +323,11 @@ def phi_quadrature(z: float, nu: float) -> Evaluation:
 def _quad(integrand, a: float, b: float, abs_tol: float, rel_tol: float):
     """(integral, abserr, neval) of QUADPACK over [a, b]; its warning raises QuadratureNonConvergence."""
     from scipy.integrate import quad  # here, so importing the package does not load scipy
-    # positional: no extra args, full output, absolute and relative tolerance, 200 subintervals
-    result = quad(integrand, a, b, (), 1, abs_tol, rel_tol, 200)
+    try:
+        # positional: no extra args, full output, absolute and relative tolerance, 200 subintervals
+        result = quad(integrand, a, b, (), 1, abs_tol, rel_tol, 200)
+    except OverflowError as exc:  # the value lies beyond the double range
+        raise OutsideDomain(f"the integrand overflows the double range: {exc}") from exc
     if len(result) > 3:
         raise QuadratureNonConvergence(str(result[3]))
     return result[0], result[1], result[2]["neval"]  # integral, abserr, evaluations

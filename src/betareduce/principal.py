@@ -23,6 +23,9 @@ from typing import List, Sequence, Tuple
 from .errors import OutsideDomain, ZeroArgument
 from .rationals import exact_rational
 
+# Cells of a numpy block in both grid batches, read here at call time: 1 MB per complex matrix.
+BATCH_CELLS = 2**16
+
 
 class Method(enum.Enum):
     """The algorithm that produced a value; each member is one algorithm that runs."""

@@ -40,6 +40,7 @@ import numpy as np
 
 from .errors import BetaReduceError, BranchPoint, MaxTermsExceeded, OutsideDomain, PoleInSum
 from .errors import ZeroArgument
+from . import principal
 from .principal import (
     Evaluation,
     Method,
@@ -58,7 +59,8 @@ from .rationals import Decomposition, decompose, exact_rational
 # Refuse logarithms whose argument is closer than this to the branch point.
 BRANCH_GUARD = 1e-14
 
-# Power tails longer than this are refused before any work: time and memory grow with |m|.
+# A finite sum added up in Python (a power tail, the q roots, the binomial sum of
+# beta_mu_posint) longer than this is refused before any work: time and memory grow with it.
 MAX_TAIL_TERMS = 10**6
 
 _TWO_PI = 2.0 * math.pi
@@ -220,9 +222,6 @@ def _spread(parts: List[complex]) -> float:
         raise OutsideDomain("sum of the |parts| outside the double range") from exc
 
 
-# A batch chunk holds at most this many (q + |m|) x columns cells: 1 MB per complex matrix.
-BATCH_CELLS = 2**16
-
 # The batch leaves None any z, and any part, with a lane this large: its sums
 # stay far inside the double range, so it never meets an overflow the scalar path reports.
 _BATCH_LIMIT = 2.0**1000
@@ -247,9 +246,10 @@ def reduce_beta_rows(nus: Sequence[Fraction], zs: List[complex]) -> List[List[Op
     The nu may have any denominators: each is decomposed once, and the
     decompositions are grouped by q, one batch per q.  Every z is a float
     or complex (:func:`to_double` of the input).  One column per z holds
-    the q phased logs of the general form (q = 1 included) and the |m| power-tail
-    terms, built a chunk of columns at a time (at most ``BATCH_CELLS``
-    cells per matrix) and summed exactly rounded by ``math.fsum`` per lane.
+    the q phased logs of the general form (q = 1 included) and the |m|
+    power-tail terms, built a chunk of columns at a time (at most
+    ``principal.BATCH_CELLS`` cells per matrix) and summed exactly rounded
+    by ``math.fsum`` per lane.
     The log table -- the root z^(1/q) (with the one log of z it comes
     from), the rows w = 1 - z^(1/q) e^(2*pi*i*k/q), their guard-band mask
     and log(w) -- is built once per (q, z) and shared by every p/q and
@@ -266,7 +266,7 @@ def reduce_beta_rows(nus: Sequence[Fraction], zs: List[complex]) -> List[List[Op
     guard band (z = 1 among them), and a q = 2 point with real z in
     (0, 1), where the scalar atanh is more accurate.  So is every point of
     a nu that :func:`decompose` refuses or whose one column alone passes
-    ``BATCH_CELLS`` (|m| or q above ``MAX_TAIL_TERMS`` among them).
+    ``principal.BATCH_CELLS`` (|m| or q above ``MAX_TAIL_TERMS`` among them).
     """
     decs: List[Optional[Decomposition]] = []
     for nu in nus:
@@ -284,11 +284,11 @@ def _grouped_rows(
     rows = [[None] * len(zs) for _ in decs]
     by_q: Dict[int, List[int]] = {}
     for i, dec in enumerate(decs):
-        if dec and dec.r.denominator + dec.n <= BATCH_CELLS:
+        if dec and dec.r.denominator + dec.n <= principal.BATCH_CELLS:
             by_q.setdefault(dec.r.denominator, []).append(i)
     for q, group in by_q.items():
         fit = [decs[i] for i in group]
-        step = BATCH_CELLS // (q + max(dec.n for dec in fit))
+        step = principal.BATCH_CELLS // (q + max(dec.n for dec in fit))
         # non-finite parts are found by explicit checks, not by numpy's warnings
         with np.errstate(all="ignore"):
             chunks = [_rows_chunk(q, fit, zs[s : s + step]) for s in range(0, len(zs), step)]
@@ -365,21 +365,17 @@ def _tail(dec: Decomposition, base: np.ndarray, z_power: List[complex]) -> np.nd
     return tail
 
 
-# Binomial sums above this length would be numerically and practically useless.
-MAX_BINOMIAL_M = 10**6
-
-
 def beta_mu_posint(nu: Fraction, m: int, z: complex) -> complex:
     """B(nu, m+1, z) as the finite binomial sum z^nu * sum C(m,k)(-z)^k/(k+nu).
 
     Valid for any rational nu outside {0, -1, ..., -m}; those values hit a
     vanishing denominator and raise :class:`PoleInSum`.  An m that is not an
-    int in [0, ``MAX_BINOMIAL_M``], a value outside the double range, or a nu
+    int in [0, ``MAX_TAIL_TERMS``], a value outside the double range, or a nu
     that does not round to a finite non-zero double raises :class:`OutsideDomain`.
     """
     nu = exact_rational(nu)
-    if not isinstance(m, int) or m < 0 or m > MAX_BINOMIAL_M:
-        raise OutsideDomain(f"m must be an integer in [0, {MAX_BINOMIAL_M}], got {m!r}")
+    if not isinstance(m, int) or m < 0 or m > MAX_TAIL_TERMS:
+        raise OutsideDomain(f"m must be an integer in [0, {MAX_TAIL_TERMS}], got {m!r}")
     if nu.denominator == 1 and -m <= nu.numerator <= 0:
         raise PoleInSum(f"k + nu vanishes at k = {-int(nu)} for nu = {nu}")
     z = finite_complex(z)

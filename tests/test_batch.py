@@ -19,7 +19,7 @@ from betareduce import (
     reduce_beta_many,
     run_verification,
 )
-from betareduce import reduction
+from betareduce import principal, reduction
 from betareduce.reduction import MAX_TAIL_TERMS, reduce_beta_rows
 
 
@@ -108,7 +108,7 @@ def test_each_lane_independent_of_its_batch(dec, zs):
     width = dec.r.denominator + dec.n
     for cells in (width, 2 * width + 1, 3 * width):
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(reduction, "BATCH_CELLS", cells)
+            patch.setattr(principal, "BATCH_CELLS", cells)
             assert bits(reduce_beta_many(dec, zs)) == batch
 
 
@@ -202,13 +202,13 @@ def test_chunk_budget_does_not_change_values(monkeypatch, nu):
     reference = reduce_beta_many(dec, zs)
     width = dec.r.denominator + dec.n
     for cells in (width, 2 * width + 1, 7 * width):
-        monkeypatch.setattr(reduction, "BATCH_CELLS", cells)
+        monkeypatch.setattr(principal, "BATCH_CELLS", cells)
         assert reduce_beta_many(dec, zs) == reference
 
 
 def test_column_beyond_budget_runs_the_scalar_path(monkeypatch):
     dec = decompose(Fraction(123, 10))
-    monkeypatch.setattr(reduction, "BATCH_CELLS", dec.r.denominator + dec.n - 1)
+    monkeypatch.setattr(principal, "BATCH_CELLS", dec.r.denominator + dec.n - 1)
     zs = [0.3, 2.5, 0.4 + 0.3j]
     assert reduce_beta_many(dec, zs) == scalar_loop(dec, zs)
 
@@ -241,7 +241,7 @@ GROUPED_ZS = [
 def left_to_the_caller(dec, z):
     """Whether the batch leaves None a point that the scalar kernel evaluates."""
     return (
-        dec.r.denominator + dec.n > reduction.BATCH_CELLS
+        dec.r.denominator + dec.n > principal.BATCH_CELLS
         or z == 0
         or (dec.r.denominator == 2 and z.imag == 0 and 0 < z.real < 1)  # the scalar atanh
         or max(max(abs(p.real), abs(p.imag)) for p in reduce_beta(dec, z).parts) >= 2.0**1000
@@ -252,7 +252,7 @@ def left_to_the_caller(dec, z):
 @pytest.mark.parametrize("zs", GROUPED_ZS)
 def test_grouped_rows_are_the_single_rows(monkeypatch, zs, cells):
     if cells:
-        monkeypatch.setattr(reduction, "BATCH_CELLS", cells)
+        monkeypatch.setattr(principal, "BATCH_CELLS", cells)
     rows = reduce_beta_rows(GROUPED_NUS, zs)
     assert len(rows) == len(GROUPED_NUS)
     for nu, row in zip(GROUPED_NUS, rows):

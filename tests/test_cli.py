@@ -7,7 +7,7 @@ import math
 
 import pytest
 
-from betareduce import cli, decompose_pos, parse_rational, reduce_beta_many
+from betareduce import cli, decompose_pos, incomplete_beta, parse_rational, reduce_beta_many
 from betareduce.cli import main
 
 
@@ -65,6 +65,18 @@ class TestEval:
             main(["eval", "beta", "--nu", "1" * 5000, "--z", "0.5"])
         assert exc.value.code == 2
         assert "numeral too long" in capsys.readouterr().err
+
+    # argparse reads a value that begins with "-" and is no plain number, such as -1e308, as
+    # an option: --z -1e308 exits 2 with "expected one argument", the = form evaluates
+    def test_negative_z_in_the_equals_form(self, capsys):
+        code, out, err = run_cli(capsys, "eval", "beta", "--nu", "1/3", "--z=-1e308")
+        assert code == 0 and err == ""
+        value = incomplete_beta(parse_rational("1/3"), 0, -1e308)
+        assert complex(out.strip().replace("i", "j")) == value
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "beta", "--nu", "1/3", "--z", "-1e308"])
+        assert exc.value.code == 2
+        assert "expected one argument" in capsys.readouterr().err
 
     @pytest.mark.parametrize("z", ["abc", "1,2,3"])
     def test_malformed_z(self, capsys, z):
@@ -349,6 +361,14 @@ class TestIntegral:
         assert out == ""
         assert err.startswith("OutsideDomain") and "z" in err
 
+    # tanh(1e-200)^2 is subnormal and 1/(2 lambda) = 5e309 overflows: this used to print inf
+    def test_tanh_value_beyond_double_range_exit_two(self, capsys):
+        lam = "0." + "0" * 309 + "1"
+        code, out, err = run_cli(capsys, "integral", "tanh", "--lambda", lam, "--z", "1e-200")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("OutsideDomain")
+
     def test_powlin_zero_exit_two(self, capsys):
         code, _, err = run_cli(capsys, "integral", "powlin", "--nu", "1/2", "--z", "0")
         assert code == 2
@@ -373,6 +393,15 @@ class TestVerify:
         )
         assert code == 0
         assert "Skipped" in out and "BranchPoint" in out
+
+    # --z-point -0.5,0.25 exits 2 with "expected one argument": the = form evaluates
+    def test_negative_z_point_in_the_equals_form(self, capsys):
+        argv = ("verify", "--n-max", "0", "--q-max", "3", "--z-point=-0.5,0.25")
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0
+        assert "passed=3 failed=0 skipped=0" in err
+        rows = out.strip().split("\n")[1:]
+        assert len(rows) == 3 and all(row.split(",")[1:3] == ["-0.5", "0.25"] for row in rows)
 
     def test_zero_tolerance_fails(self, capsys):
         code, _, err = run_cli(

@@ -27,7 +27,7 @@ from betareduce import (
     rational_power,
     reduce_beta,
 )
-from betareduce import oracles
+from betareduce import oracles, principal
 from betareduce.principal import fsum_complex
 
 
@@ -222,8 +222,8 @@ BLOCK_POINTS = st.one_of(
     st.builds(complex, st.sampled_from([0.0, -0.0]), MODULI.map(lambda r: -r) | MODULI),
 )
 # the a of the beta series (fractions and integers), other positive floats, large a, whose
-# terms stop later than the first rows estimate, and negative non-integers, which the block
-# leaves to the scalar loop
+# terms stop later than the first columns estimate, and negative non-integers, which the
+# caller's a >= 1e-300 screen keeps out but which the block sums alike
 A_VALUES = st.one_of(
     st.sampled_from([1 / 3, 2 / 3, 0.5, 1.0, 2.0, 5 / 12, 37 / 3]),
     st.floats(1e-3, 40.0),
@@ -232,21 +232,23 @@ A_VALUES = st.one_of(
 )
 
 
-def series_bits(result):
-    total, last, terms = result
-    return repr(total.real), repr(total.imag), last, terms
+def total_bits(total):
+    return None if total is None else (repr(total.real), repr(total.imag))
 
 
 def assert_block_is_scalar(z, avals):
-    """The single pass is the scalar loop bitwise, and None exactly where it cannot finish."""
+    """The single pass is the scalar loop's total bitwise, and None exactly where it cannot finish:
+    every row when its columns do not fit in a block, else each row the loop stops after them."""
     block = oracles._sums_inverse_linear(z, avals)
-    scalar = [oracles._sum_inverse_linear(z, a) for a in avals]
-    rows = math.ceil(math.log(oracles.SERIES_REL_TOL) / math.log(abs(z))) + 4
-    fits = rows <= oracles.SERIES_BLOCK_CELLS and min(avals) >= 1e-300
-    if fits and all(terms <= rows for _, _, terms in scalar):
-        assert [series_bits(r) for r in block] == [series_bits(r) for r in scalar]
-    else:
+    columns = math.ceil(math.log(oracles.SERIES_REL_TOL) / math.log(abs(z))) + 4
+    if columns > principal.BATCH_CELLS:
         assert block is None
+        return
+    expected = []
+    for a in avals:
+        total, _, terms = oracles._sum_inverse_linear(z, a)
+        expected.append(total_bits(total) if terms <= columns else None)
+    assert [total_bits(total) for total in block] == expected
 
 
 class TestSeriesBlock:
@@ -258,13 +260,13 @@ class TestSeriesBlock:
     @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(z=BLOCK_POINTS, avals=st.lists(A_VALUES, min_size=1, max_size=8))
     def test_small_blocks_fall_back_bitwise(self, z, avals):
-        # 40 cells: small |z| runs in blocks of a few columns, larger |z| is refused
+        # 40 cells: small |z| runs in blocks of a few rows, larger |z| is refused
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(oracles, "SERIES_BLOCK_CELLS", 40)
+            patch.setattr(principal, "BATCH_CELLS", 40)
             assert_block_is_scalar(z, avals + avals[:1])
 
     # the series parameters of the default grid, of the verify-grid window grid and of
-    # --n-max 3 --q-max 20, and a up to 10^4: one pass finishes every column
+    # --n-max 3 --q-max 20, and a up to 10^4: one pass finishes every row
     def test_default_grid_needs_no_fallback(self, monkeypatch):
         calls = []
         monkeypatch.setattr(oracles, "_sum_inverse_linear", lambda z, a: calls.append((z, a)))
@@ -273,7 +275,8 @@ class TestSeriesBlock:
             avals += [oracles._series_split(nu)[1] for nu in nus]
         avals += [10.0**k + 1 / 3 for k in (2, 3, 4)]
         for z in default_z_grid():
-            assert isinstance(oracles._sums_inverse_linear(z, avals), list)
+            totals = oracles._sums_inverse_linear(z, avals)
+            assert totals is not None and None not in totals
         assert calls == []
 
     def test_growth_and_fallback_columns(self, monkeypatch):
@@ -282,15 +285,16 @@ class TestSeriesBlock:
         monkeypatch.setattr(
             oracles, "_sum_inverse_linear", lambda z, a: calls.append(a) or scalar(z, a)
         )
-        # a = 1e4 stops after 359 terms, past the 354 rows of the single pass
-        assert oracles._sums_inverse_linear(-0.9, [0.5, 1e4]) is None
-        assert oracles._sums_inverse_linear(0.01, [1e-310]) is None  # 1/a would overflow
-        monkeypatch.setattr(oracles, "SERIES_BLOCK_CELLS", 40)
-        avals = [0.5, 1.5, 2.5, 3.5]  # 12 rows, 3 columns a block
-        assert [series_bits(r) for r in oracles._sums_inverse_linear(0.01, avals)] == [
-            series_bits(scalar(0.01, a)) for a in avals
+        # a = 1e4 stops after 359 terms, past the 354 columns of the single pass: its row
+        # alone is None, and the row of 0.5 keeps its total
+        totals = oracles._sums_inverse_linear(-0.9, [0.5, 1e4])
+        assert [total_bits(total) for total in totals] == [total_bits(scalar(-0.9, 0.5)[0]), None]
+        monkeypatch.setattr(principal, "BATCH_CELLS", 40)
+        avals = [0.5, 1.5, 2.5, 3.5]  # 12 columns, 3 rows a block
+        assert [total_bits(total) for total in oracles._sums_inverse_linear(0.01, avals)] == [
+            total_bits(scalar(0.01, a)[0]) for a in avals
         ]
-        assert oracles._sums_inverse_linear(-0.5, [-0.5, 0.5]) is None  # 58 rows do not fit in 40
+        assert oracles._sums_inverse_linear(-0.5, [-0.5, 0.5]) is None  # 58 columns pass 40
         assert calls == []
 
 
@@ -384,6 +388,15 @@ class TestBetaSeriesMany:
             assert math.isfinite(abs(beta_series(nus[1], z).value))
 
 
+    # the series of 10^4 stops after 359 terms, past the 354 columns of the pass at -0.9:
+    # its point alone is None, and the point of 1/2 keeps its value
+    def test_row_that_does_not_stop_leaves_only_its_own_point(self):
+        nus = [Fraction(1, 2), Fraction(10**4)]
+        methods, (column,) = oracles.beta_series_columns(nus, [-0.9])
+        assert column[1] is None
+        assert value_bits(column[0], methods[0]) == scalar_value_bits(nus[:1], -0.9)[0]
+
+
 # both signs with |n| up to 50 (at small |z| the correction overflows), positive integers
 SERIES_NUS = st.builds(Fraction, st.integers(-600, 600), st.integers(1, 12)).filter(
     lambda nu: nu > 0 or nu.denominator > 1
@@ -396,10 +409,12 @@ def test_many_is_the_scalar_loop_field_by_field(nus, z):
     nus = nus + nus[:1]  # one duplicate at least
     methods, (column,) = oracles.beta_series_columns(nus, [z])
     assert_points_are_scalar(nus, z, column, methods)
-    if None in column and first_scalar_error(nus, z) is None:
-        # every point evaluates: the single pass could not finish this z
-        assert column == [None] * len(nus)
-        assert oracles._sums_inverse_linear(z, [oracles._series_split(nu)[1] for nu in nus]) is None
+    if first_scalar_error(nus, z) is None:
+        # every point evaluates: None only where the single pass could not finish this z, or
+        # the row of that nu alone
+        totals = oracles._sums_inverse_linear(z, [oracles._series_split(nu)[1] for nu in nus])
+        missing = [True] * len(nus) if totals is None else [total is None for total in totals]
+        assert [value is None for value in column] == missing
 
 
 def _loop_without_bound(z, a):
@@ -468,16 +483,22 @@ class TestBetaQuadrature:
         red = reduce_beta(decompose(Fraction(3, 4)), 0.6).value
         assert abs(out.value - red) <= out.error_estimate + 1e-13 * abs(red)
 
-    # the refusals at z = 0.5 name nu; 1/nu of the last one overflows, and its error estimate
-    # used to come out inf, so that Evaluation raised a bare ValueError
+    # the refusals at z = 0.5 name nu.  1/nu of 1e-310 overflows, and its error estimate used
+    # to come out inf, so that Evaluation raised a bare ValueError; 1/nu of 1e-308 passes
+    # 2^1023, where QUADPACK's sums overflow (it used to raise QuadratureNonConvergence); the
+    # integrand of (2, -5000, 0.9) overflows (it used to raise a bare OverflowError)
     @pytest.mark.parametrize(
         "nu,mu,z",
         [(0.0, 1.0, 0.5), (-1.0, 1.0, 0.5), (1.0, 0.0, 0.0), (1.0, 0.0, 1.0), (1.0, 0.0, -0.3),
-         (1e-310, 0.0, 0.5)],
+         (1e-310, 0.0, 0.5), (1e-308, 0.0, 0.5), (2.0, -5000.0, 0.9)],
     )
     def test_outside_domain(self, nu, mu, z):
         with pytest.raises(OutsideDomain, match="nu" if z == 0.5 else None):
             beta_quadrature(nu, mu, z)
+
+    # 1/nu below 2^1023 still computes: B(nu, 0, z) is about 1/nu there
+    def test_tiny_nu_below_the_screen_computes(self):
+        assert beta_quadrature(1.5e-308, 0.0, 0.5).value == 6.666666666666667e307
 
     # NaN used to run QUADPACK to its roundoff abort (QuadratureNonConvergence)
     @pytest.mark.parametrize(

@@ -313,3 +313,44 @@ def test_refused_oracle_point_costs_only_itself(monkeypatch):
     monkeypatch.undo()
     base = run_verification(default_nu_grid(), default_z_grid(), 1e-10)[0]
     assert_records_are_pointwise(records, base, lambda rec: rec.nu == bad or rec.z == 1e-3)
+
+
+# the series of 10^4 stops after 359 terms, past the 354 columns of the oracle pass at -0.9:
+# the pass leaves that point alone None, so the oracle runs once, for 10^4 only
+def test_row_that_does_not_stop_costs_only_its_own_point(monkeypatch):
+    nus = [Fraction(1, 2), Fraction(10**4)]
+    calls = []
+    monkeypatch.setattr(verify, "beta_series", lambda nu, z: calls.append(nu) or beta_series(nu, z))
+    records, passed, failed, skipped = run_verification(nus, [-0.9], 1e-10)
+    assert calls == [Fraction(10**4)]
+    assert (passed, failed, skipped) == (2, 0, 0)
+    monkeypatch.undo()
+    for rec in records:
+        alone = run_verification([rec.nu], [rec.z], 1e-10)[0]
+        assert [record_bits(rec)] == [record_bits(a) for a in alone]
+
+
+# principal.BATCH_CELLS caps the blocks of both grid batches: at 13 cells the oracle pass
+# sums one row a block (13 columns at |z| = 0.01) and the reduction batch splits the 5 z of
+# q = 3 and q = 4 into chunks of 13 // q; every record stays bitwise, and no point leaves
+# the batches
+def test_one_block_budget_chunks_both_batches(monkeypatch):
+    nus, zs = default_nu_grid(0, 4), [0.01, 0.01j, -0.01, 0.005 + 0.005j, 1e-3]
+    base = run_verification(nus, zs, 1e-10)[0]
+    chunks, oracle = [], []
+    rows_chunk = reduction._rows_chunk
+    monkeypatch.setattr(
+        reduction, "_rows_chunk", lambda q, decs, zs: chunks.append(len(zs)) or rows_chunk(q, decs, zs)
+    )
+    monkeypatch.setattr(verify, "beta_series", lambda nu, z: oracle.append(nu) or beta_series(nu, z))
+    monkeypatch.setattr(principal, "BATCH_CELLS", 13)
+    records = run_verification(nus, zs, 1e-10)[0]
+    assert [record_bits(rec) for rec in records] == [record_bits(rec) for rec in base]
+    assert oracle == []
+    assert chunks == [5, 4, 1, 3, 2]  # q = 2, 3, 4
+    # at 12 cells the 13 columns of the three z with |z| = 0.01 pass the budget: their
+    # oracles run point by point, with the same records
+    monkeypatch.setattr(principal, "BATCH_CELLS", 12)
+    records = run_verification(nus, zs, 1e-10)[0]
+    assert [record_bits(rec) for rec in records] == [record_bits(rec) for rec in base]
+    assert len(oracle) == 3 * len(nus)
