@@ -185,9 +185,8 @@ def beta_series_columns(
     refused points included.  A value the pass cannot finish is None: at
     every z, that of a nu whose split is refused or whose a is below
     1e-300; at every nu, that of a z the pass cannot take (0, |z| >= 1,
-    not finite, columns that do not fit in a block, or a refused
-    prefactor); and a point whose series does not stop within the pass's
-    columns or whose value is refused.  The caller then calls
+    not finite, or columns that do not fit in a block); and a point whose
+    series does not stop within the pass's columns or whose value is refused.  The caller then calls
     :func:`beta_series`, which owns every refusal, point by point.
     """
     nus = [exact_rational(nu) for nu in nus]
@@ -208,10 +207,8 @@ def beta_series_columns(
     for z in [to_double(z, complex) for z in zs]:
         column: List[Optional[complex]] = [None] * len(nus)
         sums = _sums_inverse_linear(z, avals) if z != 0 and _in_unit_disk(z) else None
-        try:
-            powers = [] if sums is None else rational_powers(z, parts)
-        except (BetaReduceError, ArithmeticError):
-            powers = []  # some power is refused: every point of this z goes to beta_series
+        # every exponent is positive and 0 < |z| < 1: a power can only underflow, never be refused
+        powers = [] if sums is None else rational_powers(z, parts)
         for i, power in zip(kept, powers):
             _, a, n = splits[i]
             try:

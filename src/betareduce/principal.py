@@ -7,7 +7,7 @@ the whole library shares one branch convention: Im(log) lies in (-pi, pi],
 with arguments on the negative real axis taking the +pi edge.  Plain
 ``cmath.log`` would put an exact negative real with a -0.0 imaginary part on
 the -pi side; we normalize signed zeros first so exact real inputs always see
-the closed upper edge of the cut.
+the closed upper edge of the cut.  The closed form's row logs live here too.
 """
 
 from __future__ import annotations
@@ -20,11 +20,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
-from .errors import OutsideDomain, ZeroArgument
+import numpy as np
+
+from .errors import BranchPoint, OutsideDomain, ZeroArgument
 from .rationals import exact_rational
 
 # Cells of a numpy block in both grid batches, read here at call time: 1 MB per complex matrix.
 BATCH_CELLS = 2**16
+
+# Refuse logarithms whose argument is closer than this to the branch point.
+BRANCH_GUARD = 1e-14
 
 
 class Method(enum.Enum):
@@ -84,15 +89,47 @@ def finite_double(x, name: str) -> float:
 
 
 def principal_log(w: complex) -> complex:
-    """Complex log with Im in (-pi, pi]; exact negative reals map to +i*pi."""
+    """Complex log with Im in (-pi, pi]; exact negative reals map to +i*pi, 0 raises BranchPoint."""
     if not isinstance(w, complex):
         w = to_double(w, complex)
-    return cmath.log(w if w.imag else complex(w.real, 0.0))
+    try:
+        return cmath.log(w if w.imag else complex(w.real, 0.0))
+    except ValueError:  # cmath.log refuses 0 alone
+        raise BranchPoint("log of 0, the logarithmic branch point") from None
 
 
 def principal_logs(ws: Sequence[complex]) -> List[complex]:
-    """``[principal_log(w) for w in ws]`` for complex ws, in one call: the same signed-zero rule."""
-    return [cmath.log(w if w.imag else complex(w.real, 0.0)) for w in ws]
+    """``[principal_log(w) for w in ws]`` for complex ws, in one call: the same rules."""
+    try:
+        return [cmath.log(w if w.imag else complex(w.real, 0.0)) for w in ws]
+    except ValueError:
+        raise BranchPoint("log of 0, the logarithmic branch point") from None
+
+
+def row_logs(zq: complex, roots: Sequence[complex]) -> List[complex]:
+    """``[principal_log(1 - zq*root) for root in roots]``: the row logs, zq = z^(1/q).
+
+    A row inside ``BRANCH_GUARD`` raises :class:`BranchPoint` naming its k; one past
+    the double range (only at q = 1: from q = 3 on, |zq| < 2^342) :class:`OutsideDomain`.
+    """
+    ws = [1 - zq * root for root in roots]
+    try:
+        near = min(map(abs, ws))
+    except OverflowError as exc:
+        raise OutsideDomain(f"log argument {ws[0]} outside the double range") from exc
+    if near < BRANCH_GUARD:
+        k = next(k for k, w in enumerate(ws) if abs(w) < BRANCH_GUARD)
+        raise BranchPoint(
+            f"log argument {ws[k]} within {BRANCH_GUARD} of the branch point (k={k}, q={len(ws)})"
+        )
+    return principal_logs(ws)
+
+
+def row_logs_array(z_root: np.ndarray, roots: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`row_logs` in numpy, a row per root and a column per lane of z_root, with the
+    mask of the columns that have a row inside twice ``BRANCH_GUARD``, left to the caller."""
+    w = 1 - roots[:, None] * z_root
+    return np.log(w), (np.abs(w) < 2 * BRANCH_GUARD).any(axis=0)
 
 
 def principal_sqrt(w: complex) -> complex:
@@ -107,12 +144,16 @@ def atanh(w: complex) -> complex:
 
     Real arguments inside (-1, 1) use the libm real path; everything else is
     (log(1+w) - log(1-w))/2 with the (-pi, pi] logs, so real w > 1 lands on
-    the lower edge: Im = -pi/2.
+    the lower edge: Im = -pi/2.  w = +-1 raises :class:`BranchPoint`, an
+    infinite or NaN w :class:`OutsideDomain`.
     """
-    w = to_double(w, complex)
+    w = finite_complex(w, "the atanh argument")
     if w.imag == 0.0 and -1.0 < w.real < 1.0:
         return complex(math.atanh(w.real), 0.0)
-    return 0.5 * (principal_log(1 + w) - principal_log(1 - w))
+    try:
+        return 0.5 * (principal_log(1 + w) - principal_log(1 - w))
+    except BranchPoint:
+        raise BranchPoint(f"atanh is singular at {w}") from None
 
 
 def rational_power(z: complex, expo: Fraction) -> complex:

@@ -15,12 +15,13 @@ which is more accurate at small real z than the two logs it replaces.  Every
 log goes through the package-wide principal branch, which is what makes
 Im(B) = -pi come out on the real ray z > 1.  One cache entry per q holds
 the q-th roots of unity and the row phases, as tuples for the scalar kernel
-and read-only arrays for the batch.  :func:`reduce_beta_rows` evaluates the
-general form for many nu at many z with numpy, one column per z: it groups
-the nu by denominator q and builds one log table per (q, z) that every p/q
-and every integer shift shares, and leaves None each point it cannot finish,
-for the caller's :func:`beta_value`; :func:`reduce_beta_many`, one decomposed
-nu at many z, is its one-row case.  For real z > 0 it pairs the conjugate
+and read-only arrays for the batch, which take their row logs and guard band
+from :func:`row_logs` and :func:`row_logs_array`.  :func:`reduce_beta_rows`
+evaluates the general form for many nu at many z with numpy, one column per
+z: it groups the nu by denominator q and builds one log table per (q, z)
+that every p/q and every integer shift shares, and leaves None each point it
+cannot finish, for the caller's :func:`beta_value`; :func:`reduce_beta_many`,
+one decomposed nu at many z, is its one-row case.  For real z > 0 it pairs the conjugate
 rows k and q - k, which halves its logs and leaves the imaginary part to
 the k = 0 log alone: 0 on (0, 1) and exactly -pi on the ray z > 1.
 
@@ -42,6 +43,7 @@ from .errors import BetaReduceError, BranchPoint, MaxTermsExceeded, OutsideDomai
 from .errors import ZeroArgument
 from . import principal
 from .principal import (
+    BRANCH_GUARD,
     Evaluation,
     Method,
     atanh,
@@ -49,15 +51,13 @@ from .principal import (
     finite_double,
     fsum_complex,
     principal_log,
-    principal_logs,
     principal_sqrt,
     rational_power,
+    row_logs,
+    row_logs_array,
     to_double,
 )
 from .rationals import Decomposition, decompose, exact_rational
-
-# Refuse logarithms whose argument is closer than this to the branch point.
-BRANCH_GUARD = 1e-14
 
 # A finite sum added up in Python (a power tail, the q roots, the binomial sum of
 # beta_mu_posint) longer than this is refused before any work: time and memory grow with it.
@@ -106,22 +106,6 @@ def _powers(roots: List[complex], logs: Optional[List[complex]], r: Fraction) ->
         return roots
     x = r.numerator / r.denominator
     return [cmath.exp(x * lz) for lz in logs]
-
-
-def _roots_log_sum(p: int, q: int, zq: complex) -> List[complex]:
-    """The q phased principal logs whose sum is B(p/q, 0, z), from zq = z^(1/q)."""
-    roots, phases = _tables(q)[0]
-    ws = [1 - zq * root for root in roots]
-    try:
-        near = min(map(abs, ws))
-    except OverflowError as exc:  # only at q = 1: from q = 3 on, |zq| < 2^342
-        raise OutsideDomain(f"log argument {ws[0]} outside the double range") from exc
-    if near < BRANCH_GUARD:
-        k = next(k for k, w in enumerate(ws) if abs(w) < BRANCH_GUARD)
-        raise BranchPoint(
-            f"log argument {ws[k]} within {BRANCH_GUARD} of the branch point (k={k}, q={q})"
-        )
-    return [phases[p * k % q] * lw for k, lw in enumerate(principal_logs(ws))]
 
 
 def reduce_beta(dec: Decomposition, z: complex) -> Evaluation:
@@ -202,7 +186,8 @@ def _kernel(dec: Decomposition, z: complex) -> List[complex]:
         if q > 2:
             lz = principal_log(z)
             zq, zk = cmath.exp(lz / q), cmath.exp(r * lz)
-        parts = _roots_log_sum(p, q, zq)
+        roots, phases = _tables(q)[0]
+        parts = [phases[p * k % q] * lw for k, lw in enumerate(row_logs(zq, roots))]
     # the tail walks outward from z^r at k = 0 (m > 0) or k = -1 (m < 0), one
     # multiplication or division by z per term
     for k in range(m):
@@ -251,10 +236,10 @@ def reduce_beta_rows(nus: Sequence[Fraction], zs: List[complex]) -> List[List[Op
     ``principal.BATCH_CELLS`` cells per matrix) and summed exactly rounded
     by ``math.fsum`` per lane.
     The log table -- the root z^(1/q) (with the one log of z it comes
-    from), the rows w = 1 - z^(1/q) e^(2*pi*i*k/q), their guard-band mask
-    and log(w) -- is built once per (q, z) and shared by every p/q and
-    every integer shift; each decomposition adds its row phases, z^r and
-    its tail.  A lane whose z is real and positive pairs the conjugate rows
+    from), and the logs of the rows 1 - z^(1/q) e^(2*pi*i*k/q) with their
+    guard-band mask, from :func:`row_logs_array` -- is built once per (q, z)
+    and shared by every p/q and every integer shift; each decomposition adds
+    its row phases, z^r and its tail.  A lane whose z is real and positive pairs the conjugate rows
     k and q - k: it computes rows 0 .. q//2 only, takes 2*Re of each row
     0 < k < q/2 and Re of the self-conjugate row q/2, so its value is real
     on (0, 1) and has Im = -pi exactly on the ray z > 1, from row 0 alone.
@@ -314,10 +299,8 @@ def _rows_chunk(q: int, decs, zs: List[complex]) -> List[List[Optional[complex]]
     tables = []
     for lanes, pair in ((np.flatnonzero(paired), True), (np.flatnonzero(~paired), False)):
         if lanes.size:
-            w = 1 - roots[: q // 2 + 1 if pair else q, None] * z_root[lanes]
-            # twice the guard (z = 1 among them): a point near its edge is left None
-            left = ~regular[lanes] | (np.abs(w) < 2 * BRANCH_GUARD).any(axis=0)
-            tables.append((lanes, pair, left, np.log(w)))
+            log_w, near = row_logs_array(z_root[lanes], roots[: q // 2 + 1 if pair else q])
+            tables.append((lanes, pair, ~regular[lanes] | near, log_w))
     out: List[List[Optional[complex]]] = []
     for dec in decs:
         if dec.m:

@@ -28,7 +28,7 @@ from betareduce import (
     reduce_beta,
 )
 from betareduce import oracles, principal
-from betareduce.principal import fsum_complex
+from betareduce.principal import exponent_parts, fsum_complex, rational_powers
 
 
 class TestLerchSeries:
@@ -395,6 +395,38 @@ class TestBetaSeriesMany:
         methods, (column,) = oracles.beta_series_columns(nus, [-0.9])
         assert column[1] is None
         assert value_bits(column[0], methods[0]) == scalar_value_bits(nus[:1], -0.9)[0]
+
+
+# 0 < |z| < 1 down to the least subnormal, log-uniform, on every ray and on both zero signs of
+# the axes: the z the single pass takes
+DISK_MODULI = st.floats(math.log10(5e-324), 0.0).map(lambda e: 10.0**e).filter(
+    lambda r: 0.0 < r < 1.0
+) | st.sampled_from([5e-324, 1e-310, 1.0 - 2.0**-53])
+DISK_POINTS = st.one_of(
+    st.builds(cmath.rect, DISK_MODULI, ANGLES),
+    st.builds(complex, DISK_MODULI | DISK_MODULI.map(lambda r: -r), st.sampled_from([0.0, -0.0])),
+    st.builds(complex, st.sampled_from([0.0, -0.0]), DISK_MODULI | DISK_MODULI.map(lambda r: -r)),
+).filter(lambda z: 0.0 < abs(z) < 1.0)
+
+
+# every exponent of the pass is positive, so at 0 < |z| < 1 a prefactor can only underflow:
+# beta_series_columns calls rational_powers with no refusal to catch
+@settings(max_examples=500, deadline=None)
+@given(
+    nus=st.lists(st.builds(Fraction, st.integers(-10**5, 10**5), st.integers(1, 97)), max_size=8),
+    z=DISK_POINTS,
+)
+def test_pass_prefactors_are_never_refused(nus, z):
+    expos = []
+    for nu in nus:
+        try:
+            split = oracles._series_split(nu)
+        except (BetaReduceError, ArithmeticError):
+            continue
+        if split[1] >= 1e-300:  # the splits the pass keeps
+            expos.append(split[0])
+    assert all(expo > 0 for expo in expos)
+    assert len(rational_powers(z, [exponent_parts(expo) for expo in expos])) == len(expos)
 
 
 # both signs with |n| up to 50 (at small |z| the correction overflows), positive integers

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from betareduce import ZeroArgument, atanh, principal_log, principal_sqrt, rational_power
-from betareduce import BetaReduceError, Evaluation, Method, OutsideDomain
-from betareduce.principal import exponent_parts, fsum_complex, principal_logs, rational_powers
+from betareduce import BetaReduceError, BranchPoint, Evaluation, Method, OutsideDomain
+from betareduce.principal import BRANCH_GUARD, exponent_parts, fsum_complex, principal_logs
+from betareduce.principal import rational_powers, row_logs, row_logs_array
+from betareduce.reduction import _tables
 from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
@@ -49,7 +51,15 @@ def _bits(call, w):
     return type(out).__name__, out.real.hex(), out.imag.hex()
 
 
-PRINCIPAL = [(principal_log, _before(cmath.log)), (principal_sqrt, _before(cmath.sqrt))]
+def _named_log(w):
+    # cmath.log, with its ValueError at 0 given the package's named error
+    try:
+        return cmath.log(w)
+    except ValueError:
+        raise BranchPoint("log of 0, the logarithmic branch point") from None
+
+
+PRINCIPAL = [(principal_log, _before(_named_log)), (principal_sqrt, _before(cmath.sqrt))]
 ARGUMENTS = [
     complex(-1.0, 0.0), complex(-1.0, -0.0), complex(2.5, 0.0), complex(2.5, -0.0),
     complex(-0.0, -0.0), complex(0.0, 0.0), complex(-3.0, 0.5), complex(0.2, -7.0),
@@ -105,6 +115,88 @@ class TestPrincipalLogs:
         assert _logs_outcome(lambda: principal_logs(ws)) == _logs_outcome(
             lambda: [principal_log(w) for w in ws]
         )
+
+
+# z^(1/q) as the kernels form it, in the principal sector |arg| <= pi/q, a (modulus, arg*q/pi)
+# pair: moduli from 1e-300 to 1e300, real and positive with either zero sign (the paired lanes
+# of the batch), and next to 1, inside, at and past the guard band of row 0
+ROW_MODULI = st.floats(-300.0, 300.0).map(lambda e: 10.0**e)
+ROW_POINTS = st.one_of(
+    st.tuples(ROW_MODULI, st.floats(-1.0, 1.0)),
+    st.builds(complex, ROW_MODULI | st.floats(0.5, 2.0), st.sampled_from([0.0, -0.0])),
+    st.builds(
+        lambda d, t: 1 + cmath.rect(d, t),
+        st.sampled_from([0.0, 1e-16, 4e-15, 9e-15, 1.5e-14, 3e-14, 1e-12]),
+        st.floats(-math.pi, math.pi),
+    ),
+)
+
+
+class TestRowLogs:
+    """The list form and the numpy form of the closed form's row logs agree, refusals included."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        q=st.sampled_from([1, 3, 7, 12, 97]),
+        points=st.lists(ROW_POINTS, min_size=1, max_size=8),
+        paired=st.booleans(),
+    )
+    def test_forms_agree_row_by_row(self, q, points, paired):
+        (roots, _), (root_array, _) = _tables(q)
+        rows = q // 2 + 1 if paired else q
+        zqs = [cmath.rect(p[0], p[1] * math.pi / q) if isinstance(p, tuple) else p for p in points]
+        with np.errstate(all="ignore"):  # log(0) at z^(1/q) = 1, as in the batch
+            log_w, near = row_logs_array(np.array(zqs), root_array[:rows])
+        assert log_w.shape == (rows, len(zqs)) and near.shape == (len(zqs),)
+        for column, zq in enumerate(zqs):
+            try:
+                logs = row_logs(zq, roots[:rows])
+            except BranchPoint:
+                assert near[column], zq
+                continue
+            for root, lw, lw_array in zip(roots, logs, log_w[:, column].tolist()):
+                # numpy may fuse the product zq*root: that rounding of w = 1 - zq*root reaches
+                # the log divided by |w|, so next to the band the forms differ in more than 1 ulp
+                slack = max(1.0, abs(lw)) + (1 + 4 * abs(zq)) / abs(1 - zq * root)
+                assert abs(lw - lw_array) <= 4 * 2**-53 * slack, (zq, lw, lw_array)
+
+    def test_branch_point_names_its_row(self):
+        roots = _tables(7)[0][0]
+        with pytest.raises(BranchPoint, match=r"of the branch point \(k=3, q=7\)"):
+            row_logs(roots[3].conjugate() * (1 + 1e-15), roots)
+        # from one to twice the guard band the list form evaluates, the numpy form marks the lane
+        zq = roots[4].conjugate() * (1 + 1.5 * BRANCH_GUARD)
+        assert len(row_logs(zq, roots)) == 7
+        assert row_logs_array(np.array([zq, 0.5]), np.array(roots))[1].tolist() == [True, False]
+
+    def test_overflowing_row_is_outside_domain(self):
+        with pytest.raises(OutsideDomain, match="outside the double range"):
+            row_logs(complex(1.5e308, 1.5e308), [complex(1.0)])
+
+
+class TestNamedRefusals:
+    """0 for the logs and +-1 for atanh are branch points; a non-finite atanh argument is outside."""
+
+    @pytest.mark.parametrize("w", [0, 0.0, -0.0, 0j, complex(-0.0, -0.0), False])
+    def test_log_of_zero(self, w):
+        with pytest.raises(BranchPoint, match="log of 0"):
+            principal_log(w)
+        with pytest.raises(BranchPoint, match="log of 0"):
+            principal_logs([complex(2.0), complex(w)])
+
+    @pytest.mark.parametrize("w", [1, -1, 1.0, -1.0, complex(1.0, -0.0), complex(-1.0, -0.0)])
+    def test_atanh_singular_points(self, w):
+        with pytest.raises(BranchPoint, match="atanh is singular"):
+            atanh(w)
+
+    @pytest.mark.parametrize(
+        "w",
+        [math.inf, -math.inf, math.nan, complex(0.0, math.inf), complex(math.nan, 0.0)]
+        + [pytest.param(10**400, id="10**400")],
+    )
+    def test_atanh_non_finite(self, w):
+        with pytest.raises(OutsideDomain, match="atanh argument must be finite"):
+            atanh(w)
 
 
 class TestAtanh:

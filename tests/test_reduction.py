@@ -33,7 +33,7 @@ from betareduce import (
 )
 from betareduce import integrals, reduction
 from betareduce.principal import atanh, finite_complex, fsum_complex, principal_log, principal_sqrt
-from betareduce.principal import rational_power
+from betareduce.principal import rational_power, row_logs
 from betareduce.reduction import (
     BRANCH_GUARD,
     MAX_TAIL_TERMS,
@@ -41,7 +41,6 @@ from betareduce.reduction import (
     _cached_tables,
     _powers,
     _roots_and_logs,
-    _roots_log_sum,
     _spread,
     _tables,
 )
@@ -133,7 +132,9 @@ class TestNegativeGolden:
 
 def _general_half_integer(ev, z):
     # the q = 2 roots-of-unity log sum in place of the atanh part, with the same tail terms
-    return fsum_complex(_roots_log_sum(1, 2, principal_sqrt(z)) + list(ev.parts[1:]))
+    roots, phases = _tables(2)[0]
+    logs = [phase * lw for phase, lw in zip(phases, row_logs(principal_sqrt(z), roots))]
+    return fsum_complex(logs + list(ev.parts[1:]))
 
 
 class TestFastPathConsistency:
