@@ -10,7 +10,6 @@ never hidden.
 
 from __future__ import annotations
 
-import statistics
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -73,6 +72,7 @@ def run_bench(
     that is not an int >= 1, or a ``warmup`` that is not an int >= 0,
     raises ``ValueError`` before any method runs.
     """
+    import statistics  # here, so importing the package does not load it
     if not isinstance(repetitions, int) or repetitions < 1:
         raise ValueError(f"repetitions must be an int >= 1, got {repetitions!r}")
     if not isinstance(warmup, int) or warmup < 0:
@@ -109,7 +109,7 @@ def run_bench(
                     z=z,
                     repetitions=repetitions,
                     median_nanos=int(statistics.median(durations)),
-                    mean_nanos=statistics.mean(durations),
+                    mean_nanos=statistics.fmean(durations),
                     rel_diff=abs(values[method] - reference) / max(1.0, abs(reference)),
                 )
             )

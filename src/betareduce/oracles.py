@@ -26,8 +26,6 @@ import math
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from .errors import (
     BetaReduceError,
     DivergentParameter,
@@ -108,6 +106,7 @@ def _sums_inverse_linear(z: complex, avals: Sequence[float]) -> Optional[List[Op
     terms = math.ceil(math.log(SERIES_REL_TOL) / math.log(abs(z))) + 4
     if terms > principal.BATCH_CELLS:
         return None
+    import numpy as np  # here, so the scalar oracles never load numpy
     walk = np.full(terms, z)
     walk[0] = 1.0
     zk = np.multiply.accumulate(walk)

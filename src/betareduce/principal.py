@@ -18,12 +18,13 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, List, Sequence, Tuple
 
 from .errors import BranchPoint, OutsideDomain, ZeroArgument
 from .rationals import exact_rational
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Cells of a numpy block in both grid batches, read here at call time: 1 MB per complex matrix.
 BATCH_CELLS = 2**16
@@ -128,6 +129,7 @@ def row_logs(zq: complex, roots: Sequence[complex]) -> List[complex]:
 def row_logs_array(z_root: np.ndarray, roots: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """:func:`row_logs` in numpy, a row per root and a column per lane of z_root, with the
     mask of the columns that have a row inside twice ``BRANCH_GUARD``, left to the caller."""
+    import numpy as np  # here, so the scalar path never loads numpy
     w = 1 - roots[:, None] * z_root
     return np.log(w), (np.abs(w) < 2 * BRANCH_GUARD).any(axis=0)
 

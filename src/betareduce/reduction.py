@@ -14,8 +14,9 @@ One kernel evaluates every case; at q = 2 its log part is 2*atanh(sqrt(z)),
 which is more accurate at small real z than the two logs it replaces.  Every
 log goes through the package-wide principal branch, which is what makes
 Im(B) = -pi come out on the real ray z > 1.  One cache entry per q holds
-the q-th roots of unity and the row phases, as tuples for the scalar kernel
-and read-only arrays for the batch, which take their row logs and guard band
+the q-th roots of unity and the row phases as tuples for the scalar kernel,
+and read-only arrays of them that the batch makes on its first use of q, so
+a scalar call never loads numpy; the two take their row logs and guard band
 from :func:`row_logs` and :func:`row_logs_array`.  :func:`reduce_beta_rows`
 evaluates the general form for many nu at many z with numpy, one column per
 z: it groups the nu by denominator q and builds one log table per (q, z)
@@ -35,9 +36,7 @@ import cmath
 import functools
 import math
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import BetaReduceError, BranchPoint, MaxTermsExceeded, OutsideDomain, PoleInSum
 from .errors import ZeroArgument
@@ -59,6 +58,9 @@ from .principal import (
 )
 from .rationals import Decomposition, decompose, exact_rational
 
+if TYPE_CHECKING:
+    import numpy as np
+
 # A finite sum added up in Python (a power tail, the q roots, the binomial sum of
 # beta_mu_posint) longer than this is refused before any work: time and memory grow with it.
 MAX_TAIL_TERMS = 10**6
@@ -66,18 +68,16 @@ MAX_TAIL_TERMS = 10**6
 _TWO_PI = 2.0 * math.pi
 
 
-def _build_tables(q: int) -> Tuple[Tuple[tuple, tuple], Tuple[np.ndarray, np.ndarray]]:
+def _build_tables(q: int) -> list:
     # the roots e^(2*pi*i*j/q) from the exact angle of each j, not by repeated
     # multiplication: keeps the phase tight for large k*p products; and the
     # phase -e^(-2*pi*i*j/q) of log row j at p = 1: the fraction p/q takes row
     # p*k mod q for its log row k, the same number as -e^(-2*pi*i*p*k/q).  The
-    # tuples serve the scalar kernel, read-only arrays of them the batch.
+    # tuples serve the scalar kernel; the slot after them keeps the batch's
+    # read-only arrays of them, made by _table_arrays on its first use of q.
     roots = tuple(complex(math.cos(_TWO_PI * j / q), math.sin(_TWO_PI * j / q)) for j in range(q))
     phases = tuple([-roots[-j % q] for j in range(q)])
-    arrays = np.array(roots), np.array(phases)
-    for table in arrays:
-        table.flags.writeable = False
-    return (roots, phases), arrays
+    return [(roots, phases), None]
 
 
 # q up to this keeps its tables in the cache (64 q, 30 MB at most); larger q builds anew.
@@ -85,9 +85,21 @@ ROOT_CACHE_MAX_Q = 4096
 _cached_tables = functools.lru_cache(maxsize=64)(_build_tables)
 
 
-def _tables(q: int) -> Tuple[Tuple[tuple, tuple], Tuple[np.ndarray, np.ndarray]]:
-    """((roots, phases), (root array, phase array)) of q: one entry per q, read by every p/q."""
+def _tables(q: int) -> list:
+    """[(roots, phases), their arrays or None] of q: one entry per q, read by every p/q."""
     return _cached_tables(q) if q <= ROOT_CACHE_MAX_Q else _build_tables(q)
+
+
+def _table_arrays(q: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The read-only root and phase arrays of q, made in its entry on the first call for q."""
+    entry = _tables(q)
+    if entry[1] is None:
+        import numpy as np  # here, so a scalar call never loads numpy
+        arrays = np.array(entry[0][0]), np.array(entry[0][1])
+        for table in arrays:
+            table.flags.writeable = False
+        entry[1] = arrays
+    return entry[1]
 
 
 def _roots_and_logs(zs: List[complex], q: int) -> Tuple[List[complex], Optional[List[complex]]]:
@@ -274,6 +286,7 @@ def _grouped_rows(
     for q, group in by_q.items():
         fit = [decs[i] for i in group]
         step = principal.BATCH_CELLS // (q + max(dec.n for dec in fit))
+        import numpy as np  # here, past the work budget: a refused nu never loads numpy
         # non-finite parts are found by explicit checks, not by numpy's warnings
         with np.errstate(all="ignore"):
             chunks = [_rows_chunk(q, fit, zs[s : s + step]) for s in range(0, len(zs), step)]
@@ -283,7 +296,8 @@ def _grouped_rows(
 
 
 def _rows_chunk(q: int, decs, zs: List[complex]) -> List[List[Optional[complex]]]:
-    roots, phases = _tables(q)[1]
+    import numpy as np
+    roots, phases = _table_arrays(q)
     za = np.array(zs, dtype=complex)
     regular = (za != 0) & (np.abs(za.real) < _BATCH_LIMIT) & (np.abs(za.imag) < _BATCH_LIMIT)
     # real z > 0, either sign of zero: the lanes that pair conjugate rows
@@ -330,6 +344,7 @@ def _rows_chunk(q: int, decs, zs: List[complex]) -> List[List[Optional[complex]]
 
 def _tail(dec: Decomposition, base: np.ndarray, z_power: List[complex]) -> np.ndarray:
     """The |m| x columns signed power-tail terms, walking outward from z^r, one row per term."""
+    import numpy as np
     m, r = dec.m, dec.r.numerator / dec.r.denominator
     # the denominators with the tail's sign folded in, exact for IEEE division:
     # -(k + r) for k = 0..m-1, k + r for k = -1..m

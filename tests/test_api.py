@@ -97,6 +97,39 @@ def test_import_leaves_scipy_unloaded():
     assert float(run.stdout) == pytest.approx(math.log(3), rel=1e-12)
 
 
+# numpy and statistics load only when a grid batch or the bench runs, so the value callers,
+# eval and integral start without them; the batch then loads numpy and gives the same values
+def test_value_path_leaves_numpy_unloaded():
+    code = (
+        "import sys\n"
+        "from fractions import Fraction\n"
+        "import betareduce, betareduce.cli\n"
+        "from betareduce.reduction import ROOT_CACHE_MAX_Q\n"
+        "nu, z = Fraction(7, 3), 0.3 + 0.2j\n"
+        "for q in (1, 2, 3, 97, ROOT_CACHE_MAX_Q + 3):\n"
+        "    betareduce.incomplete_beta(Fraction(1, q), 0, z)\n"
+        "betareduce.incomplete_beta(nu, 2, z)\n"
+        "betareduce.lerch_reduce(betareduce.decompose(nu), z)\n"
+        "betareduce.int_power_over_linear(nu, z)\n"
+        "betareduce.int_tanh_power(nu, 0.7)\n"
+        "betareduce.beta_series(nu, z)\n"
+        "betareduce.lerch_series(z, 1.5)\n"
+        "assert betareduce.cli.main(['eval', 'beta', '--nu', '1/3', '--z', '0.5']) == 0\n"
+        "assert betareduce.cli.main(['integral', 'tanh', '--lambda', '1/3', '--z', '0.5']) == 0\n"
+        "loaded = {'numpy', 'statistics'} & set(sys.modules)\n"
+        "assert not loaded, loaded\n"
+        "values = betareduce.reduce_beta_many(betareduce.decompose(nu), [0.5, 2.5, z])\n"
+        "assert 'numpy' in sys.modules\n"
+        "print(*(f'{v.real.hex()},{v.imag.hex()}' for v in values))\n"
+    )
+    path = [str(Path(betareduce.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    values = betareduce.reduce_beta_many(betareduce.decompose(Fraction(7, 3)), [0.5, 2.5, 0.3 + 0.2j])
+    assert run.stdout.splitlines()[-1].split() == [f"{v.real.hex()},{v.imag.hex()}" for v in values]
+
+
 THIRD = Fraction(1, 3)
 
 # each entry point, with the argument that takes an exact real beyond the double range

@@ -3,6 +3,7 @@ grouped rows of reduce_beta_rows against reduce_beta_many."""
 
 import cmath
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -19,7 +20,7 @@ from betareduce import (
     reduce_beta_many,
     run_verification,
 )
-from betareduce import principal, reduction
+from betareduce import principal
 from betareduce.reduction import MAX_TAIL_TERMS, reduce_beta_rows
 
 
@@ -165,7 +166,7 @@ def test_refusal_parity(nu, zs):
 
 
 def test_work_budget_refused_before_any_array(monkeypatch):
-    monkeypatch.setattr(reduction, "np", None)  # any array would fail with a TypeError
+    monkeypatch.setitem(sys.modules, "numpy", None)  # any array would fail with an ImportError
     with pytest.raises(MaxTermsExceeded):
         reduce_beta_many(decompose(MAX_TAIL_TERMS + 1 + Fraction(1, 3)), [0.5])
 

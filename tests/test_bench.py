@@ -5,6 +5,7 @@ import io
 import itertools
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -82,6 +83,17 @@ class TestRunBench:
         value = bench.incomplete_beta(nu, 0, z)
         assert records[2].rel_diff == abs(exact(nu, z) + 1e-6 - value) / max(1.0, abs(value))
         assert records[2].rel_diff > 1e-7  # the shift, not noise
+
+    # durations of 100 and 300 ns: the integral mean is a float too, and its field reads 200.0
+    def test_mean_is_a_float(self, monkeypatch):
+        ticks = itertools.accumulate(itertools.cycle([1, 100, 1, 300]))
+        monkeypatch.setattr(bench, "time", SimpleNamespace(perf_counter_ns=lambda: next(ticks)))
+        records = run_bench([(Fraction(1, 2), complex(0.3))], repetitions=2, warmup=0)
+        means = [(r.median_nanos, type(r.mean_nanos), r.mean_nanos) for r in records]
+        assert means == [(200, float, 200.0)] * 3
+        buf = io.StringIO()
+        write_bench_csv(records, buf)
+        assert [row["mean_ns"] for row in csv.DictReader(io.StringIO(buf.getvalue()))] == ["200.0"] * 3
 
 
 class TestCsv:

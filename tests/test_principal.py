@@ -10,7 +10,7 @@ from betareduce import ZeroArgument, atanh, principal_log, principal_sqrt, ratio
 from betareduce import BetaReduceError, BranchPoint, Evaluation, Method, OutsideDomain
 from betareduce.principal import BRANCH_GUARD, exponent_parts, fsum_complex, principal_logs
 from betareduce.principal import rational_powers, row_logs, row_logs_array
-from betareduce.reduction import _tables
+from betareduce.reduction import _table_arrays, _tables
 from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
@@ -142,7 +142,7 @@ class TestRowLogs:
         paired=st.booleans(),
     )
     def test_forms_agree_row_by_row(self, q, points, paired):
-        (roots, _), (root_array, _) = _tables(q)
+        (roots, _), (root_array, _) = _tables(q)[0], _table_arrays(q)
         rows = q // 2 + 1 if paired else q
         zqs = [cmath.rect(p[0], p[1] * math.pi / q) if isinstance(p, tuple) else p for p in points]
         with np.errstate(all="ignore"):  # log(0) at z^(1/q) = 1, as in the batch

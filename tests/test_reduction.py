@@ -42,6 +42,7 @@ from betareduce.reduction import (
     _powers,
     _roots_and_logs,
     _spread,
+    _table_arrays,
     _tables,
 )
 
@@ -441,7 +442,7 @@ class TestUnitRootTable:
     # the per-call formula -e^(-2*pi*i*p*k/q), in the scalar tuple and the batch array alike
     @pytest.mark.parametrize("q", [1, 3, 7, 12, 97, ROOT_CACHE_MAX_Q + 1])
     def test_phase_tables_are_the_per_call_formula(self, q):
-        (_, phases), (_, table) = _tables(q)
+        (_, phases), (_, table) = _tables(q)[0], _table_arrays(q)
         assert not table.flags.writeable and table.tolist() == list(phases)
         for p in [p for p in range(1, q + 1) if math.gcd(p, q) == 1][:12]:
             for k in range(q):
@@ -457,6 +458,14 @@ class TestUnitRootTable:
         _tables(ROOT_CACHE_MAX_Q + 1)
         assert _cached_tables.cache_info() == before
         assert _tables(5) is _cached_tables(5)
+
+    # the arrays are made on the batch's first use of q: a scalar call leaves the slot empty
+    def test_scalar_call_builds_no_array(self):
+        _cached_tables.cache_clear()
+        incomplete_beta(Fraction(2, 7), 0, 0.3 + 0.2j)
+        assert _tables(7)[1] is None
+        reduce_beta_many(decompose(Fraction(2, 7)), [0.3])
+        assert _tables(7)[1] is _table_arrays(7)
 
     def test_large_q_not_cached(self, tight_series):
         q = ROOT_CACHE_MAX_Q + 3
@@ -483,7 +492,7 @@ class TestUnitRootTable:
         hits = _cached_tables.cache_info().hits
         reduce_beta_many(dec, [0.3, 2.5])
         assert _cached_tables.cache_info().hits == hits + 1
-        (roots, phases), (root_table, phase_table) = _tables(q)
+        (roots, phases), (root_table, phase_table) = _tables(q)[0], _table_arrays(q)
         for tup, table in ((roots, root_table), (phases, phase_table)):
             assert not table.flags.writeable
             assert table.tolist() == list(tup)

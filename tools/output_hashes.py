@@ -23,6 +23,8 @@ refusal paths (``nu`` from ``default_nu_grid(1, 8)`` plus ``-2``,
 overflows at small z; ``z`` from ``default_z_grid()`` plus ``0``, ``1``,
 NaN, ``1.2``, ``1 - 1e-15`` and ``1e-3``).  Each line reads ``<sha256>
 <name>``.  The package is imported from the ``src/`` next to this file.
+``values`` and ``evaluations`` need no numpy, so they also run on an
+interpreter without it.
 """
 
 from __future__ import annotations
