@@ -167,11 +167,15 @@ def _cmd_figure(args) -> int:
     zs = [args.z_start + j * step for j in range(args.points)]
     # every row is evaluated before any output, so a refused row writes nothing
     values = reduce_beta_many(decompose_pos(args.nu), zs)
-    pi = repr(-math.pi)
+    neg_pi, pi = -math.pi, repr(-math.pi)
     with _out_stream(args.out) as stream:
-        # row by row: no field holds a comma or a quote, so none is quoted
+        # row by row: no field holds a comma or a quote, so none is quoted; a value
+        # equal to -pi reuses the text of -pi
         stream.write("z,im_reduction,im_series_analytic\n")
-        stream.writelines(f"{z!r},{value.imag!r},{pi}\n" for z, value in zip(zs, values))
+        stream.writelines(
+            f"{z!r},{pi if value.imag == neg_pi else repr(value.imag)},{pi}\n"
+            for z, value in zip(zs, values)
+        )
     return 0
 
 

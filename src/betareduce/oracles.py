@@ -92,15 +92,19 @@ def _sums_inverse_linear(z: complex, avals: Sequence[float]) -> Optional[List[Op
     arithmetic in its order: one walk z^k (``np.multiply.accumulate`` from
     1), each term lane by lane as z^k/(a + k), the running sums by
     ``np.cumsum`` along the row, the moduli by ``np.hypot`` as ``abs`` does
-    (``np.abs`` rounds differently), the three-small-terms stop, and
-    ``math.fsum`` over each row's terms through the stop, which lie
-    contiguous.  So every total is bitwise the scalar one.  (CPython's
-    complex / float adds ``im*0.0`` to the real lane and ``-re*0.0`` to the
-    imaginary one; that changes only the sign of a zero term, which neither
-    a modulus nor an exactly rounded sum whose first term is 1/a + 0j can
-    see.)  The columns are log(SERIES_REL_TOL)/log|z| plus a margin.  None
-    when they do not fit in a block; the total of a row that has not
-    stopped within them is None alone, for :func:`beta_series`.
+    (``np.abs`` of a complex rounds differently), the three-small-terms
+    stop, and ``math.fsum`` over each row's terms through the stop, which
+    lie contiguous.  A real z (``z.imag == 0``, either sign of zero) carries
+    the real lane alone: its imaginary terms are zeros, so the moduli are
+    the ``np.abs`` of the real ones and the imaginary total is the 0.0 that
+    ``math.fsum`` gives for zeros.  So every total is bitwise the scalar
+    one.  (CPython's complex / float adds ``im*0.0`` to the real lane and
+    ``-re*0.0`` to the imaginary one; that changes only the sign of a zero
+    term, which neither a modulus nor an exactly rounded sum whose first
+    term is 1/a + 0j can see.)  The columns are log(SERIES_REL_TOL)/log|z|
+    plus a margin.  None when they do not fit in a block; the total of a
+    row that has not stopped within them is None alone, for
+    :func:`beta_series`.
     """
     # terms fall below SERIES_REL_TOL of the sum from about this one on; the stop needs two more
     terms = math.ceil(math.log(SERIES_REL_TOL) / math.log(abs(z))) + 4
@@ -115,14 +119,19 @@ def _sums_inverse_linear(z: complex, avals: Sequence[float]) -> Optional[List[Op
     out: List[Optional[complex]] = []
     for start in range(0, len(avals), width):
         dens = np.array(avals[start : start + width])[:, None] + ks
-        re, im = zk.real / dens, zk.imag / dens
-        running = np.hypot(np.cumsum(re, axis=1), np.cumsum(im, axis=1))
-        small = np.hypot(re, im) <= SERIES_REL_TOL * running
+        re = zk.real / dens
+        if z.imag:
+            im = zk.imag / dens
+            running = np.hypot(np.cumsum(re, axis=1), np.cumsum(im, axis=1))
+            small = np.hypot(re, im) <= SERIES_REL_TOL * running
+        else:  # one lane: hypot(x, +-0) == |x|, and the fsum of the zero lane is 0.0
+            running = np.abs(np.cumsum(re, axis=1))
+            small = np.abs(re) <= SERIES_REL_TOL * running
         third = small[:, 2:] & small[:, 1:-1] & small[:, :-2]
         stops = third.argmax(axis=1) + 3  # the terms through the third small one
         for c, (k, stopped) in enumerate(zip(stops.tolist(), third.any(axis=1).tolist())):
-            total = complex(math.fsum(re[c, :k].tolist()), math.fsum(im[c, :k].tolist()))
-            out.append(total if stopped else None)
+            imag = math.fsum(im[c, :k].tolist()) if z.imag else 0.0
+            out.append(complex(math.fsum(re[c, :k].tolist()), imag) if stopped else None)
     return out
 
 

@@ -327,17 +327,19 @@ def _rows_chunk(q: int, decs, zs: List[complex]) -> List[List[Optional[complex]]
             logs = row_phases[: len(log_w), None] * log_w
             re, im = logs.real, logs.imag
             if pair:
-                # row k < q/2 stands for k and q - k; row 0 alone keeps its imaginary part
+                # row k < q/2 stands for k and q - k; row 0 alone keeps its imaginary part,
+                # and a real z's tail is real: + 0.0 gives fsum's 0.0 for a signed zero
                 re[1 : (q + 1) // 2] *= 2
-                im = im[:1]
+                im = im[0] + 0.0
             if dec.m:
                 re = np.concatenate((re, tail.real[:, lanes]))
-                im = np.concatenate((im, tail.imag[:, lanes]))
+                if not pair:
+                    im = np.concatenate((im, tail.imag[:, lanes]))
                 left = left | outside[lanes]
             re, im = re.T.tolist(), im.T.tolist()
             for i, skip, re_i, im_i in zip(lanes.tolist(), left.tolist(), re, im):
                 if not skip:
-                    values[i] = complex(math.fsum(re_i), math.fsum(im_i))
+                    values[i] = complex(math.fsum(re_i), im_i if pair else math.fsum(im_i))
         out.append(values)
     return out
 

@@ -164,16 +164,22 @@ def write_verify_csv(records: Iterable[VerificationRecord], stream: IO[str]) -> 
 
     No field holds a comma, a quote or a line break, so none is quoted: the
     bytes are those of ``csv.writer``.  A run of records that share one nu
-    object renders it once.
+    object renders it once, and each z object is rendered once: keyed by
+    identity, since ``0.5`` and ``complex(0.5, -0.0)`` are equal but print
+    differently, and held, so no other z can take its id.
     """
 
     def rows():
         nu, text = object(), ""
+        z_texts = {}  # id -> (z, its two fields)
         for rec in records:
             if rec.nu is not nu:
                 nu, text = rec.nu, render_rational(rec.nu)
+            held = z_texts.get(id(rec.z))
+            if held is None:
+                held = z_texts[id(rec.z)] = (rec.z, f"{rec.z.real!r},{rec.z.imag!r}")
             yield (
-                f"{text},{rec.z.real!r},{rec.z.imag!r},"
+                f"{text},{held[1]},"
                 f"{rec.reduction_value.real!r},{rec.reduction_value.imag!r},"
                 f"{rec.oracle_value.real!r},{rec.oracle_value.imag!r},{rec.oracle_method},"
                 f"{rec.abs_err!r},{rec.rel_err!r},{rec.status.value},{rec.note}\n"

@@ -94,6 +94,8 @@ def test_output_hashes_name_every_output_and_repeat(output_hashes, capsys):
         "verify --z-point 0.999999999999999",
         "figure --nu 12.3 --points 300",
         "verify --n-max 0 --q-max 8",
+        "figure --nu 4/97 --points 60",
+        "figure --nu 1/3 --z-start 2e301 --z-end 1e302 --points 3",
         "values",
         "evaluations",
         "records",

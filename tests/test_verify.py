@@ -125,6 +125,10 @@ def test_csv_bytes_are_csv_writer_bytes():
     a, b, twin = Fraction(2, 7), Fraction(-9, 2), Fraction(2, 7)
     assert twin == a and twin is not a
     records += [replace(records[0], nu=nu) for nu in (a, b, a, twin)]
+    # each z object is rendered once: signed-zero twins are equal but print differently
+    twins = [0.5, complex(0.5, -0.0), complex(0.3, 0.0), complex(0.3, -0.0)]
+    assert twins[0] == twins[1] and twins[2] == twins[3]
+    records += run_verification([Fraction(1, 3), Fraction(-7, 4)], twins, 1e-10)[0]
     out = io.StringIO()
     write_verify_csv(records, out)
     assert out.getvalue() == csv_writer_rendering(records)

@@ -5,11 +5,14 @@ Usage::
     python tools/output_hashes.py            # every output
     python tools/output_hashes.py NAME ...   # these outputs only
 
-The outputs are the CSV bytes of five CLI calls (``verify`` on its default
+The outputs are the CSV bytes of seven CLI calls (``verify`` on its default
 grid, ``verify --side both --n-max 3 --q-max 20``, ``verify --z-point
-0.999999999999999``, ``figure --nu 12.3 --points 300`` and ``verify --n-max
-0 --q-max 8``, the part of the default grid that a timed verify-grid window
-of ``perfbench/run.py`` evaluates) and ``values``: a fixed, self-seeded list
+0.999999999999999``, ``figure --nu 12.3 --points 300``, ``verify --n-max 0
+--q-max 8``, the part of the default grid that a timed verify-grid window
+of ``perfbench/run.py`` evaluates, ``figure --nu 4/97 --points 60``, a large
+q whose ray lanes pair the rows 0 .. q//2, and ``figure --nu 1/3 --z-start
+2e301 --z-end 1e302 --points 3``, rows past 2^1000 that the batch leaves to
+the scalar kernel) and ``values``: a fixed, self-seeded list
 of value-caller calls (``incomplete_beta`` at mu = 0 and mu >= 1,
 ``lerch_reduce``, ``int_power_over_linear`` and ``int_tanh_power``), one
 line each, the value's parts in ``float.hex`` or the error's name and
@@ -53,6 +56,8 @@ CLI_OUTPUTS = (
     "verify --z-point 0.999999999999999",
     "figure --nu 12.3 --points 300",
     "verify --n-max 0 --q-max 8",
+    "figure --nu 4/97 --points 60",
+    "figure --nu 1/3 --z-start 2e301 --z-end 1e302 --points 3",
 )
 VALUE_CALLS = 4000
 VALUE_SEED = 20201
