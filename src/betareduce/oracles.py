@@ -94,7 +94,8 @@ def _sums_inverse_linear(z: complex, avals: Sequence[float]) -> Optional[List[Op
     ``np.cumsum`` along the row, the moduli by ``np.hypot`` as ``abs`` does
     (``np.abs`` of a complex rounds differently), the three-small-terms
     stop, and ``math.fsum`` over each row's terms through the stop, which
-    lie contiguous.  A real z (``z.imag == 0``, either sign of zero) carries
+    lie contiguous, read from the block's buffer through a ``memoryview``
+    (no list per row).  A real z (``z.imag == 0``, either sign of zero) carries
     the real lane alone: its imaginary terms are zeros, so the moduli are
     the ``np.abs`` of the real ones and the imaginary total is the 0.0 that
     ``math.fsum`` gives for zeros.  So every total is bitwise the scalar
@@ -130,8 +131,8 @@ def _sums_inverse_linear(z: complex, avals: Sequence[float]) -> Optional[List[Op
         third = small[:, 2:] & small[:, 1:-1] & small[:, :-2]
         stops = third.argmax(axis=1) + 3  # the terms through the third small one
         for c, (k, stopped) in enumerate(zip(stops.tolist(), third.any(axis=1).tolist())):
-            imag = math.fsum(im[c, :k].tolist()) if z.imag else 0.0
-            out.append(complex(math.fsum(re[c, :k].tolist()), imag) if stopped else None)
+            imag = math.fsum(memoryview(im[c, :k])) if z.imag else 0.0
+            out.append(complex(math.fsum(memoryview(re[c, :k])), imag) if stopped else None)
     return out
 
 

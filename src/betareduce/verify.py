@@ -16,10 +16,9 @@ from __future__ import annotations
 import cmath
 import enum
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import IO, Iterable, List, Sequence, Tuple
+from typing import IO, Iterable, List, NamedTuple, Sequence, Tuple
 
 from .errors import BetaReduceError, MaxTermsExceeded
 from .oracles import beta_series, beta_series_columns
@@ -39,8 +38,7 @@ class Status(enum.Enum):
     SKIPPED = "Skipped"
 
 
-@dataclass(frozen=True)
-class VerificationRecord:
+class VerificationRecord(NamedTuple):
     nu: Fraction
     z: complex
     reduction_value: complex
@@ -166,23 +164,34 @@ def write_verify_csv(records: Iterable[VerificationRecord], stream: IO[str]) -> 
     bytes are those of ``csv.writer``.  A run of records that share one nu
     object renders it once, and each z object is rendered once: keyed by
     identity, since ``0.5`` and ``complex(0.5, -0.0)`` are equal but print
-    differently, and held, so no other z can take its id.
+    differently, and held, so no other z can take its id.  Each distinct
+    non-zero ``abs_err`` is rendered once, keyed by value: equal non-zero
+    floats have the same bits, and a NaN, equal to nothing, finds only
+    itself.  A ``rel_err`` equal to it reuses its text.  Zeros are always
+    rendered, so ``-0.0`` never prints as ``0.0``.
     """
 
     def rows():
         nu, text = object(), ""
         z_texts = {}  # id -> (z, its two fields)
+        err_texts = {}  # non-zero abs_err -> its text
+        status_texts = {status: status.value for status in Status}
         for rec in records:
             if rec.nu is not nu:
                 nu, text = rec.nu, render_rational(rec.nu)
             held = z_texts.get(id(rec.z))
             if held is None:
                 held = z_texts[id(rec.z)] = (rec.z, f"{rec.z.real!r},{rec.z.imag!r}")
+            err = rec.abs_err
+            err_text = err_texts.get(err) if err else repr(err)
+            if err_text is None:
+                err_text = err_texts[err] = repr(err)
+            rel_text = err_text if err and rec.rel_err == err else repr(rec.rel_err)
             yield (
                 f"{text},{held[1]},"
                 f"{rec.reduction_value.real!r},{rec.reduction_value.imag!r},"
                 f"{rec.oracle_value.real!r},{rec.oracle_value.imag!r},{rec.oracle_method},"
-                f"{rec.abs_err!r},{rec.rel_err!r},{rec.status.value},{rec.note}\n"
+                f"{err_text},{rel_text},{status_texts[rec.status]},{rec.note}\n"
             )
 
     stream.write(VERIFY_CSV_HEADER + "\n")

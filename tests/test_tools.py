@@ -1,6 +1,7 @@
 """The src/ line counter in tools/: every line gets one kind, in the documented order."""
 
 import importlib.util
+import shutil
 from pathlib import Path
 
 import pytest
@@ -106,3 +107,30 @@ def test_output_hashes_name_every_output_and_repeat(output_hashes, capsys):
 def test_output_hashes_refuse_an_unknown_name(output_hashes, capsys):
     assert output_hashes.main(["nothing"]) == 2
     assert "unknown outputs" in capsys.readouterr().err
+
+
+# --src DIR hashes the package under DIR: a copy of src/ hashes as src/ does, and an edit in
+# the copy moves the hash (the copy runs in a fresh interpreter, this one holds src/)
+def test_output_hashes_of_another_tree(output_hashes, capsys, tmp_path):
+    assert output_hashes.main(["records"]) == 0
+    here = capsys.readouterr().out
+    copy = tmp_path / "src"
+    shutil.copytree(ROOT / "src", copy, ignore=shutil.ignore_patterns("__pycache__"))
+    assert output_hashes.main(["--src", str(copy), "records"]) == 0
+    assert capsys.readouterr().out == here
+    verify = copy / "betareduce" / "verify.py"
+    source = verify.read_text(encoding="utf-8")
+    assert "abs_err,rel_err" in source
+    verify.write_text(source.replace("abs_err,rel_err", "rel_err,abs_err"), encoding="utf-8")
+    assert output_hashes.main(["records", "--src", str(copy)]) == 0
+    moved = capsys.readouterr().out
+    assert moved != here and moved.endswith("  records\n")
+
+
+@pytest.mark.parametrize("tail", [["--src", "nowhere"], ["values", "--src"]])
+def test_output_hashes_refuse_a_src_without_the_package(output_hashes, capsys, tmp_path, tail):
+    argv = [str(tmp_path / arg) if arg == "nowhere" else arg for arg in tail]
+    with pytest.raises(SystemExit) as exit_info:
+        output_hashes.main(argv)
+    assert exit_info.value.code == 2
+    assert "--src needs a directory holding betareduce/" in capsys.readouterr().err

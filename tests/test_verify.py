@@ -3,7 +3,6 @@
 import csv
 import io
 import math
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -124,14 +123,40 @@ def test_csv_bytes_are_csv_writer_bytes():
     # Fraction that is another object
     a, b, twin = Fraction(2, 7), Fraction(-9, 2), Fraction(2, 7)
     assert twin == a and twin is not a
-    records += [replace(records[0], nu=nu) for nu in (a, b, a, twin)]
+    records += [records[0]._replace(nu=nu) for nu in (a, b, a, twin)]
     # each z object is rendered once: signed-zero twins are equal but print differently
     twins = [0.5, complex(0.5, -0.0), complex(0.3, 0.0), complex(0.3, -0.0)]
     assert twins[0] == twins[1] and twins[2] == twins[3]
     records += run_verification([Fraction(1, 3), Fraction(-7, 4)], twins, 1e-10)[0]
+    # each non-zero abs_err is rendered once and a rel_err equal to it reuses the text: zeros
+    # of both signs (equal, but printed apart), NaN, inf, a value repeated across rows, and
+    # a rel_err that differs from its abs_err, also after that abs_err was rendered
+    errs = [(0.0, 0.0), (-0.0, -0.0), (0.0, -0.0), (-0.0, 0.0), (0.0, 0.0), (math.nan, math.nan),
+            (-math.nan, math.nan), (math.inf, math.inf), (math.inf, 0.5), (2.5e-16, 2.5e-16),
+            (2.5e-16, 1.25e-16), (2.5e-16, 2.5e-16), (1e-300, 5e-324), (5e-324, 5e-324)]
+    records += [
+        VerificationRecord(Fraction(1, 3), 0.5, 0.25j, -0.0j, "Series", abs_err, rel_err, Status.PASS)
+        for abs_err, rel_err in errs
+    ]
     out = io.StringIO()
     write_verify_csv(records, out)
     assert out.getvalue() == csv_writer_rendering(records)
+
+
+# the record is an immutable, hashable tuple with fixed fields: note alone has a default
+def test_record_contract():
+    fields = ("nu", "z", "reduction_value", "oracle_value", "oracle_method", "abs_err", "rel_err",
+              "status", "note")
+    values = (Fraction(1, 3), 0.5, 0.25j, 0.25j, "Series", 0.0, 0.0, Status.PASS)
+    rec = VerificationRecord(*values)
+    assert VerificationRecord._fields == fields and rec.note == ""
+    assert rec == VerificationRecord(**dict(zip(fields, values)))
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(rec, name, None)
+    assert tuple(rec) == values + ("",)  # no field moved
+    assert hash(rec) == hash(VerificationRecord(*values))
+    assert len({rec, VerificationRecord(*values), rec._replace(note="x")}) == 2
 
 
 def record_bits(rec):

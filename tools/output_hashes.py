@@ -2,8 +2,9 @@
 
 Usage::
 
-    python tools/output_hashes.py            # every output
-    python tools/output_hashes.py NAME ...   # these outputs only
+    python tools/output_hashes.py                  # every output
+    python tools/output_hashes.py NAME ...         # these outputs only
+    python tools/output_hashes.py --src DIR ...    # of the package under DIR
 
 The outputs are the CSV bytes of seven CLI calls (``verify`` on its default
 grid, ``verify --side both --n-max 3 --q-max 20``, ``verify --z-point
@@ -25,7 +26,9 @@ refusal paths (``nu`` from ``default_nu_grid(1, 8)`` plus ``-2``,
 ``1/10^301``, ``2000/3`` and ``-2000/3``, whose series correction
 overflows at small z; ``z`` from ``default_z_grid()`` plus ``0``, ``1``,
 NaN, ``1.2``, ``1 - 1e-15`` and ``1e-3``).  Each line reads ``<sha256>
-<name>``.  The package is imported from the ``src/`` next to this file.
+<name>``.  The package is imported from the ``src/`` next to this file, or
+from ``DIR`` with ``--src DIR`` (say, ``src/`` of another checkout), so one
+command shows the outputs of two trees.
 ``values`` and ``evaluations`` need no numpy, so they also run on an
 interpreter without it.
 """
@@ -38,6 +41,7 @@ import hashlib
 import io
 import math
 import random
+import subprocess
 import sys
 import tempfile
 from fractions import Fraction
@@ -45,7 +49,24 @@ from pathlib import Path
 from typing import Callable, Dict, Iterator, List, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "src"))
+
+
+def split_src(argv: List[str]) -> Tuple[Path, List[str]]:
+    """The ``--src DIR`` of ``argv`` (the ``src/`` next to this file without one) and the rest.
+
+    A ``DIR`` that holds no ``betareduce`` package exits with status 2.
+    """
+    if "--src" not in argv:
+        return ROOT / "src", argv
+    at = argv.index("--src")
+    src = Path(argv[at + 1]).resolve() if at + 1 < len(argv) else None
+    if src is None or not (src / "betareduce" / "__init__.py").is_file():
+        print(f"--src needs a directory holding betareduce/, got {argv[at + 1 : at + 2]}", file=sys.stderr)
+        raise SystemExit(2)
+    return src, argv[:at] + argv[at + 2 :]
+
+
+sys.path.insert(0, str(split_src(sys.argv[1:])[0] if __name__ == "__main__" else ROOT / "src"))
 
 import betareduce as br  # noqa: E402
 from betareduce import cli  # noqa: E402
@@ -164,11 +185,20 @@ OUTPUTS: Dict[str, Callable[[], bytes]] = {
 
 
 def main(argv: List[str]) -> int:
-    unknown = [name for name in argv if name not in OUTPUTS]
+    src, names = split_src(argv)
+    unknown = [name for name in names if name not in OUTPUTS]
     if unknown:
         print(f"unknown outputs {unknown}; known: {list(OUTPUTS)}", file=sys.stderr)
         return 2
-    for name in argv or OUTPUTS:
+    if src != Path(br.__file__).resolve().parent.parent:
+        # this interpreter holds the package of another tree: hash in a fresh one
+        run = subprocess.run(
+            [sys.executable, __file__, "--src", str(src), *names], capture_output=True, text=True
+        )
+        print(run.stdout, end="")
+        print(run.stderr, end="", file=sys.stderr)
+        return run.returncode
+    for name in names or OUTPUTS:
         print(f"{hashlib.sha256(OUTPUTS[name]()).hexdigest()}  {name}")
     return 0
 
