@@ -2,6 +2,8 @@
 
 import importlib.util
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -109,28 +111,35 @@ def test_output_hashes_refuse_an_unknown_name(output_hashes, capsys):
     assert "unknown outputs" in capsys.readouterr().err
 
 
-# --src DIR hashes the package under DIR: a copy of src/ hashes as src/ does, and an edit in
-# the copy moves the hash (the copy runs in a fresh interpreter, this one holds src/)
+# --src DIR hashes the package under DIR, read as the script starts: a copy of src/ and a
+# directory whose betareduce/ is a symlink to src/betareduce hash as src/ does, and an edit in
+# the copy moves the hash
+def hashes_of(*args):
+    run = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "output_hashes.py"), *args], capture_output=True, text=True, timeout=300
+    )
+    return run.returncode, run.stdout, run.stderr
+
+
 def test_output_hashes_of_another_tree(output_hashes, capsys, tmp_path):
     assert output_hashes.main(["records"]) == 0
     here = capsys.readouterr().out
-    copy = tmp_path / "src"
+    copy, linked = tmp_path / "src", tmp_path / "linked"
     shutil.copytree(ROOT / "src", copy, ignore=shutil.ignore_patterns("__pycache__"))
-    assert output_hashes.main(["--src", str(copy), "records"]) == 0
-    assert capsys.readouterr().out == here
+    linked.mkdir()
+    (linked / "betareduce").symlink_to(ROOT / "src" / "betareduce", target_is_directory=True)
+    assert hashes_of("--src", str(copy), "records") == (0, here, "")
+    assert hashes_of("records", "--src", str(linked)) == (0, here, "")
     verify = copy / "betareduce" / "verify.py"
     source = verify.read_text(encoding="utf-8")
     assert "abs_err,rel_err" in source
     verify.write_text(source.replace("abs_err,rel_err", "rel_err,abs_err"), encoding="utf-8")
-    assert output_hashes.main(["records", "--src", str(copy)]) == 0
-    moved = capsys.readouterr().out
-    assert moved != here and moved.endswith("  records\n")
+    code, moved, _ = hashes_of("records", "--src", str(copy))
+    assert code == 0 and moved != here and moved.endswith("  records\n")
 
 
 @pytest.mark.parametrize("tail", [["--src", "nowhere"], ["values", "--src"]])
-def test_output_hashes_refuse_a_src_without_the_package(output_hashes, capsys, tmp_path, tail):
-    argv = [str(tmp_path / arg) if arg == "nowhere" else arg for arg in tail]
-    with pytest.raises(SystemExit) as exit_info:
-        output_hashes.main(argv)
-    assert exit_info.value.code == 2
-    assert "--src needs a directory holding betareduce/" in capsys.readouterr().err
+def test_output_hashes_refuse_a_src_without_the_package(tmp_path, tail):
+    code, out, err = hashes_of(*[str(tmp_path / arg) if arg == "nowhere" else arg for arg in tail])
+    assert (code, out) == (2, "")
+    assert "--src needs a directory holding betareduce/" in err

@@ -1,8 +1,10 @@
 """Verification grids: their size, their refusals and their CSV."""
 
+import collections
 import csv
 import io
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -143,6 +145,36 @@ def test_csv_bytes_are_csv_writer_bytes():
     assert out.getvalue() == csv_writer_rendering(records)
 
 
+# the error-text cache is emptied when full: texts read before and after it empties are the
+# texts of their own values (a cache of three texts here, so it empties several times)
+def test_csv_bytes_across_a_full_error_text_cache(monkeypatch):
+    monkeypatch.setattr(verify, "ERR_TEXTS_HELD", 3)
+    errs = [1e-16, 2e-16, 1e-16, 3e-16, 4e-16, 1e-16, 4e-16, 5e-16, 6e-16, 7e-16, 2e-16, 7e-16]
+    records = [
+        VerificationRecord(Fraction(1, 3), 0.5, 0.25j, 0.25j, "Series", err, err / (1 + i % 2), Status.PASS)
+        for i, err in enumerate(errs)
+    ]
+    out = io.StringIO()
+    write_verify_csv(records, out)
+    assert out.getvalue() == csv_writer_rendering(records)
+    # and it stays small: 5,000 distinct errors written to a stream that keeps nothing
+    many = [records[0]._replace(abs_err=k * 1e-20, rel_err=k * 1e-20) for k in range(1, 5001)]
+
+    class Discard:
+        write = staticmethod(len)
+
+        def writelines(self, lines):
+            collections.deque(lines, maxlen=0)
+
+    tracemalloc.start()
+    try:
+        write_verify_csv(many, Discard())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000  # an unbounded cache holds about 500 kB here
+
+
 # the record is an immutable, hashable tuple with fixed fields: note alone has a default
 def test_record_contract():
     fields = ("nu", "z", "reduction_value", "oracle_value", "oracle_method", "abs_err", "rel_err",
@@ -154,7 +186,7 @@ def test_record_contract():
     for name in fields:
         with pytest.raises(AttributeError):
             setattr(rec, name, None)
-    assert tuple(rec) == values + ("",)  # no field moved
+    assert tuple(rec) == values + ("",) == rec  # no field moved; it compares as its tuple
     assert hash(rec) == hash(VerificationRecord(*values))
     assert len({rec, VerificationRecord(*values), rec._replace(note="x")}) == 2
 

@@ -41,7 +41,6 @@ import hashlib
 import io
 import math
 import random
-import subprocess
 import sys
 import tempfile
 from fractions import Fraction
@@ -66,7 +65,9 @@ def split_src(argv: List[str]) -> Tuple[Path, List[str]]:
     return src, argv[:at] + argv[at + 2 :]
 
 
-sys.path.insert(0, str(split_src(sys.argv[1:])[0] if __name__ == "__main__" else ROOT / "src"))
+# --src names the tree to import, so it is read before the package is imported
+SRC, NAMES = split_src(sys.argv[1:]) if __name__ == "__main__" else (ROOT / "src", [])
+sys.path.insert(0, str(SRC))
 
 import betareduce as br  # noqa: E402
 from betareduce import cli  # noqa: E402
@@ -184,24 +185,16 @@ OUTPUTS: Dict[str, Callable[[], bytes]] = {
 }
 
 
-def main(argv: List[str]) -> int:
-    src, names = split_src(argv)
+def main(names: List[str]) -> int:
+    """Print the hash of each named output (every output without names) of the imported package."""
     unknown = [name for name in names if name not in OUTPUTS]
     if unknown:
         print(f"unknown outputs {unknown}; known: {list(OUTPUTS)}", file=sys.stderr)
         return 2
-    if src != Path(br.__file__).resolve().parent.parent:
-        # this interpreter holds the package of another tree: hash in a fresh one
-        run = subprocess.run(
-            [sys.executable, __file__, "--src", str(src), *names], capture_output=True, text=True
-        )
-        print(run.stdout, end="")
-        print(run.stderr, end="", file=sys.stderr)
-        return run.returncode
     for name in names or OUTPUTS:
         print(f"{hashlib.sha256(OUTPUTS[name]()).hexdigest()}  {name}")
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main(NAMES))
