@@ -3,13 +3,15 @@
 Past z = 1 the function picks up a constant imaginary part: exactly -pi,
 from the k = 0 principal logarithm (all other root-of-unity terms pair into
 conjugates).  General-purpose numerical evaluators are known to wobble here;
-the closed form nails the constant to machine precision.  The same data is
-available from the command line as `betareduce figure`, which evaluates it
-with `reduce_beta_many`: there the conjugate terms are paired by
-construction, so Im B is -pi to the last bit.
+the closed form nails the constant to the last bit.  Both evaluation paths
+pair the conjugate rows k and q - k at real z > 0 by construction: the
+scalar kernel behind `reduce_beta` and every value caller, and the batch
+`reduce_beta_many` behind `betareduce figure`, which prints the same data
+from the command line.  The script exits 1 if either path misses -pi.
 """
 
 import math
+import sys
 from fractions import Fraction
 
 from betareduce import decompose_pos, reduce_beta, reduce_beta_many
@@ -34,7 +36,15 @@ print(f"\nworst |Im B + pi| over 50 points: {worst:.3e} (reduce_beta), "
 print(f"-pi = {-math.pi!r}")
 
 print()
-print("The same constant appears for every rational parameter, any q:")
+print("The same constant appears for every rational parameter, any q, on both paths:")
 for nu in [Fraction(1, 2), Fraction(2, 3), Fraction(7, 12), Fraction(-13, 12) + 4]:
     value = reduce_beta(decompose_pos(nu), complex(3.7)).value
-    print(f"  nu = {str(nu):>6}:  Im B = {value.imag:.17f}")
+    batch = reduce_beta_many(decompose_pos(nu), [3.7])[0]
+    print(f"  nu = {str(nu):>6}:  Im B = {value.imag:.17f} (reduce_beta), "
+          f"{batch.imag:.17f} (reduce_beta_many)")
+    worst = max(worst, abs(value.imag + math.pi))
+    worst_batch = max(worst_batch, abs(batch.imag + math.pi))
+
+if worst != 0.0 or worst_batch != 0.0:
+    print(f"\nIm B missed -pi: by {worst:.3e} (reduce_beta), {worst_batch:.3e} (reduce_beta_many)")
+    sys.exit(1)

@@ -18,7 +18,6 @@ from .errors import (
     ParseError,
     PoleInSum,
     QuadratureNonConvergence,
-    ResidualImaginary,
     ZeroArgument,
 )
 from .integrals import int_power_over_linear, int_tanh_power
@@ -59,7 +58,6 @@ __all__ = [
     "ParseError",
     "PoleInSum",
     "QuadratureNonConvergence",
-    "ResidualImaginary",
     "Status",
     "VerificationRecord",
     "ZeroArgument",

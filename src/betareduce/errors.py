@@ -35,7 +35,3 @@ class MaxTermsExceeded(BetaReduceError):
 
 class QuadratureNonConvergence(BetaReduceError):
     """Adaptive quadrature could not reach the requested tolerance."""
-
-
-class ResidualImaginary(BetaReduceError):
-    """A value that must be real came back with a non-negligible imaginary part."""

@@ -6,9 +6,9 @@ Both families are thin wrappers over the mu = 0 reduction:
   (equal to the semi-infinite form integral_0^inf e^(-(nu-1)t)/(e^t - z) dt);
 * integral_0^z tanh^(2*lambda-1) t dt  =  B(lambda, 0, tanh^2 z) / 2.
 
-The tanh family deliberately computes through the complex reduction and then
-asserts the imaginary part vanishes, so every call exercises the branch
-logic; a surviving imaginary residual signals a branch-handling bug.
+The tanh family computes through the complex reduction at the real argument
+tanh^2 z in (0, 1), where the kernel pairs conjugate rows (or takes the real
+log or atanh at q <= 2), so the value's imaginary part is exactly 0.
 """
 
 from __future__ import annotations
@@ -17,13 +17,10 @@ import math
 import sys
 from fractions import Fraction
 
-from .errors import OutsideDomain, ResidualImaginary
+from .errors import OutsideDomain
 from .principal import finite_complex, finite_double, rational_power, to_double
 from .rationals import decompose_pos
 from .reduction import beta_value, lerch_reduce
-
-# Imaginary residue allowed on the (mathematically real) tanh integral.
-IMAG_RESIDUAL_REL = 1e-13
 
 
 def int_power_over_linear(nu: Fraction, z: complex) -> complex:
@@ -51,13 +48,4 @@ def int_tanh_power(lam: Fraction, z: float) -> float:
         value = rational_power(t, 2 * lam).real / finite_double(2 * lam, "2 lambda")
         return finite_complex(value, "the integral").real
     # tanh(z)^2 within the guard band of 1 raises BranchPoint from the kernel
-    half = 0.5 * beta_value(dec, complex(t**2))
-    # rounding dust scales with the roots-of-unity terms, not the (possibly
-    # tiny) result, so the residual bound is relative to max(1, |half|);
-    # an actual branch error would show up at O(pi), thirteen orders above
-    if abs(half.imag) > IMAG_RESIDUAL_REL * max(1.0, abs(half)):
-        raise ResidualImaginary(
-            f"imaginary residue {half.imag} exceeds "
-            f"{IMAG_RESIDUAL_REL} * max(1, |{abs(half)}|)"
-        )
-    return half.real
+    return 0.5 * beta_value(dec, complex(t**2)).real

@@ -306,7 +306,9 @@ def phi_quadrature(z: float, nu: float) -> Evaluation:
     Real z < 1, nu > 0.  The integrand, written e^(-nu*t) / (1 - z*e^(-t))
     so that nothing overflows, goes to QUADPACK's infinite-interval rule at
     relative tolerance ``PHI_REL_TOL`` (Phi > 0 here) in s = max(1, nu)*t:
-    in t, the rule's first nodes all underflow for nu above about 2e5.
+    in t, the rule's first nodes all underflow for nu above about 2e5.  Below
+    nu of about 2e-5 the rule often stops short and raises
+    :class:`QuadratureNonConvergence`, at every z for nu <= 1.3e-6.
     """
     z, nu = to_double(z), to_double(nu)
     if not (math.isfinite(z) and math.isfinite(nu)):

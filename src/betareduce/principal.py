@@ -18,7 +18,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, List, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from .errors import BranchPoint, OutsideDomain, ZeroArgument
 from .rationals import exact_rational
@@ -107,13 +107,13 @@ def principal_logs(ws: Sequence[complex]) -> List[complex]:
         raise BranchPoint("log of 0, the logarithmic branch point") from None
 
 
-def row_logs(zq: complex, roots: Sequence[complex]) -> List[complex]:
-    """``[principal_log(1 - zq*root) for root in roots]``: the row logs, zq = z^(1/q).
+def row_logs(zq: complex, roots: Sequence[complex], rows: Optional[int] = None) -> List[complex]:
+    """``[principal_log(1 - zq*root) for root in roots[:rows]]``: the row logs, zq = z^(1/q).
 
-    A row inside ``BRANCH_GUARD`` raises :class:`BranchPoint` naming its k; one past
-    the double range (only at q = 1: from q = 3 on, |zq| < 2^342) :class:`OutsideDomain`.
+    A row inside ``BRANCH_GUARD`` raises :class:`BranchPoint` naming its k and q = len(roots);
+    one past the double range (only at q = 1: from q = 3 on, |zq| < 2^342) :class:`OutsideDomain`.
     """
-    ws = [1 - zq * root for root in roots]
+    ws = [1 - zq * root for root in roots[:rows]]
     try:
         near = min(map(abs, ws))
     except OverflowError as exc:
@@ -121,7 +121,7 @@ def row_logs(zq: complex, roots: Sequence[complex]) -> List[complex]:
     if near < BRANCH_GUARD:
         k = next(k for k, w in enumerate(ws) if abs(w) < BRANCH_GUARD)
         raise BranchPoint(
-            f"log argument {ws[k]} within {BRANCH_GUARD} of the branch point (k={k}, q={len(ws)})"
+            f"log argument {ws[k]} within {BRANCH_GUARD} of the branch point (k={k}, q={len(roots)})"
         )
     return principal_logs(ws)
 

@@ -13,21 +13,25 @@ nu is the q = 1 case, where the log sum is the single term -log(1 - z).
 One kernel evaluates every case; at q = 2 its log part is 2*atanh(sqrt(z)),
 which is more accurate at small real z than the two logs it replaces.  Every
 log goes through the package-wide principal branch, which is what makes
-Im(B) = -pi come out on the real ray z > 1.  One cache entry per q holds
-the q-th roots of unity and the row phases as tuples for the scalar kernel,
-and read-only arrays of them that the batch makes on its first use of q, so
-a scalar call never loads numpy; the two take their row logs and guard band
-from :func:`row_logs` and :func:`row_logs_array`.  :func:`reduce_beta_rows`
-evaluates the general form for many nu at many z with numpy, one column per
-z: it groups the nu by denominator q and builds one log table per (q, z)
-that every p/q and every integer shift shares, and leaves None each point it
-cannot finish, for the caller's :func:`beta_value`; :func:`reduce_beta_many`,
-one decomposed nu at many z, is its one-row case.  For real z > 0 it pairs the conjugate
-rows k and q - k, which halves its logs and leaves the imaginary part to
-the k = 0 log alone: 0 on (0, 1) and exactly -pi on the ray z > 1.
+Im(B) = -pi come out on the real ray z > 1.  For real z > 0 and q >= 3 the
+scalar kernel and the batch both pair the conjugate rows k and q - k: they
+compute rows 0 .. q//2 only, keep row 0 whole, and take 2*Re of each row
+0 < k < q/2 and Re of the self-conjugate row q/2, so row 0 alone holds the
+imaginary part: 0 on (0, 1) and exactly -pi on the ray z > 1, on every path.
+One cache entry per q holds the q-th roots of unity and the row phases as
+tuples for the scalar kernel, and read-only arrays of them that the batch
+makes on its first use of q, so a scalar call never loads numpy; the two
+take their row logs and guard band from :func:`row_logs` and
+:func:`row_logs_array`.  :func:`reduce_beta_rows` evaluates the general form
+for many nu at many z with numpy, one column per z: it groups the nu by
+denominator q and builds one log table per (q, z) that every p/q and every
+integer shift shares, and leaves None each point it cannot finish, for the
+caller's :func:`beta_value`; :func:`reduce_beta_many`, one decomposed nu at
+many z, is its one-row case.
 
-Every closed form is therefore one algorithm, ``Method.REDUCTION``; the q = 2
-log part shows only in the count of parts, 1 + |m| where any other q has q + |m|.
+Every closed form is therefore one algorithm, ``Method.REDUCTION``; the log
+part shows only in the count of parts: 1 + |m| at q = 2, q//2 + 1 + |m| at
+real z > 0 and q >= 3, and q + |m| otherwise.
 """
 
 from __future__ import annotations
@@ -124,7 +128,8 @@ def reduce_beta(dec: Decomposition, z: complex) -> Evaluation:
     """B(m + r, 0, z) for a decomposed rational parameter, as an :class:`Evaluation`.
 
     One kernel: the q phased logs (at q = 2 the single 2*atanh(sqrt(z)), more
-    accurate at small real z) and the |m| power-tail terms, summed exactly
+    accurate at small real z; at real z > 0 and q >= 3 the q//2 + 1 paired
+    rows) and the |m| power-tail terms, summed exactly
     rounded at once; the error estimate is that sum's condition, 2^-53 * sum|parts|.
     Raises :class:`BranchPoint` at z = 1 or whenever a log argument falls
     inside the guard band, :class:`ZeroArgument` at z = 0 for m < 0,
@@ -198,8 +203,13 @@ def _kernel(dec: Decomposition, z: complex) -> List[complex]:
         if q > 2:
             lz = principal_log(z)
             zq, zk = cmath.exp(lz / q), cmath.exp(r * lz)
+        rows = q // 2 + 1 if q > 2 and z.imag == 0 and z.real > 0 else q
         roots, phases = _tables(q)[0]
-        parts = [phases[p * k % q] * lw for k, lw in enumerate(row_logs(zq, roots))]
+        parts = [phases[p * k % q] * lw for k, lw in enumerate(row_logs(zq, roots, rows))]
+        if rows < q:
+            # the paired rows of the module docstring: row k < q/2 stands for k and q - k
+            for k in range(1, rows):
+                parts[k] = complex((2.0 if 2 * k < q else 1.0) * parts[k].real)
     # the tail walks outward from z^r at k = 0 (m > 0) or k = -1 (m < 0), one
     # multiplication or division by z per term
     for k in range(m):
@@ -251,11 +261,9 @@ def reduce_beta_rows(nus: Sequence[Fraction], zs: List[complex]) -> List[List[Op
     from), and the logs of the rows 1 - z^(1/q) e^(2*pi*i*k/q) with their
     guard-band mask, from :func:`row_logs_array` -- is built once per (q, z)
     and shared by every p/q and every integer shift; each decomposition adds
-    its row phases, z^r and its tail.  A lane whose z is real and positive pairs the conjugate rows
-    k and q - k: it computes rows 0 .. q//2 only, takes 2*Re of each row
-    0 < k < q/2 and Re of the self-conjugate row q/2, so its value is real
-    on (0, 1) and has Im = -pi exactly on the ray z > 1, from row 0 alone.
-    Every other lane computes all q rows.  Pairing is decided per lane, so
+    its row phases, z^r and its tail.  A lane whose z is real and positive
+    pairs the conjugate rows as the scalar kernel does (the module docstring);
+    every other lane computes all q rows.  Pairing is decided per lane, so
     a value depends neither on the other points nor on the other rows of
     the call.  A point the batch cannot finish regularly is None, for the
     caller's :func:`beta_value`, which owns every refusal: z = 0, a lane
@@ -405,10 +413,11 @@ def incomplete_beta(nu: Fraction, mu: int, z: complex) -> complex:
 
     mu = 0 routes to the closed-form reduction;
     mu >= 1 to the finite binomial sum.  Non-positive integer nu with mu = 0
-    raises :class:`DivergentParameter`; non-finite z :class:`OutsideDomain`.
+    raises :class:`DivergentParameter`; non-finite z, or a mu that is not an int
+    in [0, ``MAX_TAIL_TERMS`` + 1], :class:`OutsideDomain`.
     """
-    if not isinstance(mu, int) or mu < 0:
-        raise OutsideDomain(f"mu must be a non-negative integer, got {mu!r}")
+    if not isinstance(mu, int) or not 0 <= mu <= MAX_TAIL_TERMS + 1:
+        raise OutsideDomain(f"mu must be an integer in [0, {MAX_TAIL_TERMS + 1}], got {mu!r}")
     if mu == 0:
         return beta_value(decompose(nu), z)
     return beta_mu_posint(nu, mu - 1, z)

@@ -27,7 +27,6 @@ PUBLIC = [
     "ParseError",
     "PoleInSum",
     "QuadratureNonConvergence",
-    "ResidualImaginary",
     "Status",
     "VerificationRecord",
     "ZeroArgument",

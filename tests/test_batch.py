@@ -7,7 +7,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from betareduce import (
     BetaReduceError,
@@ -16,6 +16,7 @@ from betareduce import (
     Status,
     decompose,
     default_z_grid,
+    incomplete_beta,
     reduce_beta,
     reduce_beta_many,
     run_verification,
@@ -127,6 +128,37 @@ def test_real_axis_imaginary_part_exact(q, m):
         segment = [complex(0.023 * j, zero) for j in range(1, 41)]
         imags = [v.imag for v in reduce_beta_many(dec, segment)]
         assert all(math.copysign(1.0, im) == 1.0 and im == 0.0 for im in imags), (dec, zero)
+
+
+@st.composite
+def paired_decompositions(draw):
+    q = draw(st.sampled_from([3, 4, 5, 7, 12, 97]))
+    p = draw(st.integers(1, q - 1).filter(lambda p: math.gcd(p, q) == 1))
+    return Decomposition(draw(st.integers(-12, 12)), Fraction(p, q))
+
+
+# the scalar kernel pairs the rows as the batch does, so every path meets the paper's identity
+# bit for bit: Im B is 0 on (0, 1) and -pi on the ray z > 1, whatever the sign of Im z = 0
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    dec=paired_decompositions(),
+    x=st.one_of(
+        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        st.floats(1.0, 1e6, exclude_min=True, exclude_max=True),
+    ).filter(lambda x: abs(1 - x) > 1e-10),
+    zero=st.sampled_from([0.0, -0.0]),
+)
+def test_scalar_real_axis_imaginary_part_exact(dec, x, zero):
+    assume(dec.m >= 0 or x > 1e-20)  # below, z^(m + p/q) overflows for m = -12
+    z = complex(x, zero)
+    value = incomplete_beta(dec.reconstruct(), 0, z)
+    if x < 1:
+        assert value.imag == 0.0 and math.copysign(1.0, value.imag) == 1.0, (dec, z, value)
+    else:
+        assert value.imag == -math.pi, (dec, z, value)
+    ev = reduce_beta(dec, z)
+    assert ev.value == value
+    assert abs(reduce_beta_many(dec, [z])[0] - value) <= bound(dec, ev), (dec, z, value)
 
 
 # at q = 2 a real z in (0, 1) takes the scalar kernel's atanh, more accurate there than two logs

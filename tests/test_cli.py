@@ -9,6 +9,7 @@ import pytest
 
 from betareduce import cli, decompose_pos, incomplete_beta, parse_rational, reduce_beta_many
 from betareduce.cli import main
+from betareduce.reduction import MAX_TAIL_TERMS
 
 
 def run_cli(capsys, *argv):
@@ -53,6 +54,12 @@ class TestEval:
     def test_beta_mu_zero_rejected(self, capsys):
         code, _, err = run_cli(capsys, "eval", "beta-mu", "--nu", "1", "--mu", "0", "--z", "0.5")
         assert code == 2
+
+    # the refusal names the mu the user passed and its bound, not the binomial sum's m = mu - 1
+    def test_beta_mu_beyond_budget_names_mu(self, capsys):
+        code, _, err = run_cli(capsys, "eval", "beta-mu", "--nu", "1/3", "--mu", "2000000", "--z", "0.5")
+        assert code == 2
+        assert f"mu must be an integer in [0, {MAX_TAIL_TERMS + 1}], got 2000000" in err
 
     def test_malformed_nu(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -266,7 +273,7 @@ class TestFigure:
         assert all(row.split(",")[1] == repr(-math.pi) for row in rows)
 
     # the rows are written one f-string each: the bytes of a csv.writer rendering; past
-    # 2^1000 the batch leaves the rows to the scalar kernel, whose Im is near -pi, not -pi
+    # 2^1000 the batch leaves the rows to the scalar kernel, which pairs the rows too: Im is -pi
     @pytest.mark.parametrize(
         "nu,points,start,end",
         [
@@ -290,9 +297,16 @@ class TestFigure:
         for z, value in zip(zs, values):
             writer.writerow([repr(z), repr(value.imag), repr(-math.pi)])
         if start > 2.0**1000:
-            assert all(value.imag != -math.pi for value in values)
+            assert all(value.imag == -math.pi for value in values)
         assert out == expected.getvalue()
         assert path.read_bytes() == expected.getvalue().encode()
+
+    # a value off -pi prints its own repr, not the text of -pi
+    def test_row_off_minus_pi_prints_its_value(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "reduce_beta_many", lambda dec, zs: [complex(1.0, -3.0) for _ in zs])
+        code, out, _ = run_cli(capsys, "figure", "--nu", "1/3", "--z-start", "1.5", "--z-end", "2", "--points", "2")
+        assert code == 0
+        assert out.split("\n")[1:3] == [f"1.5,-3.0,{-math.pi!r}", f"2.0,-3.0,{-math.pi!r}"]
 
     def test_bad_range(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,4 +1,5 @@
-"""Every script under demos/ runs to completion against the package in src/."""
+"""Every script under demos/ runs to completion against the package in src/; each exits
+non-zero when a check it makes fails (02_branch_cut: Im B = -pi on both evaluation paths)."""
 
 import os
 import subprocess

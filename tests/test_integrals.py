@@ -13,7 +13,6 @@ from betareduce import (
     BetaReduceError,
     BranchPoint,
     OutsideDomain,
-    ResidualImaginary,
     ZeroArgument,
     beta_quadrature,
     decompose,
@@ -24,7 +23,6 @@ from betareduce import (
     phi_quadrature,
     rational_power,
 )
-from betareduce import integrals
 
 LAMBDA_GRID = [Fraction(1, 2), Fraction(1), Fraction(5, 4), Fraction(7, 3), Fraction(3)]
 Z_GRID = [0.2, 0.8, 2.0]
@@ -137,17 +135,6 @@ class TestTanhPower:
     def test_saturation_guard(self, lam, z):
         with pytest.raises(BranchPoint):
             int_tanh_power(lam, z)
-
-    def test_branch_residue_refused(self, monkeypatch):
-        # a branch error shows up as an imaginary part far above the rounding dust
-        exact = integrals.beta_value
-
-        def with_residue(dec, z):
-            return exact(dec, z) + 1e-6j
-
-        monkeypatch.setattr(integrals, "beta_value", with_residue)
-        with pytest.raises(ResidualImaginary):
-            int_tanh_power(Fraction(5, 4), 0.8)
 
     # tanh(z)^2 is subnormal below z = 1.49e-154; these used to lose digits or return 0.0.
     # exp(a*log t) amplifies rounding by |a*log t| <= 460 here; 5/4 underflows to 0.0

@@ -579,6 +579,13 @@ class TestPhiQuadrature:
         assert abs(out.value - 1 / nu) <= out.error_estimate
         assert abs(out.value - 1 / nu) <= 1e-13 / nu
 
+    # the small-nu floor: below nu of about 2e-5 QUADPACK often stops short, and at
+    # nu = 1e-6 it does at every z; the oracle raises the named error, never a value
+    @pytest.mark.parametrize("z", [-100.0, -3.0, -0.99, -0.5, 0.0, 0.3, 0.5, 0.9, 0.99, 0.999])
+    def test_small_nu_floor_is_non_convergence(self, z):
+        with pytest.raises(QuadratureNonConvergence):
+            phi_quadrature(z, 1e-6)
+
     # ids spell Phi's (z, s, nu); the oracle evaluates s = 1 only
     @pytest.mark.parametrize(
         "z,nu", [pytest.param(z, nu, id=f"{z}-1.0-{nu}") for z, nu in ((1.0, 1.0), (0.5, 0.0))]

@@ -75,7 +75,7 @@ class TestPositiveGolden:
     def test_five_fourths_matches_series_oracle(self, tight_series):
         ev = reduce_beta(decompose(Fraction(5, 4)), 0.3)
         assert ev.method is Method.REDUCTION
-        assert ev.terms_or_nodes == 4 + 1  # q phased logs, then m = 1 tail term
+        assert ev.terms_or_nodes == 3 + 1  # q//2 + 1 paired logs at real z > 0, then m = 1 tail term
         value = ev.value
         assert abs(value - BETA_SERIES_5_4_AT_0_3) <= 1e-13 * BETA_SERIES_5_4_AT_0_3
         live = beta_series(Fraction(5, 4), 0.3).value
@@ -335,7 +335,7 @@ class TestDispatcher:
         via_dispatch = incomplete_beta(Fraction(-3, 4), 0, 0.5)
         direct = reduce_beta(decompose(Fraction(-3, 4)), 0.5)
         assert direct.method is Method.REDUCTION
-        assert direct.terms_or_nodes == 4 + 1  # q phased logs, then the m = -1 tail term
+        assert direct.terms_or_nodes == 3 + 1  # q//2 + 1 paired logs, then the m = -1 tail term
         assert via_dispatch == direct.value
 
     @pytest.mark.parametrize(
@@ -510,7 +510,8 @@ class TestUnitRootTable:
 
 
 class TestEvaluation:
-    # (nu, z, number of logs): q for the roots-of-unity sum, 1 for the atanh form
+    # (nu, z, number of logs): q for the roots-of-unity sum, q//2 + 1 paired rows at real
+    # z > 0, 1 for the atanh form
     @pytest.mark.parametrize(
         "nu,z,logs",
         [
@@ -518,10 +519,10 @@ class TestEvaluation:
             (Fraction(1, 2), 0.7, 1),
             (Fraction(7, 2), 2.5, 1),
             (Fraction(-5, 2), 0.4 + 0.3j, 1),
-            (Fraction(5, 4), 0.3, 4),
-            (Fraction(38, 5), 0.88, 5),
+            (Fraction(5, 4), 0.3, 3),
+            (Fraction(38, 5), 0.88, 3),
             (Fraction(-25, 6), 0.2 + 0.4j, 6),
-            (Fraction(123, 10), 2.0, 10),
+            (Fraction(123, 10), 2.0, 6),
         ],
     )
     def test_closed_form_invariants(self, nu, z, logs):
@@ -722,7 +723,9 @@ def _reference_parts(dec, z):
         parts = [2.0 * atanh(zq)]
     else:
         roots, phases = _tables(q)[0]
-        ws = [1 - zq * root for root in roots]
+        # a real z > 0 at q >= 3 pairs the conjugate rows k and q - k: rows 0 .. q//2 only
+        rows = q // 2 + 1 if q > 2 and z.imag == 0 and z.real > 0 else q
+        ws = [1 - zq * root for root in roots[:rows]]
         try:
             near = min(map(abs, ws))
         except OverflowError as exc:
@@ -733,6 +736,10 @@ def _reference_parts(dec, z):
                 f"log argument {ws[k]} within {BRANCH_GUARD} of the branch point (k={k}, q={q})"
             )
         parts = [phases[p * k % q] * principal_log(w) for k, w in enumerate(ws)]
+        if rows < q:
+            # row 0 whole, twice the real part of rows 0 < k < q/2, the real part of row q/2
+            half = (q + 1) // 2
+            parts[1:] = [complex(2 * t.real) for t in parts[1:half]] + [complex(t.real) for t in parts[half:]]
     r = p / q
     for k in range(dec.m):
         parts.append(-zk / (k + r))
