@@ -6,9 +6,12 @@ unity plus a finite power sum.  This package implements those reductions
 with careful branch handling, validates them against independent series and
 quadrature oracles, applies them to two integral families, and times them
 against the oracles.
+
+The value path (``errors``, ``principal``, ``rationals``, ``reduction`` and
+``integrals``) loads with the package; ``bench``, ``verify`` and
+``oracles`` load on the first access to one of their names (PEP 562).
 """
 
-from .bench import BenchRecord, PRESETS, run_bench, write_bench_csv
 from .errors import (
     BetaReduceError,
     BranchPoint,
@@ -21,7 +24,6 @@ from .errors import (
     ZeroArgument,
 )
 from .integrals import int_power_over_linear, int_tanh_power
-from .oracles import beta_quadrature, beta_series, lerch_series, phi_quadrature
 from .principal import Evaluation, Method, atanh, principal_log, principal_sqrt, rational_power
 from .rationals import Decomposition, decompose, decompose_pos, parse_rational, render_rational
 from .reduction import (
@@ -32,17 +34,16 @@ from .reduction import (
     reduce_beta,
     reduce_beta_many,
 )
-from .verify import (
-    Status,
-    VerificationRecord,
-    default_nu_grid,
-    default_z_grid,
-    fraction_grid,
-    run_verification,
-    write_verify_csv,
-)
 
 __version__ = "0.1.0"
+
+# each name that loads with its module on first access, and that module
+_LAZY = {
+    **dict.fromkeys(["BenchRecord", "PRESETS", "run_bench", "write_bench_csv"], "bench"),
+    **dict.fromkeys(["beta_quadrature", "beta_series", "lerch_series", "phi_quadrature"], "oracles"),
+    **dict.fromkeys(["Status", "VerificationRecord", "default_nu_grid", "default_z_grid"], "verify"),
+    **dict.fromkeys(["fraction_grid", "run_verification", "write_verify_csv"], "verify"),
+}
 
 __all__ = [
     "BenchRecord",
@@ -90,3 +91,16 @@ __all__ = [
     "write_verify_csv",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    """A lazy name, read from its module each time: what a caller rebinds there shows here."""
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY})

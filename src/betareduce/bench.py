@@ -11,9 +11,8 @@ never hidden.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import IO, Iterable, List, Sequence, Tuple
+from typing import IO, Iterable, List, NamedTuple, Sequence, Tuple
 
 from .errors import BetaReduceError, OutsideDomain
 from .oracles import beta_quadrature, beta_series
@@ -23,8 +22,10 @@ from .reduction import incomplete_beta
 
 BENCH_CSV_HEADER = "method,nu,z_re,z_im,reps,median_ns,mean_ns,rel_diff"
 
-@dataclass(frozen=True)
-class BenchRecord:
+
+class BenchRecord(NamedTuple):
+    """One timed (method, point) pair; a tuple, like ``VerificationRecord``."""
+
     method: Method
     nu: Fraction
     z: complex

@@ -3,8 +3,9 @@
 Two families of oracle, deliberately far from the reduction formulas:
 
 * direct series summation of sum z^k/(k+nu) (exactly rounded by
-  ``math.fsum``, with a three-consecutive-small-terms stopping rule and a
-  rigorous geometric tail bound), plus the shifted split for negative nu;
+  ``math.fsum``, with a three-consecutive-small-terms stopping rule and an
+  error bound: the geometric tail bound plus the rounding of the terms),
+  plus the shifted split for negative nu;
   :func:`beta_series_columns` gives the plain values of many nu at each of
   many z, one numpy pass per z, assembled as :func:`beta_series` assembles
   them, so bitwise alike: the split of each nu and the parts of its
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import accumulate
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import (
@@ -39,6 +41,9 @@ from .principal import finite_double, rational_power, rational_powers, to_double
 from .rationals import decompose, exact_rational
 
 
+# Machine epsilon, twice the unit roundoff: the unit of the series oracles' rounding bounds.
+_EPS = 2.0**-52
+
 # Series truncation: stop after three consecutive terms below SERIES_REL_TOL * |running sum|.
 SERIES_REL_TOL = 1e-16
 SERIES_MAX_TERMS = 10**7
@@ -53,8 +58,10 @@ PHI_REL_TOL = 1e-13
 def _sum_inverse_linear(z: complex, a: float):
     """Exactly rounded sum of z^k/(k+a) with the 3-small-terms stopping rule.
 
-    The rule reads a plain running sum.  Returns (sum, |last term|, terms);
-    raises :class:`MaxTermsExceeded` when the budget runs out first, at once
+    The rule reads a plain running sum.  Returns (sum, error bound, terms):
+    the bound is the geometric tail |last term| / (1 - |z|) plus the
+    rounding of the terms it holds (see :func:`_rounding`).  Raises
+    :class:`MaxTermsExceeded` when the budget runs out first, at once
     when a bound shows that no term within the budget can meet the rule.
     """
     n, b = SERIES_MAX_TERMS, abs(a)
@@ -74,13 +81,31 @@ def _sum_inverse_linear(z: complex, a: float):
             if last <= SERIES_REL_TOL * abs(running):
                 small += 1
                 if small >= 3:
-                    return fsum_complex(terms), last, k + 1
+                    total = fsum_complex(terms)
+                    return total, last / (1.0 - abs(z)) + _rounding(z, terms, total), k + 1
             else:
                 small = 0
             zk *= z
     raise MaxTermsExceeded(
         f"no convergence within {SERIES_MAX_TERMS} terms (|z| = {abs(z)})"
     )
+
+
+def _rounding(z: complex, terms: List[complex], total: complex) -> float:
+    """A bound on the rounding in ``total``, the exactly rounded sum of the terms z^k/(k+a).
+
+    Term k carries the k - 1 products of the walk z^k (each of relative
+    error 2^-53, or sqrt(5) * 2^-53 < 3 * 2^-53 for a complex z), k + a and
+    the quotient, so at most (c*k + 2) * 2^-53 of its modulus, c = 1 or 3;
+    the sum adds 2^-53 * |total|.  Counted in 2^-52, which also covers the
+    second-order terms.  The suffix sums of the moduli add up to
+    sum (k+1) * |term k|, the last of them to sum |term k|, so the bound is
+    at least sum (c*k + 2) * |term k|; each modulus is scaled by its unit
+    before any addition, so a first term 1/a near the double limit cannot
+    overflow it.
+    """
+    suffix = list(accumulate(map(abs, reversed(terms))))
+    return (3.0 * _EPS if z.imag else _EPS) * sum(suffix) + _EPS * suffix[-1] + _EPS * abs(total)
 
 
 def _sums_inverse_linear(z: complex, avals: Sequence[float]) -> Optional[List[Optional[complex]]]:
@@ -139,8 +164,9 @@ def _sums_inverse_linear(z: complex, avals: Sequence[float]) -> Optional[List[Op
 def lerch_series(z: complex, nu: float) -> Evaluation:
     """Phi(z, 1, nu) by direct summation; |z| < 1, nu not in {0, -1, ...}.
 
-    The reported error estimate is the geometric tail bound
-    |last term| / (1 - |z|).
+    The reported error estimate bounds the error: the geometric tail bound
+    |last term| / (1 - |z|) plus the rounding of the terms and their sum.
+    At z = 0 the value is the one quotient 1/nu: exact, or within 2^-53 * |1/nu|.
     """
     z = finite_complex(z)
     nu = to_double(nu)
@@ -150,8 +176,9 @@ def lerch_series(z: complex, nu: float) -> Evaluation:
         raise OutsideDomain(f"series needs |z| < 1, got z = {z}")
     if nu <= 0 and nu == math.floor(nu):
         raise DivergentParameter(f"nu = {nu} is a non-positive integer")
-    total, last, terms = _sum_inverse_linear(z, nu)
-    err = last / (1.0 - abs(z))
+    total, err, terms = _sum_inverse_linear(z, nu)
+    if z == 0:
+        err = 0.0 if Fraction(total.real) == 1 / Fraction(nu) else _EPS / 2 * abs(total)
     return Evaluation(total, Method.SERIES, err, terms)
 
 
@@ -160,7 +187,10 @@ def beta_series(nu: Fraction, z: complex) -> Evaluation:
 
     Positive nu sums z^nu * sum z^k/(k+nu) directly.  Negative non-integer
     nu = -n + r uses the shifted split: the same series at r plus the exact
-    finite correction sum z^(r-k)/(r-k), k = 1..n.
+    finite correction sum z^(r-k)/(r-k), k = 1..n.  The reported error
+    estimate bounds the error: the series' own bound scaled by |z^expo|, plus
+    the rounding of z^expo, of its product with the sum, of the corrections
+    and of their sums (see :func:`_series_error`).
     """
     nu = exact_rational(nu)
     if nu.denominator == 1 and nu <= 0:
@@ -173,10 +203,11 @@ def beta_series(nu: Fraction, z: complex) -> Evaluation:
     if not _in_unit_disk(z):
         raise OutsideDomain(f"series needs |z| < 1, got z = {z}")
     expo, a, n = _series_split(nu)
-    total, last, terms = _sum_inverse_linear(z, a)
+    total, err, terms = _sum_inverse_linear(z, a)
     prefactor = rational_power(z, expo)
-    err = abs(prefactor) * last / (1.0 - abs(z))
-    value = _series_value(z, a, n, total, prefactor)
+    corr = _corrections(z, a, n, prefactor)
+    value = _series_value(total, prefactor, corr)
+    err = _series_error(z, a, err, total, prefactor, corr, value)
     return Evaluation(value, _series_method(nu), err, terms + n)
 
 
@@ -222,7 +253,8 @@ def beta_series_columns(
             _, a, n = splits[i]
             try:
                 if sums[slots[a]] is not None:  # else its row did not stop: to beta_series
-                    column[i] = _series_value(z, a, n, sums[slots[a]], power)
+                    corr = _corrections(z, a, n, power) if n else ()
+                    column[i] = _series_value(sums[slots[a]], power, corr)
             except (BetaReduceError, ArithmeticError):
                 pass  # refused: this point goes to beta_series alone
         columns.append(column)
@@ -256,14 +288,39 @@ def _series_split(nu: Fraction):
     return expo, finite_double(expo, "the series parameter"), n
 
 
-def _series_value(z: complex, a: float, n: int, total: complex, prefactor: complex) -> complex:
-    """B(nu, 0, z) from its split, the sum of its series and z^expo."""
+def _corrections(z: complex, a: float, n: int, prefactor: complex) -> List[complex]:
+    """The shifted split's terms z^(expo-k)/(a-k), k = 1..n, walked down from z^expo."""
     corr = []
     zk = prefactor
     for k in range(1, n + 1):
         zk /= z
         corr.append(zk / (a - k))
-    return prefactor * total + fsum_complex(corr) if n else prefactor * total
+    return corr
+
+
+def _series_value(total: complex, prefactor: complex, corr: Sequence[complex]) -> complex:
+    """B(nu, 0, z) from the sum of its series, z^expo and its :func:`_corrections`."""
+    return prefactor * total + fsum_complex(corr) if corr else prefactor * total
+
+
+def _series_error(z, a, err, total, prefactor, corr, value) -> float:
+    """A bound on the error of :func:`beta_series`'s value, given its series' bound ``err``.
+
+    In units of 2^-53 of each modulus: z^a carries a * (3*|log z| + 1) + 6*b
+    + 4, b the bits of its integer part (the exponent's roundings grow by
+    |a * log z| through exp, a rounded |z| by a through a power, and a power
+    by squaring takes two complex products a bit); its product with the sum
+    3 more; correction k the prefactor's, k quotients of the walk (1 each,
+    or 3 for a complex z), a - k, its quotient and its share of the sum, 3;
+    the last sum 1.  Counted in 2^-52 like :func:`_rounding`, and scaled by
+    it before any addition.
+    """
+    log_z = math.hypot(math.log(abs(z)), math.atan2(z.imag, z.real))
+    power = a * (3.0 * log_z + 1.0) + 6.0 * int(a).bit_length() + 4.0
+    walk = 3.0 if z.imag else 1.0
+    corrections = sum(_EPS * (power + walk * k + 3.0) * abs(c) for k, c in enumerate(corr, 1))
+    product = _EPS * (power + 3.0) * abs(prefactor * total)
+    return abs(prefactor) * err + product + corrections + _EPS * abs(value)
 
 
 def beta_quadrature(nu: float, mu: float, z: float) -> Evaluation:

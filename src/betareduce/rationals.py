@@ -11,8 +11,8 @@ through a binary float.  :func:`decompose` splits either sign;
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import DivergentParameter, OutsideDomain, ParseError
 
@@ -45,12 +45,12 @@ def render_rational(x: Fraction) -> str:
     return str(exact_rational(x))
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     """A rational nu split as m + r: m = ceil(nu) - 1 a signed integer, r in (0, 1].
 
     ``r`` is a lowest-terms fraction p/q; positive integers have r = 1, so
-    every nu outside the non-positive integers has exactly one split.
+    every nu outside the non-positive integers has exactly one split.  A
+    tuple: it unpacks and compares as ``(m, r)``.
     """
 
     m: int

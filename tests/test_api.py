@@ -129,6 +129,49 @@ def test_value_path_leaves_numpy_unloaded():
     assert run.stdout.splitlines()[-1].split() == [f"{v.real.hex()},{v.imag.hex()}" for v in values]
 
 
+# import betareduce and the value callers load no dataclasses (nor inspect, which it
+# imports) and none of bench, verify and oracles; a name of one of those loads its module on
+# first access and is the object the module holds, so rebinding it there shows here too
+def test_value_path_loads_only_its_modules():
+    code = (
+        "import sys\n"
+        "from fractions import Fraction\n"
+        "import betareduce\n"
+        "nu, z = Fraction(7, 3), 0.3 + 0.2j\n"
+        "betareduce.incomplete_beta(nu, 0, z)\n"
+        "betareduce.incomplete_beta(nu, 2, z)\n"
+        "betareduce.lerch_reduce(betareduce.decompose(nu), z)\n"
+        "betareduce.int_power_over_linear(nu, z)\n"
+        "betareduce.int_tanh_power(nu, 0.7)\n"
+        "lazy = ['dataclasses', 'inspect', 'betareduce.bench', 'betareduce.verify',\n"
+        "        'betareduce.oracles']\n"
+        "loaded = [name for name in lazy if name in sys.modules]\n"
+        "assert not loaded, loaded\n"
+        "run = betareduce.run_verification\n"
+        "assert 'betareduce.verify' in sys.modules\n"
+        "assert run is sys.modules['betareduce.verify'].run_verification\n"
+        "sys.modules['betareduce.verify'].run_verification = marker = object()\n"
+        "assert betareduce.run_verification is marker\n"
+        "sys.modules['betareduce.verify'].run_verification = run\n"
+        "namespace = {}\n"
+        "exec('from betareduce import *', namespace)\n"
+        "missing = [name for name in betareduce.__all__ if name not in namespace]\n"
+        "assert not missing, missing\n"
+        "assert all(namespace[name] is getattr(betareduce, name) for name in betareduce.__all__)\n"
+        "missing = set(betareduce.__all__) - set(dir(betareduce))\n"
+        "assert not missing, missing\n"
+    )
+    path = [str(Path(betareduce.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'verify_grid'"):
+        betareduce.verify_grid
+
+
 THIRD = Fraction(1, 3)
 
 # each entry point, with the argument that takes an exact real beyond the double range

@@ -146,3 +146,22 @@ class TestCsv:
         buf = io.StringIO()
         write_bench_csv(records, buf)
         assert buf.getvalue() == expected.getvalue()
+
+
+# the record is an immutable, hashable tuple with fixed fields, as VerificationRecord is
+def test_record_contract():
+    fields = ("method", "nu", "z", "repetitions", "median_nanos", "mean_nanos", "rel_diff")
+    values = (Method.SERIES, Fraction(1, 2), 0.25j, 3, 100, 101.5, 0.0)
+    rec = BenchRecord(*values)
+    assert BenchRecord._fields == fields
+    assert rec == BenchRecord(**dict(zip(fields, values))) == values
+    assert tuple(rec) == values and rec.median_nanos == 100
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(rec, name, None)
+    assert hash(rec) == hash(BenchRecord(*values))
+    assert rec._replace(repetitions=4) == values[:3] + (4,) + values[4:] and rec.repetitions == 3
+    assert repr(rec) == (
+        "BenchRecord(method=<Method.SERIES: 'Series'>, nu=Fraction(1, 2), z=0.25j, repetitions=3,"
+        " median_nanos=100, mean_nanos=101.5, rel_diff=0.0)"
+    )

@@ -49,6 +49,14 @@ class TestLerchSeries:
         refined = lerch_series(0.9, 1.5)
         assert abs(out.value - refined.value) <= out.error_estimate
 
+    # the first term 1/nu is near the double limit: its rounding bound must not overflow
+    # into an infinite estimate, which Evaluation refuses with a bare ValueError
+    @pytest.mark.parametrize("z", [0.5, 0.5 + 0.1j, -0.3])
+    def test_estimate_finite_at_tiny_nu(self, z):
+        for out in (lerch_series(z, 1e-308), beta_series(Fraction(1, 10**308), z)):
+            assert math.isfinite(out.error_estimate)
+            assert out.error_estimate <= 1e-14 * abs(out.value)
+
     def test_negative_non_integer_nu(self):
         out = lerch_series(0.3, -0.5)
         assert math.isfinite(abs(out.value))
@@ -463,7 +471,8 @@ def _loop_without_bound(z, a):
         if last <= oracles.SERIES_REL_TOL * abs(running):
             small += 1
             if small >= 3:
-                return fsum_complex(terms), last, k + 1
+                total = fsum_complex(terms)
+                return total, last / (1.0 - abs(z)) + oracles._rounding(z, terms, total), k + 1
         else:
             small = 0
         zk *= z
@@ -650,6 +659,38 @@ def test_phi_quadrature_against_mpmath(nu, z):
     assert out.value.imag == 0.0
     assert err <= out.error_estimate
     assert err <= 1e-14 * exact
+
+
+# the series oracles' estimates bound their error: the tail bound alone fell short of the
+# rounding at about half of these points
+SERIES_ZS = [-0.99, -0.9, -0.5, -0.1, 0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 0.95, 0.99]
+
+
+@pytest.mark.parametrize("nu", [1e-3, 0.1, 1 / 3, 0.5, 1.0, 2.5, 10.0, 50.0])
+def test_lerch_series_estimate_bounds_its_error(nu):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        for z in SERIES_ZS:
+            out = lerch_series(z, nu)
+            err = abs(mpmath.mpc(out.value) - mpmath.lerchphi(mpmath.mpf(z), 1, mpmath.mpf(nu)))
+            assert err <= out.error_estimate, (z, float(err), out.error_estimate)
+
+
+@pytest.mark.parametrize(
+    "nu",
+    [Fraction(1, 1000), Fraction(1, 10), Fraction(1, 3), Fraction(1, 2), Fraction(5, 2),
+     Fraction(10), Fraction(-7, 3), Fraction(-1, 2)],
+    ids=str,
+)
+def test_beta_series_estimate_bounds_its_error(nu):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        a = mpmath.mpf(nu.numerator) / nu.denominator
+        for z in [z for z in SERIES_ZS if z]:
+            out = beta_series(nu, z)
+            w = mpmath.mpc(z)
+            err = abs(mpmath.mpc(out.value) - mpmath.power(w, a) * mpmath.lerchphi(w, 1, a))
+            assert err <= out.error_estimate, (z, float(err), out.error_estimate)
 
 
 class TestResultType:

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -381,3 +382,32 @@ class TestEvaluation:
         ev = Evaluation(1j, Method.REDUCTION, 0.0, 2, (1j, 0j))
         with pytest.raises(AttributeError):
             ev.value = 2j
+
+    # a read-only object with five named fields, compared and hashed by them; not a tuple,
+    # which the traced benchmark run would unpack as (value, trace)
+    def test_contract(self):
+        fields = ("value", "method", "error_estimate", "terms_or_nodes", "parts")
+        values = (1j, Method.REDUCTION, 0.5, 2, (1j, 0j))
+        ev = Evaluation(*values)
+        assert not isinstance(ev, tuple)
+        assert tuple(getattr(ev, name) for name in fields) == values
+        assert Evaluation(1j, Method.SERIES, 0.0, 1).parts == ()
+        for name in fields + ("other",):
+            with pytest.raises(AttributeError):
+                setattr(ev, name, None)
+        with pytest.raises(AttributeError):
+            del ev.value
+        same = Evaluation(**dict(zip(fields, values)))
+        assert ev == same and hash(ev) == hash(same) and not ev != same
+        for k, other in enumerate([2j, Method.SERIES, 0.25, 3, (1j,)]):
+            changed = Evaluation(*values[:k], other, *values[k + 1 :])
+            assert ev != changed
+        assert ev != values
+        assert repr(ev) == (
+            "Evaluation(value=1j, method=<Method.REDUCTION: 'Reduction'>, error_estimate=0.5,"
+            " terms_or_nodes=2, parts=(1j, 0j))"
+        )
+
+    def test_pickles(self):
+        ev = Evaluation(1j, Method.REDUCTION, 0.5, 2, (1j, 0j))
+        assert pickle.loads(pickle.dumps(ev)) == ev

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from betareduce import (
+    Decomposition,
     DivergentParameter,
     OutsideDomain,
     ParseError,
@@ -163,3 +164,18 @@ class TestDecomposeNeg:
         assert d.n == -d.m
         assert 0 < d.r < 1
         assert math.gcd(d.r.numerator, d.r.denominator) == 1
+
+
+# the split is an immutable, hashable tuple (m, r) with fixed fields, as README shows it
+def test_decomposition_contract():
+    d = Decomposition(-2, Fraction(1, 4))
+    assert Decomposition._fields == ("m", "r")
+    assert d == Decomposition(m=-2, r=Fraction(1, 4)) == (-2, Fraction(1, 4)) == decompose(Fraction(-7, 4))
+    m, r = d
+    assert (m, r, d.n, d.reconstruct()) == (-2, Fraction(1, 4), 2, Fraction(-7, 4))
+    for name in ("m", "r", "n"):
+        with pytest.raises(AttributeError):
+            setattr(d, name, 1)
+    assert d._replace(m=3) == Decomposition(3, Fraction(1, 4)) and d.m == -2
+    assert hash(d) == hash(decompose(Fraction(-7, 4)))
+    assert repr(d) == "Decomposition(m=-2, r=Fraction(1, 4))"
