@@ -24,7 +24,7 @@ from .errors import (
     ZeroArgument,
 )
 from .integrals import int_power_over_linear, int_tanh_power
-from .principal import Evaluation, Method, atanh, principal_log, principal_sqrt, rational_power
+from .principal import Evaluation, Method, principal_log, principal_sqrt, rational_power
 from .rationals import Decomposition, decompose, decompose_pos, parse_rational, render_rational
 from .reduction import (
     beta_mu_posint,
@@ -62,7 +62,6 @@ __all__ = [
     "Status",
     "VerificationRecord",
     "ZeroArgument",
-    "atanh",
     "beta_mu_posint",
     "beta_quadrature",
     "beta_series",

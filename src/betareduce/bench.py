@@ -15,7 +15,6 @@ from fractions import Fraction
 from typing import IO, Iterable, List, NamedTuple, Sequence, Tuple
 
 from .errors import BetaReduceError, OutsideDomain
-from .oracles import beta_quadrature, beta_series
 from .principal import Method, to_double
 from .rationals import exact_rational, render_rational
 from .reduction import incomplete_beta
@@ -36,7 +35,7 @@ class BenchRecord(NamedTuple):
 
 
 PRESETS = {
-    # the series needs tens of thousands of terms here; the reduction one atanh
+    # the series needs tens of thousands of terms here; the reduction two logs
     "near-one": [(Fraction(1, 2), complex(0.999))],
     "small-z": [
         (Fraction(1, 2), complex(0.1)),
@@ -46,17 +45,18 @@ PRESETS = {
 }
 
 
-def _quadrature_point(nu: Fraction, z: complex) -> complex:
-    if z.imag != 0.0:
-        raise OutsideDomain(f"quadrature needs real z, got {z}")
-    return beta_quadrature(float(nu), 0.0, z.real).value
-
-
 def _evaluators(nu: Fraction, z: complex):
+    from .oracles import beta_quadrature, beta_series  # here: importing bench loads no oracle
+
+    def quadrature() -> complex:
+        if z.imag != 0.0:
+            raise OutsideDomain(f"quadrature needs real z, got {z}")
+        return beta_quadrature(float(nu), 0.0, z.real).value
+
     return (
         (Method.REDUCTION, lambda: incomplete_beta(nu, 0, z)),
         (Method.SERIES, lambda: beta_series(nu, z).value),
-        (Method.QUADRATURE_BETA, lambda: _quadrature_point(nu, z)),
+        (Method.QUADRATURE_BETA, quadrature),
     )
 
 

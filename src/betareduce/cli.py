@@ -19,7 +19,6 @@ from .errors import BetaReduceError
 from .integrals import int_power_over_linear, int_tanh_power
 from .rationals import decompose_pos, parse_rational
 from .reduction import MAX_TAIL_TERMS, incomplete_beta, reduce_beta_many
-from .verify import default_nu_grid, default_z_grid, run_verification, write_verify_csv
 
 
 def _rational(text: str):
@@ -145,6 +144,7 @@ def _integral_tanh(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import default_nu_grid, default_z_grid, run_verification, write_verify_csv
     if args.n_max < 0 or args.q_max < 2:
         _PARSER.error("need --n-max >= 0 and --q-max >= 2")
     if not 0 <= args.tol < math.inf:

@@ -7,8 +7,8 @@ Both families are thin wrappers over the mu = 0 reduction:
 * integral_0^z tanh^(2*lambda-1) t dt  =  B(lambda, 0, tanh^2 z) / 2.
 
 The tanh family computes through the complex reduction at the real argument
-tanh^2 z in (0, 1), where the kernel pairs conjugate rows (or takes the real
-log or atanh at q <= 2), so the value's imaginary part is exactly 0.
+tanh^2 z in (0, 1), where the kernel pairs conjugate rows at every q, so the
+value's imaginary part is exactly 0.
 """
 
 from __future__ import annotations

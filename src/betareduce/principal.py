@@ -140,9 +140,19 @@ def principal_logs(ws: Sequence[complex]) -> List[complex]:
 def row_logs(zq: complex, roots: Sequence[complex], rows: Optional[int] = None) -> List[complex]:
     """``[principal_log(1 - zq*root) for root in roots[:rows]]``: the row logs, zq = z^(1/q).
 
+    At |zq| < 1/2 every row is ``0.5*log1p(x*x + y*y - 2x) + i*atan2(-y, 1 - x)``, u = x + iy
+    = zq*root, which keeps the digits of 1 - u that rounding would drop at small |u|.
     A row inside ``BRANCH_GUARD`` raises :class:`BranchPoint` naming its k and q = len(roots);
     one past the double range (only at q = 1: from q = 3 on, |zq| < 2^342) :class:`OutsideDomain`.
     """
+    x, y = zq.real, zq.imag
+    if x * x + y * y < 0.25:  # the parts, not abs(zq), which overflows past the double range
+        logs = []
+        for root in roots[:rows]:
+            u = zq * root
+            x, y = u.real, u.imag
+            logs.append(complex(0.5 * math.log1p(x * x + y * y - 2 * x), math.atan2(-y, 1 - x)))
+        return logs
     ws = [1 - zq * root for root in roots[:rows]]
     try:
         near = min(map(abs, ws))
@@ -158,10 +168,18 @@ def row_logs(zq: complex, roots: Sequence[complex], rows: Optional[int] = None) 
 
 def row_logs_array(z_root: np.ndarray, roots: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """:func:`row_logs` in numpy, a row per root and a column per lane of z_root, with the
-    mask of the columns that have a row inside twice ``BRANCH_GUARD``, left to the caller."""
+    mask of the columns that have a row inside twice ``BRANCH_GUARD``, left to the caller.
+    Its log1p rule takes real ``np.log1p``: the complex one drops the real part at small |u|."""
     import numpy as np  # here, so the scalar path never loads numpy
-    w = 1 - roots[:, None] * z_root
-    return np.log(w), (np.abs(w) < 2 * BRANCH_GUARD).any(axis=0)
+    u = roots[:, None] * z_root
+    w = 1 - u
+    log_w = np.log(w)
+    small = z_root.real**2 + z_root.imag**2 < 0.25  # the screen of row_logs
+    if small.any():
+        x, y = u.real[:, small], u.imag[:, small]
+        log_w.real[:, small] = 0.5 * np.log1p(x * x + y * y - 2 * x)
+        log_w.imag[:, small] = np.arctan2(-y, 1 - x)
+    return log_w, (np.abs(w) < 2 * BRANCH_GUARD).any(axis=0)
 
 
 def principal_sqrt(w: complex) -> complex:
@@ -169,23 +187,6 @@ def principal_sqrt(w: complex) -> complex:
     if not isinstance(w, complex):
         w = to_double(w, complex)
     return cmath.sqrt(w if w.imag else complex(w.real, 0.0))
-
-
-def atanh(w: complex) -> complex:
-    """Inverse hyperbolic tangent on the package branch convention.
-
-    Real arguments inside (-1, 1) use the libm real path; everything else is
-    (log(1+w) - log(1-w))/2 with the (-pi, pi] logs, so real w > 1 lands on
-    the lower edge: Im = -pi/2.  w = +-1 raises :class:`BranchPoint`, an
-    infinite or NaN w :class:`OutsideDomain`.
-    """
-    w = finite_complex(w, "the atanh argument")
-    if w.imag == 0.0 and -1.0 < w.real < 1.0:
-        return complex(math.atanh(w.real), 0.0)
-    try:
-        return 0.5 * (principal_log(1 + w) - principal_log(1 - w))
-    except BranchPoint:
-        raise BranchPoint(f"atanh is singular at {w}") from None
 
 
 def rational_power(z: complex, expo: Fraction) -> complex:

@@ -10,14 +10,14 @@ roots of unity plus a finite power correction:
 The log sum is B(p/q, 0, z); the correction undoes the integer shift by the
 contiguous relation B(a+1, 0, z) = B(a, 0, z) - z^a/a (DLMF 8.17).  Integer
 nu is the q = 1 case, where the log sum is the single term -log(1 - z).
-One kernel evaluates every case; at q = 2 its log part is 2*atanh(sqrt(z)),
-which is more accurate at small real z than the two logs it replaces.  Every
-log goes through the package-wide principal branch, which is what makes
-Im(B) = -pi come out on the real ray z > 1.  For real z > 0 and q >= 3 the
-scalar kernel and the batch both pair the conjugate rows k and q - k: they
-compute rows 0 .. q//2 only, keep row 0 whole, and take 2*Re of each row
-0 < k < q/2 and Re of the self-conjugate row q/2, so row 0 alone holds the
-imaginary part: 0 on (0, 1) and exactly -pi on the ray z > 1, on every path.
+One kernel evaluates every q.  Every log goes through the package-wide
+principal branch, which makes Im(B) = -pi come out on the real ray z > 1,
+and at |z^(1/q)| < 1/2 through a log1p rule that keeps its digits at small
+|z|.  For real z > 0 the scalar kernel and the batch both pair the
+conjugate rows k and q - k: they compute rows 0 .. q//2 only, keep row 0
+whole, and take 2*Re of each row 0 < k < q/2 and Re of the self-conjugate
+row q/2, so row 0 alone holds the imaginary part: 0 on (0, 1) and exactly
+-pi on the ray z > 1, on every path.
 One cache entry per q holds the q-th roots of unity and the row phases as
 tuples for the scalar kernel, and read-only arrays of them that the batch
 makes on its first use of q, so a scalar call never loads numpy; the two
@@ -30,8 +30,8 @@ caller's :func:`beta_value`; :func:`reduce_beta_many`, one decomposed nu at
 many z, is its one-row case.
 
 Every closed form is therefore one algorithm, ``Method.REDUCTION``; the log
-part shows only in the count of parts: 1 + |m| at q = 2, q//2 + 1 + |m| at
-real z > 0 and q >= 3, and q + |m| otherwise.
+part shows only in the count of parts: q//2 + 1 + |m| at real z > 0, and
+q + |m| otherwise.
 """
 
 from __future__ import annotations
@@ -46,10 +46,8 @@ from .errors import BetaReduceError, BranchPoint, MaxTermsExceeded, OutsideDomai
 from .errors import ZeroArgument
 from . import principal
 from .principal import (
-    BRANCH_GUARD,
     Evaluation,
     Method,
-    atanh,
     finite_complex,
     finite_double,
     fsum_complex,
@@ -70,16 +68,22 @@ if TYPE_CHECKING:
 MAX_TAIL_TERMS = 10**6
 
 _TWO_PI = 2.0 * math.pi
+# the quarter turns 4j/q = 0, 1, 2, 3 exactly: row q/2 at q = 2 is the exact 1 + sqrt(z)
+_QUARTER_TURNS = (complex(1.0, 0.0), complex(0.0, 1.0), complex(-1.0, 0.0), complex(0.0, -1.0))
 
 
 def _build_tables(q: int) -> list:
-    # the roots e^(2*pi*i*j/q) from the exact angle of each j, not by repeated
-    # multiplication: keeps the phase tight for large k*p products; and the
-    # phase -e^(-2*pi*i*j/q) of log row j at p = 1: the fraction p/q takes row
-    # p*k mod q for its log row k, the same number as -e^(-2*pi*i*p*k/q).  The
-    # tuples serve the scalar kernel; the slot after them keeps the batch's
+    # the roots e^(2*pi*i*j/q) from the exact angle of each j (the quarter turns
+    # exact), not by repeated multiplication: keeps the phase tight for large k*p
+    # products; and the phase -e^(-2*pi*i*j/q) of log row j at p = 1: the fraction
+    # p/q takes row p*k mod q for its log row k, the same number as -e^(-2*pi*i*p*k/q).
+    # The tuples serve the scalar kernel; the slot after them keeps the batch's
     # read-only arrays of them, made by _table_arrays on its first use of q.
-    roots = tuple(complex(math.cos(_TWO_PI * j / q), math.sin(_TWO_PI * j / q)) for j in range(q))
+    roots = tuple(
+        _QUARTER_TURNS[4 * j // q] if 4 * j % q == 0
+        else complex(math.cos(_TWO_PI * j / q), math.sin(_TWO_PI * j / q))
+        for j in range(q)
+    )
     phases = tuple([-roots[-j % q] for j in range(q)])
     return [(roots, phases), None]
 
@@ -116,6 +120,15 @@ def _roots_and_logs(zs: List[complex], q: int) -> Tuple[List[complex], Optional[
     return [cmath.exp(lz / q) for lz in logs], logs
 
 
+def _root_and_power(z: complex, q: int, r: float) -> Tuple[complex, complex]:
+    """z^(1/q) and z^r of one z != 0: bitwise :func:`_roots_and_logs` and :func:`_powers`."""
+    if q > 2:
+        lz = principal_log(z)
+        return cmath.exp(lz / q), cmath.exp(r * lz)
+    zq = principal_sqrt(z) if q == 2 else z
+    return zq, zq
+
+
 def _powers(roots: List[complex], logs: Optional[List[complex]], r: Fraction) -> List[complex]:
     """Batch helper: z^r of each z, the tail's start, from :func:`_roots_and_logs`."""
     if logs is None:
@@ -127,10 +140,9 @@ def _powers(roots: List[complex], logs: Optional[List[complex]], r: Fraction) ->
 def reduce_beta(dec: Decomposition, z: complex) -> Evaluation:
     """B(m + r, 0, z) for a decomposed rational parameter, as an :class:`Evaluation`.
 
-    One kernel: the q phased logs (at q = 2 the single 2*atanh(sqrt(z)), more
-    accurate at small real z; at real z > 0 and q >= 3 the q//2 + 1 paired
-    rows) and the |m| power-tail terms, summed exactly
-    rounded at once; the error estimate is that sum's condition, 2^-53 * sum|parts|.
+    One kernel: the q phased logs (at real z > 0 the q//2 + 1 paired rows)
+    and the |m| power-tail terms, summed exactly rounded at once; the error
+    estimate is that sum's condition, 2^-53 * sum|parts|.
     Raises :class:`BranchPoint` at z = 1 or whenever a log argument falls
     inside the guard band, :class:`ZeroArgument` at z = 0 for m < 0,
     :class:`OutsideDomain` for an infinite or NaN z or a sum outside the
@@ -190,26 +202,16 @@ def _kernel(dec: Decomposition, z: complex) -> List[complex]:
         raise MaxTermsExceeded(f"{abs(m)} power-tail terms exceed the budget of {MAX_TAIL_TERMS}")
     if q > MAX_TAIL_TERMS:
         raise MaxTermsExceeded(f"{q} roots of unity exceed the budget of {MAX_TAIL_TERMS}")
-    # z^(1/q) and z^r, the tail's start, by the operations of _roots_and_logs and _powers
     r = p / q
-    if q == 2:
-        # B(1/2, 0, z) = 2*atanh(sqrt(z)): at small real z more accurate than its two logs
-        zq = zk = principal_sqrt(z)
-        if abs(1 - zq) < BRANCH_GUARD or abs(1 + zq) < BRANCH_GUARD:
-            raise BranchPoint("sqrt(z) within the guard band of an atanh singularity")
-        parts = [2.0 * atanh(zq)]
-    else:
-        zq = zk = z
-        if q > 2:
-            lz = principal_log(z)
-            zq, zk = cmath.exp(lz / q), cmath.exp(r * lz)
-        rows = q // 2 + 1 if q > 2 and z.imag == 0 and z.real > 0 else q
-        roots, phases = _tables(q)[0]
-        parts = [phases[p * k % q] * lw for k, lw in enumerate(row_logs(zq, roots, rows))]
-        if rows < q:
-            # the paired rows of the module docstring: row k < q/2 stands for k and q - k
-            for k in range(1, rows):
-                parts[k] = complex((2.0 if 2 * k < q else 1.0) * parts[k].real)
+    zq, zk = _root_and_power(z, q, r)  # z^r is the tail's start
+    # the paired rows of the module docstring at real z > 0: row k < q/2 stands for k and q - k
+    paired = z.imag == 0 and z.real > 0
+    rows = q // 2 + 1 if paired else q
+    roots, phases = _tables(q)[0]
+    parts = [phases[p * k % q] * lw for k, lw in enumerate(row_logs(zq, roots, rows))]
+    if paired:
+        for k in range(1, rows):
+            parts[k] = complex((2.0 if 2 * k < q else 1.0) * parts[k].real)
     # the tail walks outward from z^r at k = 0 (m > 0) or k = -1 (m < 0), one
     # multiplication or division by z per term
     for k in range(m):
@@ -253,7 +255,7 @@ def reduce_beta_rows(nus: Sequence[Fraction], zs: List[complex]) -> List[List[Op
     The nu may have any denominators: each is decomposed once, and the
     decompositions are grouped by q, one batch per q.  Every z is a float
     or complex (:func:`to_double` of the input).  One column per z holds
-    the q phased logs of the general form (q = 1 included) and the |m|
+    the q phased logs of the general form (every q) and the |m|
     power-tail terms, built a chunk of columns at a time (at most
     ``principal.BATCH_CELLS`` cells per matrix) and summed exactly rounded
     by ``math.fsum`` per lane.
@@ -267,10 +269,9 @@ def reduce_beta_rows(nus: Sequence[Fraction], zs: List[complex]) -> List[List[Op
     a value depends neither on the other points nor on the other rows of
     the call.  A point the batch cannot finish regularly is None, for the
     caller's :func:`beta_value`, which owns every refusal: z = 0, a lane
-    of z or of a part beyond 2^1000 or not finite, a log argument near the
-    guard band (z = 1 among them), and a q = 2 point with real z in
-    (0, 1), where the scalar atanh is more accurate.  So is every point of
-    a nu that :func:`decompose` refuses or whose one column alone passes
+    of z or of a part beyond 2^1000 or not finite, and a log argument near
+    the guard band (z = 1 among them).  So is every point of a nu that
+    :func:`decompose` refuses or whose one column alone passes
     ``principal.BATCH_CELLS`` (|m| or q above ``MAX_TAIL_TERMS`` among them).
     """
     decs: List[Optional[Decomposition]] = []
@@ -310,9 +311,6 @@ def _rows_chunk(q: int, decs, zs: List[complex]) -> List[List[Optional[complex]]
     regular = (za != 0) & (np.abs(za.real) < _BATCH_LIMIT) & (np.abs(za.imag) < _BATCH_LIMIT)
     # real z > 0, either sign of zero: the lanes that pair conjugate rows
     paired = (za.imag == 0) & (za.real > 0)
-    if q == 2:
-        # real z in (0, 1) takes the scalar kernel's atanh, more accurate there than two logs
-        regular &= ~(paired & (za.real < 1))
     # points left None keep a harmless z in their column
     base = np.where(regular, za, 0.5)
     z_roots, z_logs = _roots_and_logs(base.tolist(), q)

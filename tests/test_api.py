@@ -31,7 +31,6 @@ PUBLIC = [
     "VerificationRecord",
     "ZeroArgument",
     "__version__",
-    "atanh",
     "beta_mu_posint",
     "beta_quadrature",
     "beta_series",
@@ -165,6 +164,21 @@ def test_value_path_loads_only_its_modules():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
+    # the CLI loads verify and oracles in the handlers that use them; --preset reads bench
+    code = (
+        "import sys\n"
+        "import betareduce.cli as cli\n"
+        "loaded = [name for name in ('betareduce.verify', 'betareduce.oracles') if name in sys.modules]\n"
+        "assert not loaded, loaded\n"
+        "assert cli.main(['eval', 'beta', '--nu', '7/3', '--z', '0.5']) == 0\n"
+        "assert 'betareduce.oracles' not in sys.modules and 'betareduce.verify' not in sys.modules\n"
+        "from betareduce import bench\n"
+        "assert cli._PARSER.parse_args(['bench']).preset in bench.PRESETS\n"
+        "assert cli.main(['verify', '--n-max', '0', '--q-max', '2', '--z-point', '0.5']) == 0\n"
+        "assert 'betareduce.verify' in sys.modules and 'betareduce.oracles' in sys.modules\n"
+    )
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
 
 
 def test_unknown_name_raises_attribute_error():
@@ -197,7 +211,6 @@ BEYOND_DOUBLE_RANGE = {
     "run_bench z": lambda x: betareduce.run_bench([(Fraction(1, 2), x)], 1, 0),
     "principal_log w": betareduce.principal_log,
     "principal_sqrt w": betareduce.principal_sqrt,
-    "atanh w": betareduce.atanh,
 }
 
 

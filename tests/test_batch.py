@@ -132,7 +132,9 @@ def test_real_axis_imaginary_part_exact(q, m):
 
 @st.composite
 def paired_decompositions(draw):
-    q = draw(st.sampled_from([3, 4, 5, 7, 12, 97]))
+    q = draw(st.sampled_from([1, 2, 3, 4, 5, 7, 12, 97]))
+    if q == 1:  # integers: nu = m + 1 > 0
+        return Decomposition(draw(st.integers(0, 12)), Fraction(1))
     p = draw(st.integers(1, q - 1).filter(lambda p: math.gcd(p, q) == 1))
     return Decomposition(draw(st.integers(-12, 12)), Fraction(p, q))
 
@@ -161,13 +163,15 @@ def test_scalar_real_axis_imaginary_part_exact(dec, x, zero):
     assert abs(reduce_beta_many(dec, [z])[0] - value) <= bound(dec, ev), (dec, z, value)
 
 
-# at q = 2 a real z in (0, 1) takes the scalar kernel's atanh, more accurate there than two logs
+# at q = 2 the batch finishes a real z in (0, 1) with the general rows, as the scalar kernel does
 @pytest.mark.parametrize("nu", [Fraction(1, 2), Fraction(9, 2), Fraction(-3, 2)])
 def test_half_integer_unit_segment_is_the_scalar_value(nu):
     dec = decompose(nu)
     segment = [0.05 * k for k in range(1, 20)] + [1e-3, complex(0.3, -0.0)]
     batch = reduce_beta_many(dec, segment + [0.3 + 0.2j, -0.5, 2.5])
-    assert [repr(v) for v in batch[: len(segment)]] == [repr(v) for v in scalar_loop(dec, segment)]
+    for z, value in zip(segment, batch):
+        ev = reduce_beta(dec, z)
+        assert abs(value - ev.value) <= bound(dec, ev), (nu, z)
 
 
 # -- named-error parity: the batch raises what the scalar loop raises first ---
@@ -178,7 +182,7 @@ REFUSED = [
     (Fraction(1, 3), [0.5, math.inf]),
     (Fraction(7, 2), [0.5, complex(0.2, math.nan)]),
     (Fraction(1, 3), [0.5, 1 + 1e-15]),  # guard band, q = 3
-    (Fraction(3, 2), [0.5, 1 + 1e-15]),  # guard band of the atanh form, q = 2
+    (Fraction(3, 2), [0.5, 1 + 1e-15]),  # guard band, q = 2
     (Fraction(2000, 3), [2.0, 3.0, 0.5]),  # the z^k tail overflows at z = 3
     (Fraction(-2000, 3), [0.5, 1e-3]),  # the z^-k tail overflows at z = 1e-3
     (Fraction(2), [0.5, complex(1.5e308, 1.5e308)]),  # |1 - z| overflows
@@ -278,7 +282,6 @@ def left_to_the_caller(dec, z):
     return (
         dec.r.denominator + dec.n > principal.BATCH_CELLS
         or z == 0
-        or (dec.r.denominator == 2 and z.imag == 0 and 0 < z.real < 1)  # the scalar atanh
         or max(max(abs(p.real), abs(p.imag)) for p in reduce_beta(dec, z).parts) >= 2.0**1000
     )
 

@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import pytest
 
 from betareduce import Method, OutsideDomain, run_bench, write_bench_csv
-from betareduce import bench, render_rational
+from betareduce import bench, oracles, render_rational
 from betareduce.bench import BENCH_CSV_HEADER, BenchRecord
 
 
@@ -61,8 +61,8 @@ class TestRunBench:
     )
     def test_non_int_counts_refused_before_any_method(self, monkeypatch, counts):
         calls = []
-        for name in ("incomplete_beta", "beta_series", "_quadrature_point"):
-            monkeypatch.setattr(bench, name, lambda *args, name=name: calls.append(name))
+        for module, name in ((bench, "incomplete_beta"), (oracles, "beta_series"), (oracles, "beta_quadrature")):
+            monkeypatch.setattr(module, name, lambda *args, name=name: calls.append(name))
         with pytest.raises(ValueError, match="must be an int"):
             run_bench([(Fraction(1, 2), complex(0.3))], **counts)
         assert calls == []
@@ -74,14 +74,15 @@ class TestRunBench:
     # a method that disagrees with the closed form is graded, not a reason to stop the run
     def test_disagreeing_method_is_reported(self, monkeypatch):
         nu, z = Fraction(1, 2), complex(0.3)
-        exact = bench._quadrature_point
-        monkeypatch.setattr(bench, "_quadrature_point", lambda nu, z: exact(nu, z) + 1e-6)
+        exact = oracles.beta_quadrature(0.5, 0.0, 0.3).value
+        shifted = SimpleNamespace(value=exact + 1e-6)
+        monkeypatch.setattr(oracles, "beta_quadrature", lambda *args: shifted)
         records = run_bench([(nu, z)], repetitions=1, warmup=0)
         assert [r.method for r in records] == [Method.REDUCTION, Method.SERIES, Method.QUADRATURE_BETA]
         assert records[0].rel_diff == 0.0
         assert records[1].rel_diff <= 1e-9
         value = bench.incomplete_beta(nu, 0, z)
-        assert records[2].rel_diff == abs(exact(nu, z) + 1e-6 - value) / max(1.0, abs(value))
+        assert records[2].rel_diff == abs(exact + 1e-6 - value) / max(1.0, abs(value))
         assert records[2].rel_diff > 1e-7  # the shift, not noise
 
     # durations of 100 and 300 ns: the integral mean is a float too, and its field reads 200.0

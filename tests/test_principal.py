@@ -7,7 +7,7 @@ import pickle
 import numpy as np
 import pytest
 
-from betareduce import ZeroArgument, atanh, principal_log, principal_sqrt, rational_power
+from betareduce import ZeroArgument, principal_log, principal_sqrt, rational_power
 from betareduce import BetaReduceError, BranchPoint, Evaluation, Method, OutsideDomain
 from betareduce.principal import BRANCH_GUARD, exponent_parts, fsum_complex, principal_logs
 from betareduce.principal import rational_powers, row_logs, row_logs_array
@@ -138,7 +138,7 @@ class TestRowLogs:
 
     @settings(max_examples=400, deadline=None)
     @given(
-        q=st.sampled_from([1, 3, 7, 12, 97]),
+        q=st.sampled_from([1, 2, 3, 4, 7, 12, 97]),
         points=st.lists(ROW_POINTS, min_size=1, max_size=8),
         paired=st.booleans(),
     )
@@ -151,7 +151,7 @@ class TestRowLogs:
         assert log_w.shape == (rows, len(zqs)) and near.shape == (len(zqs),)
         for column, zq in enumerate(zqs):
             try:
-                logs = row_logs(zq, roots[:rows])
+                logs = row_logs(zq, roots, rows)
             except BranchPoint:
                 assert near[column], zq
                 continue
@@ -174,9 +174,33 @@ class TestRowLogs:
         with pytest.raises(OutsideDomain, match="outside the double range"):
             row_logs(complex(1.5e308, 1.5e308), [complex(1.0)])
 
+    # at |zq| < 1/2 the rows keep the digits of 1 - u that the plain log drops at small |u|
+    @pytest.mark.parametrize("q", [1, 2, 3, 7, 12])
+    @pytest.mark.parametrize("zq", [1e-200, -1e-30, 1e-20 + 1e-20j, 1e-9j, 0.1 - 0.3j, 0.49])
+    def test_small_rows_hold_their_digits(self, q, zq):
+        mpmath = pytest.importorskip("mpmath")
+        (roots, _), (root_array, _) = _tables(q)[0], _table_arrays(q)
+        zq = complex(zq)
+        log_w, near = row_logs_array(np.array([zq]), root_array)
+        assert not near[0]
+        for root, lw, lw_array in zip(roots, row_logs(zq, roots), log_w[:, 0].tolist()):
+            with mpmath.workdps(40):
+                exact = mpmath.log1p(-mpmath.mpc(zq) * mpmath.mpc(root))
+            for value in (lw, lw_array):
+                assert abs(value - exact) <= 4 * 2**-53 * abs(exact), (zq, root, value)
+
+    # the quarter turns are exact: at q = 2 row 1 of a real zq is the real log(1 + zq)
+    def test_half_turn_row_is_real(self):
+        roots = _tables(2)[0][0]
+        assert roots == (complex(1.0, 0.0), complex(-1.0, 0.0))
+        assert _tables(4)[0][0][1::2] == (complex(0.0, 1.0), complex(0.0, -1.0))
+        for zq in (1e-300, 0.3, 0.9, 3.0):
+            row = row_logs(complex(zq, 0.0), roots)[1]
+            assert row.imag == 0.0 and abs(row.real - math.log1p(zq)) <= 2**-52 * row.real, zq
+
 
 class TestNamedRefusals:
-    """0 for the logs and +-1 for atanh are branch points; a non-finite atanh argument is outside."""
+    """0 is the branch point of the logs."""
 
     @pytest.mark.parametrize("w", [0, 0.0, -0.0, 0j, complex(-0.0, -0.0), False])
     def test_log_of_zero(self, w):
@@ -184,35 +208,6 @@ class TestNamedRefusals:
             principal_log(w)
         with pytest.raises(BranchPoint, match="log of 0"):
             principal_logs([complex(2.0), complex(w)])
-
-    @pytest.mark.parametrize("w", [1, -1, 1.0, -1.0, complex(1.0, -0.0), complex(-1.0, -0.0)])
-    def test_atanh_singular_points(self, w):
-        with pytest.raises(BranchPoint, match="atanh is singular"):
-            atanh(w)
-
-    @pytest.mark.parametrize(
-        "w",
-        [math.inf, -math.inf, math.nan, complex(0.0, math.inf), complex(math.nan, 0.0)]
-        + [pytest.param(10**400, id="10**400")],
-    )
-    def test_atanh_non_finite(self, w):
-        with pytest.raises(OutsideDomain, match="atanh argument must be finite"):
-            atanh(w)
-
-
-class TestAtanh:
-    def test_real_interior_uses_libm(self):
-        assert atanh(complex(0.5)) == complex(math.atanh(0.5), 0.0)
-
-    def test_above_one_lands_below_cut(self):
-        # the package convention: real arguments > 1 give Im = -pi/2
-        out = atanh(complex(2.0))
-        assert out.imag == pytest.approx(-math.pi / 2, abs=1e-15)
-        assert out.real == pytest.approx(0.5 * math.log(3), rel=1e-15)
-
-    def test_complex_agrees_with_cmath(self):
-        for w in (0.3 + 0.7j, -0.9 + 0.1j, 1.5 - 2j):
-            assert abs(atanh(w) - cmath.atanh(w)) < 1e-14
 
 
 class TestRationalPower:

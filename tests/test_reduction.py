@@ -32,10 +32,9 @@ from betareduce import (
     reduce_beta_many,
 )
 from betareduce import integrals, reduction
-from betareduce.principal import atanh, finite_complex, fsum_complex, principal_log, principal_sqrt
-from betareduce.principal import rational_power, row_logs
+from betareduce.principal import finite_complex, fsum_complex, principal_log
+from betareduce.principal import BRANCH_GUARD, rational_power
 from betareduce.reduction import (
-    BRANCH_GUARD,
     MAX_TAIL_TERMS,
     ROOT_CACHE_MAX_Q,
     _cached_tables,
@@ -69,7 +68,7 @@ class TestPositiveGolden:
     def test_half_is_log3(self):
         ev = reduce_beta(decompose(Fraction(1, 2)), 0.25)
         assert ev.method is Method.REDUCTION
-        assert ev.terms_or_nodes == 1  # q = 2: the single atanh log part
+        assert ev.terms_or_nodes == 2  # q = 2 at real z > 0: rows 0 and q/2 = 1
         assert ulps(ev.value.real, math.log(3)) <= 2
 
     def test_five_fourths_matches_series_oracle(self, tight_series):
@@ -104,7 +103,7 @@ class TestNegativeGolden:
     def test_minus_half_closed_form(self):
         ev = reduce_beta(decompose(Fraction(-1, 2)), 0.25)
         assert ev.method is Method.REDUCTION
-        assert ev.terms_or_nodes == 1 + 1  # the atanh log part, then the m = -1 tail term
+        assert ev.terms_or_nodes == 2 + 1  # the two q = 2 rows, then the m = -1 tail term
         ref = math.log(3) - 4.0
         assert ulps(ev.value.real, ref) <= 2
         assert ev.value.imag == 0.0
@@ -131,25 +130,27 @@ class TestNegativeGolden:
             reduce_beta(decompose(Fraction(-5, 3)), 1.0)
 
 
-def _general_half_integer(ev, z):
-    # the q = 2 roots-of-unity log sum in place of the atanh part, with the same tail terms
-    roots, phases = _tables(2)[0]
-    logs = [phase * lw for phase, lw in zip(phases, row_logs(principal_sqrt(z), roots))]
-    return fsum_complex(logs + list(ev.parts[1:]))
+def _half_integer_exact(nu, z):
+    # B(a, 0, z) = z^a / a * 2F1(a, 1; a + 1; z) at 40 digits; on the ray, its lower edge
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        a = mpmath.mpf(nu.numerator) / nu.denominator
+        w = mpmath.mpc(z.real, z.imag if z.imag or z.real < 1 else -mpmath.mpf(10) ** -60)
+        return complex(w**a / a * mpmath.hyp2f1(a, 1, a + 1, w))
 
 
 class TestFastPathConsistency:
-    # the q = 2 general roots-of-unity form must reproduce the atanh form
+    # q = 2 has no form of its own: its general rows against 40-digit mpmath, on and off the axes
     @pytest.mark.parametrize("n", [0, 1, 3, 5])
     @pytest.mark.parametrize("z", [0.1, 0.85, 0.4 + 0.3j, -0.6, 2.5, 7.0])
     def test_positive_half_integers(self, n, z):
         dec = decompose(n + Fraction(1, 2))
         assert dec == Decomposition(m=n, r=Fraction(1, 2))
-        fast = reduce_beta(dec, z)
-        general = _general_half_integer(fast, complex(z))
-        assert fast.method is Method.REDUCTION
-        assert fast.terms_or_nodes == 1 + n  # one atanh log part, not q = 2 logs
-        assert abs(fast.value - general) <= 1e-13 * max(1.0, abs(general))
+        ev = reduce_beta(dec, z)
+        exact = _half_integer_exact(n + Fraction(1, 2), complex(z))
+        assert ev.method is Method.REDUCTION
+        assert ev.terms_or_nodes == 2 + n  # rows 0 and 1, paired or not: row 1 = q/2 is its own pair
+        assert abs(ev.value - exact) <= 1e-13 * max(1.0, abs(exact))
 
     @pytest.mark.parametrize("n", [1, 2, 4])
     @pytest.mark.parametrize("z", [0.1, 0.85, 0.4 + 0.3j, 2.5])
@@ -157,22 +158,22 @@ class TestFastPathConsistency:
         nu = Fraction(-n) + Fraction(1, 2)
         dec = decompose(nu)
         assert (dec.m, dec.r) == (-n, Fraction(1, 2))
-        fast = reduce_beta(dec, z)
-        general = _general_half_integer(fast, complex(z))
-        assert fast.method is Method.REDUCTION
-        assert fast.terms_or_nodes == 1 + n  # one atanh log part, not q = 2 logs
-        assert abs(fast.value - general) <= 1e-13 * max(1.0, abs(general))
+        ev = reduce_beta(dec, z)
+        exact = _half_integer_exact(nu, complex(z))
+        assert ev.method is Method.REDUCTION
+        assert ev.terms_or_nodes == 2 + n
+        assert abs(ev.value - exact) <= 1e-13 * max(1.0, abs(exact))
 
 
-# every closed form is one algorithm; q decides only the log part: q logs, or at q = 2 the
-# single atanh (q = 1 with m < 0 is a non-positive integer, where B diverges)
+# every closed form is one algorithm; off the real axis q decides only the number of logs, q
+# (q = 1 with m < 0 is a non-positive integer, where B diverges)
 @pytest.mark.parametrize(
     "q,m", [(1, 3), (2, 3), (2, -3), (3, 3), (3, -3), (97, 3), (97, -3)]
 )
 def test_every_closed_form_is_the_reduction(q, m):
     ev = reduce_beta(decompose(m + Fraction(1, q)), 0.3 + 0.2j)
     assert ev.method is Method.REDUCTION
-    assert ev.terms_or_nodes == (1 if q == 2 else q) + abs(m)
+    assert ev.terms_or_nodes == q + abs(m)
 
 
 class TestSymmetryAndInvariants:
@@ -404,8 +405,13 @@ class TestDispatcher:
             beta_mu_posint(Fraction(1, 3), 1, z)
 
 
+_QUARTER_TURNS = (complex(1.0, 0.0), complex(0.0, 1.0), complex(-1.0, 0.0), complex(0.0, -1.0))
+
+
 def _per_call_unit_root(num: int, den: int) -> complex:
-    # the per-call formula the cached tables replaced
+    # the per-call formula the cached tables replaced, with the quarter turns exact
+    if 4 * num % den == 0:
+        return _QUARTER_TURNS[4 * (num % den) // den]
     ang = 2.0 * math.pi * (num % den) / den
     return complex(math.cos(ang), math.sin(ang))
 
@@ -510,15 +516,14 @@ class TestUnitRootTable:
 
 
 class TestEvaluation:
-    # (nu, z, number of logs): q for the roots-of-unity sum, q//2 + 1 paired rows at real
-    # z > 0, 1 for the atanh form
+    # (nu, z, number of logs): q for the roots-of-unity sum, q//2 + 1 paired rows at real z > 0
     @pytest.mark.parametrize(
         "nu,z,logs",
         [
             (Fraction(4), 0.9, 1),
-            (Fraction(1, 2), 0.7, 1),
-            (Fraction(7, 2), 2.5, 1),
-            (Fraction(-5, 2), 0.4 + 0.3j, 1),
+            (Fraction(1, 2), 0.7, 2),
+            (Fraction(7, 2), 2.5, 2),
+            (Fraction(-5, 2), 0.4 + 0.3j, 2),
             (Fraction(5, 4), 0.3, 3),
             (Fraction(38, 5), 0.88, 3),
             (Fraction(-25, 6), 0.2 + 0.4j, 6),
@@ -624,15 +629,15 @@ class TestErrorEstimate:
         err, est = self._measured_error(nu, z)
         assert err <= 100 * est
 
-    # why q = 2 keeps its atanh log part: the two-log roots-of-unity sum
-    # in its place has true relative error 1.2e-2 and 2.3e-7 at these points
+    # q = 2's two rows at small real z take the log1p rule of |z^(1/q)| < 1/2; plain
+    # log(1 - w) rows had true relative error 1.2e-2 and 2.3e-7 at these points
     @pytest.mark.parametrize("z,bound", [(1e-3, 1e-3), (1e-2, 1e-7)])
     def test_atanh_log_part_at_small_real_z(self, z, bound):
         mpmath = pytest.importorskip("mpmath")
         nu = Fraction(9, 2)
         ev = reduce_beta(decompose(nu), z)
         assert ev.method is Method.REDUCTION
-        assert ev.terms_or_nodes == 1 + 4  # the atanh log part, then the m = 4 tail terms
+        assert ev.terms_or_nodes == 2 + 4  # rows 0 and q/2 = 1, then the m = 4 tail terms
         err, _ = self._measured_error(nu, z)
         with mpmath.workdps(40):
             exact = abs(mpmath.power(z, 4.5) * mpmath.lerchphi(z, 1, 4.5))
@@ -686,7 +691,7 @@ class TestValuePathIsTheEvaluation:
     @example(dec=decompose(Fraction(2)), z=complex(1.5e308, 1.5e308))  # |1 - z| overflows
     @example(dec=NEAR_MAX_Q, z=complex(1.5e308, 1.5e308))  # a tail part near the overflow
     @example(dec=NEAR_MAX_Q, z=complex(1.7e308, 1.7e308))  # its modulus overflows
-    @example(dec=decompose(Fraction(5, 2)), z=complex(0.25, 0.0))  # the q = 2 atanh form
+    @example(dec=decompose(Fraction(5, 2)), z=complex(0.25, 0.0))  # q = 2 at a real z in (0, 1)
     def test_value_callers(self, dec, z):
         nu = dec.reconstruct()
         expected = _outcome(lambda: _evaluation_value(dec, z))
@@ -706,7 +711,7 @@ class TestValuePathIsTheEvaluation:
 
 
 def _reference_parts(dec, z):
-    """The kernel's parts as first formulated: the batch helpers on [z], one principal_log per row."""
+    """The kernel's parts as first formulated: the batch helpers on [z], one log per row."""
     z = finite_complex(z)
     if z == 0:
         if dec.m < 0:
@@ -717,14 +722,15 @@ def _reference_parts(dec, z):
     p, q = dec.r.numerator, dec.r.denominator
     roots, logs = _roots_and_logs([z], q)
     zq, zk = roots[0], _powers(roots, logs, dec.r)[0]
-    if q == 2:
-        if abs(1 - zq) < BRANCH_GUARD or abs(1 + zq) < BRANCH_GUARD:
-            raise BranchPoint("sqrt(z) within the guard band of an atanh singularity")
-        parts = [2.0 * atanh(zq)]
+    roots, phases = _tables(q)[0]
+    # a real z > 0 pairs the conjugate rows k and q - k: rows 0 .. q//2 only
+    paired = z.imag == 0 and z.real > 0
+    rows = q // 2 + 1 if paired else q
+    if zq.real * zq.real + zq.imag * zq.imag < 0.25:
+        # |zq| < 1/2: log(1 - u) from the parts of u, log1p of |1 - u|^2 - 1 and the angle
+        us = [(u.real, u.imag) for u in (zq * root for root in roots[:rows])]
+        logs = [complex(0.5 * math.log1p(x * x + y * y - 2 * x), math.atan2(-y, 1 - x)) for x, y in us]
     else:
-        roots, phases = _tables(q)[0]
-        # a real z > 0 at q >= 3 pairs the conjugate rows k and q - k: rows 0 .. q//2 only
-        rows = q // 2 + 1 if q > 2 and z.imag == 0 and z.real > 0 else q
         ws = [1 - zq * root for root in roots[:rows]]
         try:
             near = min(map(abs, ws))
@@ -735,11 +741,12 @@ def _reference_parts(dec, z):
             raise BranchPoint(
                 f"log argument {ws[k]} within {BRANCH_GUARD} of the branch point (k={k}, q={q})"
             )
-        parts = [phases[p * k % q] * principal_log(w) for k, w in enumerate(ws)]
-        if rows < q:
-            # row 0 whole, twice the real part of rows 0 < k < q/2, the real part of row q/2
-            half = (q + 1) // 2
-            parts[1:] = [complex(2 * t.real) for t in parts[1:half]] + [complex(t.real) for t in parts[half:]]
+        logs = [principal_log(w) for w in ws]
+    parts = [phases[p * k % q] * lw for k, lw in enumerate(logs)]
+    if paired:
+        # row 0 whole, twice the real part of rows 0 < k < q/2, the real part of row q/2
+        half = (q + 1) // 2
+        parts[1:] = [complex(2 * t.real) for t in parts[1:half]] + [complex(t.real) for t in parts[half:]]
     r = p / q
     for k in range(dec.m):
         parts.append(-zk / (k + r))

@@ -341,8 +341,8 @@ def assert_records_are_pointwise(records, base, added):
     assert next(others, None) is None
 
 
-# z = 1 refuses every reduction: its 585 points and the 234 q = 2 lanes on (0, 1), which the
-# batch leaves to the scalar atanh, are the only scalar reductions, after one batch call
+# z = 1 refuses every reduction: its 585 points are the only scalar reductions, after one
+# batch call (the batch finishes every other point, the q = 2 lanes on (0, 1) among them)
 def test_refused_z_costs_only_its_own_points(monkeypatch):
     nus, zs = default_nu_grid(), default_z_grid() + [1.0]
     scalar, batches, oracle = [], [], []
@@ -354,7 +354,7 @@ def test_refused_z_costs_only_its_own_points(monkeypatch):
     monkeypatch.setattr(verify, "beta_series", lambda nu, z: oracle.append(nu) or beta_series(nu, z))
     records = run_verification(nus, zs, 1e-10)[0]
     assert batches == [585]
-    assert len(scalar) == 234 + 585 and scalar.count(1.0) == 585
+    assert len(scalar) == 585 and scalar.count(1.0) == 585
     assert oracle == []
     monkeypatch.undo()
     base = run_verification(nus, default_z_grid(), 1e-10)[0]
