@@ -20,7 +20,7 @@ from fractions import Fraction
 from .errors import OutsideDomain
 from .principal import finite_complex, finite_double, rational_power, to_double
 from .rationals import decompose_pos
-from .reduction import beta_value, lerch_reduce
+from .reduction import lerch_reduce, reduce_beta
 
 
 def int_power_over_linear(nu: Fraction, z: complex) -> complex:
@@ -48,4 +48,4 @@ def int_tanh_power(lam: Fraction, z: float) -> float:
         value = rational_power(t, 2 * lam).real / finite_double(2 * lam, "2 lambda")
         return finite_complex(value, "the integral").real
     # tanh(z)^2 within the guard band of 1 raises BranchPoint from the kernel
-    return 0.5 * beta_value(dec, complex(t**2)).real
+    return 0.5 * reduce_beta(dec, complex(t**2)).value.real

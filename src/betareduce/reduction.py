@@ -26,7 +26,7 @@ take their row logs and guard band from :func:`row_logs` and
 for many nu at many z with numpy, one column per z: it groups the nu by
 denominator q and builds one log table per (q, z) that every p/q and every
 integer shift shares, and leaves None each point it cannot finish, for the
-caller's :func:`beta_value`; :func:`reduce_beta_many`, one decomposed nu at
+caller's :func:`reduce_beta`; :func:`reduce_beta_many`, one decomposed nu at
 many z, is its one-row case.
 
 Every closed form is therefore one algorithm, ``Method.REDUCTION``; the log
@@ -149,34 +149,14 @@ def reduce_beta(dec: Decomposition, z: complex) -> Evaluation:
     double range, :class:`MaxTermsExceeded` for |m| or q above
     ``MAX_TAIL_TERMS``, before any work.
 
-    Only this function builds the :class:`Evaluation`; the value callers
-    take the same parts through :func:`beta_value`.  Every evaluation gets
-    them from :func:`reduce_beta_pos` (m >= 0) or :func:`reduce_beta_neg`
-    (m < 0) once: one kernel under two names, timed and counted by name in traced runs.
+    Only this function finishes a closed form: every value caller reads
+    ``reduce_beta(dec, z).value``.  Every evaluation gets its parts from
+    :func:`reduce_beta_pos` (m >= 0) or :func:`reduce_beta_neg` (m < 0)
+    once: one kernel under two names, timed and counted by name in traced runs.
     """
     parts = (reduce_beta_pos if dec.m >= 0 else reduce_beta_neg)(dec, z)
     spread, value = _spread(parts), fsum_complex(parts)
     return Evaluation(value, Method.REDUCTION, 2.0**-53 * spread, len(parts) or 1, tuple(parts))
-
-
-def beta_value(dec: Decomposition, z: complex) -> complex:
-    """``reduce_beta(dec, z).value`` and its errors, bitwise, without the :class:`Evaluation`.
-
-    The value of :func:`incomplete_beta` at mu = 0, :func:`lerch_reduce`, the
-    integrals and each point the batch leaves None.  Log parts stay below
-    2^10 and the tail's moduli |z|^x / |x| are log-convex in x, so while the
-    tail's ends have lanes below ``_BATCH_LIMIT`` the sum|parts| (at most
-    2^21 parts) cannot overflow and is not taken.
-    """
-    parts = (reduce_beta_pos if dec.m >= 0 else reduce_beta_neg)(dec, z)
-    if dec.m and parts:
-        a, b = parts[-abs(dec.m)], parts[-1]
-        if not (
-            abs(a.real) < _BATCH_LIMIT and abs(a.imag) < _BATCH_LIMIT
-            and abs(b.real) < _BATCH_LIMIT and abs(b.imag) < _BATCH_LIMIT
-        ):
-            _spread(parts)
-    return fsum_complex(parts)
 
 
 def reduce_beta_pos(dec: Decomposition, z: complex) -> List[complex]:
@@ -240,13 +220,13 @@ def reduce_beta_many(dec: Decomposition, zs: Iterable[complex]) -> List[complex]
     """The values ``[reduce_beta(dec, z).value for z in zs]``, computed with numpy.
 
     The one-row case of :func:`reduce_beta_rows`; each point it leaves None
-    goes to :func:`beta_value` in z order, so the batch raises the first
+    goes to :func:`reduce_beta` in z order, so the batch raises the first
     error the scalar loop would.  Values agree with :func:`reduce_beta` to
     a few units of its error estimate, and equal it bitwise at those points.
     """
     zs = [to_double(z, complex) for z in zs]
     row = _grouped_rows([dec], zs)[0]
-    return [beta_value(dec, z) if v is None else v for z, v in zip(zs, row)]
+    return [reduce_beta(dec, z).value if v is None else v for z, v in zip(zs, row)]
 
 
 def reduce_beta_rows(nus: Sequence[Fraction], zs: List[complex]) -> List[List[Optional[complex]]]:
@@ -268,7 +248,7 @@ def reduce_beta_rows(nus: Sequence[Fraction], zs: List[complex]) -> List[List[Op
     every other lane computes all q rows.  Pairing is decided per lane, so
     a value depends neither on the other points nor on the other rows of
     the call.  A point the batch cannot finish regularly is None, for the
-    caller's :func:`beta_value`, which owns every refusal: z = 0, a lane
+    caller's :func:`reduce_beta`, which owns every refusal: z = 0, a lane
     of z or of a part beyond 2^1000 or not finite, and a log argument near
     the guard band (z = 1 among them).  So is every point of a nu that
     :func:`decompose` refuses or whose one column alone passes
@@ -402,7 +382,7 @@ def beta_mu_posint(nu: Fraction, m: int, z: complex) -> complex:
 
 def lerch_reduce(dec: Decomposition, z: complex) -> complex:
     """Phi(z, 1, nu) = z^(-nu) * B(nu, 0, z); a value past the double range raises OutsideDomain."""
-    value = beta_value(dec, z) * rational_power(z, -dec.reconstruct())
+    value = reduce_beta(dec, z).value * rational_power(z, -dec.reconstruct())
     return finite_complex(value, "Phi(z, 1, nu)")
 
 
@@ -417,7 +397,7 @@ def incomplete_beta(nu: Fraction, mu: int, z: complex) -> complex:
     if not isinstance(mu, int) or not 0 <= mu <= MAX_TAIL_TERMS + 1:
         raise OutsideDomain(f"mu must be an integer in [0, {MAX_TAIL_TERMS + 1}], got {mu!r}")
     if mu == 0:
-        return beta_value(decompose(nu), z)
+        return reduce_beta(decompose(nu), z).value
     return beta_mu_posint(nu, mu - 1, z)
 
 

@@ -4,7 +4,8 @@ One record per (nu, z) point: the closed-form value (one batch call for
 the grid, with one log table per (q, z) shared by every p/q and every
 integer shift), the series oracle value (one numpy pass and one log per
 z, shared by every nu, each split once for all z), and the discrepancy.
-A point that either batch leaves None is evaluated alone.  The relative
+A point that either batch leaves None is evaluated alone, by
+``reduce_beta(...).value`` or ``beta_series``.  The relative
 error is absolute error over max(1, |oracle|), the convention used for
 every tolerance in this package.
 Points where either side refuses to evaluate (branch guard, domain) are
@@ -24,7 +25,7 @@ from .errors import BetaReduceError, MaxTermsExceeded
 from .oracles import beta_series, beta_series_columns
 from .principal import to_double
 from .rationals import decompose, exact_rational, render_rational
-from .reduction import MAX_TAIL_TERMS, beta_value, reduce_beta_rows
+from .reduction import MAX_TAIL_TERMS, reduce_beta, reduce_beta_rows
 
 VERIFY_CSV_HEADER = (
     "nu,z_re,z_im,reduction_re,reduction_im,oracle_re,oracle_im,"
@@ -110,7 +111,7 @@ def run_verification(
     :func:`reduce_beta_rows` call, which groups the nu by denominator q and
     builds one log table per (q, z).  Both return plain values, None at
     each point they do not finish, and leave every refusal to the scalar
-    path: a None reduction is :func:`beta_value` of the point, a None
+    path: a None reduction is :func:`reduce_beta` of the point, a None
     oracle :func:`beta_series` of it, the oracle only once the point's
     reduction succeeded.  So a Skipped row keeps its own error name and no
     row depends on its siblings.  A grid of more than ``MAX_TAIL_TERMS``
@@ -133,7 +134,7 @@ def run_verification(
         for z, reduction, column in zip(zs, row, columns):
             try:
                 if reduction is None:
-                    reduction = beta_value(decompose(nu), z)
+                    reduction = reduce_beta(decompose(nu), z).value
                 oracle = column[i]
                 if oracle is None:
                     oracle = beta_series(nu, z).value

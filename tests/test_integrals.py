@@ -148,8 +148,8 @@ class TestTanhPower:
             ref = float(mpmath.power(w, a) * mpmath.lerchphi(w, 1, a) / 2)
         assert math.isclose(int_tanh_power(lam, z), ref, rel_tol=1e-13, abs_tol=0.0)
 
-    # the leading term below the threshold meets the kernel just above it; lam = 1/2 runs
-    # the atanh kernel, which keeps its digits at tiny w
+    # the leading term below the threshold meets the kernel just above it; lam = 1/2 takes
+    # the general rows at q = 2, whose log1p rule keeps their digits at tiny w
     def test_leading_term_pinned_to_kernel(self):
         lam = Fraction(1, 2)
         below, above = 1.49e-154, 1.5e-154

@@ -2,8 +2,8 @@
 
 import cmath
 import math
+import sys
 from fractions import Fraction
-from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
@@ -31,7 +31,7 @@ from betareduce import (
     reduce_beta,
     reduce_beta_many,
 )
-from betareduce import integrals, reduction
+from betareduce import integrals, reduction, verify
 from betareduce.principal import finite_complex, fsum_complex, principal_log
 from betareduce.principal import BRANCH_GUARD, rational_power
 from betareduce.reduction import (
@@ -684,7 +684,7 @@ PINNED_POINTS = st.one_of(
 
 
 class TestValuePathIsTheEvaluation:
-    """Every value caller sums the kernel's parts without an Evaluation: bitwise its value, same errors."""
+    """Every value caller reads ``reduce_beta(dec, z).value``: bitwise its value, same errors."""
 
     @settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(dec=pinned_decompositions(), z=PINNED_POINTS)
@@ -695,19 +695,62 @@ class TestValuePathIsTheEvaluation:
     def test_value_callers(self, dec, z):
         nu = dec.reconstruct()
         expected = _outcome(lambda: _evaluation_value(dec, z))
-        assert _outcome(lambda: reduction.beta_value(dec, z)) == expected
         assert _outcome(lambda: incomplete_beta(nu, 0, z)) == expected
-        callers = [
-            lambda: lerch_reduce(dec, z),
-            lambda: int_power_over_linear(nu, z),
-            lambda: int_tanh_power(nu, abs(z.real)),
-            lambda: reduce_beta_many(dec, [z])[0],
-        ]
-        lean = [_outcome(call) for call in callers]
-        with mock.patch.object(reduction, "beta_value", _evaluation_value), mock.patch.object(
-            integrals, "beta_value", _evaluation_value
-        ):
-            assert [_outcome(call) for call in callers] == lean
+        # the batch's own value where it finishes the point, the scalar one where it leaves None
+        batch = reduction._grouped_rows([dec], [z])[0][0]
+        assert _outcome(lambda: reduce_beta_many(dec, [z])[0]) == (
+            expected if batch is None else _outcome(lambda: batch)
+        )
+        lerch = lambda d: finite_complex(  # noqa: E731
+            _evaluation_value(d, z) * rational_power(z, -d.reconstruct()), "Phi(z, 1, nu)"
+        )
+        assert _outcome(lambda: lerch_reduce(dec, z)) == _outcome(lambda: lerch(dec))
+        assert _outcome(lambda: int_power_over_linear(nu, z)) == _outcome(
+            lambda: lerch(decompose_pos(nu))
+        )
+        x = abs(z.real)
+        t = math.tanh(x)
+        if nu > 0 and 0 < x < math.inf and t**2 >= sys.float_info.min:  # the kernel's branch
+            assert _outcome(lambda: int_tanh_power(nu, x)) == _outcome(
+                lambda: 0.5 * _evaluation_value(dec, complex(t**2)).real
+            )
+
+
+class TestOneFinisher:
+    """``reduce_beta`` is the only code that finishes a closed form: every value caller reaches it
+    exactly once per point it evaluates, so no caller keeps a lean sum of its own."""
+
+    @pytest.fixture
+    def reached(self, monkeypatch):
+        points = []
+
+        def counting(dec, z):
+            points.append(z)
+            return finish(dec, z)
+
+        finish = reduction.reduce_beta
+        for module in (reduction, integrals, verify):
+            monkeypatch.setattr(module, "reduce_beta", counting)
+        return points
+
+    def test_scalar_value_callers(self, reached):
+        z, third = 0.3 + 0.2j, Fraction(7, 3)
+        incomplete_beta(third, 0, z)
+        lerch_reduce(decompose(third), z)
+        int_power_over_linear(third, z)
+        assert reached == [z, z, z]
+        int_tanh_power(third, 0.5)
+        assert reached[3:] == [complex(math.tanh(0.5) ** 2)]
+
+    def test_point_the_batch_leaves(self, reached):
+        huge = complex(2.0**1001)  # a lane past the batch's limit
+        assert reduce_beta_many(decompose(Fraction(1, 3)), [0.5, huge, 0.25])[1] is not None
+        assert reached == [huge]
+
+    def test_verification_point_at_one(self, reached):
+        records = verify.run_verification([Fraction(1, 3), Fraction(5, 2)], [0.5, 1.0], 1e-10)[0]
+        assert [rec.note for rec in records] == ["", "BranchPoint"] * 2
+        assert reached == [1.0, 1.0]
 
 
 def _reference_parts(dec, z):
@@ -781,6 +824,6 @@ class TestKernelAsFirstFormulated:
             lambda: _reference_parts(dec, z)
         )
         reference = lambda: finite_complex(  # noqa: E731
-            reduction.beta_value(dec, z) * rational_power(z, -dec.reconstruct()), "Phi(z, 1, nu)"
+            reduce_beta(dec, z).value * rational_power(z, -dec.reconstruct()), "Phi(z, 1, nu)"
         )
         assert _outcome(lambda: lerch_reduce(dec, z)) == _outcome(reference)

@@ -62,7 +62,7 @@ def test_budget_edge(monkeypatch, build, size):
 
 # every record (about 274 B) is held until the CSV is written: 1,147,211 points here
 def test_point_budget_refused_before_any_evaluation(monkeypatch):
-    monkeypatch.setattr(verify, "beta_value", None)  # any evaluation would fail
+    monkeypatch.setattr(verify, "reduce_beta", None)  # any evaluation would fail
     monkeypatch.setattr(verify, "reduce_beta_rows", None)
     with pytest.raises(MaxTermsExceeded):
         run_verification(default_nu_grid(q_max=100), default_z_grid(), 1e-10)
@@ -81,7 +81,7 @@ def test_point_budget_edge(monkeypatch):
 # a NaN or negative tol would fail every row and an infinite one pass every row
 @pytest.mark.parametrize("tol", [math.nan, -1e-10, -math.inf, math.inf])
 def test_bad_tolerance_refused_before_any_evaluation(monkeypatch, tol):
-    monkeypatch.setattr(verify, "beta_value", None)  # any evaluation would fail
+    monkeypatch.setattr(verify, "reduce_beta", None)  # any evaluation would fail
     monkeypatch.setattr(verify, "reduce_beta_rows", None)
     with pytest.raises(ValueError, match="tol"):
         run_verification(fraction_grid(3), [0.25, 0.5], tol)
@@ -346,8 +346,8 @@ def assert_records_are_pointwise(records, base, added):
 def test_refused_z_costs_only_its_own_points(monkeypatch):
     nus, zs = default_nu_grid(), default_z_grid() + [1.0]
     scalar, batches, oracle = [], [], []
-    value, grouped = reduction.beta_value, reduction._grouped_rows
-    monkeypatch.setattr(verify, "beta_value", lambda dec, z: scalar.append(z) or value(dec, z))
+    value, grouped = reduction.reduce_beta, reduction._grouped_rows
+    monkeypatch.setattr(verify, "reduce_beta", lambda dec, z: scalar.append(z) or value(dec, z))
     monkeypatch.setattr(
         reduction, "_grouped_rows", lambda decs, zs: batches.append(len(decs)) or grouped(decs, zs)
     )
