@@ -17,7 +17,7 @@ import enum
 import math
 import operator
 from fractions import Fraction
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import BranchPoint, OutsideDomain, ZeroArgument
 from .rationals import exact_rational
@@ -42,56 +42,39 @@ class Method(enum.Enum):
     QUADRATURE_PHI = "QuadraturePhi"
 
 
-class Evaluation:
+# the fields of Evaluation, which checks them in a __new__ that a NamedTuple body may not define
+class _EvaluationFields(NamedTuple):
+    value: complex
+    method: Method
+    error_estimate: float
+    terms_or_nodes: int
+    parts: Tuple[complex, ...] = ()
+
+
+class Evaluation(_EvaluationFields):
     """A value, the method that produced it, its work and an error estimate.
 
     ``parts`` is every summand of a closed form, logs then tail terms: ``value`` is
     their exactly rounded sum and ``error_estimate`` 2^-53 * sum|parts|; oracles have none.
-    Read-only, and equal (with equal hashes) to an Evaluation of equal fields; not a tuple.
+    A tuple: it indexes, unpacks and compares as the tuple of its fields, and
+    ``_make`` and ``_replace`` check their fields as the constructor does.
     """
 
-    __slots__ = ("value", "method", "error_estimate", "terms_or_nodes", "parts")
+    __slots__ = ()
 
-    def __init__(
-        self, value: complex, method: Method, error_estimate: float, terms_or_nodes: int,
+    def __new__(
+        cls, value: complex, method: Method, error_estimate: float, terms_or_nodes: int,
         parts: Tuple[complex, ...] = (),
-    ) -> None:
+    ) -> Evaluation:
         if not (error_estimate >= 0.0 and math.isfinite(error_estimate)):
             raise ValueError(f"error_estimate must be finite and >= 0, got {error_estimate}")
         if terms_or_nodes < 1:
             raise ValueError(f"terms_or_nodes must be >= 1, got {terms_or_nodes}")
-        _set_value(self, value)
-        _set_method(self, method)
-        _set_error_estimate(self, error_estimate)
-        _set_terms_or_nodes(self, terms_or_nodes)
-        _set_parts(self, parts)
+        return tuple.__new__(cls, (value, method, error_estimate, terms_or_nodes, parts))
 
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"Evaluation is read-only: cannot set or delete {name!r}")
-
-    __delattr__ = __setattr__
-
-    def _key(self) -> tuple:
-        return (self.value, self.method, self.error_estimate, self.terms_or_nodes, self.parts)
-
-    def __eq__(self, other):
-        return self._key() == other._key() if type(other) is Evaluation else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __reduce__(self):
-        return Evaluation, self._key()
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"Evaluation({fields})"
-
-
-# each slot's own setter, which Evaluation.__setattr__ does not reach
-_set_value, _set_method, _set_error_estimate, _set_terms_or_nodes, _set_parts = (
-    vars(Evaluation)[name].__set__ for name in Evaluation.__slots__
-)
+    @classmethod
+    def _make(cls, iterable) -> Evaluation:
+        return cls(*iterable)
 
 
 def to_double(x, kind=float):

@@ -4,13 +4,14 @@
 rounded to double.  A point is accurate when |value - reference| <= 1e-12 |reference|, the
 rule behind perfbench's ``accurate_frac``.  The points that miss it, refusals included, must
 lie in ``INACCURATE``: a change that loses digits anywhere else fails here.  A change that
-makes a listed point accurate takes it off the list.
+makes a listed point accurate takes it off the list.  ``TANH_NONPOSITIVE`` lists, the same
+way, the grid points where ``int_tanh_power`` returns a value <= 0 for a positive integral.
 """
 
 import json
 from pathlib import Path
 
-from betareduce import incomplete_beta, parse_rational
+from betareduce import incomplete_beta, int_tanh_power, parse_rational
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
@@ -73,3 +74,33 @@ def test_reference_points_off_the_list_are_accurate():
     listed = {(nu, z) for _, nu, z, _ in INACCURATE}
     assert len(listed) == len(INACCURATE)
     assert _inaccurate_points(entries) - listed == set()
+
+
+# (lambda, z) where int_tanh_power returns a value <= 0 for its positive integral of
+# tanh^(2 lambda - 1): the closed form's logs, of order tanh(z)^(2/q), cancel down to a value
+# of order tanh(z)^(2 lambda) and keep only the rounding (ROADMAP item 6).  The integrand is
+# positive, so the sign alone shows the defect.  A change that makes a listed point positive
+# takes it off the list.
+TANH_NONPOSITIVE = [
+    ("28/3", 0.03),
+    ("28/3", 0.05),
+    ("28/3", 0.1),
+    ("118/19", 0.03),
+    ("118/19", 0.05),
+    ("12", 0.03),
+    ("25/2", 0.03),
+    ("25/2", 0.05),
+    ("25/2", 0.1),
+]
+TANH_LAMBDAS = ["1/3", "1/2", "7/2", "5", "28/3", "118/19", "12", "25/2"]
+TANH_ZS = [0.03, 0.05, 0.1, 0.2, 0.3, 1, 3]
+
+
+def test_tanh_power_is_non_positive_exactly_at_the_listed_points():
+    nonpositive = {
+        (lam, z)
+        for lam in TANH_LAMBDAS
+        for z in TANH_ZS
+        if not int_tanh_power(parse_rational(lam), z) > 0
+    }
+    assert nonpositive == set(TANH_NONPOSITIVE)

@@ -1,8 +1,10 @@
 """Branch conventions of the principal-valued helpers."""
 
 import cmath
+import copy
 import math
 import pickle
+import sys
 
 import numpy as np
 import pytest
@@ -378,13 +380,10 @@ class TestEvaluation:
         with pytest.raises(AttributeError):
             ev.value = 2j
 
-    # a read-only object with five named fields, compared and hashed by them; not a tuple,
-    # which the traced benchmark run would unpack as (value, trace)
     def test_contract(self):
         fields = ("value", "method", "error_estimate", "terms_or_nodes", "parts")
         values = (1j, Method.REDUCTION, 0.5, 2, (1j, 0j))
         ev = Evaluation(*values)
-        assert not isinstance(ev, tuple)
         assert tuple(getattr(ev, name) for name in fields) == values
         assert Evaluation(1j, Method.SERIES, 0.0, 1).parts == ()
         for name in fields + ("other",):
@@ -397,7 +396,6 @@ class TestEvaluation:
         for k, other in enumerate([2j, Method.SERIES, 0.25, 3, (1j,)]):
             changed = Evaluation(*values[:k], other, *values[k + 1 :])
             assert ev != changed
-        assert ev != values
         assert repr(ev) == (
             "Evaluation(value=1j, method=<Method.REDUCTION: 'Reduction'>, error_estimate=0.5,"
             " terms_or_nodes=2, parts=(1j, 0j))"
@@ -406,3 +404,30 @@ class TestEvaluation:
     def test_pickles(self):
         ev = Evaluation(1j, Method.REDUCTION, 0.5, 2, (1j, 0j))
         assert pickle.loads(pickle.dumps(ev)) == ev
+
+    # a tuple of its five fields with no __dict__, whose copies keep their type and whose
+    # _make and _replace (copy.replace on 3.13+) check their fields as the constructor does
+    def test_tuple_record(self):
+        values = (1j, Method.REDUCTION, 0.5, 2, (1j, 0j))
+        ev = Evaluation(*values)
+        assert ev == tuple(ev) == values and ev[0] == 1j and hash(ev) == hash(values)
+        assert not hasattr(ev, "__dict__")
+        copies = [copy.deepcopy(ev), Evaluation._make(values), ev._replace()]
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            copies.append(pickle.loads(pickle.dumps(ev, protocol)))
+        for other in copies:
+            assert type(other) is Evaluation and other == ev
+        bad = [{"error_estimate": -1.0}, {"error_estimate": math.nan}, {"terms_or_nodes": 0}]
+        for fields in bad:
+            with pytest.raises(ValueError):
+                ev._replace(**fields)
+            with pytest.raises(ValueError):
+                Evaluation._make({**ev._asdict(), **fields}.values())
+
+    @pytest.mark.skipif(sys.version_info < (3, 13), reason="copy.replace is new in Python 3.13")
+    @pytest.mark.parametrize("fields", [{"error_estimate": -1.0}, {"terms_or_nodes": 0}])
+    def test_copy_replace_checks(self, fields):
+        ev = Evaluation(1j, Method.REDUCTION, 0.5, 2, (1j, 0j))
+        assert copy.replace(ev, value=2j) == (2j, *ev[1:])
+        with pytest.raises(ValueError):
+            copy.replace(ev, **fields)
