@@ -19,15 +19,14 @@ whole, and take 2*Re of each row 0 < k < q/2 and Re of the self-conjugate
 row q/2, so row 0 alone holds the imaginary part: 0 on (0, 1) and exactly
 -pi on the ray z > 1, on every path.
 One cache entry per q holds the q-th roots of unity and the row phases as
-tuples for the scalar kernel, and read-only arrays of them that the batch
-makes on its first use of q, so a scalar call never loads numpy; the two
-take their row logs and guard band from :func:`row_logs` and
-:func:`row_logs_array`.  :func:`reduce_beta_rows` evaluates the general form
-for many nu at many z with numpy, one column per z: it groups the nu by
-denominator q and builds one log table per (q, z) that every p/q and every
-integer shift shares, and leaves None each point it cannot finish, for the
-caller's :func:`reduce_beta`; :func:`reduce_beta_many`, one decomposed nu at
-many z, is its one-row case.
+tuples; the batch makes numpy arrays of them on each call, so a scalar call
+never loads numpy.  The two take their row logs and guard band from
+:func:`row_logs` and :func:`row_logs_array`.  :func:`reduce_beta_rows`
+evaluates the general form for many nu at many z with numpy, one column per
+z: it groups the nu by denominator q and builds one log table per (q, z)
+that every p/q and every integer shift shares, and leaves None each point it
+cannot finish, for the caller's :func:`reduce_beta`; :func:`reduce_beta_many`,
+one decomposed nu at many z, is its one-row case.
 
 Every closed form is therefore one algorithm, ``Method.REDUCTION``; the log
 part shows only in the count of parts: q//2 + 1 + |m| at real z > 0, and
@@ -72,42 +71,28 @@ _TWO_PI = 2.0 * math.pi
 _QUARTER_TURNS = (complex(1.0, 0.0), complex(0.0, 1.0), complex(-1.0, 0.0), complex(0.0, -1.0))
 
 
-def _build_tables(q: int) -> list:
+def _build_tables(q: int) -> Tuple[Tuple[complex, ...], Tuple[complex, ...]]:
     # the roots e^(2*pi*i*j/q) from the exact angle of each j (the quarter turns
     # exact), not by repeated multiplication: keeps the phase tight for large k*p
     # products; and the phase -e^(-2*pi*i*j/q) of log row j at p = 1: the fraction
     # p/q takes row p*k mod q for its log row k, the same number as -e^(-2*pi*i*p*k/q).
-    # The tuples serve the scalar kernel; the slot after them keeps the batch's
-    # read-only arrays of them, made by _table_arrays on its first use of q.
     roots = tuple(
         _QUARTER_TURNS[4 * j // q] if 4 * j % q == 0
         else complex(math.cos(_TWO_PI * j / q), math.sin(_TWO_PI * j / q))
         for j in range(q)
     )
     phases = tuple([-roots[-j % q] for j in range(q)])
-    return [(roots, phases), None]
+    return roots, phases
 
 
-# q up to this keeps its tables in the cache (64 q, 30 MB at most); larger q builds anew.
+# q up to this keeps its tables in the cache (64 q, 21 MB at most); larger q builds anew.
 ROOT_CACHE_MAX_Q = 4096
 _cached_tables = functools.lru_cache(maxsize=64)(_build_tables)
 
 
-def _tables(q: int) -> list:
-    """[(roots, phases), their arrays or None] of q: one entry per q, read by every p/q."""
+def _tables(q: int) -> Tuple[Tuple[complex, ...], Tuple[complex, ...]]:
+    """(roots, phases) of q: one entry per q, read by every p/q."""
     return _cached_tables(q) if q <= ROOT_CACHE_MAX_Q else _build_tables(q)
-
-
-def _table_arrays(q: int) -> Tuple[np.ndarray, np.ndarray]:
-    """The read-only root and phase arrays of q, made in its entry on the first call for q."""
-    entry = _tables(q)
-    if entry[1] is None:
-        import numpy as np  # here, so a scalar call never loads numpy
-        arrays = np.array(entry[0][0]), np.array(entry[0][1])
-        for table in arrays:
-            table.flags.writeable = False
-        entry[1] = arrays
-    return entry[1]
 
 
 def _roots_and_logs(zs: List[complex], q: int) -> Tuple[List[complex], Optional[List[complex]]]:
@@ -187,7 +172,7 @@ def _kernel(dec: Decomposition, z: complex) -> List[complex]:
     # the paired rows of the module docstring at real z > 0: row k < q/2 stands for k and q - k
     paired = z.imag == 0 and z.real > 0
     rows = q // 2 + 1 if paired else q
-    roots, phases = _tables(q)[0]
+    roots, phases = _tables(q)
     parts = [phases[p * k % q] * lw for k, lw in enumerate(row_logs(zq, roots, rows))]
     if paired:
         for k in range(1, rows):
@@ -270,11 +255,11 @@ def _grouped_rows(
     rows = [[None] * len(zs) for _ in decs]
     by_q: Dict[int, List[int]] = {}
     for i, dec in enumerate(decs):
-        if dec and dec.r.denominator + dec.n <= principal.BATCH_CELLS:
+        if dec and dec.r.denominator + abs(dec.m) <= principal.BATCH_CELLS:
             by_q.setdefault(dec.r.denominator, []).append(i)
     for q, group in by_q.items():
         fit = [decs[i] for i in group]
-        step = principal.BATCH_CELLS // (q + max(dec.n for dec in fit))
+        step = principal.BATCH_CELLS // (q + max(abs(dec.m) for dec in fit))
         import numpy as np  # here, past the work budget: a refused nu never loads numpy
         # non-finite parts are found by explicit checks, not by numpy's warnings
         with np.errstate(all="ignore"):
@@ -286,7 +271,7 @@ def _grouped_rows(
 
 def _rows_chunk(q: int, decs, zs: List[complex]) -> List[List[Optional[complex]]]:
     import numpy as np
-    roots, phases = _table_arrays(q)
+    roots, phases = map(np.array, _tables(q))
     za = np.array(zs, dtype=complex)
     regular = (za != 0) & (np.abs(za.real) < _BATCH_LIMIT) & (np.abs(za.imag) < _BATCH_LIMIT)
     # real z > 0, either sign of zero: the lanes that pair conjugate rows

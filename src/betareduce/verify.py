@@ -167,8 +167,7 @@ def write_verify_csv(records: Iterable[VerificationRecord], stream: IO[str]) -> 
     """Emit verification records as CSV, LF line endings, no timestamps.
 
     No field holds a comma, a quote or a line break, so none is quoted: the
-    bytes are those of ``csv.writer``.  A run of records that share one nu
-    object renders it once, and each z object is rendered once: keyed by
+    bytes are those of ``csv.writer``.  Each z object is rendered once: keyed by
     identity, since ``0.5`` and ``complex(0.5, -0.0)`` are equal but print
     differently, and held, so no other z can take its id.  Each distinct
     non-zero ``abs_err`` is rendered once, keyed by value: equal non-zero
@@ -181,12 +180,9 @@ def write_verify_csv(records: Iterable[VerificationRecord], stream: IO[str]) -> 
     """
 
     def rows():
-        nu, text = object(), ""
         z_texts = {}  # id -> (z, its two fields)
         err_texts = {}  # non-zero abs_err -> its text
         for rec in records:
-            if rec.nu is not nu:
-                nu, text = rec.nu, render_rational(rec.nu)
             held = z_texts.get(id(rec.z))
             if held is None:
                 held = z_texts[id(rec.z)] = (rec.z, f"{rec.z.real!r},{rec.z.imag!r}")
@@ -198,7 +194,7 @@ def write_verify_csv(records: Iterable[VerificationRecord], stream: IO[str]) -> 
                 err_text = err_texts[err] = repr(err)
             rel_text = err_text if err and rec.rel_err == err else repr(rec.rel_err)
             yield (
-                f"{text},{held[1]},"
+                f"{render_rational(rec.nu)},{held[1]},"
                 f"{rec.reduction_value.real!r},{rec.reduction_value.imag!r},"
                 f"{rec.oracle_value.real!r},{rec.oracle_value.imag!r},{rec.oracle_method},"
                 f"{err_text},{rel_text},{rec.status.value},{rec.note}\n"

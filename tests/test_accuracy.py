@@ -5,11 +5,16 @@ rounded to double.  A point is accurate when |value - reference| <= 1e-12 |refer
 rule behind perfbench's ``accurate_frac``.  The points that miss it, refusals included, must
 lie in ``INACCURATE``: a change that loses digits anywhere else fails here.  A change that
 makes a listed point accurate takes it off the list.  ``TANH_NONPOSITIVE`` lists, the same
-way, the grid points where ``int_tanh_power`` returns a value <= 0 for a positive integral.
+way, the grid points where ``int_tanh_power`` returns a value <= 0 for a positive integral,
+and ``INACCURATE_MU`` the points of a real grid where B(nu, mu, x), mu >= 1, misses the rule
+against 40-digit ``mpmath.betainc``.
 """
 
 import json
+from fractions import Fraction
 from pathlib import Path
+
+import pytest
 
 from betareduce import incomplete_beta, int_tanh_power, parse_rational
 
@@ -104,3 +109,73 @@ def test_tanh_power_is_non_positive_exactly_at_the_listed_points():
         if not int_tanh_power(parse_rational(lam), z) > 0
     }
     assert nonpositive == set(TANH_NONPOSITIVE)
+
+
+# (nu, mu, x, measured true relative error) where incomplete_beta(nu, mu, x), mu >= 1, is off
+# by more than 1e-12: the binomial sum z^nu sum C(mu-1, k) (-z)^k / (k + nu) alternates with
+# terms of order C(mu-1, k), so it cancels at real x away from 0 (ROADMAP item 1).  The
+# accurate points of the grid hold 5.4e-13 or better.  A change that makes a listed point
+# accurate takes it off the list; item 1's fix empties it.
+INACCURATE_MU = [
+    ("1/3", 30, 0.9, 1.3e-10),
+    ("1/3", 30, 0.999, 6.7e-10),
+    ("1/3", 60, 0.3, 9.8e-12),
+    ("1/3", 60, 0.5, 3.1e-08),
+    ("1/3", 60, 0.9, 1.6e-02),
+    ("1/3", 60, 0.999, 1.5e-01),
+    ("1/2", 30, 0.9, 1.6e-10),
+    ("1/2", 30, 0.999, 7.5e-10),
+    ("1/2", 60, 0.3, 3.0e-11),
+    ("1/2", 60, 0.5, 4.9e-08),
+    ("1/2", 60, 0.9, 2.9e-03),
+    ("1/2", 60, 0.999, 5.1e-01),
+    ("4/97", 30, 0.9, 9.9e-12),
+    ("4/97", 30, 0.999, 3.5e-11),
+    ("4/97", 60, 0.5, 7.5e-10),
+    ("4/97", 60, 0.9, 9.9e-05),
+    ("4/97", 60, 0.999, 6.1e-03),
+    ("7/2", 30, 0.5, 1.8e-10),
+    ("7/2", 30, 0.9, 3.8e-07),
+    ("7/2", 30, 0.999, 2.3e-05),
+    ("7/2", 60, 0.3, 7.3e-08),
+    ("7/2", 60, 0.5, 1.5e-04),
+    ("7/2", 60, 0.9, 1.1e04),
+    ("7/2", 60, 0.999, 2.5e04),
+    ("61/9", 30, 0.3, 4.0e-11),
+    ("61/9", 30, 0.5, 5.7e-08),
+    ("61/9", 30, 0.9, 8.7e-04),
+    ("61/9", 30, 0.999, 9.4e-03),
+    ("61/9", 60, 0.3, 7.6e-06),
+    ("61/9", 60, 0.5, 1.9e-01),
+    ("61/9", 60, 0.9, 2.2e07),
+    ("61/9", 60, 0.999, 1.3e08),
+    ("37/3", 30, 0.3, 1.8e-10),
+    ("37/3", 30, 0.5, 3.7e-06),
+    ("37/3", 30, 0.9, 7.6e00),
+    ("37/3", 30, 0.999, 1.1e01),
+    ("37/3", 60, 0.3, 1.1e-04),
+    ("37/3", 60, 0.5, 1.1e03),
+    ("37/3", 60, 0.9, 2.9e11),
+    ("37/3", 60, 0.999, 7.2e13),
+]
+MU_NUS = ["1/3", "1/2", "4/97", "7/2", "61/9", "37/3"]
+MU_MUS = [1, 2, 5, 30, 60]
+MU_XS = [1e-3, 0.01, 0.1, 0.3, 0.5, 0.9, 0.999]
+
+
+def test_positive_mu_points_off_the_list_are_accurate():
+    mpmath = pytest.importorskip("mpmath")
+    inaccurate = set()
+    with mpmath.workdps(40):
+        for nu in MU_NUS:
+            exact_nu = mpmath.mpf(Fraction(nu).numerator) / Fraction(nu).denominator
+            for mu in MU_MUS:
+                for x in MU_XS:
+                    exact = mpmath.betainc(exact_nu, mu, 0, x)
+                    try:
+                        value = incomplete_beta(parse_rational(nu), mu, x)
+                    except Exception:  # noqa: BLE001 -- a refusal is an inaccurate point
+                        value = None
+                    if value is None or not abs(mpmath.mpc(value) - exact) <= 1e-12 * abs(exact):
+                        inaccurate.add((nu, mu, x))
+    assert inaccurate == {(nu, mu, x) for nu, mu, x, _ in INACCURATE_MU}

@@ -1,5 +1,6 @@
 """The public names of the package, pinned so that any addition or removal shows as a diff."""
 
+import gc
 import inspect
 import math
 from fractions import Fraction
@@ -260,3 +261,55 @@ PARAMETERS = {
 def test_non_finite_parameters_are_outside_the_domain(name, x):
     with pytest.raises(betareduce.OutsideDomain):
         PARAMETERS[name](x)
+
+
+SEVEN_THIRDS = Fraction(7, 3)
+
+# value-path calls, refusals included: (call, the error it raises or None)
+VALUE_PATH_CALLS = [
+    (lambda: betareduce.incomplete_beta(SEVEN_THIRDS, 0, 0.3 + 0.2j), None),
+    (lambda: betareduce.incomplete_beta(SEVEN_THIRDS, 0, 1.0), betareduce.BranchPoint),
+    (lambda: betareduce.incomplete_beta(SEVEN_THIRDS, 0, 1.0 + 1e-15), betareduce.BranchPoint),
+    (lambda: betareduce.incomplete_beta(-SEVEN_THIRDS, 0, 0.0), betareduce.ZeroArgument),
+    (lambda: betareduce.incomplete_beta(SEVEN_THIRDS, 0, complex("inf")), betareduce.OutsideDomain),
+    (lambda: betareduce.incomplete_beta(SEVEN_THIRDS, -1, 0.5), betareduce.OutsideDomain),
+    (lambda: betareduce.incomplete_beta(Fraction(-3), 0, 0.5), betareduce.DivergentParameter),
+    (lambda: betareduce.parse_rational("1/x"), betareduce.ParseError),
+    (lambda: betareduce.int_tanh_power(SEVEN_THIRDS, 800.0), betareduce.BranchPoint),
+    (lambda: betareduce.incomplete_beta(THIRD, 2, 0.5), None),
+    (lambda: betareduce.reduce_beta_many(betareduce.decompose(SEVEN_THIRDS), [0.3, 2.5, 0.2j]), None),
+]
+
+
+def _call(call, error):
+    try:
+        call()
+    except betareduce.BetaReduceError as exc:
+        assert type(exc) is error
+    else:
+        assert error is None
+
+
+# the value path leaves no garbage in reference cycles, refusals included, so a benchmark's
+# peak RSS does not move with when the cyclic collector runs
+def test_value_path_leaves_no_cyclic_garbage(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import workloads
+
+    ops = workloads.EvalColdStream(7).take(3000)
+    for call, error in VALUE_PATH_CALLS:
+        _call(call, error)
+    for op in ops[:100]:
+        workloads.execute(*op)
+    gc.collect()
+    gc.disable()
+    try:
+        for call, error in VALUE_PATH_CALLS:
+            for _ in range(100):
+                _call(call, error)
+            assert gc.collect() == 0, call
+        for op in ops:
+            workloads.execute(*op)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

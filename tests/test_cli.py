@@ -4,6 +4,9 @@ import argparse
 import csv
 import io
 import math
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -557,3 +560,22 @@ class TestBench:
         assert code == 0
         assert out == ""
         assert target.read_text().startswith("method,nu,")
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+# a line of README's command-line block whose comment starts with the number it prints
+README_EVAL = re.compile(r"^betareduce (eval .*?)\s+# (-?\d[\d.e+-]*)\b", re.MULTILINE)
+
+
+def _readme_eval_lines():
+    return README_EVAL.findall(README.read_text(encoding="utf-8"))
+
+
+def test_readme_names_eval_lines_with_their_numbers():
+    assert len(_readme_eval_lines()) >= 3
+
+
+@pytest.mark.parametrize("command, printed", _readme_eval_lines())
+def test_readme_eval_line_prints_its_number(capsys, command, printed):
+    code, out, _ = run_cli(capsys, *shlex.split(command))
+    assert (code, out) == (0, printed + "\n")

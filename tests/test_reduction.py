@@ -5,6 +5,7 @@ import math
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
@@ -41,7 +42,6 @@ from betareduce.reduction import (
     _powers,
     _roots_and_logs,
     _spread,
-    _table_arrays,
     _tables,
 )
 
@@ -419,7 +419,7 @@ def _per_call_unit_root(num: int, den: int) -> complex:
 class TestUnitRootTable:
     @pytest.mark.parametrize("q", list(range(2, 25)) + [97, 1000])
     def test_entries_bitwise_equal_to_per_call_formula(self, q):
-        table = _tables(q)[0][0]
+        table = _tables(q)[0]
         assert len(table) == q
         for j in range(q):
             expected = _per_call_unit_root(j, q)
@@ -448,8 +448,8 @@ class TestUnitRootTable:
     # the per-call formula -e^(-2*pi*i*p*k/q), in the scalar tuple and the batch array alike
     @pytest.mark.parametrize("q", [1, 3, 7, 12, 97, ROOT_CACHE_MAX_Q + 1])
     def test_phase_tables_are_the_per_call_formula(self, q):
-        (_, phases), (_, table) = _tables(q)[0], _table_arrays(q)
-        assert not table.flags.writeable and table.tolist() == list(phases)
+        phases = _tables(q)[1]
+        assert np.array(phases).tolist() == list(phases)
         for p in [p for p in range(1, q + 1) if math.gcd(p, q) == 1][:12]:
             for k in range(q):
                 phase, expected = phases[p * k % q], -_per_call_unit_root(-p * k, q)
@@ -465,14 +465,6 @@ class TestUnitRootTable:
         assert _cached_tables.cache_info() == before
         assert _tables(5) is _cached_tables(5)
 
-    # the arrays are made on the batch's first use of q: a scalar call leaves the slot empty
-    def test_scalar_call_builds_no_array(self):
-        _cached_tables.cache_clear()
-        incomplete_beta(Fraction(2, 7), 0, 0.3 + 0.2j)
-        assert _tables(7)[1] is None
-        reduce_beta_many(decompose(Fraction(2, 7)), [0.3])
-        assert _tables(7)[1] is _table_arrays(7)
-
     def test_large_q_not_cached(self, tight_series):
         q = ROOT_CACHE_MAX_Q + 3
         nu = Fraction(1, q)
@@ -483,7 +475,7 @@ class TestUnitRootTable:
         ref = beta_series(nu, 0.3).value
         assert abs(value - ref) <= 1e-9 * max(1.0, abs(ref))
 
-    # the batch reads the arrays of the same cache entry, so it follows the same rules
+    # the batch reads the same cache entry, so it follows the same rules
     def test_batch_table_cache_is_bounded(self):
         maxsize = _cached_tables.cache_info().maxsize
         for q in range(2, maxsize + 10):
@@ -498,10 +490,8 @@ class TestUnitRootTable:
         hits = _cached_tables.cache_info().hits
         reduce_beta_many(dec, [0.3, 2.5])
         assert _cached_tables.cache_info().hits == hits + 1
-        (roots, phases), (root_table, phase_table) = _tables(q)[0], _table_arrays(q)
-        for tup, table in ((roots, root_table), (phases, phase_table)):
-            assert not table.flags.writeable
-            assert table.tolist() == list(tup)
+        for table in _tables(q):
+            assert np.array(table).tolist() == list(table)
 
     def test_batch_large_q_not_cached(self):
         dec = decompose(Fraction(1, ROOT_CACHE_MAX_Q + 3))
@@ -763,7 +753,7 @@ def _reference_parts(dec, z):
     p, q = dec.r.numerator, dec.r.denominator
     roots, logs = _roots_and_logs([z], q)
     zq, zk = roots[0], _powers(roots, logs, dec.r)[0]
-    roots, phases = _tables(q)[0]
+    roots, phases = _tables(q)
     # a real z > 0 pairs the conjugate rows k and q - k: rows 0 .. q//2 only
     paired = z.imag == 0 and z.real > 0
     rows = q // 2 + 1 if paired else q

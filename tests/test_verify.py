@@ -121,8 +121,7 @@ def test_csv_bytes_are_csv_writer_bytes():
     records.append(
         VerificationRecord(Fraction(-37, 3), 1e-300j, -0.0j, 1e300, "ShiftedSeries", 0.0, 5e-324, Status.FAIL)
     )
-    # each run of one nu object is rendered once: nu alternating a, b, a, then an equal
-    # Fraction that is another object
+    # nu alternating a, b, a, then an equal Fraction that is another object
     a, b, twin = Fraction(2, 7), Fraction(-9, 2), Fraction(2, 7)
     assert twin == a and twin is not a
     records += [records[0]._replace(nu=nu) for nu in (a, b, a, twin)]
