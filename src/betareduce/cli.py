@@ -64,7 +64,11 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p_fn = eval_sub.add_parser(name, help=helptext)
         p_fn.set_defaults(run=run)
-        p_fn.add_argument("--nu", required=True, type=_rational, help="rational nu, 'p/q' or decimal")
+        # argparse reads a value such as -7/3, no plain number, as an option: the = form takes it
+        negative = "" if name == "lerch" else "; a negative nu: --nu=-7/3"
+        p_fn.add_argument(
+            "--nu", required=True, type=_rational, help=f"rational nu, 'p/q' or decimal{negative}"
+        )
         p_fn.add_argument(
             "--z", required=True, type=_complex_point, help="'re' or 're,im'; a negative re: --z=-1e308"
         )

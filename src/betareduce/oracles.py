@@ -7,10 +7,11 @@ Two families of oracle, deliberately far from the reduction formulas:
   error bound: the geometric tail bound plus the rounding of the terms),
   plus the shifted split for negative nu;
   :func:`beta_series_columns` gives the plain values of many nu at each of
-  many z, one numpy pass per z, assembled as :func:`beta_series` assembles
-  them, so bitwise alike: the split of each nu and the parts of its
-  exponent are computed once for all z, the log (or square root) of each z
-  once for all nu; a point the pass cannot finish is None, and
+  many z, one numpy pass per group of z that share a column count and a
+  lane (a ring of z on one circle, say), assembled as :func:`beta_series`
+  assembles them, so bitwise alike: the split of each nu and the parts of
+  its exponent are computed once for all z, the log (or square root) of
+  each z once for all nu; a point the pass cannot finish is None, and
   :func:`beta_series`, point by point, owns every refusal;
 * adaptive quadrature of the defining integrals by QUADPACK -- on [0,1] for
   the beta integrand (with a power substitution that removes the t = 0
@@ -108,56 +109,73 @@ def _rounding(z: complex, terms: List[complex], total: complex) -> float:
     return (3.0 * _EPS if z.imag else _EPS) * sum(suffix) + _EPS * suffix[-1] + _EPS * abs(total)
 
 
-def _sums_inverse_linear(z: complex, avals: Sequence[float]) -> Optional[List[Optional[complex]]]:
-    """``[_sum_inverse_linear(z, a)[0] for a in avals]`` as one numpy pass, or None.
+def _block_columns(z: complex) -> int:
+    """The columns of z's :func:`_sums_inverse_linear` block: log(SERIES_REL_TOL)/log|z| + 4."""
+    # terms fall below SERIES_REL_TOL of the sum from about this one on; the stop needs two more
+    return math.ceil(math.log(SERIES_REL_TOL) / math.log(abs(z))) + 4
 
-    Needs a finite z with 0 < |z| < 1 and every a >= 1e-300 (the caller's
-    screen).  One row per a and one column per k, at most
-    ``principal.BATCH_CELLS`` cells a block, repeat the scalar loop's
-    arithmetic in its order: one walk z^k (``np.multiply.accumulate`` from
-    1), each term lane by lane as z^k/(a + k), the running sums by
-    ``np.cumsum`` along the row, the moduli by ``np.hypot`` as ``abs`` does
-    (``np.abs`` of a complex rounds differently), the three-small-terms
-    stop, and ``math.fsum`` over each row's terms through the stop, which
-    lie contiguous, read from the block's buffer through a ``memoryview``
-    (no list per row).  A real z (``z.imag == 0``, either sign of zero) carries
+
+def _sums_inverse_linear(
+    zs: Sequence[complex], avals: Sequence[float]
+) -> Optional[List[List[Optional[complex]]]]:
+    """Per z, ``[_sum_inverse_linear(z, a)[0] for a in avals]`` as one numpy pass, or None.
+
+    Needs finite z with 0 < |z| < 1 and every a >= 1e-300 (the caller's
+    screen), and z that share their :func:`_block_columns` and their lane,
+    all real or all complex.  One row per (z, a) and one column per k, at
+    most ``principal.BATCH_CELLS`` cells a block (all a of several z, or
+    some a of one z), repeat the scalar loop's arithmetic in its order:
+    one walk z^k per z (``np.multiply.accumulate`` from 1), each term lane
+    by lane as z^k/(a + k), the running sums by ``np.cumsum`` along the
+    row, the moduli by ``np.hypot`` as ``abs`` does (``np.abs`` of a
+    complex rounds differently), the three-small-terms stop, and
+    ``math.fsum`` over each row's terms through the stop, which lie
+    contiguous, read from the block's buffer through a ``memoryview`` (no
+    list per row).  A real z (``z.imag == 0``, either sign of zero) carries
     the real lane alone: its imaginary terms are zeros, so the moduli are
     the ``np.abs`` of the real ones and the imaginary total is the 0.0 that
     ``math.fsum`` gives for zeros.  So every total is bitwise the scalar
-    one.  (CPython's complex / float adds ``im*0.0`` to the real lane and
-    ``-re*0.0`` to the imaginary one; that changes only the sign of a zero
-    term, which neither a modulus nor an exactly rounded sum whose first
-    term is 1/a + 0j can see.)  The columns are log(SERIES_REL_TOL)/log|z|
-    plus a margin.  None when they do not fit in a block; the total of a
-    row that has not stopped within them is None alone, for
-    :func:`beta_series`.
+    one, and a one-member group is one z alone.  (CPython's complex / float
+    adds ``im*0.0`` to the real lane and ``-re*0.0`` to the imaginary one;
+    that changes only the sign of a zero term, which neither a modulus nor
+    an exactly rounded sum whose first term is 1/a + 0j can see.)  None
+    when the columns do not fit in a block; the total of a row that has
+    not stopped within them is None alone, for :func:`beta_series`.
     """
-    # terms fall below SERIES_REL_TOL of the sum from about this one on; the stop needs two more
-    terms = math.ceil(math.log(SERIES_REL_TOL) / math.log(abs(z))) + 4
+    terms = _block_columns(zs[0])
     if terms > principal.BATCH_CELLS:
         return None
     import numpy as np  # here, so the scalar oracles never load numpy
-    walk = np.full(terms, z)
-    walk[0] = 1.0
-    zk = np.multiply.accumulate(walk)
+    lane = bool(zs[0].imag)  # the imaginary lane: complex z
+    walk = np.empty((len(zs), terms), dtype=complex)
+    walk[:, 0] = 1.0
+    walk[:, 1:] = np.array(zs, dtype=complex)[:, None]
+    zk = np.multiply.accumulate(walk, axis=1)[:, None, :]
     ks = np.arange(terms, dtype=float)
-    width = principal.BATCH_CELLS // terms
-    out: List[Optional[complex]] = []
-    for start in range(0, len(avals), width):
-        dens = np.array(avals[start : start + width])[:, None] + ks
-        re = zk.real / dens
-        if z.imag:
-            im = zk.imag / dens
-            running = np.hypot(np.cumsum(re, axis=1), np.cumsum(im, axis=1))
-            small = np.hypot(re, im) <= SERIES_REL_TOL * running
-        else:  # one lane: hypot(x, +-0) == |x|, and the fsum of the zero lane is 0.0
-            running = np.abs(np.cumsum(re, axis=1))
-            small = np.abs(re) <= SERIES_REL_TOL * running
-        third = small[:, 2:] & small[:, 1:-1] & small[:, :-2]
-        stops = third.argmax(axis=1) + 3  # the terms through the third small one
-        for c, (k, stopped) in enumerate(zip(stops.tolist(), third.any(axis=1).tolist())):
-            imag = math.fsum(memoryview(im[c, :k])) if z.imag else 0.0
-            out.append(complex(math.fsum(memoryview(re[c, :k])), imag) if stopped else None)
+    width = principal.BATCH_CELLS // terms  # the rows of a block
+    a_step = min(width, len(avals)) or 1
+    z_step = width // a_step
+    out: List[List[Optional[complex]]] = [[] for _ in zs]
+    for z0 in range(0, len(zs), z_step):
+        walks = zk[z0 : z0 + z_step]
+        for a0 in range(0, len(avals), a_step):
+            dens = np.array(avals[a0 : a0 + a_step])[:, None] + ks
+            re = walks.real / dens
+            if lane:
+                im = walks.imag / dens
+                running = np.hypot(np.cumsum(re, axis=2), np.cumsum(im, axis=2))
+                small = np.hypot(re, im) <= SERIES_REL_TOL * running
+            else:  # one lane: hypot(x, +-0) == |x|, and the fsum of the zero lane is 0.0
+                running = np.abs(np.cumsum(re, axis=2))
+                small = np.abs(re) <= SERIES_REL_TOL * running
+            third = small[..., 2:] & small[..., 1:-1] & small[..., :-2]
+            stops = third.argmax(axis=2) + 3  # the terms through the third small one
+            stopped = third.any(axis=2).tolist()
+            for b, (block_stops, block_stopped) in enumerate(zip(stops.tolist(), stopped)):
+                sums = out[z0 + b]
+                for c, (k, done) in enumerate(zip(block_stops, block_stopped)):
+                    imag = math.fsum(memoryview(im[b, c, :k])) if lane else 0.0
+                    sums.append(complex(math.fsum(memoryview(re[b, c, :k])), imag) if done else None)
     return out
 
 
@@ -218,8 +236,11 @@ def beta_series_columns(
 
     Work that depends on nu alone runs once for all z: the splits, their
     distinct a (a negative nu reuses the sum of its n = 0 sibling) and the
-    :func:`exponent_parts` of each prefactor.  Per z, one
-    :func:`_sums_inverse_linear` pass sums the series of the distinct a and
+    :func:`exponent_parts` of each prefactor.  The z are grouped by their
+    :func:`_block_columns` and lane (real or complex), and one
+    :func:`_sums_inverse_linear` pass per group sums the series of the
+    distinct a at each of its z: on the default grid the 11 z of the
+    |z| = 0.5 ring are one group, and each real z a group alone.  Per z,
     one :func:`rational_powers` call, with one log (or square root) of z,
     gives every prefactor.  The methods are those of :func:`beta_series`,
     refused points included.  A value the pass cannot finish is None: at
@@ -243,10 +264,20 @@ def beta_series_columns(
     avals = list(dict.fromkeys(splits[i][1] for i in kept))
     slots = {a: slot for slot, a in enumerate(avals)}
     parts = [exponent_parts(splits[i][0]) for i in kept]
+    zs = [to_double(z, complex) for z in zs]
+    # the z the pass takes, one block per group that shares its columns and lane
+    groups = {}
+    for j, z in enumerate(zs):
+        if z != 0 and _in_unit_disk(z):
+            groups.setdefault((_block_columns(z), not z.imag), []).append(j)
+    sums_at = [None] * len(zs)
+    for group in groups.values():
+        block = _sums_inverse_linear([zs[j] for j in group], avals)
+        for j, sums in zip(group, block or ()):
+            sums_at[j] = sums
     columns = []
-    for z in [to_double(z, complex) for z in zs]:
+    for z, sums in zip(zs, sums_at):
         column: List[Optional[complex]] = [None] * len(nus)
-        sums = _sums_inverse_linear(z, avals) if z != 0 and _in_unit_disk(z) else None
         # every exponent is positive and 0 < |z| < 1: a power can only underflow, never be refused
         powers = [] if sums is None else rational_powers(z, parts)
         for i, power in zip(kept, powers):

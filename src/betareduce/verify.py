@@ -2,8 +2,9 @@
 
 One record per (nu, z) point: the closed-form value (one batch call for
 the grid, with one log table per (q, z) shared by every p/q and every
-integer shift), the series oracle value (one numpy pass and one log per
-z, shared by every nu, each split once for all z), and the discrepancy.
+integer shift), the series oracle value (one numpy pass per group of z
+that share a column count and a lane, and one log per z, shared by every
+nu, each split once for all z), and the discrepancy.
 A point that either batch leaves None is evaluated alone, by
 ``reduce_beta(...).value`` or ``beta_series``.  The relative
 error is absolute error over max(1, |oracle|), the convention used for
@@ -107,9 +108,11 @@ def run_verification(
     Returns (records, passed, failed, skipped) with records in grid order,
     nu-major.  The whole grid takes one :func:`beta_series_columns` call,
     which gives each nu's oracle method and the oracle values at every z,
-    splitting each nu once and taking one log of each z, and one
-    :func:`reduce_beta_rows` call, which groups the nu by denominator q and
-    builds one log table per (q, z).  Both return plain values, None at
+    splitting each nu once, summing the series of a group of z that share a
+    column count and a lane in one numpy pass and taking one log of each z,
+    and one :func:`reduce_beta_rows` call, which groups the nu by
+    denominator q and builds one log table per (q, z).  Both return plain
+    values, None at
     each point they do not finish, and leave every refusal to the scalar
     path: a None reduction is :func:`reduce_beta` of the point, a None
     oracle :func:`beta_series` of it, the oracle only once the point's
@@ -176,28 +179,26 @@ def write_verify_csv(records: Iterable[VerificationRecord], stream: IO[str]) -> 
     rendered, so ``-0.0`` never prints as ``0.0``.  The error-text cache is
     emptied when it holds ``ERR_TEXTS_HELD`` texts, so it stays below about
     0.5 MB on any grid; on the default grid 58% of the rows find their
-    ``abs_err`` text in it.
+    ``abs_err`` text in it.  Each record is unpacked as the tuple it is.
     """
 
     def rows():
         z_texts = {}  # id -> (z, its two fields)
         err_texts = {}  # non-zero abs_err -> its text
-        for rec in records:
-            held = z_texts.get(id(rec.z))
+        for nu, z, reduction, oracle, method, err, rel_err, status, note in records:
+            held = z_texts.get(id(z))
             if held is None:
-                held = z_texts[id(rec.z)] = (rec.z, f"{rec.z.real!r},{rec.z.imag!r}")
-            err = rec.abs_err
+                held = z_texts[id(z)] = (z, f"{z.real!r},{z.imag!r}")
             err_text = err_texts.get(err) if err else repr(err)
             if err_text is None:
                 if len(err_texts) == ERR_TEXTS_HELD:
                     err_texts.clear()
                 err_text = err_texts[err] = repr(err)
-            rel_text = err_text if err and rec.rel_err == err else repr(rec.rel_err)
+            rel_text = err_text if err and rel_err == err else repr(rel_err)
             yield (
-                f"{render_rational(rec.nu)},{held[1]},"
-                f"{rec.reduction_value.real!r},{rec.reduction_value.imag!r},"
-                f"{rec.oracle_value.real!r},{rec.oracle_value.imag!r},{rec.oracle_method},"
-                f"{err_text},{rel_text},{rec.status.value},{rec.note}\n"
+                f"{render_rational(nu)},{held[1]},{reduction.real!r},{reduction.imag!r},"
+                f"{oracle.real!r},{oracle.imag!r},{method},{err_text},{rel_text},"
+                f"{status.value},{note}\n"
             )
 
     stream.write(VERIFY_CSV_HEADER + "\n")

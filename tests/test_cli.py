@@ -88,6 +88,21 @@ class TestEval:
         assert exc.value.code == 2
         assert "expected one argument" in capsys.readouterr().err
 
+    # so is --nu -7/3; the --nu help of beta and beta-mu names the = form, which evaluates
+    def test_negative_nu_in_the_equals_form(self, capsys):
+        for function in ("beta", "beta-mu"):
+            with pytest.raises(SystemExit) as exc:
+                main(["eval", function, "--help"])
+            assert exc.value.code == 0
+            assert "a negative nu: --nu=-7/3" in " ".join(capsys.readouterr().out.split())
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "beta", "--nu", "-7/3", "--z", "0.5"])
+        assert exc.value.code == 2
+        assert "argument --nu: expected one argument" in capsys.readouterr().err
+        code, out, err = run_cli(capsys, "eval", "beta", "--nu=-7/3", "--z", "0.5")
+        assert (code, out, err) == (0, "-6.600498308227433\n", "")
+        assert float(out) == incomplete_beta(parse_rational("-7/3"), 0, 0.5)
+
     @pytest.mark.parametrize("z", ["abc", "1,2,3"])
     def test_malformed_z(self, capsys, z):
         with pytest.raises(SystemExit) as exc:

@@ -245,18 +245,51 @@ def total_bits(total):
 
 
 def assert_block_is_scalar(z, avals):
-    """The single pass is the scalar loop's total bitwise, and None exactly where it cannot finish:
-    every row when its columns do not fit in a block, else each row the loop stops after them."""
-    block = oracles._sums_inverse_linear(z, avals)
+    """The single pass of z alone, a one-member group, is the scalar loop's total bitwise, and None
+    exactly where it cannot finish: every row when its columns do not fit in a block, else each
+    row the loop stops after them."""
+    block = oracles._sums_inverse_linear([z], avals)
     columns = math.ceil(math.log(oracles.SERIES_REL_TOL) / math.log(abs(z))) + 4
     if columns > principal.BATCH_CELLS:
         assert block is None
         return
+    (block,) = block
     expected = []
     for a in avals:
         total, _, terms = oracles._sum_inverse_linear(z, a)
         expected.append(total_bits(total) if terms <= columns else None)
     assert [total_bits(total) for total in block] == expected
+
+
+# groups of 1-4 z that share a column count and a lane: points of one ring, real points of one
+# modulus with either sign and either zero, and the signed-zero twins 0.5 and complex(0.5, -0.0);
+# real moduli from 0.6 on too, where a large a at -|z| stops past the columns and leaves its row None
+RING_GROUPS = st.builds(
+    lambda r, angles: [cmath.rect(r, t) for t in angles],
+    MODULI,
+    st.lists(ANGLES, min_size=1, max_size=4),
+).filter(lambda zs: all(z.imag for z in zs))
+SIGNS = st.tuples(st.sampled_from([1.0, -1.0]), st.sampled_from([0.0, -0.0]))
+REAL_GROUPS = st.builds(
+    lambda r, signs: [complex(sign * r, zero) for sign, zero in signs],
+    MODULI | st.floats(0.6, 0.995),
+    st.lists(SIGNS, min_size=1, max_size=4),
+)
+GROUPS = (RING_GROUPS | REAL_GROUPS | st.just([0.5, complex(0.5, -0.0)])).filter(
+    lambda zs: len({oracles._block_columns(z) for z in zs}) == 1
+)
+
+
+def assert_group_is_its_members(zs, avals):
+    """Each member's sums in the group's block are bitwise its own one-member block's."""
+    group = oracles._sums_inverse_linear(zs, avals)
+    singles = [oracles._sums_inverse_linear([z], avals) for z in zs]
+    if group is None:
+        assert singles == [None] * len(zs)
+        return
+    assert [[total_bits(total) for total in sums] for sums in group] == [
+        [total_bits(total) for total in sums] for (sums,) in singles
+    ]
 
 
 class TestSeriesBlock:
@@ -273,6 +306,42 @@ class TestSeriesBlock:
             patch.setattr(principal, "BATCH_CELLS", 40)
             assert_block_is_scalar(z, avals + avals[:1])
 
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(zs=GROUPS, avals=st.lists(A_VALUES, min_size=1, max_size=6), data=st.data())
+    def test_group_is_each_member_alone_bitwise(self, zs, avals, data):
+        # the default budget holds the whole group; a budget of fewer (z, a) rows splits it
+        # over z, and one below a single z's a over a as well
+        columns = oracles._block_columns(zs[0])
+        rows = data.draw(st.none() | st.integers(1, len(zs) * len(avals)), label="rows")
+        with pytest.MonkeyPatch.context() as patch:
+            if rows:
+                spare = data.draw(st.integers(0, columns - 1), label="spare cells")
+                patch.setattr(principal, "BATCH_CELLS", rows * columns + spare)
+            assert_group_is_its_members(zs, avals)
+            for z in zs:  # and each member alone is the scalar loop, None where it is today
+                assert_block_is_scalar(z, avals)
+
+    # the ring of the default grid is one group of 11 z with 58 columns; at 5 rows a block it
+    # runs in 11 blocks of one z, each in 2 blocks of a
+    def test_default_ring_is_one_group(self, monkeypatch):
+        ring = default_z_grid()[18:]
+        avals = [1 / 3, 0.5, 2 / 3, 5 / 12, 37 / 3, 1.0, 2.0]
+        assert {oracles._block_columns(z) for z in ring} == {58} and all(z.imag for z in ring)
+        assert_group_is_its_members(ring, avals)
+        monkeypatch.setattr(principal, "BATCH_CELLS", 5 * 58)
+        assert_group_is_its_members(ring, avals)
+
+    # a = 1e4 stops after 359 terms at -0.9, past the 354 columns: in a group of the signed-zero
+    # twins its rows alone are None, split over z or not
+    @pytest.mark.parametrize("rows", [None, 2, 1])
+    def test_group_leaves_unstopped_rows_none(self, monkeypatch, rows):
+        if rows:
+            monkeypatch.setattr(principal, "BATCH_CELLS", rows * 354)
+        twins = [-0.9, complex(-0.9, -0.0), complex(-0.9, 0.0)]
+        block = oracles._sums_inverse_linear(twins, [0.5, 1e4])
+        assert [[total is None for total in sums] for sums in block] == [[False, True]] * 3
+        assert_group_is_its_members(twins, [0.5, 1e4])
+
     # the series parameters of the default grid, of the verify-grid window grid and of
     # --n-max 3 --q-max 20, and a up to 10^4: one pass finishes every row
     def test_default_grid_needs_no_fallback(self, monkeypatch):
@@ -283,8 +352,8 @@ class TestSeriesBlock:
             avals += [oracles._series_split(nu)[1] for nu in nus]
         avals += [10.0**k + 1 / 3 for k in (2, 3, 4)]
         for z in default_z_grid():
-            totals = oracles._sums_inverse_linear(z, avals)
-            assert totals is not None and None not in totals
+            (totals,) = oracles._sums_inverse_linear([z], avals)
+            assert None not in totals
         assert calls == []
 
     def test_growth_and_fallback_columns(self, monkeypatch):
@@ -295,14 +364,15 @@ class TestSeriesBlock:
         )
         # a = 1e4 stops after 359 terms, past the 354 columns of the single pass: its row
         # alone is None, and the row of 0.5 keeps its total
-        totals = oracles._sums_inverse_linear(-0.9, [0.5, 1e4])
+        (totals,) = oracles._sums_inverse_linear([-0.9], [0.5, 1e4])
         assert [total_bits(total) for total in totals] == [total_bits(scalar(-0.9, 0.5)[0]), None]
         monkeypatch.setattr(principal, "BATCH_CELLS", 40)
         avals = [0.5, 1.5, 2.5, 3.5]  # 12 columns, 3 rows a block
-        assert [total_bits(total) for total in oracles._sums_inverse_linear(0.01, avals)] == [
+        (totals,) = oracles._sums_inverse_linear([0.01], avals)
+        assert [total_bits(total) for total in totals] == [
             total_bits(scalar(0.01, a)[0]) for a in avals
         ]
-        assert oracles._sums_inverse_linear(-0.5, [-0.5, 0.5]) is None  # 58 columns pass 40
+        assert oracles._sums_inverse_linear([-0.5], [-0.5, 0.5]) is None  # 58 columns pass 40
         assert calls == []
 
 
@@ -452,8 +522,8 @@ def test_many_is_the_scalar_loop_field_by_field(nus, z):
     if first_scalar_error(nus, z) is None:
         # every point evaluates: None only where the single pass could not finish this z, or
         # the row of that nu alone
-        totals = oracles._sums_inverse_linear(z, [oracles._series_split(nu)[1] for nu in nus])
-        missing = [True] * len(nus) if totals is None else [total is None for total in totals]
+        block = oracles._sums_inverse_linear([z], [oracles._series_split(nu)[1] for nu in nus])
+        missing = [True] * len(nus) if block is None else [total is None for total in block[0]]
         assert [value is None for value in column] == missing
 
 
